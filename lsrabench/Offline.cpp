@@ -36,10 +36,15 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <sched.h>
 #include <sstream>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace lsra;
 
@@ -96,19 +101,30 @@ std::string printed(const Module &M) {
   return OS.str();
 }
 
-/// One slice of the `lsra fuzz` default grid for one program: one backend
-/// at one register limit, cleanup off and on, plus the cache differential
-/// when the limit is the grid's first (where the full grid runs it). A
-/// fuzz-grid op (one program) is every slice; slicing it lets the speed
-/// probes run every few tens of milliseconds.
+/// One oracle slice of the `lsra fuzz` default grid for one program: one
+/// backend at one register limit, cleanup off and on. Slicing the grid
+/// lets the speed probes run every few tens of milliseconds.
 check::FuzzOptions fuzzOptionsFor(uint64_t ProgramSeed, AllocatorKind K,
                                   unsigned Regs) {
   check::FuzzOptions FO;
-  FO.WithCache = Regs == FO.RegLimits.front();
+  FO.WithCache = false;
   FO.SeedStart = ProgramSeed;
   FO.Count = 1;
   FO.Allocators = {K};
   FO.RegLimits = {Regs};
+  FO.Reduce = false;
+  return FO;
+}
+
+/// The grid's cache differential over every fuzz-grid program and backend
+/// through one shared cache, as `lsra fuzz` runs it, so collisions between
+/// programs and between backends are part of the check. With no register
+/// limits the oracle runs are skipped and the pass uses the full machine.
+check::FuzzOptions cacheDiffOptions() {
+  check::FuzzOptions FO;
+  FO.SeedStart = 1;
+  FO.Count = FuzzPrograms;
+  FO.RegLimits = {};
   FO.Reduce = false;
   return FO;
 }
@@ -154,36 +170,104 @@ bool setUpWorkload(const std::string &Name, Workload &W) {
 }
 
 /// One timed unit: a compile (program, backend), or on fuzz-grid the
-/// (program, backend, register limit) slice of the grid.
+/// (program, backend, register limit) oracle slice of the grid or the
+/// cache differential over all programs.
 struct Job {
   unsigned In;
   AllocatorKind K;
   unsigned Regs = 0;
+  bool CacheDiff = false;
 };
 
 /// Host speed reference. This host's speed drifts by up to 1.8x over
 /// seconds, separately on each CPU (its hardware threads are shared with
 /// other machines), and a plain arithmetic loop does not see the drift,
 /// so the reference is compile work itself: the best of three binpack
-/// compiles of a small fixed program, run on the benchmark's own pinned
-/// thread between ops. Only ratios of probe times are used, so a change
-/// that makes compiling faster does not move the correction.
+/// compiles of a small fixed program. It runs in a helper process forked
+/// before the workload is set up, on the benchmark's CPU, so it sees that
+/// CPU's drift but none of the benchmark process's state (heap, caches,
+/// registries); the benchmark waits while it probes. Only ratios of probe
+/// times are used, so a change that makes compiling faster does not move
+/// the correction.
 class SpeedProbe {
 public:
-  SpeedProbe() : Text(printed(*lsra::buildWorkload("doduc"))) {}
-  double sample() const {
-    double Best = 1e9;
-    for (int I = 0; I < 3; ++I) {
-      double T0 = nowSec();
-      compileTextModule(Text, TD, AllocatorKind::SecondChanceBinpack);
-      Best = std::min(Best, nowSec() - T0);
+  SpeedProbe() {
+    int Req[2], Rep[2];
+    if (::pipe(Req) != 0)
+      return;
+    if (::pipe(Rep) != 0) {
+      ::close(Req[0]);
+      ::close(Req[1]);
+      return;
     }
-    return Best;
+    Pid = ::fork();
+    if (Pid == 0) {
+      ::close(Req[1]);
+      ::close(Rep[0]);
+      serve(Req[0], Rep[1]);
+      ::_exit(0);
+    }
+    ::close(Req[0]);
+    ::close(Rep[1]);
+    ToHelper = Req[1];
+    FromHelper = Rep[0];
+    if (Pid < 0)
+      stop();
+  }
+  ~SpeedProbe() { stop(); }
+  SpeedProbe(const SpeedProbe &) = delete;
+  SpeedProbe &operator=(const SpeedProbe &) = delete;
+
+  /// Seconds of one probe. Ends the benchmark if the helper is gone.
+  double sample() {
+    char Go = 1;
+    double Sec = 0;
+    if (Pid <= 0 || ::write(ToHelper, &Go, 1) != 1 ||
+        ::read(FromHelper, &Sec, sizeof(Sec)) !=
+            static_cast<ssize_t>(sizeof(Sec)) ||
+        !(Sec > 0)) {
+      std::fprintf(stderr, "lsrabench: the speed probe helper failed\n");
+      stop();
+      std::exit(1);
+    }
+    return Sec;
   }
 
 private:
-  std::string Text;
-  TargetDesc TD = TargetDesc::alphaLike();
+  static void serve(int In, int Out) {
+    std::string Text = printed(*lsra::buildWorkload("doduc"));
+    TargetDesc TD = TargetDesc::alphaLike();
+    char Go;
+    while (::read(In, &Go, 1) == 1) {
+      double Best = 1e9;
+      for (int I = 0; I < 3; ++I) {
+        double T0 = nowSec();
+        compileTextModule(Text, TD, AllocatorKind::SecondChanceBinpack);
+        Best = std::min(Best, nowSec() - T0);
+      }
+      if (::write(Out, &Best, sizeof(Best)) !=
+          static_cast<ssize_t>(sizeof(Best)))
+        return;
+    }
+  }
+
+  /// Closes the pipes (the helper reads end of file and exits) and reaps it.
+  void stop() {
+    if (ToHelper >= 0)
+      ::close(ToHelper);
+    if (FromHelper >= 0)
+      ::close(FromHelper);
+    ToHelper = FromHelper = -1;
+    if (Pid > 0) {
+      int St;
+      while (::waitpid(Pid, &St, 0) < 0 && errno == EINTR)
+        ;
+    }
+    Pid = -1;
+  }
+
+  int Pid = -1;
+  int ToHelper = -1, FromHelper = -1;
 };
 
 /// Probe at most this often; ops in between share the surrounding probes.
@@ -202,8 +286,9 @@ struct PhaseTimes {
 
 /// Op times (ms) at the host's fastest speed (time / slowdown): each job's
 /// median over the phase, or on fuzz-grid each program's sum over its
-/// backend slices. The job mix is fixed, so the distribution does not
-/// depend on how many rounds fit in the time budget.
+/// oracle slices plus an equal share of the cache differential. The job
+/// mix is fixed, so the distribution does not depend on how many rounds
+/// fit in the time budget.
 std::vector<double> opTimesMs(const PhaseTimes &P, const std::vector<Job> &Jobs,
                               bool Fuzz, size_t NumInputs) {
   std::vector<std::vector<double>> ByJob(Jobs.size());
@@ -218,11 +303,15 @@ std::vector<double> opTimesMs(const PhaseTimes &P, const std::vector<Job> &Jobs,
   }
   std::vector<double> Sum(NumInputs, 0);
   std::vector<bool> Whole(NumInputs, true);
-  for (size_t J = 0; J < Jobs.size(); ++J) {
-    Whole[Jobs[J].In] = Whole[Jobs[J].In] && !ByJob[J].empty();
-    if (!ByJob[J].empty())
-      Sum[Jobs[J].In] += median(ByJob[J]);
-  }
+  for (size_t J = 0; J < Jobs.size(); ++J)
+    for (size_t I = 0; I < NumInputs; ++I) {
+      if (!Jobs[J].CacheDiff && Jobs[J].In != I)
+        continue;
+      Whole[I] = Whole[I] && !ByJob[J].empty();
+      if (!ByJob[J].empty())
+        Sum[I] += median(ByJob[J]) /
+                  (Jobs[J].CacheDiff ? static_cast<double>(NumInputs) : 1.0);
+    }
   for (size_t I = 0; I < NumInputs; ++I)
     if (Whole[I])
       Out.push_back(Sum[I]);
@@ -233,7 +322,7 @@ std::vector<double> opTimesMs(const PhaseTimes &P, const std::vector<Job> &Jobs,
 /// always at least \p MinOps ops, probing the host's speed between ops.
 /// \p Between(elapsed seconds) runs after each op, outside its timing.
 template <typename OpFn, typename BetweenFn>
-PhaseTimes runRounds(const SpeedProbe &Probe, size_t NumJobs, uint64_t Seed,
+PhaseTimes runRounds(SpeedProbe &Probe, size_t NumJobs, uint64_t Seed,
                      double Seconds, size_t MinOps, BetweenFn Between,
                      OpFn Op) {
   PhaseTimes P;
@@ -388,118 +477,127 @@ bool sameRun(const RunResult &A, const RunResult &B) {
          (!A.Ok || (A.ReturnValue == B.ReturnValue && A.Output == B.Output));
 }
 
-/// runDifferentialFuzz over one grid slice (reduction off) re-composed from
-/// the calls runOracle and the cache differential make. Empty = clean.
-std::string tracedFuzz(uint64_t ProgramSeed, AllocatorKind K, unsigned Regs,
-                       Trace &T) {
-  check::FuzzOptions FO = fuzzOptionsFor(ProgramSeed, K, Regs);
+/// Program generation and printing, as runDifferentialFuzz does them.
+std::string tracedGenerate(uint64_t ProgramSeed, Trace &T) {
   std::unique_ptr<Module> M;
   {
     Span S(T.L[LGen]);
-    M = buildRandomProgram(ProgramSeed, FO.Program);
+    M = buildRandomProgram(ProgramSeed, check::FuzzOptions().Program);
   }
-  std::string Text;
-  {
-    Span S(T.L[LPrint]);
-    Text = printed(*M);
-  }
-  for (unsigned Regs : FO.RegLimits)
-    for (bool Cleanup : {false, true}) {
-      TargetDesc TD = fuzzTarget(Regs);
-      ParseResult P;
-      {
-        Span S(T.L[LParse]);
-        P = parseModule(Text);
-      }
-      T.BytesParsed += Text.size();
-      std::string Diag;
-      {
-        Span S(T.L[LIrVerify]);
-        Diag = P.ok() ? verifyModule(*P.M) : P.Error;
-      }
-      if (!Diag.empty())
-        return "malformed program: " + Diag;
-      {
-        Span S(T.L[LLower]);
-        lowerCalls(*P.M);
-      }
-      unsigned Removed;
-      {
-        Span S(T.L[LDce]);
-        Removed = eliminateDeadCode(*P.M, TD);
-      }
-      VM::Options RefOpts;
-      RefOpts.MaxInstrs = 50'000'000;
-      RunResult Ref;
-      {
-        Span S(T.L[LVmRef]);
-        Ref = VM(*P.M, TD, RefOpts).run();
-      }
-      std::unique_ptr<Module> AM;
-      {
-        Span S(T.L[LClone]);
-        AM = cloneModule(*P.M);
-      }
-      AllocOptions AO;
-      AO.SpillCleanup = Cleanup;
-      AllocStats St;
-      {
-        Span S(T.L[LAlloc]);
-        Span SK(T.AllocBy[K]);
-        St = allocateModule(*AM, TD, K, AO);
-      }
-      {
-        Span S(T.L[LCheck]);
-        Diag = checkAllocated(*AM);
-      }
-      if (!Diag.empty())
-        return "structural: " + Diag;
-      check::VerifyAllocResult VR;
-      {
-        Span S(T.L[LVerify]);
-        VR = check::verifyAllocation(*P.M, *AM, TD);
-      }
-      if (!VR.ok())
-        return "verifier: " + VR.str();
-      VM::Options GotOpts = RefOpts;
-      GotOpts.PoisonCallerSaved = true;
-      GotOpts.CheckCalleeSaved = true;
-      RunResult Got;
-      {
-        Span S(T.L[LVmAlloc]);
-        Got = VM(*AM, TD, GotOpts).run();
-      }
-      T.VmInstrs += Ref.Stats.Total + Got.Stats.Total;
-      bool Same;
-      {
-        Span S(T.L[LOther]);
-        Same = sameRun(Ref, Got);
-      }
-      if (!Same)
-        return std::string("allocated run differs from the reference (") +
-               allocatorName(K) + ", regs=" + std::to_string(Regs) + ")";
-      if (T.Counting) {
-        T.DceRemoved += Removed;
-        T.BytesIn += Text.size();
-      }
-      T.count(St);
+  Span S(T.L[LPrint]);
+  return printed(*M);
+}
+
+/// One oracle slice (reduction off) re-composed from the calls
+/// runDifferentialFuzz and runOracle make. Empty = clean.
+std::string tracedFuzz(uint64_t ProgramSeed, AllocatorKind K, unsigned Regs,
+                       Trace &T) {
+  std::string Text = tracedGenerate(ProgramSeed, T);
+  TargetDesc TD = fuzzTarget(Regs);
+  for (bool Cleanup : {false, true}) {
+    ParseResult P;
+    {
+      Span S(T.L[LParse]);
+      P = parseModule(Text);
     }
-  if (!FO.WithCache)
-    return "";
-  // The cache differential: cold then warm through one cache.
-  Span S(T.L[LOther]);
+    T.BytesParsed += Text.size();
+    std::string Diag;
+    {
+      Span S(T.L[LIrVerify]);
+      Diag = P.ok() ? verifyModule(*P.M) : P.Error;
+    }
+    if (!Diag.empty())
+      return "malformed program: " + Diag;
+    {
+      Span S(T.L[LLower]);
+      lowerCalls(*P.M);
+    }
+    unsigned Removed;
+    {
+      Span S(T.L[LDce]);
+      Removed = eliminateDeadCode(*P.M, TD);
+    }
+    VM::Options RefOpts;
+    RefOpts.MaxInstrs = 50'000'000;
+    RunResult Ref;
+    {
+      Span S(T.L[LVmRef]);
+      Ref = VM(*P.M, TD, RefOpts).run();
+    }
+    std::unique_ptr<Module> AM;
+    {
+      Span S(T.L[LClone]);
+      AM = cloneModule(*P.M);
+    }
+    AllocOptions AO;
+    AO.SpillCleanup = Cleanup;
+    AllocStats St;
+    {
+      Span S(T.L[LAlloc]);
+      Span SK(T.AllocBy[K]);
+      St = allocateModule(*AM, TD, K, AO);
+    }
+    {
+      Span S(T.L[LCheck]);
+      Diag = checkAllocated(*AM);
+    }
+    if (!Diag.empty())
+      return "structural: " + Diag;
+    check::VerifyAllocResult VR;
+    {
+      Span S(T.L[LVerify]);
+      VR = check::verifyAllocation(*P.M, *AM, TD);
+    }
+    if (!VR.ok())
+      return "verifier: " + VR.str();
+    VM::Options GotOpts = RefOpts;
+    GotOpts.PoisonCallerSaved = true;
+    GotOpts.CheckCalleeSaved = true;
+    RunResult Got;
+    {
+      Span S(T.L[LVmAlloc]);
+      Got = VM(*AM, TD, GotOpts).run();
+    }
+    T.VmInstrs += Ref.Stats.Total + Got.Stats.Total;
+    bool Same;
+    {
+      Span S(T.L[LOther]);
+      Same = sameRun(Ref, Got);
+    }
+    if (!Same)
+      return std::string("allocated run differs from the reference (") +
+             allocatorName(K) + ", regs=" + std::to_string(Regs) + ")";
+    if (T.Counting) {
+      T.DceRemoved += Removed;
+      T.BytesIn += Text.size();
+    }
+    T.count(St);
+  }
+  return "";
+}
+
+/// The cache differential over every program and backend through one
+/// cache, cold then warm, on the full machine (cacheDiffOptions).
+std::string tracedCacheDiff(const Workload &W, Trace &T) {
   cache::CompileCache Cache;
-  TargetDesc TD = fuzzTarget(FO.RegLimits.front());
+  TargetDesc TD = TargetDesc::alphaLike();
   ExecOptions EO;
   EO.VerifyAlloc = true;
   EO.Cache = &Cache;
-  TextCompileResult Cold = compileTextModule(Text, TD, K, {}, EO);
-  TextCompileResult Warm = compileTextModule(Text, TD, K, {}, EO);
-  if (!Cold.Ok || !Warm.Ok || !Warm.CacheHit ||
-      Warm.AllocatedText != Cold.AllocatedText)
-    return std::string("cache differential failed for ") + allocatorName(K);
-  if (T.Counting)
-    T.BytesOut += Cold.AllocatedText.size();
+  for (const Input &In : W.Inputs) {
+    std::string Text = tracedGenerate(In.FuzzSeed, T);
+    Span S(T.L[LOther]);
+    for (AllocatorKind K : AllocatorRegistry::global().kinds()) {
+      TextCompileResult Cold = compileTextModule(Text, TD, K, {}, EO);
+      TextCompileResult Warm = compileTextModule(Text, TD, K, {}, EO);
+      if (!Cold.Ok || !Warm.Ok || !Warm.CacheHit ||
+          Warm.AllocatedText != Cold.AllocatedText)
+        return std::string("cache differential failed for ") +
+               allocatorName(K);
+      if (T.Counting)
+        T.BytesOut += Cold.AllocatedText.size();
+    }
+  }
   return "";
 }
 
@@ -536,6 +634,16 @@ void timeAnalyses(const Input &In, const TargetDesc &TD, double &Live,
   Live = median(LV);
   Loops = median(LO);
   Lifetimes = median(LT);
+}
+
+/// Which analyses a compile by backend \p K computes: {liveness, loops,
+/// lifetimes}, from its registry capabilities. Lifetimes are built from
+/// liveness and loops, so a backend that needs lifetimes computes all three.
+std::array<bool, 3> analysesOf(AllocatorKind K) {
+  const AllocatorInfo &I = AllocatorRegistry::global().info(K);
+  bool Lifetimes = I.needs(CapNeedsLifetimes);
+  return {Lifetimes || I.needs(CapNeedsLiveness),
+          Lifetimes || I.needs(CapNeedsLoops), Lifetimes};
 }
 
 struct Quality {
@@ -594,6 +702,7 @@ void checkOutputs(const Workload &W, const std::vector<Job> &Jobs,
 
 int runOffline(const Options &O, Result &R) {
   // One thread on one CPU, so the speed probes see the CPU the ops ran on.
+  // The probe helper is forked after pinning and inherits the CPU.
   cpu_set_t Cpu;
   CPU_ZERO(&Cpu);
   CPU_SET(sched_getcpu(), &Cpu);
@@ -628,7 +737,8 @@ int runOffline(const Options &O, Result &R) {
   };
   std::vector<AllocatorKind> Kinds = AllocatorRegistry::global().kinds();
   // Quality is measured over every (input, backend) pair. Off the fuzz
-  // grid each pair is also a job; on it, each pair has one job per limit.
+  // grid each pair is also a job; on it, each pair has one job per limit,
+  // and one more job runs the cache differential over all programs.
   std::vector<Job> Pairs, Jobs;
   std::vector<unsigned> Limits =
       W.Fuzz ? check::FuzzOptions().RegLimits : std::vector<unsigned>{0};
@@ -638,10 +748,13 @@ int runOffline(const Options &O, Result &R) {
       for (unsigned Regs : Limits)
         Jobs.push_back({I, K, Regs});
     }
+  if (W.Fuzz)
+    Jobs.push_back({0, Kinds.front(), 0, true});
   std::vector<std::string> Outputs(Pairs.size()); // allocated text per pair
-  // fuzz-grid ops are programs: every slice of one.
-  double SlicesPerOp =
-      W.Fuzz ? static_cast<double>(Kinds.size() * Limits.size()) : 1.0;
+  // fuzz-grid ops are programs, which share the jobs of a round.
+  double JobsPerOp = W.Fuzz ? static_cast<double>(Jobs.size()) /
+                                  static_cast<double>(W.Inputs.size())
+                            : 1.0;
 
   // Regime label: how much of the input is the memory image.
   uint64_t Lines = 0, MemLines = 0, TextBytes = 0;
@@ -660,12 +773,16 @@ int runOffline(const Options &O, Result &R) {
                   SetupBetweenOps,
                   [&](unsigned J, uint64_t) {
                     ++R.Attempted;
-                    const Input &In = W.Inputs[Jobs[J].In];
+                    const Job &Jb = Jobs[J];
+                    const Input &In = W.Inputs[Jb.In];
                     check::FuzzReport FR = check::runDifferentialFuzz(
-                        fuzzOptionsFor(In.FuzzSeed, Jobs[J].K, Jobs[J].Regs));
-                    BytesMoved += In.Text.size();
+                        Jb.CacheDiff ? cacheDiffOptions()
+                                     : fuzzOptionsFor(In.FuzzSeed, Jb.K,
+                                                      Jb.Regs));
+                    BytesMoved += Jb.CacheDiff ? TextBytes : In.Text.size();
                     if (!FR.clean())
-                      R.fail(In.Name + ": " + FR.Findings[0].Kind + ": " +
+                      R.fail("fuzz-" + std::to_string(FR.Findings[0].Seed) +
+                             ": " + FR.Findings[0].Kind + ": " +
                              FR.Findings[0].Detail);
                   });
   } else {
@@ -720,15 +837,18 @@ int runOffline(const Options &O, Result &R) {
                      T.Ops = OpIndex;
                      if (OpIndex == CountedOps)
                        T.freezeCounts();
-                     const Input &In = W.Inputs[Jobs[J].In];
+                     const Job &Jb = Jobs[J];
+                     const Input &In = W.Inputs[Jb.In];
                      std::string Err;
-                     ++T.OpsBy[Jobs[J].K];
-                     if (W.Fuzz) {
-                       Err = tracedFuzz(In.FuzzSeed, Jobs[J].K, Jobs[J].Regs,
-                                        T);
+                     if (Jb.CacheDiff) {
+                       Err = tracedCacheDiff(W, T);
+                     } else if (W.Fuzz) {
+                       ++T.OpsBy[Jb.K];
+                       Err = tracedFuzz(In.FuzzSeed, Jb.K, Jb.Regs, T);
                      } else {
+                       ++T.OpsBy[Jb.K];
                        std::string Out =
-                           tracedCompile(In.Text, W.TD, Jobs[J].K, T, Err);
+                           tracedCompile(In.Text, W.TD, Jb.K, T, Err);
                        if (Err.empty() && Outputs[J].empty())
                          Outputs[J] = std::move(Out);
                        else if (Err.empty() && Out != Outputs[J])
@@ -736,7 +856,9 @@ int runOffline(const Options &O, Result &R) {
                                "compileTextModule";
                      }
                      if (!Err.empty())
-                       R.fail(In.Name + ": " + Err);
+                       R.fail((Jb.CacheDiff ? std::string("fuzz-grid")
+                                            : In.Name) +
+                              ": " + Err);
                    });
     T.Ops = TP.Ops;
     T.freezeCounts();
@@ -747,8 +869,8 @@ int runOffline(const Options &O, Result &R) {
   checkOutputs(W, Pairs, Outputs, Q, R);
 
   if (O.Trace) {
-    double Ops = static_cast<double>(TP.Ops) / SlicesPerOp;
-    double Counted = static_cast<double>(T.CountOps) / SlicesPerOp;
+    double Ops = static_cast<double>(TP.Ops) / JobsPerOp;
+    double Counted = static_cast<double>(T.CountOps) / JobsPerOp;
     auto Ms = [&](Layer L) { return T.L[L].Sec * 1e3 / Ops; };
     auto Allocs = [&](Layer L) {
       return static_cast<double>(T.FrozenAllocs[L]) / Counted;
@@ -778,30 +900,33 @@ int runOffline(const Options &O, Result &R) {
     R.layer("passes.dce_allocs", Allocs(LDce), "count");
     R.layer("passes.dce_removed", PerCounted(T.DceRemoved), "count");
 
-    // Analyses: timed once per input (and register limit) on a clone,
-    // then charged once per compile of that input. A fuzz-grid op compiles
-    // its program at every limit, once per backend and cleanup setting.
-    std::vector<uint64_t> OpsOf(W.Inputs.size(), 0);
-    for (unsigned J : TP.OpJob)
-      ++OpsOf[Jobs[J].In];
-    // A fuzz-grid slice compiles at one limit, cleanup off and on.
-    double CompilesPerLimit =
-        W.Fuzz ? 2.0 / static_cast<double>(Limits.size()) : 1.0;
-    double ALive = 0, ALoops = 0, ALifetimes = 0;
-    for (size_t I = 0; I < W.Inputs.size(); ++I)
-      for (unsigned Lim : Limits) {
-        if (!OpsOf[I])
-          break;
-        double A = 0, B = 0, C = 0;
-        timeAnalyses(W.Inputs[I], W.Fuzz ? fuzzTarget(Lim) : W.TD, A, B, C);
-        double N = static_cast<double>(OpsOf[I]) * CompilesPerLimit;
-        ALive += A * N;
-        ALoops += B * N;
-        ALifetimes += C * N;
-      }
-    R.layer("analysis.liveness_ms", ALive * 1e3 / Ops, "ms");
-    R.layer("analysis.loops_ms", ALoops * 1e3 / Ops, "ms");
-    R.layer("analysis.lifetimes_ms", ALifetimes * 1e3 / Ops, "ms");
+    // Analyses: timed once per input and register limit on a clone, then
+    // charged to each traced compile of that input whose backend computes
+    // them (a fuzz-grid slice compiles twice, cleanup off and on). The
+    // cache differential's compiles are not in regalloc.alloc_ms, so they
+    // are not charged.
+    std::map<std::pair<unsigned, unsigned>, std::array<double, 3>> Uses;
+    for (unsigned J : TP.OpJob) {
+      const Job &Jb = Jobs[J];
+      if (Jb.CacheDiff)
+        continue;
+      std::array<bool, 3> Computes = analysesOf(Jb.K);
+      std::array<double, 3> &N = Uses[{Jb.In, Jb.Regs}];
+      for (size_t A = 0; A < 3; ++A)
+        N[A] += Computes[A] ? (W.Fuzz ? 2.0 : 1.0) : 0.0;
+    }
+    std::array<double, 3> Analysis = {0, 0, 0};
+    for (const auto &[Key, N] : Uses) {
+      std::array<double, 3> Sec = {0, 0, 0};
+      timeAnalyses(W.Inputs[Key.first],
+                   W.Fuzz ? fuzzTarget(Key.second) : W.TD, Sec[0], Sec[1],
+                   Sec[2]);
+      for (size_t A = 0; A < 3; ++A)
+        Analysis[A] += Sec[A] * N[A];
+    }
+    R.layer("analysis.liveness_ms", Analysis[0] * 1e3 / Ops, "ms");
+    R.layer("analysis.loops_ms", Analysis[1] * 1e3 / Ops, "ms");
+    R.layer("analysis.lifetimes_ms", Analysis[2] * 1e3 / Ops, "ms");
 
     R.layer("regalloc.alloc_ms", Ms(LAlloc), "ms");
     R.layer("regalloc.allocs", Allocs(LAlloc), "count");
@@ -844,7 +969,7 @@ int runOffline(const Options &O, Result &R) {
                 "jobs / one pass at per-job medians; %zu rounds, %llu ops, "
                 "%.1f ops/s before the speed correction",
                 U.Rounds, (unsigned long long)U.Ops,
-                static_cast<double>(U.Ops) / SlicesPerOp * 1e3 / RawMs);
+                static_cast<double>(U.Ops) / JobsPerOp * 1e3 / RawMs);
   R.e2e("ops_per_s", static_cast<double>(JobMs.size()) / RoundSec, "ops/s",
         Note);
   R.e2e("op_p50_ms", P50, "ms", "median of per-job medians");

@@ -6,8 +6,6 @@
 
 #include "bench.h"
 
-#include "regalloc/Registry.h"
-
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -68,62 +66,6 @@ void countLines(const std::string &Text, uint64_t &Lines, uint64_t &MemLines) {
       ++MemLines;
     Pos = End + 1;
   }
-}
-
-std::vector<std::pair<std::string, std::string>> layerMetricNames() {
-  std::vector<std::pair<std::string, std::string>> N = {
-      {"ir.parse_ms", "ms"},
-      {"ir.parse_mb_per_s", "MB/s"},
-      {"ir.irverify_ms", "ms"},
-      {"ir.print_ms", "ms"},
-      {"ir.parse_allocs", "count"},
-      {"ir.print_allocs", "count"},
-      {"ir.bytes_in", "bytes"},
-      {"ir.bytes_out", "bytes"},
-      {"ir.mem_line_share", "ratio"},
-      {"workloads.gen_ms", "ms"},
-      {"target.lower_ms", "ms"},
-      {"passes.dce_ms", "ms"},
-      {"passes.dce_allocs", "count"},
-      {"passes.dce_removed", "count"},
-      {"analysis.liveness_ms", "ms"},
-      {"analysis.loops_ms", "ms"},
-      {"analysis.lifetimes_ms", "ms"},
-      {"regalloc.alloc_ms", "ms"},
-      {"regalloc.allocs", "count"},
-      {"regalloc.spilled_temps", "count"},
-      {"regalloc.lifetime_splits", "count"},
-      {"regalloc.static_spill_instrs", "count"},
-      {"regalloc.dataflow_iterations", "count"},
-  };
-  for (lsra::AllocatorKind K : lsra::AllocatorRegistry::global().kinds()) {
-    std::string P = std::string("regalloc.") + lsra::allocatorName(K);
-    N.push_back({P + ".alloc_ms", "ms"});
-    N.push_back({P + ".cycles", "count"});
-  }
-  std::vector<std::pair<std::string, std::string>> Rest = {
-      {"driver.check_ms", "ms"},
-      {"driver.clone_ms", "ms"},
-      {"check.verify_ms", "ms"},
-      {"check.verify_allocs", "count"},
-      {"check.oracle_other_ms", "ms"},
-      {"vm.ref_run_ms", "ms"},
-      {"vm.alloc_run_ms", "ms"},
-      {"vm.instrs_per_s", "1/s"},
-      {"cache.hit_ratio", "ratio"},
-      {"cache.bytes", "bytes"},
-      {"server.latency_us_p50", "us"},
-      {"server.queue_us_p50", "us"},
-      {"server.compile_us_p50", "us"},
-      {"server.compile_us_tail", "us"},
-      {"server.cached_ratio", "ratio"},
-      {"server.merged_ratio", "ratio"},
-      {"net.wire_us_p50", "us"},
-      {"obs.layer_coverage", "ratio"},
-      {"obs.trace_overhead", "ratio"},
-  };
-  N.insert(N.end(), Rest.begin(), Rest.end());
-  return N;
 }
 
 } // namespace lsrabench

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// serve-mix: an `lsra serve` child process (2 workers, every other setting
-/// at the server default) driven closed-loop by one client thread over 4
+/// at the server default) driven closed-loop by one client thread over 2
 /// connections, one request in flight on each. The seeded request stream
 /// keeps a working set of two texts per program: every 4th request is a
 /// fresh text (the program with a new leading comment line, so the
@@ -53,7 +53,7 @@ using namespace lsra::server;
 namespace lsrabench {
 namespace {
 
-constexpr unsigned Connections = 4;
+constexpr unsigned Connections = 2; ///< one per worker
 constexpr unsigned ServerWorkers = 2;
 constexpr unsigned CodeHeavyPrograms = 8;
 constexpr unsigned SlotsPerProgram = 2; ///< working-set texts per program
@@ -194,7 +194,6 @@ private:
 /// What one closed-loop phase observed.
 struct PhaseStats {
   std::vector<double> LatMs;
-  std::vector<double> DoneAt; ///< completion time of each answered request
   std::vector<double> QueueUs;
   uint64_t Cached = 0, Merged = 0, Bytes = 0, IrIn = 0, IrOut = 0;
   double Start = 0, End = 0;
@@ -310,7 +309,6 @@ bool runPhase(std::vector<Conn> &Conns, Stream &St,
                  "same program");
         }
         P.LatMs.push_back((Now - C.SentAt) * 1e3);
-        P.DoneAt.push_back(Now);
         P.QueueUs.push_back(static_cast<double>(Resp.QueueUs));
         P.Cached += Resp.Cached;
         P.Merged += Resp.Merged;
@@ -327,42 +325,6 @@ bool runPhase(std::vector<Conn> &Conns, Stream &St,
   }
   P.End = nowSec();
   return true;
-}
-
-/// The fastest quarter of the phase's one-second windows, pooled. This
-/// host's speed drifts by up to 1.8x over seconds, separately on each CPU
-/// (its hardware threads are shared with other machines), and the client,
-/// the event loop and both workers each run on their own CPU; the fastest
-/// windows of a run are what stays put from run to run.
-struct Window {
-  double Rate = 0; ///< mean requests per second over the pooled windows
-  std::vector<double> LatMs;
-  size_t Windows = 0, Pooled = 0;
-};
-
-Window fastWindows(const PhaseStats &P) {
-  std::vector<std::vector<double>> Ws;
-  for (double W = P.Start; W + 1.0 <= P.End; W += 1.0) {
-    Ws.emplace_back();
-    for (size_t I = 0; I < P.DoneAt.size(); ++I)
-      if (P.DoneAt[I] >= W && P.DoneAt[I] < W + 1.0)
-        Ws.back().push_back(P.LatMs[I]);
-  }
-  Window Out;
-  Out.Windows = Ws.size();
-  if (Ws.empty()) { // shorter than a second: the whole phase
-    Out.Rate = static_cast<double>(P.LatMs.size()) / (P.End - P.Start);
-    Out.LatMs = P.LatMs;
-    return Out;
-  }
-  std::sort(Ws.begin(), Ws.end(),
-            [](const auto &A, const auto &B) { return A.size() > B.size(); });
-  Out.Pooled = std::max<size_t>(1, Ws.size() / 4);
-  for (size_t I = 0; I < Out.Pooled; ++I)
-    Out.LatMs.insert(Out.LatMs.end(), Ws[I].begin(), Ws[I].end());
-  Out.Rate = static_cast<double>(Out.LatMs.size()) /
-             static_cast<double>(Out.Pooled);
-  return Out;
 }
 
 //--- the server's stats document --------------------------------------------
@@ -541,18 +503,16 @@ int runServe(const Options &O, Result &R) {
       Lines ? static_cast<double>(MemLines) / static_cast<double>(Lines) : 0;
 
   double Answered = static_cast<double>(U.LatMs.size());
-  Window FW = fastWindows(U);
-  double P50 = median(FW.LatMs);
-  double TailP = tailPercentile(FW.LatMs.size());
+  double P50 = median(U.LatMs);
+  double TailP = tailPercentile(U.LatMs.size());
   char Note[128];
-  std::snprintf(Note, sizeof(Note),
-                "fastest %zu of %zu one-second windows; %zu requests in all",
-                FW.Pooled, FW.Windows, U.LatMs.size());
-  R.e2e("ops_per_s", FW.Rate, "ops/s", Note);
-  R.e2e("op_p50_ms", P50, "ms", "median in the fastest windows");
-  std::snprintf(Note, sizeof(Note), "p%g of %zu requests in those windows",
-                TailP, FW.LatMs.size());
-  R.e2e("op_tail_ms", quantile(FW.LatMs, TailP / 100.0), "ms", Note);
+  std::snprintf(Note, sizeof(Note), "%zu requests in %.1f s",
+                U.LatMs.size(), U.End - U.Start);
+  R.e2e("ops_per_s", Answered / (U.End - U.Start), "ops/s", Note);
+  R.e2e("op_p50_ms", P50, "ms");
+  std::snprintf(Note, sizeof(Note), "p%g of %zu requests", TailP,
+                U.LatMs.size());
+  R.e2e("op_tail_ms", quantile(U.LatMs, TailP / 100.0), "ms", Note);
   R.e2e("setup_s", median(SetupSec), "s",
         "median of " + std::to_string(SetupSec.size()) + " set-ups");
   R.e2e("peak_rss_mb", PeakRss, "MiB", "server process");
@@ -611,7 +571,7 @@ int runServe(const Options &O, Result &R) {
     R.layer("obs.layer_coverage",
             ClientSumUs > 0 ? static_cast<double>(Lat.Sum) / ClientSumUs : 0,
             "ratio", "server latency_us sum / client latency sum");
-    R.layer("obs.trace_overhead", median(fastWindows(T).LatMs) / P50 - 1,
+    R.layer("obs.trace_overhead", median(T.LatMs) / P50 - 1,
             "ratio", "traced / untraced op_p50_ms - 1");
   }
   return 0;

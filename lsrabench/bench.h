@@ -91,10 +91,6 @@ double selfPeakRssMb();
 /// Peak resident set (VmHWM) of process \p Pid, MiB; 0 when unreadable.
 double pidPeakRssMb(int Pid);
 
-/// Every per-layer metric (name, unit), in report order. A workload that
-/// does not exercise a layer reports 0 for it, marked n/a.
-std::vector<std::pair<std::string, std::string>> layerMetricNames();
-
 /// Lines of \p Text and how many of them are `mem` image lines.
 void countLines(const std::string &Text, uint64_t &Lines, uint64_t &MemLines);
 

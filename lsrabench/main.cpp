@@ -11,7 +11,9 @@
 /// Runs one workload (corpus-cold, code-cold, fuzz-grid, serve-mix) for S
 /// seconds, checks every output, prints the host record and every metric
 /// by name and unit, and ends with one JSON line: the end-to-end metrics,
-/// or with --trace 1 the per-layer metrics of a separately traced phase.
+/// or with --trace 1 the per-layer metrics of a separately traced phase
+/// (the layers this workload exercises; run.py completes the list from
+/// BENCHMARK.json).
 /// Exits nonzero when any output check failed.
 ///
 //===----------------------------------------------------------------------===//
@@ -140,19 +142,6 @@ int main(int Argc, char **Argv) {
     Rc = runOffline(O, R);
   if (Rc != 0)
     return Rc;
-  if (O.Trace) {
-    // The full layer set in report order; layers this workload does not
-    // exercise read 0.
-    std::vector<Metric> Ordered;
-    for (const auto &[Name, Unit] : layerMetricNames()) {
-      Metric M{Name, 0, Unit, "n/a on this workload"};
-      for (const Metric &L : R.Layers)
-        if (L.Name == Name)
-          M = L;
-      Ordered.push_back(M);
-    }
-    R.Layers = std::move(Ordered);
-  }
 
   for (const std::string &N : R.Notes)
     std::printf("  %s\n", N.c_str());

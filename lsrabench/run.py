@@ -8,12 +8,15 @@ Run from the root of a checkout. The first run configures and builds the
 library, the `lsra` CLI and the `lsrabench` program with CMake under
 $CARGO_TARGET_DIR (default .bench_build); later runs only rebuild what
 changed. Build output goes to stderr, so the last line of stdout is the
-program's JSON result. The exit code is the program's: nonzero when the build
-fails or any output check fails.
+JSON result. With --trace 1 that result holds every per-layer metric that
+BENCHMARK.json lists, in its order; a layer the workload does not exercise
+reads 0. The exit code is the program's: nonzero when the build fails or
+any output check fails.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +66,24 @@ def build(build_dir):
     return True
 
 
+def complete_layers(result):
+    """Gives `result` every per-layer metric BENCHMARK.json lists, in its
+    order, and returns the names the workload did not report (set to 0).
+    BENCHMARK.json is the one list of layer metrics: a reported metric it
+    does not list, or lists with another unit, is an error."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        listed = [(m["name"], m["unit"]) for m in json.load(f)["per_layer"]]
+    units = dict(listed)
+    got = result["metrics"]
+    for name, m in got.items():
+        if units.get(name) != m["unit"]:
+            raise ValueError("per-layer metric %s (%s) is not listed in "
+                             "BENCHMARK.json" % (name, m["unit"]))
+    result["metrics"] = {n: got.get(n, {"value": 0, "unit": u})
+                         for n, u in listed}
+    return [n for n, _ in listed if n not in got]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -83,7 +104,25 @@ def main():
            "--lsra", os.path.join(build_dir, "lsra"),
            "--workdir", work_dir, "--commit", source_id()]
     sys.stdout.flush()
-    return subprocess.run(cmd).returncode
+    if args.trace == "0":
+        return subprocess.run(cmd).returncode
+    run = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    lines = run.stdout.splitlines()
+    if run.returncode != 0 or not lines:
+        sys.stdout.write(run.stdout)
+        return run.returncode or 1
+    print("\n".join(lines[:-1]))
+    try:
+        result = json.loads(lines[-1])
+        missing = complete_layers(result)
+    except (OSError, ValueError, KeyError) as e:
+        print("lsrabench: %s" % e, file=sys.stderr)
+        return 1
+    if missing:
+        print("  not exercised by this workload, reported as 0: " +
+              ", ".join(missing))
+    print(json.dumps(result))
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ Short runs of every workload check that:
   - the traced re-composition reproduces compileTextModule byte for byte
     (the benchmark counts any difference as a failed op, so a traced run must
     come back correct with no failures);
-  - obs.layer_coverage is reported for every offline workload;
+  - every result names exactly the metrics BENCHMARK.json lists, end-to-end
+    or per-layer, in its order;
+  - obs.layer_coverage is reported for every workload;
   - the command refuses to run, with a nonzero exit and no result line,
     when the repository sources are not next to it.
 """
@@ -25,6 +27,7 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OFFLINE = ["corpus-cold", "code-cold", "fuzz-grid"]
+ALL = OFFLINE + ["serve-mix"]
 EXACT_E2E = ["cycles", "spill_dyn_instrs", "code_instrs"]
 
 
@@ -38,6 +41,12 @@ def bench(workload, trace, seed=7, seconds=2, cwd=ROOT):
     return p.returncode, (json.loads(lines[-1]) if lines else None), p.stdout
 
 
+def listed(key):
+    """The metric names BENCHMARK.json lists under `key`, in order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return [m["name"] for m in json.load(f)[key]]
+
+
 def exact_layer_counts(metrics):
     return {k: v["value"] for k, v in metrics.items()
             if k.endswith("_allocs") or k == "passes.dce_removed"}
@@ -45,9 +54,10 @@ def exact_layer_counts(metrics):
 
 class BenchTest(unittest.TestCase):
     def test_exact_counts_repeat(self):
-        for w in OFFLINE + ["serve-mix"]:
+        for w in ALL:
             with self.subTest(workload=w):
                 a, b = bench(w, 0)[1], bench(w, 0)[1]
+                self.assertEqual(list(a["metrics"]), listed("end_to_end"))
                 for m in EXACT_E2E:
                     self.assertEqual(a["metrics"][m], b["metrics"][m], m)
         for w in OFFLINE:
@@ -58,16 +68,16 @@ class BenchTest(unittest.TestCase):
                 self.assertGreater(ca["passes.dce_allocs"], 0)
 
     def test_traced_runs_are_correct_and_covered(self):
-        for w in OFFLINE:
+        for w in ALL:
             with self.subTest(workload=w):
                 rc, r, out = bench(w, 1)
                 self.assertEqual(rc, 0, out)
                 self.assertTrue(r["correct"], out)
                 self.assertEqual(r["failed"], 0, out)
                 self.assertNotIn("re-composition differs", out)
+                self.assertEqual(list(r["metrics"]), listed("per_layer"))
                 cov = r["metrics"]["obs.layer_coverage"]["value"]
                 self.assertTrue(0.5 < cov <= 1.0, cov)
-                self.assertIn("obs.trace_overhead", r["metrics"])
 
     def test_refuses_without_sources(self):
         lone = os.path.join(ROOT, ".bench_build", "lone-checkout")
