@@ -17,8 +17,9 @@
 //
 // Phase 2 (dataflow): a forward must-analysis over the allocated CFG maps
 // every location (physical register or frame slot) to the set of original
-// values it currently holds. The matching from phase 1 tells the analysis
-// which original value every matched operand demands.
+// values it currently holds, kept as a sorted list of (value, location)
+// facts. The matching from phase 1 tells the analysis which original value
+// every matched operand demands.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,6 @@
 #include "analysis/Order.h"
 #include "ir/Module.h"
 #include "obs/DecisionLog.h"
-#include "support/BitVector.h"
 
 #include <algorithm>
 #include <array>
@@ -131,34 +131,180 @@ struct Prov {
   }
 };
 
-/// Abstract machine state: per location, the set of values it holds.
+/// One abstract fact, "location L holds value V", packed as V << 32 | L so
+/// that sorting orders facts by value, then location.
+using Fact = uint64_t;
+
+Fact fact(unsigned V, unsigned L) { return (uint64_t(V) << 32) | L; }
+unsigned factValue(Fact F) { return unsigned(F >> 32); }
+unsigned factLoc(Fact F) { return unsigned(F); }
+
+/// Merge the sorted \p Add into the sorted \p Into (disjoint lists).
+void mergeFacts(std::vector<Fact> &Into, const std::vector<Fact> &Add) {
+  size_t I = Into.size(), J = Add.size();
+  Into.resize(I + J);
+  for (size_t K = Into.size(); J > 0;)
+    Into[--K] = I > 0 && Into[I - 1] > Add[J - 1] ? Into[--I] : Add[--J];
+}
+
+/// Abstract machine state: which locations hold which values.
 /// Locations: [0, NumPRegs) physical registers, NumPRegs + S frame slots.
 /// Values: [0, NumV) original virtual registers, NumV + P the "convention
 /// value" sentinel of physical register P.
+///
+/// The state is sized by its facts, not by locations x values: a sorted list
+/// of (value, location) pairs, so one value's locations are contiguous and
+/// in location order. Reachable code holds a few dozen facts per block. The
+/// meet identity (Top: every location holds every value) is a flag; only an
+/// unreachable block is ever transferred from it, and there every location
+/// starts co-finite. Co-finite locations are listed in TopLocs, and for them
+/// the facts list the values they do *not* hold.
 struct State {
-  std::vector<BitVector> Loc;
+  std::vector<Fact> Facts;
+  std::vector<unsigned> TopLocs; ///< sorted co-finite locations
+  bool Top = true;
   std::array<Prov, NumPRegs> RegProv;
 
-  void init(unsigned NumLocs, unsigned NumVals, bool Top) {
-    Loc.assign(NumLocs, BitVector(NumVals, Top));
-    for (auto &P : RegProv)
-      P = Prov();
+  /// Make the meet identity explicit over \p NumLocs locations.
+  void expandTop(unsigned NumLocs) {
+    Top = false;
+    Facts.clear();
+    TopLocs.resize(NumLocs);
+    for (unsigned L = 0; L < NumLocs; ++L)
+      TopLocs[L] = L;
   }
 
-  bool meet(const State &O) {
-    bool Changed = false;
-    for (unsigned I = 0; I < Loc.size(); ++I)
-      Changed |= (Loc[I] &= O.Loc[I]);
+  bool isTopLoc(unsigned L) const {
+    return !TopLocs.empty() &&
+           std::binary_search(TopLocs.begin(), TopLocs.end(), L);
+  }
+
+  bool holds(unsigned L, unsigned V) const {
+    return std::binary_search(Facts.begin(), Facts.end(), fact(V, L)) !=
+           isTopLoc(L);
+  }
+
+  /// Call \p Fn(L) for every location L holding \p V, in location order.
+  template <typename FnT> void forEachHolder(unsigned V, FnT Fn) const {
+    auto It = std::lower_bound(Facts.begin(), Facts.end(), fact(V, 0));
+    auto End = std::lower_bound(It, Facts.end(), fact(V, 0) + (1ull << 32));
+    auto T = TopLocs.begin();
+    while (It != End || T != TopLocs.end()) {
+      if (T == TopLocs.end() || (It != End && factLoc(*It) < *T))
+        Fn(factLoc(*It++)); // a finite location's fact
+      else if (It == End || *T < factLoc(*It))
+        Fn(*T++); // a co-finite location that does not exclude V
+      else
+        ++It, ++T; // a co-finite location excluding V
+    }
+  }
+
+  /// L now holds V (and whatever else it held).
+  void add(unsigned L, unsigned V) {
+    Fact F = fact(V, L);
+    auto It = std::lower_bound(Facts.begin(), Facts.end(), F);
+    bool Present = It != Facts.end() && *It == F;
+    if (isTopLoc(L)) {
+      if (Present)
+        Facts.erase(It);
+    } else if (!Present) {
+      Facts.insert(It, F);
+    }
+  }
+
+  /// V is held nowhere.
+  void kill(unsigned V) {
+    auto Lo = std::lower_bound(Facts.begin(), Facts.end(), fact(V, 0));
+    auto Hi = std::lower_bound(Lo, Facts.end(), fact(V, 0) + (1ull << 32));
+    Lo = Facts.erase(Lo, Hi);
+    if (TopLocs.empty())
+      return;
+    size_t At = Lo - Facts.begin();
+    Facts.insert(Lo, TopLocs.size(), 0);
+    for (unsigned L : TopLocs)
+      Facts[At++] = fact(V, L);
+  }
+
+  /// L holds nothing.
+  void clear(unsigned L) {
+    Facts.erase(std::remove_if(Facts.begin(), Facts.end(),
+                               [L](Fact F) { return factLoc(F) == L; }),
+                Facts.end());
+    auto T = std::lower_bound(TopLocs.begin(), TopLocs.end(), L);
+    if (T != TopLocs.end() && *T == L)
+      TopLocs.erase(T);
+  }
+
+  /// D now holds exactly what S holds. \p Tmp is a work buffer.
+  void copy(unsigned D, unsigned S, std::vector<Fact> &Tmp) {
+    if (D == S)
+      return;
+    Tmp.clear();
+    size_t W = 0;
+    for (size_t R = 0; R < Facts.size(); ++R) {
+      Fact F = Facts[R];
+      if (factLoc(F) == S)
+        Tmp.push_back(fact(factValue(F), D));
+      if (factLoc(F) != D)
+        Facts[W++] = F;
+    }
+    Facts.resize(W);
+    mergeFacts(Facts, Tmp);
+    bool STop = isTopLoc(S);
+    auto T = std::lower_bound(TopLocs.begin(), TopLocs.end(), D);
+    bool DTop = T != TopLocs.end() && *T == D;
+    if (STop && !DTop)
+      TopLocs.insert(T, D);
+    else if (!STop && DTop)
+      TopLocs.erase(T);
+  }
+
+  /// Intersect with \p O. \p Tmp is a work buffer.
+  void meet(const State &O, std::vector<Fact> &Tmp) {
+    if (O.Top)
+      return;
+    if (Top) {
+      *this = O;
+      return;
+    }
+    if (TopLocs.empty() && O.TopLocs.empty()) {
+      size_t W = 0, J = 0;
+      for (size_t I = 0; I < Facts.size(); ++I) {
+        while (J < O.Facts.size() && O.Facts[J] < Facts[I])
+          ++J;
+        if (J < O.Facts.size() && O.Facts[J] == Facts[I])
+          Facts[W++] = Facts[I];
+      }
+      Facts.resize(W);
+    } else {
+      // A location stays co-finite only if it is co-finite on both sides;
+      // a fact is listed when "holds on both sides" differs from that.
+      Tmp.clear();
+      size_t I = 0, J = 0;
+      while (I < Facts.size() || J < O.Facts.size()) {
+        bool InA = J == O.Facts.size() ||
+                   (I < Facts.size() && Facts[I] <= O.Facts[J]);
+        bool InB = I == Facts.size() ||
+                   (J < O.Facts.size() && O.Facts[J] <= Facts[I]);
+        Fact F = InA ? Facts[I++] : O.Facts[J];
+        if (InB)
+          ++J;
+        bool TA = isTopLoc(factLoc(F)), TB = O.isTopLoc(factLoc(F));
+        if (((InA != TA) && (InB != TB)) != (TA && TB))
+          Tmp.push_back(F);
+      }
+      TopLocs.erase(std::remove_if(TopLocs.begin(), TopLocs.end(),
+                                   [&O](unsigned L) { return !O.isTopLoc(L); }),
+                    TopLocs.end());
+      Facts.swap(Tmp);
+    }
     for (unsigned P = 0; P < NumPRegs; ++P)
-      Changed |= RegProv[P].meet(O.RegProv[P]);
-    return Changed;
+      RegProv[P].meet(O.RegProv[P]);
   }
 
   bool operator==(const State &O) const {
-    for (unsigned I = 0; I < Loc.size(); ++I) {
-      if (!(Loc[I] == O.Loc[I]))
-        return false;
-    }
+    if (Top != O.Top || Facts != O.Facts || TopLocs != O.TopLocs)
+      return false;
     for (unsigned P = 0; P < NumPRegs; ++P)
       if (RegProv[P].K != O.RegProv[P].K || RegProv[P].Slot != O.RegProv[P].Slot)
         return false;
@@ -205,7 +351,9 @@ private:
   VerifyAllocResult &R;
   Numbering ON; ///< original linear positions (decision-log cross-reference)
 
-  unsigned NumV = 0, NumVals = 0, NumLocs = 0;
+  unsigned NumV = 0, NumLocs = 0;
+  std::vector<Fact> FactBuf;        ///< State::copy/meet work list
+  std::vector<unsigned> Holders;    ///< transferOrigMove work list
   std::vector<unsigned> SplitTarget; ///< resolveTarget per allocated block
   std::vector<std::vector<Event>> Events;
   bool StructuralFailure = false;
@@ -244,16 +392,12 @@ private:
   }
 
   void entryState(State &S) const {
-    S.init(NumLocs, NumVals, false);
+    S.Top = false;
+    S.Facts.clear();
     for (unsigned P = 0; P < NumPRegs; ++P) {
-      S.Loc[P].set(NumV + P);
+      S.Facts.push_back(fact(NumV + P, P));
       S.RegProv[P].K = Prov::Entry;
     }
-  }
-
-  void killValue(State &S, unsigned Val) const {
-    for (auto &L : S.Loc)
-      L.reset(Val);
   }
 
   void transferBlock(unsigned B, State &S, bool Report);
@@ -487,18 +631,17 @@ void FunctionVerifier::checkUse(const State &S, unsigned Val, unsigned P,
                                 unsigned Pos) {
   if (!Report || tooManyErrors())
     return;
-  if (S.Loc[P].test(Val))
+  if (S.holds(P, Val))
     return;
   // Classify: what does P hold instead, and where does the value live?
   const Prov &PV = S.RegProv[P];
   bool Elsewhere = false;
   unsigned HomeSlot = NoInfo;
-  for (unsigned L = 0; L < NumLocs; ++L)
-    if (S.Loc[L].test(Val)) {
-      Elsewhere = true;
-      if (L >= NumPRegs && HomeSlot == NoInfo)
-        HomeSlot = L - NumPRegs;
-    }
+  S.forEachHolder(Val, [&](unsigned L) {
+    Elsewhere = true;
+    if (L >= NumPRegs && HomeSlot == NoInfo)
+      HomeSlot = L - NumPRegs;
+  });
   AllocErrorKind K;
   std::string Why;
   if (PV.K == Prov::CallClobber) {
@@ -539,18 +682,18 @@ void FunctionVerifier::transferSpill(const Instr &AI, State &S) {
   case Opcode::FLdSlot: {
     unsigned D = AI.op(0).pregId();
     unsigned Slot = AI.op(1).slotId();
-    S.Loc[D] = S.Loc[NumPRegs + Slot];
+    S.copy(D, NumPRegs + Slot, FactBuf);
     S.RegProv[D] = {Prov::LoadSlot, Slot};
     return;
   }
   case Opcode::StSlot:
   case Opcode::FStSlot:
-    S.Loc[NumPRegs + AI.op(1).slotId()] = S.Loc[AI.op(0).pregId()];
+    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId(), FactBuf);
     return;
   case Opcode::Mov:
   case Opcode::FMov: {
     unsigned D = AI.op(0).pregId();
-    S.Loc[D] = S.Loc[AI.op(1).pregId()];
+    S.copy(D, AI.op(1).pregId(), FactBuf);
     S.RegProv[D] = {Prov::SpillMove, NoInfo};
     return;
   }
@@ -574,15 +717,16 @@ void FunctionVerifier::transferOrigMove(const Instr &OI, State &S,
   if (Dst.isPReg()) {
     checkUse(S, SrcVal, Dst.pregId(), Report, B, NoInfo, Pos);
     unsigned DVal = NumV + Dst.pregId();
-    killValue(S, DVal);
-    S.Loc[Dst.pregId()].set(DVal);
+    S.kill(DVal);
+    S.add(Dst.pregId(), DVal);
     return;
   }
   unsigned DVal = Dst.vregId();
-  killValue(S, DVal);
-  for (unsigned L = 0; L < NumLocs; ++L)
-    if (S.Loc[L].test(SrcVal))
-      S.Loc[L].set(DVal);
+  S.kill(DVal);
+  Holders.clear();
+  S.forEachHolder(SrcVal, [&](unsigned L) { Holders.push_back(L); });
+  for (unsigned L : Holders)
+    S.add(L, DVal);
 }
 
 void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
@@ -609,22 +753,22 @@ void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
     }
     // 2. The caller-saved set dies.
     forEachClobberedReg(AI, TD, [&](unsigned P) {
-      S.Loc[P].clear();
+      S.clear(P);
       S.RegProv[P] = {Prov::CallClobber, NoInfo};
     });
     if (OI.CallRet != CallRetKind::None) {
       unsigned P = TargetDesc::retReg(
           OI.CallRet == CallRetKind::Int ? RegClass::Int : RegClass::Float);
-      killValue(S, NumV + P);
-      S.Loc[P].clear();
-      S.Loc[P].set(NumV + P);
+      S.kill(NumV + P);
+      S.clear(P);
+      S.add(P, NumV + P);
       S.RegProv[P] = {Prov::Def, NoInfo};
     }
     return;
   }
   // Untagged slot stores are program stores to a local frame slot.
   if (OI.opcode() == Opcode::StSlot || OI.opcode() == Opcode::FStSlot) {
-    S.Loc[NumPRegs + AI.op(1).slotId()] = S.Loc[AI.op(0).pregId()];
+    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId(), FactBuf);
     return;
   }
   // 3. The definition: the defined value dies everywhere, then lives in the
@@ -633,18 +777,19 @@ void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
   if (D == 1) {
     unsigned DVal = valueOf(OI.op(0));
     unsigned DP = AI.op(0).pregId();
-    killValue(S, DVal);
-    if (OI.opcode() == Opcode::LdSlot || OI.opcode() == Opcode::FLdSlot) {
-      S.Loc[DP] = S.Loc[NumPRegs + AI.op(1).slotId()];
-    } else {
-      S.Loc[DP].clear();
-    }
-    S.Loc[DP].set(DVal);
+    S.kill(DVal);
+    if (OI.opcode() == Opcode::LdSlot || OI.opcode() == Opcode::FLdSlot)
+      S.copy(DP, NumPRegs + AI.op(1).slotId(), FactBuf);
+    else
+      S.clear(DP);
+    S.add(DP, DVal);
     S.RegProv[DP] = {Prov::Def, NoInfo};
   }
 }
 
 void FunctionVerifier::transferBlock(unsigned B, State &S, bool Report) {
+  if (S.Top) // unreachable, and so are all its predecessors
+    S.expandTop(NumLocs);
   if (B >= Orig.numBlocks()) {
     for (const Instr &AI : Alloc.block(B).instrs())
       if (AI.Spill != SpillKind::None)
@@ -672,42 +817,55 @@ void FunctionVerifier::transferBlock(unsigned B, State &S, bool Report) {
 
 void FunctionVerifier::solve() {
   unsigned NB = Alloc.numBlocks();
-  std::vector<State> In(NB), Out(NB);
-  for (unsigned B = 0; B < NB; ++B) {
-    In[B].init(NumLocs, NumVals, true);
-    Out[B].init(NumLocs, NumVals, true);
-  }
+  std::vector<State> In(NB), Out(NB); // Top: the meet identity
   entryState(In[0]);
 
   auto Preds = Alloc.predecessors();
+  std::vector<std::vector<unsigned>> Succs(NB);
+  for (unsigned B = 0; B < NB; ++B)
+    for (unsigned P : Preds[B])
+      Succs[P].push_back(B);
   std::vector<unsigned> RPO = reversePostOrder(Alloc);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
+  std::vector<unsigned> RPOIndex(NB);
+  for (unsigned I = 0; I < RPO.size(); ++I)
+    RPOIndex[RPO[I]] = I;
+
+  // Sweep in RPO, transferring every block once and then only the blocks
+  // a predecessor's changed out-state reaches; a back edge to a pending
+  // block costs another sweep.
+  std::vector<bool> Pending(NB, true);
+  State S;
+  for (bool Again = true; Again;) {
+    Again = false;
     for (unsigned B : RPO) {
+      if (!Pending[B])
+        continue;
+      Pending[B] = false;
       // The entry block's in-state starts at the machine contract and still
       // meets its predecessors: a branch back to the entry block must agree
       // with the entry state on every location it relies on.
       for (unsigned P : Preds[B])
-        In[B].meet(Out[P]);
-      State S = In[B];
+        In[B].meet(Out[P], FactBuf);
+      S = In[B];
       transferBlock(B, S, /*Report=*/false);
-      if (!(S == Out[B])) {
-        Out[B] = std::move(S);
-        Changed = true;
+      if (S == Out[B])
+        continue;
+      std::swap(Out[B], S);
+      for (unsigned Succ : Succs[B]) {
+        Pending[Succ] = true;
+        Again |= RPOIndex[Succ] <= RPOIndex[B];
       }
     }
   }
 
   for (unsigned B = 0; B < NB && !tooManyErrors(); ++B) {
-    State S = In[B];
+    S = In[B];
     transferBlock(B, S, /*Report=*/true);
   }
 }
 
 void FunctionVerifier::run() {
   NumV = Orig.numVRegs();
-  NumVals = NumV + NumPRegs;
   NumLocs = NumPRegs + Alloc.numSlots();
 
   if (Alloc.numBlocks() < Orig.numBlocks()) {

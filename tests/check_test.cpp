@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two halves. First, acceptance: the verifier must accept every allocator's
+// Three parts. First, acceptance: the verifier must accept every allocator's
 // output on the full workload corpus, at the full machine and under register
 // pressure. Second, mutation: deliberately corrupt known-good allocations
 // (swap a register, drop a reload, retarget a resolution move, extend a
 // caller-saved value across a call, retarget a branch) and assert the
-// verifier rejects each with the right error class and location.
+// verifier rejects each with the right error class and location. Last,
+// the state representation: unreachable blocks keep their top-state
+// semantics, and verification memory does not grow with declared vregs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "check/Verifier.h"
 #include "driver/Pipeline.h"
 #include "passes/DCE.h"
+#include "support/AllocProfile.h"
 #include "target/LowerCalls.h"
 #include "workloads/Workloads.h"
 #include "workloads/RandomProgram.h"
@@ -343,6 +346,121 @@ TEST(VerifierMutation, RetargetedBranchIsUnresolvedEdge) {
   const AllocError &E = R.Errors[0];
   EXPECT_EQ(E.Kind, AllocErrorKind::UnresolvedEdge) << R.str();
   EXPECT_EQ(E.Block, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// State-representation invariants: unreachable code and declared sizes.
+//===----------------------------------------------------------------------===//
+
+/// b0 -> join and an unreachable `dead` -> join. The solver transfers dead
+/// from the all-values top state and meets its out-state into join like any
+/// other predecessor's, so dead's redefinition of v0 into $2 reaches join.
+struct DeadPredecessor : HandPair {
+  Block *DeadAlloc;
+  DeadPredecessor() {
+    unsigned V0 = vreg(), V1 = vreg();
+    Block &OB0 = oblock("b0");
+    Block &OB1 = oblock("dead");
+    Block &OB2 = oblock("join");
+    OB0.append(movi(Operand::vreg(V0), 7));
+    OB0.append(movi(Operand::vreg(V1), 1));
+    OB0.append(Instr(Opcode::Br, Operand::label(OB2.id())));
+    OB1.append(movi(Operand::vreg(V0), 9));
+    OB1.append(Instr(Opcode::Emit, Operand::vreg(V0)));
+    OB1.append(Instr(Opcode::Emit, Operand::vreg(V1)));
+    OB1.append(Instr(Opcode::Br, Operand::label(OB2.id())));
+    OB2.append(Instr(Opcode::Emit, Operand::vreg(V0)));
+    OB2.append(Instr(Opcode::Emit, Operand::vreg(V1)));
+    OB2.append(Instr(Opcode::Ret));
+
+    unsigned S0 = AF.newSlot(RegClass::Int);
+    Block &AB0 = ablock("b0");
+    Block &AB1 = ablock("dead");
+    Block &AB2 = ablock("join");
+    AB0.append(movi(Operand::preg(intReg(1)), 7));
+    AB0.append(movi(Operand::preg(intReg(3)), 1));
+    AB0.append(Instr(Opcode::Br, Operand::label(AB2.id())));
+    AB1.append(movi(Operand::preg(intReg(2)), 9));
+    AB1.append(spill(Opcode::StSlot, intReg(2), S0, SpillKind::EvictStore));
+    AB1.append(Instr(Opcode::Emit, Operand::preg(intReg(1))));
+    AB1.append(Instr(Opcode::Emit, Operand::preg(intReg(3))));
+    AB1.append(Instr(Opcode::Br, Operand::label(AB2.id())));
+    AB2.append(Instr(Opcode::Emit, Operand::preg(intReg(1))));
+    AB2.append(Instr(Opcode::Emit, Operand::preg(intReg(3))));
+    AB2.append(Instr(Opcode::Ret));
+    DeadAlloc = &AB1;
+  }
+};
+
+TEST(VerifierUnreachable, KillInDeadBlockReachesJoin) {
+  DeadPredecessor H;
+  // Inside dead, everything but the killed v0 is still assumed present
+  // ($3 holds v1); v0 lives only in $2 and its home slot 0. At the join, no
+  // location holds v0 on both paths; v1 in $3 survives the meet.
+  EXPECT_EQ(H.verify().str(),
+            "stale-after-evict at f:b1[2]: use of v0: register no longer "
+            "holds the value (it lives in slot 0) (temp=v0, reg=$1, pos=8)\n"
+            "lost-value at f:b2[0]: use of v0: value is in no register or "
+            "slot on some path (temp=v0, reg=$1, pos=14)");
+}
+
+TEST(VerifierUnreachable, AgreeingDeadBlockIsTransparent) {
+  DeadPredecessor H;
+  // Define v0 into $1 in dead as well, and read it from there: every
+  // location b0 relies on now holds the same value on the dead path.
+  H.DeadAlloc->instrs()[0].op(0) = Operand::preg(intReg(1));
+  H.DeadAlloc->instrs()[1].op(0) = Operand::preg(intReg(1));
+  EXPECT_EQ(H.verify().str(), "");
+}
+
+/// A small function with a loop, a spill and a reload, whose original
+/// declares \p NumVRegs virtual registers; returns the heap bytes one
+/// verification allocates.
+uint64_t verifyBytesWithDeclaredVRegs(unsigned NumVRegs) {
+  HandPair H;
+  unsigned V0 = H.vreg(), V1 = H.vreg();
+  while (H.OF.numVRegs() < NumVRegs)
+    H.vreg();
+  Block &OB0 = H.oblock("b0");
+  Block &OB1 = H.oblock("loop");
+  Block &OB2 = H.oblock("exit");
+  OB0.append(H.movi(Operand::vreg(V0), 7));
+  OB0.append(H.movi(Operand::vreg(V1), 3));
+  OB0.append(Instr(Opcode::Br, Operand::label(OB1.id())));
+  OB1.append(Instr(Opcode::Emit, Operand::vreg(V0)));
+  OB1.append(Instr(Opcode::CBr, Operand::vreg(V1), Operand::label(OB1.id()),
+                   Operand::label(OB2.id())));
+  OB2.append(Instr(Opcode::Emit, Operand::vreg(V0)));
+  OB2.append(Instr(Opcode::Ret));
+  unsigned S0 = H.AF.newSlot(RegClass::Int);
+  Block &AB0 = H.ablock("b0");
+  Block &AB1 = H.ablock("loop");
+  Block &AB2 = H.ablock("exit");
+  AB0.append(H.movi(Operand::preg(intReg(1)), 7));
+  AB0.append(H.spill(Opcode::StSlot, intReg(1), S0, SpillKind::EvictStore));
+  AB0.append(H.movi(Operand::preg(intReg(2)), 3));
+  AB0.append(Instr(Opcode::Br, Operand::label(AB1.id())));
+  AB1.append(Instr(Opcode::Emit, Operand::preg(intReg(1))));
+  AB1.append(Instr(Opcode::CBr, Operand::preg(intReg(2)),
+                   Operand::label(AB1.id()), Operand::label(AB2.id())));
+  AB2.append(H.spill(Opcode::LdSlot, intReg(4), S0, SpillKind::EvictLoad));
+  AB2.append(Instr(Opcode::Emit, Operand::preg(intReg(4))));
+  AB2.append(Instr(Opcode::Ret));
+  AllocSnapshot Before = allocSnapshot();
+  VerifyAllocResult R = H.verify();
+  AllocSnapshot After = allocSnapshot();
+  EXPECT_TRUE(R.ok()) << R.str();
+  return (After - Before).Bytes;
+}
+
+TEST(VerifierMemory, IndependentOfDeclaredVRegs) {
+  if (!allocProfileAvailable())
+    GTEST_SKIP() << "heap allocation counters not installed in this build";
+  uint64_t Small = verifyBytesWithDeclaredVRegs(100);
+  uint64_t Huge = verifyBytesWithDeclaredVRegs(1000000);
+  EXPECT_GT(Small, 0u);
+  EXPECT_LE(Huge, 2 * Small) << "vregs=100: " << Small
+                             << " bytes, vregs=1000000: " << Huge;
 }
 
 } // namespace
