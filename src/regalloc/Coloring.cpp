@@ -11,6 +11,13 @@
 // rounds (loads before uses, stores after defs, one fresh block-local
 // temporary per reference).
 //
+// The bookkeeping is kept to what the pseudocode needs: build() walks a
+// short ascending list of live nodes per def, the spill and freeze
+// worklists drop a node by changing its state (stale entries are skipped
+// where they are popped), the spill choice comes from a heap, and the
+// adjacency matrix lives across the rounds of a class. Every choice is
+// the one the plain list-based formulation makes, in the same order.
+//
 //===----------------------------------------------------------------------===//
 
 #include "regalloc/Coloring.h"
@@ -26,9 +33,15 @@
 #include "support/BitVector.h"
 
 #include <algorithm>
+#include <array>
+#include <bitset>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
-#include <memory>
+#include <new>
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace lsra;
 
@@ -37,23 +50,85 @@ namespace {
 constexpr unsigned NoNode = ~0u;
 
 /// Lower-triangular bit matrix recording the adjacency relation, per the
-/// paper's implementation note (§3).
+/// paper's implementation note (§3). One matrix serves all rounds of one
+/// register class. Node ids are stable across rounds and only grow, and
+/// the caller clears the bits it set instead of re-zeroing the array, so
+/// growing never copies: a small matrix is reallocated zeroed on the
+/// heap, and a large one lives in an anonymous mapping that mremap
+/// extends in place (new pages arrive zeroed; the old ones stay). Index
+/// and size arithmetic is 64-bit: N*(N+1)/2 no longer fits 32 bits from
+/// 65,536 nodes on.
 class AdjMatrix {
 public:
-  explicit AdjMatrix(unsigned N) : N(N), Bits(N * (N + 1) / 2) {}
+  AdjMatrix() = default;
+  AdjMatrix(const AdjMatrix &) = delete;
+  AdjMatrix &operator=(const AdjMatrix &) = delete;
+  ~AdjMatrix() {
+    if (Mapped)
+      ::munmap(Mapped, MappedBytes);
+  }
 
-  bool test(unsigned A, unsigned B) const { return Bits.test(index(A, B)); }
-  void set(unsigned A, unsigned B) { Bits.set(index(A, B)); }
+  /// Make room for nodes [0, \p NewN). Every bit must be clear.
+  void grow(unsigned NewN) {
+    if (NewN <= N)
+      return;
+    N = NewN;
+    uint64_t NumWords = (uint64_t(N) * (N + 1) / 2 + 63) / 64;
+    size_t Need = static_cast<size_t>(NumWords * 8);
+    Heap = {};
+    if (Need <= MaxHeapBytes) {
+      // Below this a mapping's system calls cost more than zeroing.
+      Heap.resize(NumWords);
+      Words = Heap.data();
+      return;
+    }
+    static const size_t Page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    size_t Want = (Need + Page - 1) / Page * Page;
+    if (Want > MappedBytes) {
+      void *P = Mapped ? ::mremap(Mapped, MappedBytes, Want, MREMAP_MAYMOVE)
+                       : ::mmap(nullptr, Want, PROT_READ | PROT_WRITE,
+                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (P == MAP_FAILED)
+        throw std::bad_alloc();
+      Mapped = static_cast<uint64_t *>(P);
+      MappedBytes = Want;
+    }
+    Words = Mapped;
+  }
+
+  bool test(unsigned A, unsigned B) const {
+    uint64_t I = index(A, B);
+    return (Words[I / 64] >> (I % 64)) & 1;
+  }
+  void set(unsigned A, unsigned B) {
+    uint64_t I = index(A, B);
+    Words[I / 64] |= uint64_t(1) << (I % 64);
+  }
+  void reset(unsigned A, unsigned B) {
+    uint64_t I = index(A, B);
+    Words[I / 64] &= ~(uint64_t(1) << (I % 64));
+  }
+  /// Clear every bit between two nodes below \p M.
+  void clearBelow(unsigned M) {
+    if (N == 0)
+      return;
+    uint64_t NumBits = uint64_t(M) * (M + 1) / 2;
+    std::memset(Words, 0, static_cast<size_t>((NumBits + 63) / 64 * 8));
+  }
 
 private:
-  unsigned index(unsigned A, unsigned B) const {
+  uint64_t index(unsigned A, unsigned B) const {
     if (A < B)
       std::swap(A, B);
     assert(A < N && "node out of range");
-    return A * (A + 1) / 2 + B;
+    return uint64_t(A) * (A + 1) / 2 + B;
   }
-  unsigned N;
-  BitVector Bits;
+  static constexpr size_t MaxHeapBytes = 256 << 10;
+  uint64_t *Words = nullptr;
+  std::vector<uint64_t> Heap;
+  uint64_t *Mapped = nullptr;
+  size_t MappedBytes = 0;
+  unsigned N = 0;
 };
 
 enum class NodeState : uint8_t {
@@ -81,6 +156,23 @@ struct MoveRec {
   MoveState State = MoveState::Worklist;
 };
 
+/// A spill-worklist entry. The heap's top is the node with the least
+/// Chaitin metric, ties going to the node that entered the worklist
+/// first: the pick of a front-to-back scan of the worklist for a strictly
+/// smaller metric. A node's metric rises when its degree falls or its
+/// cost grows; such entries are left in place and re-keyed when they
+/// reach the top (a stored metric is then a lower bound, so the first
+/// top whose metric is current is the true minimum). A metric falls only
+/// when a coalesce raises the degree; that pushes a new entry.
+struct SpillCand {
+  double Metric;
+  unsigned Stamp; ///< order of entry into the spill worklist
+  unsigned Node;
+  bool operator>(const SpillCand &O) const {
+    return Metric > O.Metric || (Metric == O.Metric && Stamp > O.Stamp);
+  }
+};
+
 /// One coloring problem: all temporaries of one register class.
 class ColoringProblem {
 public:
@@ -88,7 +180,12 @@ public:
                   const Liveness &LV, const LoopInfo &LI, SpillSlots &Slots,
                   AllocStats &Stats)
       : F(F), TD(TD), RC(RC), LV(LV), LI(LI), Slots(Slots), Stats(Stats),
-        K(TD.numAllocatable(RC)) {}
+        K(TD.numAllocatable(RC)), NumNodes(K) {
+    PRegToNode.fill(NoNode);
+    const auto &Order = TD.allocOrder(RC);
+    for (unsigned I = 0; I < Order.size(); ++I)
+      PRegToNode[Order[I]] = I;
+  }
 
   /// Repeat build/color/spill rounds to completion, then rewrite operands.
   void run();
@@ -105,12 +202,14 @@ private:
 
   // Node numbering: [0, K) = the allocatable registers of this class (in
   // allocation-preference order); [K, NumNodes) = temporaries, via
-  // VRegToNode.
+  // VRegToNode, in vreg order. Spill code only appends vregs, so a node
+  // keeps its id across rounds.
   std::vector<unsigned> VRegToNode;
   std::vector<unsigned> NodeToVReg;
-  unsigned NumNodes = 0;
+  std::array<unsigned, NumPRegs> PRegToNode;
+  unsigned NumNodes;
 
-  std::unique_ptr<AdjMatrix> Adj;
+  AdjMatrix Adj;
   std::vector<std::vector<unsigned>> AdjList;
   std::vector<unsigned> Degree;
   std::vector<NodeState> State;
@@ -120,9 +219,22 @@ private:
   std::vector<MoveRec> Moves;
   std::vector<std::vector<unsigned>> MoveList;
   std::vector<unsigned> SelectStack;
-  std::vector<unsigned> SimplifyWL, FreezeWL, SpillWL, WorklistMoves,
-      ActiveMoves;
+  /// Worklists popped from the back; an entry whose node has since left
+  /// the list's state is stale and skipped.
+  std::vector<unsigned> SimplifyWL, FreezeWL, WorklistMoves;
+  /// The spill worklist: a min-heap of SpillCand plus a live-node count.
+  std::vector<SpillCand> SpillHeap;
+  std::vector<unsigned> SpillStamp;
+  unsigned NumSpillWL = 0;
+  unsigned NextSpillStamp = 0;
   std::vector<unsigned> SpilledNodes;
+  /// Scratch: the live nodes of build(), ascending, with membership flags;
+  /// freezeMoves' move list; Briggs-test marks.
+  std::vector<unsigned> LiveNodes;
+  std::vector<uint8_t> InLive;
+  std::vector<unsigned> NodeMoves;
+  std::vector<unsigned> Mark;
+  unsigned MarkEpoch = 0;
   /// VRegs created by spill-code insertion: unspillable (infinite cost).
   BitVector SpillTemp;
   /// VRegs spilled in earlier rounds. They no longer occur in the code,
@@ -130,78 +242,96 @@ private:
   /// ignore them or they would interfere with whole blocks forever.
   BitVector EverSpilledV;
 
-  bool isTempOfClass(const Operand &Op) const {
-    return Op.isVReg() && F.vregClass(Op.vregId()) == RC;
+  bool isOfClass(const Operand &Op) const {
+    return Op.isVReg() ? F.vregClass(Op.vregId()) == RC
+                       : pregClass(Op.pregId()) == RC;
   }
   unsigned nodeOfOperand(const Operand &Op) const {
-    if (Op.isVReg())
-      return VRegToNode[Op.vregId()];
-    unsigned P = Op.pregId();
-    const auto &Order = TD.allocOrder(RC);
-    for (unsigned I = 0; I < Order.size(); ++I)
-      if (Order[I] == P)
-        return I;
-    return NoNode; // non-allocatable or other-class physical register
+    // NoNode for a non-allocatable or other-class physical register.
+    return Op.isVReg() ? VRegToNode[Op.vregId()] : PRegToNode[Op.pregId()];
+  }
+  /// A node that counts as adjacent: not on the select stack, not merged.
+  bool isAdjacent(unsigned A) const {
+    return State[A] != NodeState::OnStack && State[A] != NodeState::Coalesced;
   }
 
   void initRound();
   void build();
+  void liveInsert(unsigned N);
+  void liveErase(unsigned N);
   void addEdge(unsigned U, unsigned V);
   void makeWorklist();
-  void collectAdjacent(unsigned N, std::vector<unsigned> &Out) const;
-  void collectNodeMoves(unsigned N, std::vector<unsigned> &Out) const;
   bool moveRelated(unsigned N) const;
+  void pushSimplify(unsigned N);
+  void pushFreeze(unsigned N);
+  double spillMetric(unsigned N) const;
+  void pushSpill(unsigned N);
+  void enterSpillWL(unsigned N);
   void simplify();
   void decrementDegree(unsigned N);
   void enableMoves(unsigned N);
   void coalesce();
   void addWorkList(unsigned N);
   bool okGeorge(unsigned T, unsigned R) const;
-  bool conservative(const std::vector<unsigned> &Nodes) const;
+  bool briggs(unsigned U, unsigned V);
   unsigned getAlias(unsigned N) const;
   void combine(unsigned U, unsigned V);
   void freeze();
   void freezeMoves(unsigned N);
   void selectSpill();
+  void siftDownTop();
   void assignColors();
   void rewriteSpills();
   void rewriteOperands();
 };
 
 void ColoringProblem::initRound() {
+  // Clear last round's edges. One with a temporary endpoint is in the
+  // adjacency list of its higher-numbered end; the rest join two
+  // registers, below node K.
+  for (unsigned N = 0; N < AdjList.size(); ++N) {
+    for (unsigned A : AdjList[N])
+      if (A < N)
+        Adj.reset(N, A);
+    AdjList[N].clear();
+    MoveList[N].clear();
+  }
+  Adj.clearBelow(K);
+
   unsigned NumV = F.numVRegs();
-  VRegToNode.assign(NumV, NoNode);
-  NodeToVReg.clear();
-  NumNodes = K;
-  for (unsigned V = 0; V < NumV; ++V)
+  unsigned OldV = static_cast<unsigned>(VRegToNode.size());
+  VRegToNode.resize(NumV, NoNode);
+  for (unsigned V = OldV; V < NumV; ++V)
     if (F.vregClass(V) == RC) {
       VRegToNode[V] = NumNodes++;
       NodeToVReg.push_back(V);
     }
 
-  Adj = std::make_unique<AdjMatrix>(NumNodes);
-  AdjList.assign(NumNodes, {});
+  Adj.grow(NumNodes);
+  AdjList.resize(NumNodes);
+  MoveList.resize(NumNodes);
   Degree.assign(NumNodes, 0);
   State.assign(NumNodes, NodeState::Initial);
   Alias.assign(NumNodes, NoNode);
   Color.assign(NumNodes, ~0u);
   SpillCost.assign(NumNodes, 0.0);
+  SpillStamp.resize(NumNodes);
+  InLive.resize(NumNodes);
+  Mark.resize(NumNodes);
   Moves.clear();
-  MoveList.assign(NumNodes, {});
   SelectStack.clear();
   SimplifyWL.clear();
   FreezeWL.clear();
-  SpillWL.clear();
   WorklistMoves.clear();
-  ActiveMoves.clear();
+  SpillHeap.clear();
+  NumSpillWL = 0;
+  NextSpillStamp = 0;
   SpilledNodes.clear();
   auto GrowPreserving = [NumV](BitVector &BV) {
     if (BV.size() >= NumV)
       return;
     BitVector Grown(NumV);
-    for (unsigned V = 0; V < BV.size(); ++V)
-      if (BV.test(V))
-        Grown.set(V);
+    BV.forEachSetBit([&](unsigned V) { Grown.set(V); });
     BV = Grown;
   };
   GrowPreserving(SpillTemp);
@@ -215,33 +345,57 @@ void ColoringProblem::initRound() {
 }
 
 void ColoringProblem::addEdge(unsigned U, unsigned V) {
-  if (U == V || U == NoNode || V == NoNode)
+  if (U == V)
     return;
-  if (Adj->test(U, V))
+  if (Adj.test(U, V))
     return;
-  Adj->set(U, V);
+  Adj.set(U, V);
   ++Stats.InterferenceEdges;
-  if (State[U] != NodeState::Precolored) {
+  if (U >= K) { // not precolored
     AdjList[U].push_back(V);
     ++Degree[U];
+    if (State[U] == NodeState::SpillWL)
+      pushSpill(U);
   }
-  if (State[V] != NodeState::Precolored) {
+  if (V >= K) {
     AdjList[V].push_back(U);
     ++Degree[V];
+    if (State[V] == NodeState::SpillWL)
+      pushSpill(V);
   }
+}
+
+void ColoringProblem::liveInsert(unsigned N) {
+  if (InLive[N])
+    return;
+  InLive[N] = 1;
+  LiveNodes.insert(
+      std::lower_bound(LiveNodes.begin(), LiveNodes.end(), N), N);
+}
+
+void ColoringProblem::liveErase(unsigned N) {
+  if (!InLive[N])
+    return;
+  InLive[N] = 0;
+  LiveNodes.erase(std::lower_bound(LiveNodes.begin(), LiveNodes.end(), N));
 }
 
 void ColoringProblem::build() {
   // Per-block backward scan with a live node set. Global liveness was
   // computed once before allocation; spill temporaries introduced by later
   // rounds are block-local and appear/disappear within the scan.
-  BitVector Live(NumNodes);
   for (unsigned B = 0; B < F.numBlocks(); ++B) {
-    Live.clear();
-    const BitVector &Out = LV.liveOut(B);
-    for (unsigned V = 0; V < LV.numVRegs(); ++V)
-      if (Out.test(V) && VRegToNode[V] != NoNode && !EverSpilledV.test(V))
-        Live.set(VRegToNode[V]);
+    for (unsigned N : LiveNodes)
+      InLive[N] = 0;
+    LiveNodes.clear();
+    // Vreg ids ascend with node ids, so the seed list comes out sorted.
+    LV.liveOut(B).forEachSetBit([&](unsigned V) {
+      unsigned N = VRegToNode[V];
+      if (N != NoNode && !EverSpilledV.test(V)) {
+        InLive[N] = 1;
+        LiveNodes.push_back(N);
+      }
+    });
 
     auto Instrs = F.block(B).instrs();
     double W = LI.blockWeight(B);
@@ -251,13 +405,11 @@ void ColoringProblem::build() {
       // Move instructions get special treatment: the source does not
       // interfere with the destination, and the move becomes a coalescing
       // candidate.
-      bool IsClassMove = false;
       if (I.isRegMove() && I.slotClass(0) == RC) {
         unsigned SrcN = nodeOfOperand(I.op(1));
         unsigned DstN = nodeOfOperand(I.op(0));
         if (SrcN != NoNode && DstN != NoNode && SrcN != DstN) {
-          IsClassMove = true;
-          Live.reset(SrcN);
+          liveErase(SrcN);
           unsigned MIdx = static_cast<unsigned>(Moves.size());
           Moves.push_back({SrcN, DstN, MoveState::Worklist});
           MoveList[SrcN].push_back(MIdx);
@@ -265,36 +417,34 @@ void ColoringProblem::build() {
           WorklistMoves.push_back(MIdx);
         }
       }
-      (void)IsClassMove;
 
       // Defs (including the call's return register and clobbers) interfere
       // with everything live across the def.
       auto HandleDef = [&](unsigned N) {
         if (N == NoNode)
           return;
-        Live.forEachSetBit([&](unsigned L) { addEdge(L, N); });
-        Live.reset(N);
+        for (unsigned L : LiveNodes)
+          addEdge(L, N);
+        liveErase(N);
         if (N >= K)
           SpillCost[N] += W;
       };
       forEachDefinedReg(I, [&](const Operand &Op) {
-        if (Op.isVReg() ? isTempOfClass(Op) : pregClass(Op.pregId()) == RC)
+        if (isOfClass(Op))
           HandleDef(nodeOfOperand(Op));
       });
       forEachClobberedReg(I, TD, [&](unsigned P) {
         if (pregClass(P) == RC)
-          HandleDef(nodeOfOperand(Operand::preg(P)));
+          HandleDef(PRegToNode[P]);
       });
 
       forEachUsedReg(I, [&](const Operand &Op) {
-        bool Ours =
-            Op.isVReg() ? isTempOfClass(Op) : pregClass(Op.pregId()) == RC;
-        if (!Ours)
+        if (!isOfClass(Op))
           return;
         unsigned N = nodeOfOperand(Op);
         if (N == NoNode)
           return;
-        Live.set(N);
+        liveInsert(N);
         if (N >= K)
           SpillCost[N] += W;
       });
@@ -303,40 +453,45 @@ void ColoringProblem::build() {
 
   // Unspillable spill temporaries get effectively infinite cost.
   for (unsigned N = K; N < NumNodes; ++N)
-    if (SpillTemp.test(NodeToVReg[N - K] /*dense is offset*/))
+    if (SpillTemp.test(NodeToVReg[N - K]))
       SpillCost[N] = std::numeric_limits<double>::infinity();
+}
+
+void ColoringProblem::pushSimplify(unsigned N) {
+  State[N] = NodeState::SimplifyWL;
+  SimplifyWL.push_back(N);
+}
+
+void ColoringProblem::pushFreeze(unsigned N) {
+  State[N] = NodeState::FreezeWL;
+  FreezeWL.push_back(N);
+}
+
+double ColoringProblem::spillMetric(unsigned N) const {
+  // Chaitin metric: weighted occurrence count / current degree.
+  return SpillCost[N] / std::max(1u, Degree[N]);
+}
+
+void ColoringProblem::pushSpill(unsigned N) {
+  SpillHeap.push_back({spillMetric(N), SpillStamp[N], N});
+  std::push_heap(SpillHeap.begin(), SpillHeap.end(), std::greater<>());
+}
+
+void ColoringProblem::enterSpillWL(unsigned N) {
+  State[N] = NodeState::SpillWL;
+  SpillStamp[N] = NextSpillStamp++;
+  ++NumSpillWL;
+  pushSpill(N);
 }
 
 void ColoringProblem::makeWorklist() {
   for (unsigned N = K; N < NumNodes; ++N) {
-    if (Degree[N] >= K) {
-      State[N] = NodeState::SpillWL;
-      SpillWL.push_back(N);
-    } else if (moveRelated(N)) {
-      State[N] = NodeState::FreezeWL;
-      FreezeWL.push_back(N);
-    } else {
-      State[N] = NodeState::SimplifyWL;
-      SimplifyWL.push_back(N);
-    }
-  }
-}
-
-void ColoringProblem::collectAdjacent(unsigned N,
-                                      std::vector<unsigned> &Out) const {
-  Out.clear();
-  for (unsigned A : AdjList[N])
-    if (State[A] != NodeState::OnStack && State[A] != NodeState::Coalesced)
-      Out.push_back(A);
-}
-
-void ColoringProblem::collectNodeMoves(unsigned N,
-                                       std::vector<unsigned> &Out) const {
-  Out.clear();
-  for (unsigned M : MoveList[N]) {
-    MoveState S = Moves[M].State;
-    if (S == MoveState::Worklist || S == MoveState::Active)
-      Out.push_back(M);
+    if (Degree[N] >= K)
+      enterSpillWL(N);
+    else if (moveRelated(N))
+      pushFreeze(N);
+    else
+      pushSimplify(N);
   }
 }
 
@@ -356,10 +511,9 @@ void ColoringProblem::simplify() {
     return; // stale worklist entry
   State[N] = NodeState::OnStack;
   SelectStack.push_back(N);
-  std::vector<unsigned> Adjacent;
-  collectAdjacent(N, Adjacent);
-  for (unsigned A : Adjacent)
-    decrementDegree(A);
+  for (unsigned A : AdjList[N])
+    if (isAdjacent(A))
+      decrementDegree(A);
 }
 
 void ColoringProblem::decrementDegree(unsigned N) {
@@ -371,28 +525,20 @@ void ColoringProblem::decrementDegree(unsigned N) {
   // Degree dropped from K to K-1: N may become simplifiable; its moves and
   // its neighbours' moves may become enabled.
   enableMoves(N);
-  std::vector<unsigned> Adjacent;
-  collectAdjacent(N, Adjacent);
-  for (unsigned A : Adjacent)
-    enableMoves(A);
+  for (unsigned A : AdjList[N])
+    if (isAdjacent(A))
+      enableMoves(A);
   if (State[N] != NodeState::SpillWL)
     return;
-  auto It = std::find(SpillWL.begin(), SpillWL.end(), N);
-  if (It != SpillWL.end())
-    SpillWL.erase(It);
-  if (moveRelated(N)) {
-    State[N] = NodeState::FreezeWL;
-    FreezeWL.push_back(N);
-  } else {
-    State[N] = NodeState::SimplifyWL;
-    SimplifyWL.push_back(N);
-  }
+  --NumSpillWL;
+  if (moveRelated(N))
+    pushFreeze(N);
+  else
+    pushSimplify(N);
 }
 
 void ColoringProblem::enableMoves(unsigned N) {
-  std::vector<unsigned> NM;
-  collectNodeMoves(N, NM);
-  for (unsigned M : NM)
+  for (unsigned M : MoveList[N])
     if (Moves[M].State == MoveState::Active) {
       Moves[M].State = MoveState::Worklist;
       WorklistMoves.push_back(M);
@@ -408,23 +554,27 @@ unsigned ColoringProblem::getAlias(unsigned N) const {
 void ColoringProblem::addWorkList(unsigned N) {
   if (State[N] != NodeState::FreezeWL || moveRelated(N) || Degree[N] >= K)
     return;
-  auto It = std::find(FreezeWL.begin(), FreezeWL.end(), N);
-  if (It != FreezeWL.end())
-    FreezeWL.erase(It);
-  State[N] = NodeState::SimplifyWL;
-  SimplifyWL.push_back(N);
+  pushSimplify(N);
 }
 
 bool ColoringProblem::okGeorge(unsigned T, unsigned R) const {
   return Degree[T] < K || State[T] == NodeState::Precolored ||
-         Adj->test(T, R);
+         Adj.test(T, R);
 }
 
-bool ColoringProblem::conservative(const std::vector<unsigned> &Nodes) const {
+bool ColoringProblem::briggs(unsigned U, unsigned V) {
+  // Fewer than K significant-degree nodes among the union of both
+  // neighbour sets (each list holds a node at most once).
   unsigned Significant = 0;
-  for (unsigned N : Nodes)
-    if (Degree[N] >= K)
-      ++Significant;
+  ++MarkEpoch;
+  for (unsigned T : AdjList[U])
+    if (isAdjacent(T)) {
+      Mark[T] = MarkEpoch;
+      Significant += Degree[T] >= K;
+    }
+  for (unsigned T : AdjList[V])
+    if (isAdjacent(T) && Mark[T] != MarkEpoch)
+      Significant += Degree[T] >= K;
   return Significant < K;
 }
 
@@ -441,31 +591,21 @@ void ColoringProblem::coalesce() {
     addWorkList(U);
     return;
   }
-  if (State[V] == NodeState::Precolored || Adj->test(U, V)) {
+  if (State[V] == NodeState::Precolored || Adj.test(U, V)) {
     Moves[M].State = MoveState::Constrained;
     addWorkList(U);
     addWorkList(V);
     return;
   }
-  std::vector<unsigned> AdjU, AdjV;
-  collectAdjacent(U, AdjU);
-  collectAdjacent(V, AdjV);
   bool CanCoalesce;
   if (State[U] == NodeState::Precolored) {
     // George test: every neighbour of V is OK with U.
-    CanCoalesce = true;
-    for (unsigned T : AdjV)
-      if (!okGeorge(T, U)) {
-        CanCoalesce = false;
-        break;
-      }
+    CanCoalesce = std::all_of(
+        AdjList[V].begin(), AdjList[V].end(),
+        [&](unsigned T) { return !isAdjacent(T) || okGeorge(T, U); });
   } else {
     // Briggs test on the combined node.
-    std::vector<unsigned> Combined = AdjU;
-    for (unsigned T : AdjV)
-      if (std::find(AdjU.begin(), AdjU.end(), T) == AdjU.end())
-        Combined.push_back(T);
-    CanCoalesce = conservative(Combined);
+    CanCoalesce = briggs(U, V);
   }
   if (CanCoalesce) {
     Moves[M].State = MoveState::Coalesced;
@@ -481,37 +621,28 @@ void ColoringProblem::coalesce() {
                     : "Briggs test: combined node stays colorable");
   } else {
     Moves[M].State = MoveState::Active;
-    ActiveMoves.push_back(M);
   }
 }
 
 void ColoringProblem::combine(unsigned U, unsigned V) {
-  auto EraseFrom = [&](std::vector<unsigned> &WL) {
-    auto It = std::find(WL.begin(), WL.end(), V);
-    if (It != WL.end())
-      WL.erase(It);
-  };
-  EraseFrom(FreezeWL);
-  EraseFrom(SpillWL);
+  if (State[V] == NodeState::SpillWL)
+    --NumSpillWL;
   State[V] = NodeState::Coalesced;
   Alias[V] = U;
-  for (unsigned M : MoveList[V])
-    MoveList[U].push_back(M);
+  MoveList[U].insert(MoveList[U].end(), MoveList[V].begin(),
+                     MoveList[V].end());
   SpillCost[U] += SpillCost[V];
   enableMoves(V);
-  std::vector<unsigned> AdjV;
-  collectAdjacent(V, AdjV);
-  for (unsigned T : AdjV) {
+  // AdjList[V] does not grow here: U and T differ from V.
+  for (size_t I = 0; I < AdjList[V].size(); ++I) {
+    unsigned T = AdjList[V][I];
+    if (!isAdjacent(T))
+      continue;
     addEdge(T, U);
     decrementDegree(T);
   }
-  if (Degree[U] >= K && State[U] == NodeState::FreezeWL) {
-    auto It = std::find(FreezeWL.begin(), FreezeWL.end(), U);
-    if (It != FreezeWL.end())
-      FreezeWL.erase(It);
-    State[U] = NodeState::SpillWL;
-    SpillWL.push_back(U);
-  }
+  if (Degree[U] >= K && State[U] == NodeState::FreezeWL)
+    enterSpillWL(U);
 }
 
 void ColoringProblem::freeze() {
@@ -519,54 +650,75 @@ void ColoringProblem::freeze() {
   FreezeWL.pop_back();
   if (State[N] != NodeState::FreezeWL)
     return; // stale worklist entry
-  State[N] = NodeState::SimplifyWL;
-  SimplifyWL.push_back(N);
+  pushSimplify(N);
   freezeMoves(N);
 }
 
 void ColoringProblem::freezeMoves(unsigned N) {
-  std::vector<unsigned> NM;
-  collectNodeMoves(N, NM);
-  for (unsigned M : NM) {
+  NodeMoves.clear();
+  for (unsigned M : MoveList[N]) {
+    MoveState S = Moves[M].State;
+    if (S == MoveState::Worklist || S == MoveState::Active)
+      NodeMoves.push_back(M);
+  }
+  for (unsigned M : NodeMoves) {
     unsigned X = getAlias(Moves[M].Src);
     unsigned Y = getAlias(Moves[M].Dst);
     unsigned Other = getAlias(N) == Y ? X : Y;
     Moves[M].State = MoveState::Frozen;
     if (State[Other] == NodeState::FreezeWL && !moveRelated(Other) &&
-        Degree[Other] < K) {
-      auto It = std::find(FreezeWL.begin(), FreezeWL.end(), Other);
-      if (It != FreezeWL.end())
-        FreezeWL.erase(It);
-      State[Other] = NodeState::SimplifyWL;
-      SimplifyWL.push_back(Other);
-    }
+        Degree[Other] < K)
+      pushSimplify(Other);
   }
 }
 
 void ColoringProblem::selectSpill() {
-  // Chaitin metric: weighted occurrence count / current degree.
-  double Best = std::numeric_limits<double>::infinity();
-  unsigned BestIdx = 0;
-  for (unsigned I = 0; I < SpillWL.size(); ++I) {
-    unsigned N = SpillWL[I];
-    double Metric = SpillCost[N] / std::max(1u, Degree[N]);
-    if (Metric < Best) {
-      Best = Metric;
-      BestIdx = I;
+  // Drop or re-key entries until the top one is current.
+  while (true) {
+    SpillCand &Top = SpillHeap.front();
+    unsigned N = Top.Node;
+    if (State[N] == NodeState::SpillWL && Top.Stamp == SpillStamp[N]) {
+      double Metric = spillMetric(N);
+      if (Top.Metric == Metric)
+        break;
+      if (Top.Metric < Metric) { // risen since it was pushed
+        Top.Metric = Metric;
+        siftDownTop();
+        continue;
+      }
+      // A later entry holds the fallen metric.
     }
+    std::pop_heap(SpillHeap.begin(), SpillHeap.end(), std::greater<>());
+    SpillHeap.pop_back();
   }
-  unsigned N = SpillWL[BestIdx];
-  SpillWL.erase(SpillWL.begin() + BestIdx);
-  State[N] = NodeState::SimplifyWL;
-  SimplifyWL.push_back(N);
+  unsigned N = SpillHeap.front().Node;
+  std::pop_heap(SpillHeap.begin(), SpillHeap.end(), std::greater<>());
+  SpillHeap.pop_back();
+  --NumSpillWL;
+  pushSimplify(N);
   freezeMoves(N);
+}
+
+void ColoringProblem::siftDownTop() {
+  size_t I = 0, Size = SpillHeap.size();
+  SpillCand X = SpillHeap[0];
+  while (2 * I + 1 < Size) {
+    size_t C = 2 * I + 1;
+    if (C + 1 < Size && SpillHeap[C] > SpillHeap[C + 1])
+      ++C;
+    if (!(X > SpillHeap[C]))
+      break;
+    SpillHeap[I] = SpillHeap[C];
+    I = C;
+  }
+  SpillHeap[I] = X;
 }
 
 void ColoringProblem::assignColors() {
   while (!SelectStack.empty()) {
     unsigned N = SelectStack.back();
     SelectStack.pop_back();
-    BitVector Used(NumPRegs);
+    std::bitset<NumPRegs> Used;
     for (unsigned A : AdjList[N]) {
       unsigned AA = getAlias(A);
       if (State[AA] == NodeState::Colored ||
@@ -613,8 +765,9 @@ void ColoringProblem::rewriteSpills() {
       DL.record(F, obs::DecisionKind::SpillWhole, V, obs::NoValue,
                 obs::NoValue, "no color available; whole lifetime to memory");
   }
+  std::vector<uint32_t> Out;
   for (Block &B : F.blocks()) {
-    std::vector<uint32_t> Out;
+    Out.clear();
     Out.reserve(B.size());
     bool Inserted = false;
     for (unsigned Idx = 0; Idx < B.size(); ++Idx) {
@@ -670,9 +823,7 @@ void ColoringProblem::rewriteSpills() {
   }
   // Mark all newly created temps as unspillable.
   BitVector NewST(F.numVRegs());
-  for (unsigned V = 0; V < SpillTemp.size(); ++V)
-    if (SpillTemp.test(V))
-      NewST.set(V);
+  SpillTemp.forEachSetBit([&](unsigned V) { NewST.set(V); });
   for (unsigned V = IsSpilled.size(); V < F.numVRegs(); ++V)
     NewST.set(V);
   SpillTemp = NewST;
@@ -704,7 +855,7 @@ void ColoringProblem::run() {
     build();
     makeWorklist();
     while (!SimplifyWL.empty() || !WorklistMoves.empty() ||
-           !FreezeWL.empty() || !SpillWL.empty()) {
+           !FreezeWL.empty() || NumSpillWL) {
       if (!SimplifyWL.empty())
         simplify();
       else if (!WorklistMoves.empty())

@@ -4,14 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/Clone.h"
+#include "check/Verifier.h"
 #include "driver/Pipeline.h"
 #include "ir/Builder.h"
 #include "ir/IRVerifier.h"
 #include "ir/Printer.h"
+#include "passes/DCE.h"
 #include "regalloc/Coloring.h"
 #include "target/LowerCalls.h"
+#include "workloads/SyntheticModule.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace lsra;
 
@@ -215,6 +221,40 @@ TEST(Coloring, DeepPressureStillTerminates) {
   VerifyOptions VO;
   VO.RequireAllocated = true;
   EXPECT_EQ(verifyModule(M, VO), "");
+}
+
+TEST(Coloring, GraphPastSixtyFiveThousandNodes) {
+  // 22,000 candidates in one procedure at 8+8 registers: spill temporaries
+  // take one class's interference graph past 65,536 nodes, where the bit
+  // matrix's N*(N+1)/2 no longer fits 32 bits.
+  std::unique_ptr<Module> Orig = buildScaledModule({1, 22000, 48, 10, 22});
+  TargetDesc TD = TargetDesc::alphaLike().withRegLimit(8, 8);
+  lowerCalls(*Orig);
+  eliminateDeadCode(*Orig, TD);
+  std::unique_ptr<Module> M = cloneModule(*Orig);
+  AllocStats S = allocateModule(*M, TD, AllocatorKind::GraphColoring);
+  unsigned MaxNodes = 0;
+  for (unsigned I = 0; I < M->numFunctions(); ++I) {
+    const Function &F = M->function(I);
+    for (RegClass RC : {RegClass::Int, RegClass::Float}) {
+      unsigned Nodes = TD.numAllocatable(RC);
+      for (unsigned V = 0; V < F.numVRegs(); ++V)
+        Nodes += F.vregClass(V) == RC;
+      MaxNodes = std::max(MaxNodes, Nodes);
+    }
+  }
+  EXPECT_GT(MaxNodes, 65536u);
+  EXPECT_GT(S.SpilledTemps, 0u);
+  EXPECT_EQ(checkAllocated(*M), "");
+  check::VerifyAllocResult VR = check::verifyAllocation(*Orig, *M, TD);
+  EXPECT_TRUE(VR.ok()) << VR.str();
+
+  RunResult Ref = runReference(*Orig, TD);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  RunResult Got = runAllocated(*M, TD);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Ref.Output, Got.Output);
+  EXPECT_EQ(Ref.ReturnValue, Got.ReturnValue);
 }
 
 } // namespace

@@ -103,6 +103,103 @@ TEST(DCE, LoopCarriedValuesSurvive) {
   EXPECT_EQ(R.ReturnValue, 10);
 }
 
+/// Number of instructions of \p F that define virtual register \p V.
+unsigned defsOf(const Function &F, unsigned V) {
+  unsigned N = 0;
+  for (const Block &B : F.blocks())
+    for (const Instr &I : B.instrs())
+      N += I.info().NumDefs == 1 && I.op(0).isVReg() && I.op(0).vregId() == V;
+  return N;
+}
+
+Instr addImm(unsigned Dst, unsigned Src, int64_t Imm) {
+  return Instr(Opcode::Add, Operand::vreg(Dst), Operand::vreg(Src),
+               Operand::imm(Imm));
+}
+
+TEST(DCE, SelfIncrementingCounterSurvives) {
+  // C's only reader is its own increment. It is live around the loop, so
+  // liveness-based DCE keeps it (faint-variable elimination would not).
+  Module M;
+  FunctionBuilder B(M, "f", 0, 0, CallRetKind::Int);
+  Block &E = B.newBlock("entry");
+  Block &H = B.newBlock("head");
+  Block &Body = B.newBlock("body");
+  Block &X = B.newBlock("exit");
+  B.setBlock(E);
+  unsigned N = B.movi(0);
+  unsigned C = B.movi(0);
+  B.br(H);
+  B.setBlock(H);
+  B.cbr(B.cmpi(Opcode::CmpLt, N, 5), Body, X);
+  B.setBlock(Body);
+  B.emit(addImm(N, N, 1));
+  B.emit(addImm(C, C, 1));
+  B.br(H);
+  B.setBlock(X);
+  B.retVal(N);
+  TargetDesc TD = TargetDesc::alphaLike();
+  unsigned Before = M.function(0).numInstrs();
+  EXPECT_EQ(eliminateDeadCode(M.function(0), TD), 0u);
+  EXPECT_EQ(M.function(0).numInstrs(), Before);
+  EXPECT_EQ(defsOf(M.function(0), C), 2u);
+}
+
+TEST(DCE, DeadChainAcrossBackEdgeIsRemoved) {
+  // In the loop body C reads B and B reads A, each from the previous
+  // iteration, and nothing reads C. One liveness sweep removes only C's
+  // defs; B's and then A's die in later sweeps. All of them must go.
+  Module M;
+  FunctionBuilder B(M, "f", 0, 0, CallRetKind::Int);
+  Block &E = B.newBlock("entry");
+  Block &H = B.newBlock("head");
+  Block &Body = B.newBlock("body");
+  Block &X = B.newBlock("exit");
+  B.setBlock(E);
+  unsigned VA = B.movi(0);
+  unsigned VB = B.movi(0);
+  unsigned VC = B.movi(0);
+  unsigned I = B.movi(0);
+  B.br(H);
+  B.setBlock(H);
+  B.cbr(B.cmpi(Opcode::CmpLt, I, 5), Body, X);
+  B.setBlock(Body);
+  B.emit(addImm(VC, VB, 1));
+  B.emit(addImm(VB, VA, 1));
+  B.emit(Instr(Opcode::MovI, Operand::vreg(VA), Operand::imm(7)));
+  B.emit(addImm(I, I, 1));
+  B.br(H);
+  B.setBlock(X);
+  B.retVal(I);
+  TargetDesc TD = TargetDesc::alphaLike();
+  unsigned Before = M.function(0).numInstrs();
+  EXPECT_EQ(eliminateDeadCode(M.function(0), TD), 6u);
+  EXPECT_EQ(M.function(0).numInstrs(), Before - 6);
+  for (unsigned V : {VA, VB, VC})
+    EXPECT_EQ(defsOf(M.function(0), V), 0u) << "v" << V;
+  RunResult R = VM(M, TD).run("f");
+  ASSERT_TRUE(R.Ok);
+  EXPECT_EQ(R.ReturnValue, 5);
+}
+
+TEST(DCE, OverwrittenDefIsRemovedAndLaterDefKept) {
+  Module M;
+  FunctionBuilder B(M, "f", 0, 0, CallRetKind::Int);
+  B.setBlock(B.newBlock("entry"));
+  unsigned V = B.movi(1);
+  B.emit(Instr(Opcode::MovI, Operand::vreg(V), Operand::imm(2)));
+  B.retVal(V);
+  TargetDesc TD = TargetDesc::alphaLike();
+  EXPECT_EQ(eliminateDeadCode(M.function(0), TD), 1u);
+  ASSERT_EQ(defsOf(M.function(0), V), 1u);
+  const Instr &Def = M.function(0).entry().instrs()[0];
+  EXPECT_EQ(Def.opcode(), Opcode::MovI);
+  EXPECT_EQ(Def.op(1).immValue(), 2);
+  RunResult R = VM(M, TD).run("f");
+  ASSERT_TRUE(R.Ok);
+  EXPECT_EQ(R.ReturnValue, 2);
+}
+
 TEST(Peephole, RemovesSelfMovesAndNops) {
   Module M;
   Function &F = M.addFunction("f");
