@@ -38,12 +38,6 @@ bool lsra::parseCompileFlag(const std::string &Arg, CompileFlags &F,
     F.Exec.VerifyAlloc = true;
     return true;
   }
-  if (Arg.rfind("--tier=", 0) == 0) {
-    std::string V = Value(7);
-    if (!parseTierPolicy(V, F.Exec.Tier))
-      Err = "unknown tier policy '" + V + "'";
-    return true;
-  }
   if (Arg.rfind("--consistency=", 0) == 0) {
     std::string V = Value(14);
     if (V == "iterative")
@@ -89,9 +83,6 @@ const char *lsra::compileFlagsHelp() {
   return "  --allocator=binpack|coloring|twopass|poletto|ebb\n"
          "  --regs=N       restrict the allocatable file to N per class\n"
          "  --threads=N    allocate functions on N workers (0 = auto)\n"
-         "  --tier=off|tier0|promote  tiered serving: answer cold requests\n"
-         "                 with the EBB tier-0 backend (promote = requalify\n"
-         "                 with the full allocator in the background)\n"
          "  --cleanup      enable the spill-cleanup pass\n"
          "  --verify-alloc prove the allocation correct\n"
          "  --consistency=iterative|conservative  §2.4 vs §2.6 dataflow\n"

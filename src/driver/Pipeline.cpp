@@ -166,10 +166,6 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
                                           bool RunAfter) {
   TextCompileResult R;
   obs::ScopedSpan Span("compileText", "request");
-  // Tiering only applies when the requested allocator is not already the
-  // tier-0 backend; it swaps which allocator answers a *cold* request and
-  // nothing else (warm hits below are untouched).
-  bool Tiered = EO.Tier != TierPolicy::Off && K != AllocatorKind::EbbScan;
   // Module-level cache: the raw request text is the content address, so a
   // hit costs one hash + one lookup and skips parsing entirely.
   cache::CacheKey ModKey;
@@ -189,21 +185,6 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
       Hit = EO.Cache->lookupL2Fill(ModKey);
       R.CacheL2 = Hit != nullptr;
     }
-    if (!Hit && Tiered) {
-      // Cold under the requested allocator: a previous tier-0 answer may
-      // still be warm under the EBB backend's own key.
-      cache::CacheKey T0Key = cache::makeModuleKey(
-          IRText, AO.fingerprint(), AllocatorKind::EbbScan, TD.fingerprint());
-      Hit = EO.Cache->lookup(T0Key);
-      if (!Hit && EO.Cache->l2()) {
-        Hit = EO.Cache->lookupL2Fill(T0Key);
-        R.CacheL2 = Hit != nullptr;
-      }
-      if (Hit)
-        R.Tier = 0;
-    } else if (Hit && Tiered) {
-      R.Tier = 1; // full-quality entry already present
-    }
     if (Hit) {
       R.AllocatedText = Hit->AllocatedText;
       R.Stats = Hit->Stats;
@@ -220,15 +201,6 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
       }
       return R;
     }
-  }
-  if (Tiered) {
-    // Answer the cold request from the one-pass EBB backend; the cache
-    // entry is keyed by the backend that produced it.
-    K = AllocatorKind::EbbScan;
-    R.Tier = 0;
-    if (EO.Cache)
-      ModKey = cache::makeModuleKey(IRText, AO.fingerprint(), K,
-                                    TD.fingerprint());
   }
   ParseResult P;
   {
@@ -257,7 +229,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
     Snapshot = cloneModule(*P.M);
   }
   {
-    obs::RequestPhase RP(EO.ReqTrace, Tiered ? "tier0-alloc" : "alloc");
+    obs::RequestPhase RP(EO.ReqTrace, "alloc");
     R.Stats = compileModule(*P.M, TD, K, AO, EO);
   }
   Diag = checkAllocated(*P.M);

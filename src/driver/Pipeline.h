@@ -78,9 +78,6 @@ struct TextCompileResult {
   bool CacheL2 = false;  ///< the hit was filled from the shared L2 tier
   bool Ran = false; ///< RunAfter was requested and compilation succeeded
   RunResult Run;    ///< dynamic statistics when Ran
-  /// Which tier answered, when EO.Tier is active: 0 = the EBB tier-0
-  /// backend, 1 = the requested (full) allocator. -1 = tiering off.
-  int Tier = -1;
 };
 
 /// The compile service in one call: parse \p IRText, verify, run the full
@@ -94,16 +91,6 @@ struct TextCompileResult {
 /// and statistics, with CacheHit set); on a miss the per-function cache of
 /// compileModule still applies, and the successful result is inserted at
 /// module level.
-///
-/// With EO.Tier active (and \p K not itself the EBB backend), a request
-/// that misses the cache is answered by the EBB tier-0 backend instead of
-/// \p K: the fast answer is cached under the *EBB* module key (cache
-/// entries are always keyed by the allocator that produced them — tier
-/// policy never enters a cache key), Tier is set to 0, and the caller is
-/// expected to requalify by re-invoking with Tier == Off, which compiles
-/// with \p K and refreshes \p K's key byte-identically to a direct
-/// compile. A hit under \p K's own key is full-quality and reports
-/// Tier == 1; tiering never changes what any cache key contains.
 TextCompileResult compileTextModule(const std::string &IRText,
                                     const TargetDesc &TD, AllocatorKind K,
                                     const AllocOptions &AO = {},

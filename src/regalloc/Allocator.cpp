@@ -38,30 +38,6 @@ bool lsra::parseAllocatorName(const std::string &Name, AllocatorKind &Out) {
   return true;
 }
 
-const char *lsra::tierPolicyName(TierPolicy T) {
-  switch (T) {
-  case TierPolicy::Off:
-    return "off";
-  case TierPolicy::Tier0Only:
-    return "tier0";
-  case TierPolicy::Tier0Promote:
-    return "promote";
-  }
-  return "off";
-}
-
-bool lsra::parseTierPolicy(const std::string &Name, TierPolicy &Out) {
-  if (Name == "off")
-    Out = TierPolicy::Off;
-  else if (Name == "tier0")
-    Out = TierPolicy::Tier0Only;
-  else if (Name == "promote")
-    Out = TierPolicy::Tier0Promote;
-  else
-    return false;
-  return true;
-}
-
 AllocStats &AllocStats::operator+=(const AllocStats &R) {
   EvictLoads += R.EvictLoads;
   EvictStores += R.EvictStores;

@@ -42,7 +42,7 @@ enum class AllocatorKind {
   GraphColoring,       ///< George/Appel iterated register coalescing
   TwoPassBinpack,      ///< GEM-style binpacking without second chance
   PolettoScan,         ///< Poletto et al. interval linear scan (§4)
-  EbbScan,             ///< one-pass EBB second chance (serving tier 0)
+  EbbScan,             ///< one-pass EBB second chance (regalloc/EbbScan.h)
 };
 
 const char *allocatorName(AllocatorKind K);
@@ -52,21 +52,6 @@ const char *allocatorName(AllocatorKind K);
 /// shared by the CLI, the bench tools, and the server's wire-protocol
 /// decoding; backed by the AllocatorRegistry.
 bool parseAllocatorName(const std::string &Name, AllocatorKind &Out);
-
-/// Tiered-compilation policy for the serving path (compileTextModule and
-/// the compile server). Execution-shaping: the tier only decides *which*
-/// allocator answers a cold request first, never what any given
-/// (text, allocator, options) key compiles to — so it lives in ExecOptions
-/// and stays out of cache keys (invariant-tested in tests/tier_test.cpp).
-enum class TierPolicy : uint8_t {
-  Off,          ///< always compile with the requested allocator
-  Tier0Only,    ///< cold requests answered by the EBB tier-0 backend only
-  Tier0Promote, ///< tier-0 answer now, background full-allocator requalify
-};
-
-/// CLI/wire spelling of a tier policy: "off", "tier0", "promote".
-const char *tierPolicyName(TierPolicy T);
-bool parseTierPolicy(const std::string &Name, TierPolicy &Out);
 
 /// The semantic allocation knobs: everything here changes the allocated
 /// code, so the set doubles as the compile cache's options key (see
@@ -141,12 +126,6 @@ struct ExecOptions {
   /// the owning request's timeline. Pure observation — may not influence
   /// the allocated code, same invariant as the rest of ExecOptions.
   obs::RequestTrace *ReqTrace = nullptr;
-  /// Tiered serving policy (compileTextModule only). Not part of any cache
-  /// key: an entry is always keyed by the allocator that produced it, so a
-  /// tier-0 answer is cached under the EBB backend's key and a promotion
-  /// refreshes the requested allocator's key with byte-identical output to
-  /// a direct compile.
-  TierPolicy Tier = TierPolicy::Off;
 };
 
 struct AllocStats {
@@ -165,7 +144,10 @@ struct AllocStats {
   unsigned SplitEdges = 0;
   unsigned DataflowIterations = 0; ///< consistency dataflow (binpack)
   unsigned ColoringIterations = 0; ///< build/color rounds (coloring)
-  unsigned InterferenceEdges = 0;  ///< edges in the final graph (coloring)
+  /// Interference edges added, summed over every build round of every
+  /// register class and counting edges to precolored registers (coloring).
+  /// Not the size of the final graph.
+  unsigned InterferenceEdges = 0;
   /// Core allocation time summed over functions. With Threads > 1 this is
   /// aggregate CPU seconds (the paper's Table 3 metric, unchanged by
   /// parallelism); WallSeconds is the elapsed module time.

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The tier-0 backend: §2's second-chance scan restricted to extended basic
+// The one-pass backend: §2's second-chance scan restricted to extended basic
 // blocks so it runs in exactly one pass with no global dataflow.
 //
 //  * EBBs are grown over a reverse-post-order walk: every unclaimed block
@@ -24,7 +24,7 @@
 //    form of Resolver edge repair — no resolution pass, no consistency
 //    dataflow, no liveness. Values that happen to be dead get stored too;
 //    that is the price of skipping liveness, and it is what the full
-//    binpacker later removes when a tier-0 answer is requalified.
+//    binpacker avoids.
 //
 // Convention registers are handled without fixed lifetimes: a register
 // named by a fixed def (CArg moves, call returns, the pre-Ret move) is
@@ -412,6 +412,6 @@ AllocStats lsra::runEbbScan(Function &F, const TargetDesc &TD,
 AllocStats lsra::runEbbScan(Function &F, const TargetDesc &TD,
                             const AllocOptions &Opts, FunctionAnalyses &FA) {
   assert(&FA.function() == &F && "analysis cache bound to another function");
-  (void)FA; // no global analyses consumed (CapTierEligible backends)
+  (void)FA; // no global analyses consumed
   return runEbbScan(F, TD, Opts);
 }

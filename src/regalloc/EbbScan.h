@@ -20,8 +20,8 @@
 ///
 /// The trade: more conservative than the full binpacker (values are
 /// reloaded at every EBB head), but allocation is strictly one pass and
-/// one rewrite — this is the tier-0 backend the compile server answers
-/// cold requests from (driver/Pipeline.h TierPolicy).
+/// one rewrite, so a client that wants the fastest cold compile asks for
+/// this backend by name.
 ///
 //===----------------------------------------------------------------------===//
 

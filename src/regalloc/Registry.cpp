@@ -51,7 +51,7 @@ const AllocatorRegistry &AllocatorRegistry::global() {
     Reg.add({AllocatorKind::EbbScan,
              "ebb-scan",
              {"ebb", "ebbscan"},
-             CapTierEligible, // one pass, no global analyses
+             0, // one pass, no global analyses
              &runEbbScan});
     return Reg;
   }();
@@ -81,14 +81,5 @@ std::vector<AllocatorKind> AllocatorRegistry::kinds() const {
   Out.reserve(Table.size());
   for (const AllocatorInfo &I : Table)
     Out.push_back(I.Kind);
-  return Out;
-}
-
-std::vector<AllocatorKind>
-AllocatorRegistry::kindsWithCaps(unsigned CapMask) const {
-  std::vector<AllocatorKind> Out;
-  for (const AllocatorInfo &I : Table)
-    if ((I.Caps & CapMask) == CapMask)
-      Out.push_back(I.Kind);
   return Out;
 }

@@ -33,7 +33,7 @@ namespace lsra {
 class FunctionAnalyses;
 
 /// Capability flags: what a backend consumes (so allocateFunction warms
-/// exactly the analyses it needs) and where it may be used.
+/// exactly the analyses it needs).
 enum AllocatorCaps : unsigned {
   /// Backend consumes global liveness (FunctionAnalyses::liveness).
   CapNeedsLiveness = 1u << 0,
@@ -42,10 +42,6 @@ enum AllocatorCaps : unsigned {
   CapNeedsLifetimes = 1u << 1,
   /// Backend consumes the loop forest (…::loops).
   CapNeedsLoops = 1u << 2,
-  /// Backend is fast and self-contained enough to serve as tier 0 in the
-  /// tiered compile server (see driver/Pipeline.h TierPolicy): one pass,
-  /// no global dataflow, output still verifier-clean.
-  CapTierEligible = 1u << 3,
 };
 
 /// One registered backend. Run never includes the post-passes (peephole,
@@ -76,8 +72,6 @@ public:
   /// Every registered kind, in stable id order — the enumeration the fuzz
   /// grid, `lsra compare`, and the bench tools iterate.
   std::vector<AllocatorKind> kinds() const;
-  /// Kinds carrying every capability bit of \p CapMask.
-  std::vector<AllocatorKind> kindsWithCaps(unsigned CapMask) const;
 
   /// Registration hook for the built-in table (Registry.cpp). Asserts that
   /// ids arrive densely in enumerator order.

@@ -60,7 +60,6 @@ struct RequestRecord {
   const char *Status;
   bool Cached;
   bool Merged;
-  int Tier;
   uint64_t QueueUs; ///< server-reported admission wait
   double LatencyMs;
 };
@@ -70,7 +69,7 @@ struct WorkerResult {
   std::vector<RequestRecord> Records;
   uint64_t Ok = 0, Rejected = 0, Deadline = 0, Errors = 0, Transport = 0;
   uint64_t Sent = 0, BytesSent = 0, BytesReceived = 0, Cached = 0;
-  uint64_t Merged = 0, Protocol = 0, VerifyBad = 0, Tier0 = 0;
+  uint64_t Merged = 0, Protocol = 0, VerifyBad = 0;
 };
 
 /// Request-id base for thread-fleet connection \p T: disjoint million-wide
@@ -120,8 +119,6 @@ void tallyResponse(const CompileResponse &Resp, WorkerResult &R) {
     R.Ok++;
     if (Resp.Cached)
       R.Cached++;
-    if (Resp.Tier == 0)
-      R.Tier0++;
     break;
   case FrameType::Rejected:
     R.Rejected++;
@@ -156,7 +153,6 @@ void finalizeReport(const std::vector<WorkerResult> &Results,
     Out.MergedResponses += R.Merged;
     Out.ProtocolErrors += R.Protocol;
     Out.VerifyMismatches += R.VerifyBad;
-    Out.Tier0Responses += R.Tier0;
     All.insert(All.end(), R.LatenciesMs.begin(), R.LatenciesMs.end());
   }
   if (RecordOS.is_open()) {
@@ -171,7 +167,6 @@ void finalizeReport(const std::vector<WorkerResult> &Results,
             .field("status", Rec.Status)
             .field("cached", Rec.Cached ? 1 : 0)
             .field("merged", Rec.Merged ? 1 : 0)
-            .field("tier", Rec.Tier)
             .field("queue_us", Rec.QueueUs)
             .field("latency_ms", Rec.LatencyMs);
         RecordOS << O.str() << "\n";
@@ -207,10 +202,8 @@ class PipelinedEngine {
 public:
   PipelinedEngine(const LoadGenOptions &Opts,
                   const std::vector<std::string> &Corpus,
-                  const std::vector<std::string> *Expected,
-                  const std::vector<std::string> *ExpectedT0, bool WantRecords)
+                  const std::vector<std::string> *Expected, bool WantRecords)
       : Opts(Opts), Corpus(Corpus), Expected(Expected),
-        ExpectedT0(ExpectedT0),
         WantRecords(WantRecords), Total(std::max(1u, Opts.Requests)),
         Window(std::max(1u, Opts.Pipeline)),
         IntervalNs(Opts.Qps > 0 ? 1e9 / Opts.Qps : 0) {}
@@ -238,9 +231,6 @@ private:
   const LoadGenOptions &Opts;
   const std::vector<std::string> &Corpus;
   const std::vector<std::string> *Expected; ///< offline bytes (--verify)
-  /// Offline tier-0 (EBB) bytes: tiered responses report which backend
-  /// answered, and the ground truth differs per tier.
-  const std::vector<std::string> *ExpectedT0;
   bool WantRecords;
   const unsigned Total, Window;
   const double IntervalNs;
@@ -359,7 +349,6 @@ void PipelinedEngine::pump() {
     uint32_t Id = K + 1; // globally unique across all connections
     CompileRequest Req;
     Req.Allocator = Opts.Allocator;
-    Req.Tier = Opts.Tier;
     Req.Regs = Opts.Regs;
     Req.Run = Opts.Run;
     Req.DeadlineMs = Opts.DeadlineMs;
@@ -407,14 +396,9 @@ void PipelinedEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
     R.Errors++;
   } else {
     tallyResponse(Resp, R);
-    if (Expected && Resp.Status == FrameType::CompileOk) {
-      // A tier-0 answer is EBB output; anything else (tier 1 or untiered)
-      // must match the request's full allocator.
-      const std::vector<std::string> *Want =
-          Resp.Tier == 0 && ExpectedT0 ? ExpectedT0 : Expected;
-      if (Resp.IRText != (*Want)[O.CorpusIdx])
-        R.VerifyBad++;
-    }
+    if (Expected && Resp.Status == FrameType::CompileOk &&
+        Resp.IRText != (*Expected)[O.CorpusIdx])
+      R.VerifyBad++;
   }
   int64_t RecvNs = nowNs();
   double LatMs = static_cast<double>(RecvNs - O.ScheduledNs) / 1e6;
@@ -422,7 +406,7 @@ void PipelinedEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
   if (WantRecords)
     R.Records.push_back({F.RequestId, O.ConnIdx, O.SendNs, RecvNs,
                          frameTypeName(Resp.Status), Resp.Cached, Resp.Merged,
-                         Resp.Tier, Resp.QueueUs, LatMs});
+                         Resp.QueueUs, LatMs});
   pump();
 }
 
@@ -480,10 +464,8 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
 
   if (Opts.Connections > 0) {
     // --verify: the ground truth is the same pipeline the server runs,
-    // compiled in-process with the same request knobs. Two corpora: the
-    // full allocator's output (untiered and promoted answers) and the EBB
-    // tier-0 output, picked per response by its `tier` field.
-    std::vector<std::string> Expected, ExpectedT0;
+    // compiled in-process with the same request knobs.
+    std::vector<std::string> Expected;
     if (Opts.Verify) {
       AllocatorKind Kind;
       if (!parseAllocatorName(Opts.Allocator, Kind)) {
@@ -495,8 +477,6 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
         TD = TD.withRegLimit(Opts.Regs, Opts.Regs);
       AllocOptions AO;
       ExecOptions EO;
-      ExecOptions T0 = EO;
-      T0.Tier = TierPolicy::Tier0Only;
       for (const std::string &Text : Corpus) {
         TextCompileResult TC =
             compileTextModule(Text, TD, Kind, AO, EO, Opts.Run);
@@ -505,17 +485,9 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
           return false;
         }
         Expected.push_back(TC.AllocatedText);
-        TextCompileResult TC0 =
-            compileTextModule(Text, TD, Kind, AO, T0, Opts.Run);
-        if (!TC0.Ok) {
-          Err = "verify: offline tier-0 compile failed: " + TC0.Error;
-          return false;
-        }
-        ExpectedT0.push_back(TC0.AllocatedText);
       }
     }
     PipelinedEngine Engine(Opts, Corpus, Opts.Verify ? &Expected : nullptr,
-                           Opts.Verify ? &ExpectedT0 : nullptr,
                            RecordOS.is_open());
     std::vector<WorkerResult> Results(1);
     double Wall = 0;
@@ -564,8 +536,7 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
 
         CompileRequest Req;
         Req.Allocator = Opts.Allocator;
-        Req.Tier = Opts.Tier;
-        Req.Regs = Opts.Regs;
+            Req.Regs = Opts.Regs;
         Req.Run = Opts.Run;
         Req.DeadlineMs = Opts.DeadlineMs;
         Req.NoCache = Opts.NoCache;
@@ -593,7 +564,7 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
         if (RecordOS.is_open())
           R.Records.push_back({MyId, T, SendNs, RecvNs,
                                frameTypeName(Resp.Status), Resp.Cached,
-                               Resp.Merged, Resp.Tier, Resp.QueueUs, LatMs});
+                               Resp.Merged, Resp.QueueUs, LatMs});
         tallyResponse(Resp, R);
       }
       R.BytesSent = C.bytesSent();
@@ -619,7 +590,6 @@ std::string lsra::server::loadGenReportJson(const LoadGenOptions &Opts,
   O.field("kind", "loadgen");
   O.field("workloads", Workloads);
   O.field("allocator", Opts.Allocator);
-  O.field("tier", Opts.Tier.empty() ? "off" : Opts.Tier);
   O.field("concurrency", Opts.Concurrency);
   O.field("connections", Opts.Connections);
   O.field("pipeline", Opts.Connections ? Opts.Pipeline : 0);
@@ -628,7 +598,6 @@ std::string lsra::server::loadGenReportJson(const LoadGenOptions &Opts,
   O.field("no_cache", Opts.NoCache ? 1 : 0);
   O.field("cached_responses", R.CachedResponses);
   O.field("merged_responses", R.MergedResponses);
-  O.field("tier0_responses", R.Tier0Responses);
   O.field("qps", Opts.Qps);
   O.field("deadline_ms", Opts.DeadlineMs);
   O.field("sent", R.Sent);

@@ -82,9 +82,6 @@ struct LoadGenOptions {
   bool Run = false;
   uint32_t DeadlineMs = 0;
   bool NoCache = false; ///< ask the server to bypass its compile cache
-  /// Per-request tier-policy override ("off", "tier0", "promote"); empty
-  /// leaves the server's configured default in force.
-  std::string Tier;
 
   /// When non-empty, write one JSONL record per answered request (id,
   /// connection, send/recv steady-clock timestamps, status, and the
@@ -108,7 +105,6 @@ struct LoadGenReport {
   uint64_t BytesSent = 0, BytesReceived = 0;
   uint64_t CachedResponses = 0; ///< CompileOk frames carrying cached=1
   uint64_t MergedResponses = 0; ///< responses carrying merged=1
-  uint64_t Tier0Responses = 0;  ///< CompileOk frames answered by tier 0
   uint64_t ProtocolErrors = 0;  ///< undecodable frames / unmatched ids
   uint64_t VerifyMismatches = 0; ///< CompileOk bytes != offline compile
 };

@@ -180,8 +180,6 @@ std::string lsra::server::encodeCompileRequest(const CompileRequest &R) {
     OS << "hold_ms=" << R.HoldMs << "\n";
   if (R.NoCache)
     OS << "no_cache=1\n";
-  if (!R.Tier.empty())
-    OS << "tier=" << R.Tier << "\n";
   OS << "\n" << R.IRText;
   return OS.str();
 }
@@ -207,8 +205,6 @@ bool lsra::server::decodeCompileRequest(const std::string &Payload,
       Out.HoldMs = static_cast<uint32_t>(toU64(V));
     else if (K == "no_cache")
       Out.NoCache = V == "1";
-    else if (K == "tier")
-      Out.Tier = V;
     else {
       Err = "unknown request field '" + K + "'";
       return false;
@@ -234,8 +230,6 @@ std::string lsra::server::encodeCompileResponse(const CompileResponse &R) {
     if (R.Merged)
       OS << "merged=1\n";
     OS << "queue_us=" << R.QueueUs << "\n";
-    if (R.Tier >= 0)
-      OS << "tier=" << R.Tier << "\n";
     if (R.HasRun)
       OS << "dyn_instrs=" << R.DynInstrs << "\n"
          << "cycles=" << R.Cycles << "\n"
@@ -343,8 +337,6 @@ bool lsra::server::decodeCompileResponse(FrameType T,
       Out.Merged = V == "1";
     else if (K == "queue_us")
       Out.QueueUs = toU64(V);
-    else if (K == "tier")
-      Out.Tier = static_cast<int>(toU64(V));
     else if (K == "dyn_instrs") {
       Out.HasRun = true;
       Out.DynInstrs = toU64(V);

@@ -52,10 +52,10 @@ constexpr uint32_t FrameMagic = 0x4153524cu;
 /// the `merged` response field and pipelining semantics: a client may
 /// keep many requests in flight on one connection, and the server may
 /// answer them out of order (responses match requests by id, never by
-/// position). v4 added tiered serving: the optional `tier` request field
-/// (a per-request TierPolicy override) and the `tier` response field
-/// reporting which tier answered (0 = EBB tier-0, 1 = full allocator).
-constexpr uint8_t ProtocolVersion = 4;
+/// position). v4 added the `tier` request and response fields of tiered
+/// serving; v5 removed them again, so a `tier` field is now an unknown
+/// field and a typed error.
+constexpr uint8_t ProtocolVersion = 5;
 
 /// Frame header size on the wire (magic + version + len + id + type).
 constexpr uint32_t FrameHeaderBytes = 14;
@@ -94,9 +94,6 @@ struct CompileRequest {
   uint32_t DeadlineMs = 0; ///< relative deadline (0 = none)
   uint32_t HoldMs = 0;     ///< worker sleeps this long first (load tests)
   bool NoCache = false;    ///< bypass the server's compile cache
-  /// Per-request tier-policy override: "off", "tier0", "promote", or ""
-  /// (empty = use the server's configured default). v4.
-  std::string Tier;
   std::string IRText;      ///< the module, in textual IR form
 };
 
@@ -121,10 +118,6 @@ struct CompileResponse {
   bool Cached = false;   ///< served from the server's compile cache
   bool Merged = false;   ///< piggybacked on an identical in-flight compile
   uint64_t QueueUs = 0;  ///< server-side admission-queue wait (µs)
-  /// Which tier answered when tiered serving was active: 0 = the EBB
-  /// tier-0 backend, 1 = the requested full allocator. -1 = tiering off
-  /// (the field is omitted on the wire). v4.
-  int Tier = -1;
 
   // Dynamic execution statistics (CompileOk with CompileRequest::Run).
   bool HasRun = false;

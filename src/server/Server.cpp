@@ -124,7 +124,6 @@ bool Server::start(std::string &Err) {
   unsigned NumWorkers =
       Opts.Workers ? Opts.Workers : ThreadPool::defaultThreadCount();
   Workers = std::make_unique<ThreadPool>(NumWorkers);
-  Promoters = std::make_unique<ThreadPool>(1);
   // Long-running drain tasks: each worker blocks on the admission queue
   // and exits when the queue is closed and empty (graceful drain).
   for (unsigned I = 0; I < NumWorkers; ++I)
@@ -271,17 +270,6 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
     sendToConn(ConnId, Id, R.Status, encodeCompileResponse(R));
     return;
   }
-  // Effective tier policy: the request's v4 override wins over the
-  // server-wide default; an unknown spelling is a typed admission error.
-  TierPolicy Tier = Opts.Tier;
-  if (!Req.Tier.empty() && !parseTierPolicy(Req.Tier, Tier)) {
-    CompileResponse R;
-    R.Status = FrameType::Error;
-    R.Message = "unknown tier policy '" + Req.Tier + "'";
-    bumpCounter("server.parse_errors");
-    sendToConn(ConnId, Id, R.Status, encodeCompileResponse(R));
-    return;
-  }
 
   uint32_t DeadlineMs = Req.DeadlineMs ? Req.DeadlineMs : Opts.DefaultDeadlineMs;
   auto P = std::make_shared<Pending>();
@@ -307,10 +295,6 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
   OptionsFp = OptionsFp * 1000003u + Req.HoldMs;
   OptionsFp = OptionsFp * 31u + (Req.Run ? 2u : 0u) + (Req.NoCache ? 1u : 0u);
   OptionsFp = OptionsFp * 1000003u + std::hash<std::string>{}(Req.Allocator);
-  // The effective tier changes which backend answers, so it splits merge
-  // groups — but only here. Cache keys never see the tier: entries are
-  // keyed by the allocator that actually produced them.
-  OptionsFp = OptionsFp * 1000003u + static_cast<uint64_t>(Tier);
   cache::CacheKey Key =
       cache::makeModuleKey(Req.IRText, OptionsFp, Kind, TD.fingerprint());
 
@@ -351,7 +335,6 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
   E->Req = std::move(Req);
   E->Kind = Kind;
   E->TD = TD;
-  E->Tier = Tier;
   E->Leader = P;
   E->LeaderRT = RT;
   E->Waiters.push_back(P);
@@ -485,12 +468,9 @@ void Server::sendToConn(uint64_t ConnId, uint32_t Id, FrameType Type,
 
 void Server::compileEntry(const InflightPtr &E) {
   int64_t TaskStartNs = nowNs();
-  if (!E->Promotion) {
+  {
     // Every waiter already answered (deadlines fired while queued): the
-    // compile would be pure waste, skip it and retire the entry. Promotion
-    // entries start with zero waiters by design — their work product is
-    // the refreshed cache entry, not a response — so the early-out never
-    // applies to them.
+    // compile would be pure waste, skip it and retire the entry.
     std::lock_guard<std::mutex> Lock(MergeMu);
     bool AnyAlive = false;
     for (const PendingPtr &W : E->Waiters)
@@ -504,8 +484,7 @@ void Server::compileEntry(const InflightPtr &E) {
     }
   }
 
-  obs::ScopedSpan Span(E->Promotion ? "serve:promote" : "serve:request",
-                       "request");
+  obs::ScopedSpan Span("serve:request", "request");
   if (E->LeaderRT && E->Leader)
     E->LeaderRT->addPhase("queue-wait", E->Leader->ArrivalNs,
                           TaskStartNs - E->Leader->ArrivalNs);
@@ -517,10 +496,6 @@ void Server::compileEntry(const InflightPtr &E) {
   EO.VerifyAlloc = Opts.VerifyAlloc;
   EO.Cache = E->Req.NoCache ? nullptr : Cache.get();
   EO.ReqTrace = E->LeaderRT.get();
-  // A requalification compiles with tiering off: the request's full
-  // allocator, inserted under the full-allocator cache key — exactly what
-  // a direct (untiered) compile would have produced, byte for byte.
-  EO.Tier = E->Promotion ? TierPolicy::Off : E->Tier;
   AllocOptions AO;
   AO.SpillCleanup = E->Req.Cleanup;
 
@@ -574,7 +549,6 @@ void Server::compileEntry(const InflightPtr &E) {
     Base.Splits = TC.Stats.LifetimeSplits;
     Base.AllocSeconds = TC.Stats.AllocSeconds;
     Base.Cached = TC.CacheHit;
-    Base.Tier = E->Promotion ? 1 : TC.Tier;
     if (TC.CacheHit)
       bumpCounter("server.cache_hits");
     if (TC.Ran && TC.Run.Ok) {
@@ -596,52 +570,6 @@ void Server::compileEntry(const InflightPtr &E) {
     bumpCounter(CounterName);
     answerWaiter(W, Base, LogStatus, Cached, TaskStartNs);
   }
-
-  if (E->Promotion) {
-    // The cache refresh (or its failure) is the whole outcome. Promotions
-    // never bump server.completed — that counter, with the error classes,
-    // must keep summing to server.requests — they get their own tally.
-    if (TC.Ok)
-      bumpCounter("server.promoted");
-    if (E->LeaderRT)
-      E->LeaderRT->emitToTracer();
-    return;
-  }
-  if (TC.Ok && TC.Tier == 0) {
-    bumpCounter("server.tier0");
-    if (E->Tier == TierPolicy::Tier0Promote && !E->Req.NoCache && Cache &&
-        !Stopping.load(std::memory_order_acquire))
-      schedulePromotion(E);
-  }
-}
-
-void Server::schedulePromotion(const InflightPtr &E) {
-  auto P = std::make_shared<Inflight>();
-  P->Key = E->Key;
-  P->Req = E->Req;
-  P->Kind = E->Kind;
-  P->TD = E->TD;
-  P->Tier = E->Tier;
-  P->Promotion = true;
-  if (E->LeaderRT) {
-    // The original request was sampled; trace its requalification too so
-    // the promote lane shows up in the same tooling.
-    auto RT = std::make_shared<obs::RequestTrace>();
-    RT->RequestId = E->LeaderRT->RequestId;
-    RT->ArrivalNs = nowNs();
-    RT->addPhase("promote", RT->ArrivalNs, 0);
-    P->LeaderRT = std::move(RT);
-  }
-  {
-    // Registered under the original merge key: a duplicate request arriving
-    // mid-requalification piggybacks on the promotion and is answered with
-    // the full-allocator result. If an identical request already re-entered
-    // and holds the key, skip — that entry will requalify itself.
-    std::lock_guard<std::mutex> Lock(MergeMu);
-    if (!InflightTable.emplace(P->Key, P).second)
-      return;
-  }
-  Promoters->submit([this, P] { compileEntry(P); });
 }
 
 void Server::answerWaiter(const PendingPtr &W, const CompileResponse &Base,
@@ -734,12 +662,6 @@ void Server::shutdown() {
   if (Workers) {
     Workers->wait();
     Workers.reset();
-  }
-  // Workers are quiet, so no new promotions can be scheduled; drain the
-  // lane so every pending requalification lands in the cache before exit.
-  if (Promoters) {
-    Promoters->wait();
-    Promoters.reset();
   }
   // Workers are quiet, so nothing enqueues L2 publishes any more; land
   // what is queued so another process (or our next life) can hit it.

@@ -114,15 +114,6 @@ struct ServerOptions {
   /// response instead of returning wrong code.
   bool VerifyAlloc = false;
 
-  /// Default tiered-serving policy (requests may override with the v4
-  /// `tier` wire field). Under Tier0Only/Tier0Promote a cold compile is
-  /// answered by the EBB tier-0 backend (response tier=0); Tier0Promote
-  /// additionally enqueues a background requalification on a dedicated
-  /// low-priority lane that recompiles with the request's full allocator
-  /// and refreshes L1/L2, so warm traffic converges to full-quality code
-  /// (server.tier0 / server.promoted counters, `promote` trace phase).
-  TierPolicy Tier = TierPolicy::Off;
-
   /// Budget of the server's content-addressed compile cache, in bytes
   /// (0 = caching off). Requests can opt out individually with the wire
   /// field no_cache=1.
@@ -207,13 +198,6 @@ private:
     CompileRequest Req;
     AllocatorKind Kind{};
     TargetDesc TD;
-    TierPolicy Tier = TierPolicy::Off; ///< effective policy (request wins)
-    /// Background requalification job: compiles with the full allocator
-    /// (tier forced off) to refresh the cache. Registered in the merge
-    /// table under the original request's key so concurrent duplicates
-    /// piggyback on the promotion instead of compiling again; it starts
-    /// with no waiters and never answers as a request outcome itself.
-    bool Promotion = false;
     PendingPtr Leader; ///< the admission that created this entry
     std::shared_ptr<obs::RequestTrace> LeaderRT;
     std::vector<PendingPtr> Waiters; ///< guarded by Server::MergeMu
@@ -236,10 +220,6 @@ private:
 
   // --- worker-side ----------------------------------------------------------
   void compileEntry(const InflightPtr &E);
-  /// Enqueue the tier-0 → full-allocator requalification for \p E on the
-  /// promotion lane, re-registering the key in the merge table (no-op when
-  /// an identical compile re-entered the table first).
-  void schedulePromotion(const InflightPtr &E);
   void answerWaiter(const PendingPtr &W, const CompileResponse &Base,
                     const char *LogStatus, bool Cached, int64_t TaskStartNs);
 
@@ -263,10 +243,6 @@ private:
   std::unique_ptr<cache::SharedCache> L2;
   std::unique_ptr<cache::CompileCache> Cache;
   std::unique_ptr<ThreadPool> Workers;
-  /// Dedicated single-thread lane for tier-0 promotions: requalification
-  /// is deliberately starved relative to the request workers so background
-  /// quality never competes with foreground latency.
-  std::unique_ptr<ThreadPool> Promoters;
 
   net::EventLoop Loop;
   std::thread LoopThread;

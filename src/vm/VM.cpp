@@ -180,12 +180,20 @@ bool Interp::step() {
   };
 
   switch (I.opcode()) {
+  // Two's-complement wrap-around, computed in uint64_t: signed overflow
+  // is undefined behaviour in C++.
   case Opcode::Add:
-    return IntBin([](int64_t A, int64_t B2) { return A + B2; });
+    return IntBin([](int64_t A, int64_t B2) {
+      return static_cast<int64_t>(static_cast<uint64_t>(A) + uint64_t(B2));
+    });
   case Opcode::Sub:
-    return IntBin([](int64_t A, int64_t B2) { return A - B2; });
+    return IntBin([](int64_t A, int64_t B2) {
+      return static_cast<int64_t>(static_cast<uint64_t>(A) - uint64_t(B2));
+    });
   case Opcode::Mul:
-    return IntBin([](int64_t A, int64_t B2) { return A * B2; });
+    return IntBin([](int64_t A, int64_t B2) {
+      return static_cast<int64_t>(static_cast<uint64_t>(A) * uint64_t(B2));
+    });
   case Opcode::Div: {
     int64_t D = static_cast<int64_t>(read(Fr, I.op(2)));
     if (D == 0)
@@ -233,8 +241,7 @@ bool Interp::step() {
   case Opcode::CmpGe:
     return IntBin([](int64_t A, int64_t B2) { return int64_t(A >= B2); });
   case Opcode::Neg:
-    write(Fr, I.op(0),
-          static_cast<uint64_t>(-static_cast<int64_t>(read(Fr, I.op(1)))));
+    write(Fr, I.op(0), 0 - read(Fr, I.op(1))); // wraps, like Sub
     return true;
   case Opcode::Not:
     write(Fr, I.op(0), ~read(Fr, I.op(1)));

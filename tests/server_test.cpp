@@ -266,6 +266,42 @@ TEST(Server, WrongVersionFrameGetsTypedError) {
   S.shutdown();
 }
 
+// The `tier` request field of protocol v4 is gone: a current-version frame
+// that still carries it is refused with a typed Error naming the field,
+// never silently compiled as if the field were absent.
+TEST(Server, RetiredTierFieldGetsTypedError) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("tier-field");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  Socket Raw = Socket::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(Raw.valid()) << Err;
+  std::string Payload = "allocator=binpack\ntier=promote\n\n" +
+                        workloadText("sort");
+  std::string Frame =
+      encodeFrameHeader(static_cast<uint32_t>(Payload.size()), 9,
+                        FrameType::CompileRequest) +
+      Payload;
+  ASSERT_EQ(::send(Raw.fd(), Frame.data(), Frame.size(), 0),
+            static_cast<ssize_t>(Frame.size()));
+
+  uint32_t Id = 0;
+  FrameType T;
+  std::string Reply;
+  ASSERT_EQ(Raw.recvFrame(Id, T, Reply, 5000, Err), Socket::RecvStatus::Ok)
+      << Err;
+  EXPECT_EQ(Id, 9u);
+  EXPECT_EQ(T, FrameType::Error);
+  CompileResponse R;
+  ASSERT_TRUE(decodeCompileResponse(T, Reply, R, Err)) << Err;
+  EXPECT_NE(R.Message.find("unknown request field 'tier'"), std::string::npos)
+      << R.Message;
+  S.shutdown();
+}
+
 // Bytes that never were an lsra frame (an HTTP client, say) are dropped
 // without a reply: there is no trustworthy request id to answer.
 TEST(Server, OldMagicConnectionDropped) {

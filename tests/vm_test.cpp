@@ -54,8 +54,22 @@ TEST(VM, IntegerArithmetic) {
 
 TEST(VM, IntegerOverflowWraps) {
   EXPECT_EQ(evalBinop(Opcode::Add, INT64_MAX, 1), INT64_MIN);
+  EXPECT_EQ(evalBinop(Opcode::Sub, INT64_MIN, 1), INT64_MAX);
+  EXPECT_EQ(evalBinop(Opcode::Mul, INT64_MAX, 2), -2);
+  EXPECT_EQ(evalBinop(Opcode::Mul, int64_t(1) << 62, 4), 0);
   EXPECT_EQ(evalBinop(Opcode::Div, INT64_MIN, -1), INT64_MIN); // saturates
   EXPECT_EQ(evalBinop(Opcode::Rem, INT64_MIN, -1), 0);
+
+  // Negating INT64_MIN wraps back to itself.
+  Module M;
+  FunctionBuilder B(M, "main", 0, 0, CallRetKind::Int);
+  B.setBlock(B.newBlock("entry"));
+  B.retVal(B.neg(B.movi(INT64_MIN)));
+  TargetDesc T = TD();
+  VM Machine(M, T);
+  RunResult Res = Machine.run();
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(Res.ReturnValue, INT64_MIN);
 }
 
 TEST(VM, DivisionByZeroTraps) {

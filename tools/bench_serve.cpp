@@ -140,48 +140,6 @@ int main(int argc, char **argv) {
     S.shutdown();
   }
 
-  // Tiered serving: the same cold corpus under each tier policy, a fresh
-  // server per policy so every request is a first compile (the regime tier
-  // 0 exists for). The tier0/promote rows' first-compile latency win over
-  // "off" is the serving-side analogue of Table 3's compile-time claim;
-  // the promote row additionally exercises the background requalification
-  // lane under load.
-  for (const char *Tier : {"off", "tier0", "promote"}) {
-    server::ServerOptions SO;
-    SO.UnixPath = SockPath;
-    SO.Workers = ThreadPool::defaultThreadCount();
-    SO.QueueCapacity = 256;
-    server::Server S(SO);
-    std::string Err;
-    if (!S.start(Err)) {
-      std::fprintf(stderr, "bench-serve: %s\n", Err.c_str());
-      return 1;
-    }
-    server::LoadGenOptions LO;
-    LO.UnixPath = SockPath;
-    LO.Connections = 16;
-    LO.Pipeline = 2;
-    LO.Requests = Quick ? 48 : 96;
-    LO.UniquePrograms = LO.Requests; // no repeats: all cold compiles
-    LO.MixSeed = 77;
-    LO.Tier = Tier;
-    server::LoadGenReport R;
-    if (!server::runLoadGen(LO, R, Err)) {
-      std::fprintf(stderr, "bench-serve: tiered/%s: %s\n", Tier, Err.c_str());
-      return 1;
-    }
-    std::string Line = server::loadGenReportJson(LO, R);
-    Line.insert(1, "\"mix\": \"tiered-cold\", \"workers\": " +
-                       std::to_string(SO.Workers) + ", ");
-    OS << (First ? "" : ",\n") << "  " << Line;
-    First = false;
-    std::printf("tiered   tier=%-8s %.1f req/s  p50 %.2fms  p95 %.2fms  "
-                "p99 %.2fms  tier0 %llu\n",
-                Tier, R.Throughput, R.P50Ms, R.P95Ms, R.P99Ms,
-                (unsigned long long)R.Tier0Responses);
-    std::fflush(stdout);
-    S.shutdown();
-  }
   OS << "\n]\n";
   std::printf("wrote %s\n", OutPath.c_str());
   return 0;

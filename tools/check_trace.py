@@ -295,17 +295,6 @@ def check_server_stats(path):
             f"{path}: outcome counters sum to {outcomes}, "
             f"but server.requests is {requests}"
         )
-    # Tiered serving: a requalification only ever follows a tier-0 answer,
-    # so the promotion tally can never outrun the tier-0 tally; and a
-    # promotion is background work, never a request outcome (the outcome
-    # sum above already enforces that by not including it).
-    tier0 = counters.get("server.tier0", 0)
-    promoted = counters.get("server.promoted", 0)
-    if promoted > tier0:
-        fail(
-            f"{path}: server.promoted {promoted} exceeds server.tier0 "
-            f"{tier0}"
-        )
     if requests and counters["server.bytes_in"] <= 0:
         fail(f"{path}: server.bytes_in must be positive when requests > 0")
     if requests and counters["server.bytes_out"] <= 0:
@@ -633,7 +622,6 @@ REQUEST_PHASES = {
     "recv", "admit", "queue-wait", "merged", "cache-probe", "l2-probe",
     "parse",
     "alloc", "alloc:lower", "alloc:dce", "alloc:regalloc",
-    "tier0-alloc", "promote",
     "emit", "reply",
 }
 

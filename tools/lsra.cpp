@@ -102,9 +102,6 @@ int usage() {
                "  --l2-path=F    shared-memory L2 compile cache segment\n"
                "  --l2-mb=N      L2 segment budget in MiB (default 256)\n"
                "  --no-l2        disable the shared L2\n"
-               "  --tier=P       default tier policy: off|tier0|promote\n"
-               "                 (requests may override with the v4 tier "
-               "field)\n"
                "options for loadgen:\n"
                "  --socket=PATH | --port=N      server address\n"
                "  --workloads=a,b,c  corpus to replay (default all)\n"
@@ -119,7 +116,6 @@ int usage() {
                "  --verify           byte-compare responses against offline\n"
                "                     compiles of the same corpus\n"
                "  --allocator=K --regs=N --run --deadline-ms=N  per-request\n"
-               "  --tier=P           per-request tier policy override\n"
                "  --json=F           append the report as one JSON line\n"
                "  --record-out=F     per-request JSONL records (joins the\n"
                "                     server --request-log by request id)\n"
@@ -347,15 +343,14 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
     Cache->attachL2(L2.get());
   F.Exec.Cache = Cache.get();
   AllocStats Stats;
-  if (Cache || F.Exec.Tier != TierPolicy::Off) {
+  if (Cache) {
     // With a cache attached, compile the way the server does: the whole
     // module as text through compileTextModule, so module-level entries
     // (the only kind the shared L2 carries) are probed and published and
     // a second `lsra run` against the same --l2-path warms from the
     // segment. The allocated text is parsed back for the VM run below;
     // print→parse is a fixed point, so the executed module is the same
-    // either way. Tiered compiles take this path too — the tier-0
-    // backend swap lives in compileTextModule.
+    // either way.
     std::ostringstream SS;
     printModule(SS, *M);
     TextCompileResult R =
@@ -374,9 +369,6 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
     Stats = R.Stats;
     if (R.CacheHit)
       std::printf("cache: hit (%s)\n", R.CacheL2 ? "shared l2" : "l1");
-    if (R.Tier >= 0)
-      std::printf("tier: %d (%s)\n", R.Tier,
-                  R.Tier == 0 ? "ebb-scan fast path" : "full allocator");
   } else {
     Stats = compileModule(*M, TD, F.Kind, F.Alloc, F.Exec);
   }
@@ -549,12 +541,6 @@ int cmdServe(int Argc, char **Argv) {
           static_cast<size_t>(std::strtoul(A.c_str() + 8, nullptr, 10)) << 20;
     } else if (A == "--no-l2") {
       NoL2 = true;
-    } else if (A.rfind("--tier=", 0) == 0) {
-      if (!parseTierPolicy(A.substr(7), SO.Tier)) {
-        std::fprintf(stderr, "lsra serve: unknown tier policy '%s'\n",
-                     A.c_str() + 7);
-        return 2;
-      }
     } else if (A.rfind("--log-level=", 0) == 0) {
       obs::setLogLevel(
           static_cast<unsigned>(std::strtoul(A.c_str() + 12, nullptr, 10)));
@@ -681,14 +667,6 @@ int cmdLoadgen(int Argc, char **Argv) {
           static_cast<unsigned>(std::strtoul(A.c_str() + 11, nullptr, 10));
     } else if (A == "--verify") {
       LO.Verify = true;
-    } else if (A.rfind("--tier=", 0) == 0) {
-      TierPolicy T;
-      if (!parseTierPolicy(A.substr(7), T)) {
-        std::fprintf(stderr, "lsra loadgen: unknown tier policy '%s'\n",
-                     A.c_str() + 7);
-        return 2;
-      }
-      LO.Tier = A.substr(7);
     } else if (A.rfind("--json=", 0) == 0) {
       JsonOut = A.substr(7);
     } else if (A.rfind("--record-out=", 0) == 0) {
@@ -711,13 +689,12 @@ int cmdLoadgen(int Argc, char **Argv) {
     std::fprintf(stderr, "lsra loadgen: %s\n", Err.c_str());
     return 1;
   }
-  std::printf("sent %llu: ok %llu (cached %llu, merged %llu, tier0 %llu), "
+  std::printf("sent %llu: ok %llu (cached %llu, merged %llu), "
               "rejected %llu, "
               "deadline %llu, error %llu, transport %llu, protocol %llu\n",
               (unsigned long long)R.Sent, (unsigned long long)R.Ok,
               (unsigned long long)R.CachedResponses,
               (unsigned long long)R.MergedResponses,
-              (unsigned long long)R.Tier0Responses,
               (unsigned long long)R.Rejected,
               (unsigned long long)R.DeadlineExceeded,
               (unsigned long long)R.Errors,

@@ -48,21 +48,6 @@ execute_process(
     merged=\$(printf '%s' \"\$pout\" | grep -o 'merged [0-9]*' | cut -d' ' -f2)
     [ \"\${merged:-0}\" -gt 0 ] || {
       echo \"duplicate-heavy pipelined mix produced no merges\" >&2; exit 1; }
-    # Tiered leg: promote policy per request, fresh programs (distinct
-    # mix seed) so the first compile of each is a cold tier-0 answer,
-    # every CompileOk byte-compared against the offline compile of the
-    # tier that answered it. The requalification lane then refreshes the
-    # cache in the background; --server-stats below checks the
-    # tier0/promoted counter contract.
-    tout=\$('${LSRA_TOOL}' loadgen --socket='${SOCK}' --connections=8 \
-        --pipeline=4 --requests=64 --unique=4 --mix-seed=23 --verify \
-        --tier=promote)
-    trc=\$?
-    echo \"\$tout\"
-    [ \$trc -eq 0 ] || { echo \"tiered loadgen failed (rc=\$trc)\" >&2; exit 1; }
-    tier0=\$(printf '%s' \"\$tout\" | grep -o 'tier0 [0-9]*' | cut -d' ' -f2)
-    [ \"\${tier0:-0}\" -gt 0 ] || {
-      echo \"tiered mix produced no tier-0 answers\" >&2; exit 1; }
     kill -TERM \$pid
     wait \$pid
     srv=\$?
@@ -119,7 +104,7 @@ execute_process(
       sleep 0.1
     done
     '${LSRA_TOOL}' loadgen --socket='${TSOCK}' --concurrency=4 \
-        --requests=64 --workloads=eqntott,espresso,sort,wc --tier=promote \
+        --requests=64 --workloads=eqntott,espresso,sort,wc \
         --record-out='${RECORDS}' --json='${LGJSON}'
     rc=\$?
     [ \$rc -eq 0 ] || { echo \"telemetry loadgen failed (rc=\$rc)\" >&2; exit 1; }
