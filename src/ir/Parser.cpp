@@ -82,6 +82,14 @@ private:
     return false;
   }
 
+  /// A `mem` address or `memsize` at or above MaxMemoryWords; the value
+  /// token starts at \p Pos of the trimmed line \p L.
+  bool failMemTooLarge(const char *What, const std::string &L, size_t Pos) {
+    return failTok(std::string(What) + " out of range (limit " +
+                       std::to_string(MaxMemoryWords) + " words)",
+                   L.substr(Pos, L.find(' ', Pos) - Pos));
+  }
+
   bool nextLine() {
     while (std::getline(In, Line)) {
       ++LineNo;
@@ -394,19 +402,23 @@ bool Parser::parseTopLevel(bool Prescan) {
     if (Trimmed.rfind("mem ", 0) == 0) {
       if (Prescan)
         continue;
-      unsigned Addr = 0;
-      uint64_t Val = 0;
-      if (std::sscanf(Trimmed.c_str(), "mem %u 0x%llx", &Addr,
-                      reinterpret_cast<unsigned long long *>(&Val)) != 2)
+      unsigned long long Addr = 0, Val = 0;
+      if (std::sscanf(Trimmed.c_str(), "mem %llu 0x%llx", &Addr, &Val) != 2)
         return fail("bad mem line");
-      M->reserveMemory(Addr + 1);
+      if (Addr >= MaxMemoryWords)
+        return failMemTooLarge("mem address", Trimmed, 4);
+      M->reserveMemory(static_cast<unsigned>(Addr) + 1);
       M->InitialMemory[Addr] = Val;
       continue;
     }
     if (Trimmed.rfind("memsize ", 0) == 0) {
-      if (!Prescan)
-        M->reserveMemory(static_cast<unsigned>(
-            std::strtoul(Trimmed.c_str() + 8, nullptr, 10)));
+      if (Prescan)
+        continue;
+      unsigned long long Words =
+          std::strtoull(Trimmed.c_str() + 8, nullptr, 10);
+      if (Words >= MaxMemoryWords)
+        return failMemTooLarge("memsize", Trimmed, 8);
+      M->reserveMemory(static_cast<unsigned>(Words));
       continue;
     }
     if (Trimmed.rfind("func ", 0) == 0) {

@@ -24,6 +24,12 @@
 
 namespace lsra {
 
+/// Upper bound (exclusive) on a `mem` address and on a `memsize` that IR
+/// text may declare, in words: 2^24 words is 128 MiB of image, over 1000x
+/// the largest built-in workload (wc, 12,000 words). A larger value is a
+/// parse error naming its line, not an allocation the host cannot make.
+constexpr unsigned long long MaxMemoryWords = 1ull << 24;
+
 struct ParseResult {
   std::unique_ptr<Module> M; ///< null on failure
   /// Human-readable diagnostic on failure: "line N, col C: message

@@ -115,8 +115,8 @@ struct LoadGenReport {
 bool runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
                 std::string &Err);
 
-/// One-line JSON encoding of (options, report) for BENCH_serve.json-style
-/// output.
+/// One-line JSON encoding of (options, report); `lsra loadgen --json=F`
+/// appends it to F.
 std::string loadGenReportJson(const LoadGenOptions &Opts,
                               const LoadGenReport &R);
 

@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include <unistd.h>
 
@@ -25,24 +24,6 @@ uint64_t lsra::currentRssBytes() {
     return 0;
   static const long Page = sysconf(_SC_PAGESIZE);
   return Resident * static_cast<uint64_t>(Page > 0 ? Page : 4096);
-}
-
-uint64_t lsra::peakRssBytes() {
-  std::FILE *F = std::fopen("/proc/self/status", "r");
-  if (!F)
-    return 0;
-  char Line[256];
-  uint64_t KiB = 0;
-  while (std::fgets(Line, sizeof(Line), F)) {
-    if (std::strncmp(Line, "VmHWM:", 6) == 0) {
-      unsigned long long V = 0;
-      if (std::sscanf(Line + 6, "%llu", &V) == 1)
-        KiB = V;
-      break;
-    }
-  }
-  std::fclose(F);
-  return KiB * 1024;
 }
 
 void PeakRssSampler::start() {

@@ -26,9 +26,6 @@ namespace lsra {
 /// Current resident set size in bytes (0 when /proc is unavailable).
 uint64_t currentRssBytes();
 
-/// Lifetime peak resident set size in bytes (VmHWM; 0 when unavailable).
-uint64_t peakRssBytes();
-
 /// Samples currentRssBytes() on a background thread and keeps the maximum.
 /// One sampler measures one region; start() resets the maximum.
 class PeakRssSampler {
@@ -40,8 +37,6 @@ public:
   /// Stop sampling and return the maximum RSS observed (including one final
   /// sample taken after the worker joins).
   uint64_t stop();
-
-  uint64_t maxObserved() const { return Max.load(std::memory_order_relaxed); }
 
 private:
   unsigned IntervalMs;

@@ -102,7 +102,7 @@ std::string allOutputs() {
         Out += compileLine(Name, Text, K, Regs);
   };
 
-  // The Table 3 modules, options as in bench-compile-time.
+  // The Table 3 modules, options as in bench/table3_compiletime.
   struct Scaled {
     const char *Name;
     ScaledModuleOptions Opts;

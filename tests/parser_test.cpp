@@ -242,6 +242,38 @@ TEST(ParserDiagnostics, UnknownCallTargetToken) {
   EXPECT_EQ(R.ErrToken, "@nosuch");
 }
 
+// A memory image of MaxMemoryWords or more is a typed error on its line:
+// `mem 4294967295` would wrap `Addr + 1` to 0 in 32 bits, and the 3e9
+// images do not fit in memory.
+void expectImageTooLarge(const std::string &Line, const std::string &Tok) {
+  ParseResult R = parseModule(
+      "mem 7 0x2\n" + Line +
+      "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n  movi %0, 0\n  ret %0\n");
+  ASSERT_FALSE(R.ok()) << Line;
+  EXPECT_EQ(R.ErrLine, 2u) << Line;
+  EXPECT_NE(R.Error.find("out of range"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.ErrToken, Tok);
+}
+
+TEST(ParserDiagnostics, MemAddressThatWrapsIsRejected) {
+  expectImageTooLarge("mem 4294967295 0x1", "4294967295");
+}
+
+TEST(ParserDiagnostics, HugeMemAddressIsRejected) {
+  expectImageTooLarge("mem 3000000000 0x1", "3000000000");
+}
+
+TEST(ParserDiagnostics, HugeMemsizeIsRejected) {
+  expectImageTooLarge("memsize 3000000000", "3000000000");
+}
+
+TEST(ParserDiagnostics, MemoryImageBoundIsExclusive) {
+  std::string Limit = std::to_string(MaxMemoryWords);
+  expectImageTooLarge("mem " + Limit + " 0x1", Limit);
+  expectImageTooLarge("memsize " + Limit, Limit);
+}
+
 TEST(ParserDiagnostics, EmptyInputIsAnError) {
   EXPECT_FALSE(parseModule("").ok());
   EXPECT_FALSE(parseModule("\n\n# only comments\n").ok());

@@ -486,6 +486,42 @@ TEST(Server, ParseErrorGetsTypedResponse) {
   S.shutdown();
 }
 
+// A memory image past the parser's bound (an address that would wrap, or
+// one the host cannot allocate) gets an Error frame, and the same server
+// keeps compiling.
+TEST(Server, HugeMemoryImageGetsTypedErrorAndServerSurvives) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("mem-bound");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+
+  for (const char *Line : {"mem 4294967295 0x1", "mem 3000000000 0x1",
+                           "memsize 3000000000"}) {
+    CompileRequest Req;
+    Req.IRText = std::string(Line) +
+                 "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+                 "bb0 (entry):\n  movi %0, 0\n  ret %0\n";
+    CompileResponse Resp;
+    ASSERT_TRUE(C.compile(Req, Resp, Err, 30000)) << Err;
+    EXPECT_EQ(Resp.Status, FrameType::Error) << Line;
+    EXPECT_NE(Resp.Message.find("out of range"), std::string::npos)
+        << Resp.Message;
+    EXPECT_EQ(Resp.ErrLine, 1u) << Line;
+  }
+
+  CompileRequest Req;
+  Req.IRText = workloadText("eqntott");
+  CompileResponse Ok;
+  ASSERT_TRUE(C.compile(Req, Ok, Err, 30000)) << Err;
+  EXPECT_EQ(Ok.Status, FrameType::CompileOk) << Ok.Message;
+  EXPECT_FALSE(Ok.IRText.empty());
+  S.shutdown();
+}
+
 TEST(Server, VerifyAllocProvesServedAllocations) {
   // With --verify-alloc the server runs the translation validator on every
   // compile; a provable allocation serves normally.
