@@ -13,7 +13,6 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "passes/DCE.h"
 #include "support/ThreadPool.h"
@@ -39,20 +38,15 @@ AllocStats lsra::compileModule(Module &M, const TargetDesc &TD,
   // added (AllocStats::operator+= deliberately skips WallSeconds).
   Timer Wall;
   Wall.start();
-  AllocStats Total;
   if (Threads <= 1) {
     {
-      obs::ScopedSpan S("lowerCalls", "pass");
-      obs::RequestPhase RP(EO.ReqTrace, "alloc:lower");
+      obs::ScopedSpan S("lowerCalls", "pass", EO.ReqTrace);
       lowerCalls(M);
     }
     {
-      obs::ScopedSpan S("dce", "pass");
-      obs::RequestPhase RP(EO.ReqTrace, "alloc:dce");
+      obs::ScopedSpan S("dce", "pass", EO.ReqTrace);
       eliminateDeadCode(M, TD);
     }
-    obs::RequestPhase RP(EO.ReqTrace, "alloc:regalloc");
-    Total = allocateModule(M, TD, K, AO, EO);
   } else {
     // Parallel path: lowering and DCE are per-function, so run them on the
     // workers, then let allocateModule (which handles cache hits safely
@@ -69,6 +63,10 @@ AllocStats lsra::compileModule(Module &M, const TargetDesc &TD,
         eliminateDeadCode(F, TD);
       }
     });
+  }
+  AllocStats Total;
+  {
+    obs::ScopedSpan S("allocateModule", "pass", EO.ReqTrace);
     Total = allocateModule(M, TD, K, AO, EO);
   }
   Wall.stop();
@@ -172,7 +170,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
   if (EO.Cache) {
     std::shared_ptr<const cache::CachedCompile> Hit;
     {
-      obs::RequestPhase RP(EO.ReqTrace, "cache-probe");
+      obs::ScopedSpan S("cache-probe", "pass", EO.ReqTrace);
       ModKey = cache::makeModuleKey(IRText, AO.fingerprint(), K,
                                     TD.fingerprint());
       Hit = EO.Cache->lookup(ModKey);
@@ -181,7 +179,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
       // L1 missed; the shared segment may still have the module from
       // another process (or an earlier life of this one). A hit here
       // promotes into L1, so the next probe stops one phase earlier.
-      obs::RequestPhase RP(EO.ReqTrace, "l2-probe");
+      obs::ScopedSpan S("l2-probe", "pass", EO.ReqTrace);
       Hit = EO.Cache->lookupL2Fill(ModKey);
       R.CacheL2 = Hit != nullptr;
     }
@@ -204,7 +202,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
   }
   ParseResult P;
   {
-    obs::RequestPhase RP(EO.ReqTrace, "parse");
+    obs::ScopedSpan S("parse", "pass", EO.ReqTrace);
     P = parseModule(IRText);
   }
   if (!P.ok()) {
@@ -229,7 +227,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
     Snapshot = cloneModule(*P.M);
   }
   {
-    obs::RequestPhase RP(EO.ReqTrace, "alloc");
+    obs::ScopedSpan S("alloc", "pass", EO.ReqTrace);
     R.Stats = compileModule(*P.M, TD, K, AO, EO);
   }
   Diag = checkAllocated(*P.M);
@@ -247,7 +245,7 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
   }
   std::ostringstream OS;
   {
-    obs::RequestPhase RP(EO.ReqTrace, "emit");
+    obs::ScopedSpan S("emit", "pass", EO.ReqTrace);
     printModule(OS, *P.M);
   }
   R.AllocatedText = OS.str();

@@ -21,44 +21,10 @@
 using namespace lsra;
 using namespace lsra::obs;
 
-void Distribution::sample(double V) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (Count == 0) {
-    Min = Max = V;
-  } else {
-    Min = std::min(Min, V);
-    Max = std::max(Max, V);
-  }
-  ++Count;
-  Sum += V;
-}
-
-uint64_t Distribution::count() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Count;
-}
-double Distribution::sum() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Sum;
-}
-double Distribution::min() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Min;
-}
-double Distribution::max() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Max;
-}
-double Distribution::mean() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Count ? Sum / static_cast<double>(Count) : 0.0;
-}
-
 struct CounterRegistry::Entry {
   std::string Name;
-  enum class Kind { Unused, Count, Dist, Hist, Gauge } K = Kind::Unused;
+  enum class Kind { Count, Hist, Gauge } K;
   Counter C;
-  Distribution D;
   /// Lazily allocated (a WindowedHistogram is a few hundred KB; most
   /// entries are plain counters).
   std::unique_ptr<WindowedHistogram> H;
@@ -78,8 +44,6 @@ CounterRegistry::Entry &CounterRegistry::entry(const std::string &Name,
       // First registration wins: a name keeps the kind it was created
       // with, so a later accessor of a different kind cannot flip how the
       // entry is reported mid-run.
-      if (E->K == Entry::Kind::Unused)
-        E->K = static_cast<Entry::Kind>(Kind);
       if (static_cast<Entry::Kind>(Kind) == Entry::Kind::Hist && !E->H)
         E->H = std::make_unique<WindowedHistogram>();
       return *E;
@@ -95,10 +59,6 @@ CounterRegistry::Entry &CounterRegistry::entry(const std::string &Name,
 
 Counter &CounterRegistry::counter(const std::string &Name) {
   return entry(Name, static_cast<int>(Entry::Kind::Count)).C;
-}
-
-Distribution &CounterRegistry::distribution(const std::string &Name) {
-  return entry(Name, static_cast<int>(Entry::Kind::Dist)).D;
 }
 
 WindowedHistogram &CounterRegistry::histogram(const std::string &Name) {
@@ -125,8 +85,8 @@ void CounterRegistry::recordAllocStats(const AllocStats &S) {
   counter("alloc.dataflow_iterations").add(S.DataflowIterations);
   counter("alloc.coloring_iterations").add(S.ColoringIterations);
   counter("alloc.interference_edges").add(S.InterferenceEdges);
-  distribution("alloc.time.cpu_s").sample(S.AllocSeconds);
-  distribution("alloc.time.wall_s").sample(S.WallSeconds);
+  histogram("alloc.time.cpu_us").record(secondsToUs(S.AllocSeconds));
+  histogram("alloc.time.wall_us").record(secondsToUs(S.WallSeconds));
 }
 
 void CounterRegistry::recordAllocProfile() {
@@ -175,16 +135,6 @@ void CounterRegistry::writeJsonl(std::ostream &OS) const {
       O.field("kind", "counter").field("name", E->Name).field("value",
                                                               E->C.value());
       OS << O.str() << "\n";
-    } else if (E->K == Entry::Kind::Dist) {
-      JsonObject O;
-      O.field("kind", "dist")
-          .field("name", E->Name)
-          .field("count", E->D.count())
-          .field("sum", E->D.sum())
-          .field("min", E->D.min())
-          .field("max", E->D.max())
-          .field("mean", E->D.mean());
-      OS << O.str() << "\n";
     } else if (E->K == Entry::Kind::Hist) {
       HistogramSnapshot S = E->H->snapshot();
       JsonObject O;
@@ -222,10 +172,6 @@ std::string CounterRegistry::snapshotText() const {
   for (const Entry *E : sortedEntries(Entries)) {
     if (E->K == Entry::Kind::Count)
       OS << "counter " << E->Name << " " << E->C.value() << "\n";
-    else if (E->K == Entry::Kind::Dist)
-      OS << "dist " << E->Name << " " << E->D.count() << " "
-         << jsonNumber(E->D.sum()) << " " << jsonNumber(E->D.min()) << " "
-         << jsonNumber(E->D.max()) << "\n";
     else if (E->K == Entry::Kind::Hist) {
       HistogramSnapshot S = E->H->snapshot();
       OS << "hist " << E->Name << " " << S.Count << " " << S.Sum << " "
@@ -247,11 +193,6 @@ MetricsSnapshot CounterRegistry::metricsSnapshot() const {
     case Entry::Kind::Count:
       Out.Counters.emplace_back(E->Name, E->C.value());
       break;
-    case Entry::Kind::Dist:
-      // Legacy aggregate-only distributions surface as a sample-count
-      // counter so the snapshot stays closed under the three metric kinds.
-      Out.Counters.emplace_back(E->Name + ".count", E->D.count());
-      break;
     case Entry::Kind::Gauge:
       Out.Gauges.emplace_back(E->Name, E->G.value());
       break;
@@ -268,8 +209,6 @@ MetricsSnapshot CounterRegistry::metricsSnapshot() const {
       Out.Hists.push_back(std::move(H));
       break;
     }
-    case Entry::Kind::Unused:
-      break;
     }
   }
   return Out;

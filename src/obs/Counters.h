@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide registry of named monotonic counters and value
-/// distributions — the numeric side of the observability layer. The
-/// paper's evaluation quantities (static spill counts, dynamic spill
-/// percentages, allocation time) flow through here: AllocStats and
-/// RunStats are re-exported as registry entries, and instrumented code
-/// adds finer-grained counts (binpack.evictions, lifetime.holes,
+/// A process-wide registry of named monotonic counters, histograms and
+/// gauges — the numeric side of the observability layer. The paper's
+/// evaluation quantities (static spill counts, dynamic spill percentages,
+/// allocation time) flow through here: AllocStats and RunStats are
+/// re-exported as registry entries, and instrumented code adds
+/// finer-grained counts (binpack.evictions, lifetime.holes,
 /// vm.dyn.spill_loads, ...).
 ///
 /// Counters are relaxed atomics, so concurrent per-function allocation
 /// workers bump them without coordination; because addition commutes, the
-/// totals are deterministic for any thread count. Distributions keep only
-/// order-independent aggregates (count/sum/min/max) for the same reason.
+/// totals are deterministic for any thread count. Value distributions are
+/// WindowedHistograms (obs/Metrics.h), whose bucket counts commute the
+/// same way; a histogram's name carries its unit (alloc.time.cpu_us).
 ///
 /// Snapshots are emitted as JSONL (one self-describing JSON object per
 /// line, sorted by name) so experiment output is machine-readable without
@@ -57,22 +58,6 @@ private:
   std::atomic<uint64_t> Value{0};
 };
 
-/// Value distribution keeping order-independent aggregates only.
-class Distribution {
-public:
-  void sample(double V);
-  uint64_t count() const;
-  double sum() const;
-  double min() const; ///< 0 when empty
-  double max() const; ///< 0 when empty
-  double mean() const;
-
-private:
-  mutable std::mutex Mu;
-  uint64_t Count = 0;
-  double Sum = 0, Min = 0, Max = 0;
-};
-
 class CounterRegistry {
 public:
   /// The process-wide registry all instrumentation reports to.
@@ -88,15 +73,14 @@ public:
   /// instrumentation looks its counters up per use rather than caching
   /// references across runs.
   Counter &counter(const std::string &Name);
-  Distribution &distribution(const std::string &Name);
   /// Rolling-window histogram (obs/Metrics.h). Lazily allocated per name;
   /// same validity rules as counter().
   WindowedHistogram &histogram(const std::string &Name);
   /// Point-in-time gauge (obs/Metrics.h).
   Gauge &gauge(const std::string &Name);
 
-  /// Re-export every AllocStats field under "alloc.*" (timing fields under
-  /// "alloc.time.*", as distributions).
+  /// Re-export every AllocStats field under "alloc.*" (timing fields as
+  /// the "alloc.time.cpu_us" / "alloc.time.wall_us" histograms).
   void recordAllocStats(const AllocStats &S);
   /// Export the process heap-allocation totals (support/AllocProfile) as
   /// the "alloc.count" / "alloc.bytes" counters. Call once, immediately
@@ -108,17 +92,15 @@ public:
 
   /// One JSON object per line, sorted by name:
   ///   {"kind": "counter", "name": ..., "value": N}
-  ///   {"kind": "dist", "name": ..., "count": N, "sum": X, "min": X,
-  ///    "max": X, "mean": X}
   ///   {"kind": "hist", "name": ..., "count": N, "sum": N, "min": N,
   ///    "max": N, "p50": N, "p95": N, "p99": N}
   ///   {"kind": "gauge", "name": ..., "value": N}
   void writeJsonl(std::ostream &OS) const;
   bool writeJsonl(const std::string &Path) const;
 
-  /// Deterministic plain-text snapshot ("counter NAME VALUE" / "dist NAME
-  /// COUNT SUM MIN MAX" / "hist NAME COUNT SUM MIN MAX" / "gauge NAME
-  /// VALUE" lines sorted by name) for tests and debugging.
+  /// Deterministic plain-text snapshot ("counter NAME VALUE" / "hist NAME
+  /// COUNT SUM MIN MAX" / "gauge NAME VALUE" lines sorted by name) for
+  /// tests and debugging.
   std::string snapshotText() const;
 
   /// Capture every counter, gauge, and histogram (lifetime + 1s/10s/60s
@@ -132,8 +114,8 @@ public:
 private:
   struct Entry;
   /// Find-or-create under the registry lock. \p Kind tags the entry's
-  /// flavour (counter vs distribution) and must be written under the same
-  /// lock: concurrent bumpers of one name race on the tag otherwise.
+  /// flavour (counter, histogram or gauge) and must be written under the
+  /// same lock: concurrent bumpers of one name race on the tag otherwise.
   Entry &entry(const std::string &Name, int Kind);
 
   std::atomic<bool> Enabled{false};

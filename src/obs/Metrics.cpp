@@ -10,7 +10,6 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -20,12 +19,6 @@
 
 using namespace lsra;
 using namespace lsra::obs;
-
-int64_t obs::steadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 //===----------------------------------------------------------------------===//
 // Bucketing
@@ -417,12 +410,9 @@ void RequestTrace::emitToTracer() const {
   Tracer &T = Tracer::global();
   if (!T.enabled())
     return;
-  // nowNs() is "ns since the tracer epoch": the difference between the
-  // steady clock now and the tracer's relative now recovers the epoch.
-  int64_t EpochAbsNs = steadyNowNs() - T.nowNs();
   for (const Phase &P : phases())
     T.complete("req:" + std::to_string(RequestId) + ":" + P.Name, "request",
-               P.StartNs - EpochAbsNs, P.DurNs);
+               P.StartNs, P.DurNs);
 }
 
 //===----------------------------------------------------------------------===//

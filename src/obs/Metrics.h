@@ -52,12 +52,6 @@
 namespace lsra {
 namespace obs {
 
-/// Absolute steady-clock (CLOCK_MONOTONIC) nanoseconds. The request-trace
-/// timestamps and the loadgen --record-out timestamps share this clock, so
-/// client and server views of one request are directly comparable on the
-/// same machine.
-int64_t steadyNowNs();
-
 //===----------------------------------------------------------------------===//
 // Bucketing
 //===----------------------------------------------------------------------===//
@@ -111,6 +105,12 @@ struct HistogramSnapshot {
 //===----------------------------------------------------------------------===//
 // Histogram
 //===----------------------------------------------------------------------===//
+
+/// \p Seconds as whole microseconds (rounded): the unit of the
+/// alloc.time.*_us histograms.
+inline uint64_t secondsToUs(double Seconds) {
+  return Seconds > 0 ? static_cast<uint64_t>(Seconds * 1e6 + 0.5) : 0;
+}
 
 /// Lifetime (non-windowed) histogram with lock-striped wait-free recording.
 class Histogram {
@@ -237,10 +237,13 @@ struct MetricsSnapshot {
 // Request-scoped tracing
 //===----------------------------------------------------------------------===//
 
-/// The span chain of one server request: recv -> admit -> queue-wait ->
-/// cache-probe -> parse -> alloc[per-pass] -> emit -> reply. Owned by the
-/// server, threaded through the compile pipeline via ExecOptions::ReqTrace.
-/// Phases may be appended from the reader thread and the worker thread at
+/// The span chain of one sampled server request, in absolute steady-clock
+/// time (obs::steadyNowNs). The server's loop adds the recv, admit,
+/// queue-wait, merged and reply intervals with addPhase(); the compile
+/// pipeline's ScopedSpans add cache-probe, l2-probe, parse, alloc (with
+/// lowerCalls, dce and allocateModule inside it) and emit when handed the
+/// trace through ExecOptions::ReqTrace, which no cache key includes.
+/// Phases may be appended from the loop thread and a worker thread at
 /// different times; a request is never in both at once, but the mutex
 /// keeps the container safe regardless.
 struct RequestTrace {
@@ -257,34 +260,13 @@ struct RequestTrace {
   std::vector<Phase> phases() const;
 
   /// Re-emit every phase into the global Chrome tracer (category
-  /// "request", names prefixed "req:"), converting absolute steady-clock
-  /// times to the tracer's epoch. No-op when the tracer is disabled.
+  /// "request", names prefixed "req:<id>:"). No-op when the tracer is
+  /// disabled.
   void emitToTracer() const;
 
 private:
   mutable std::mutex Mu;
   std::vector<Phase> Phases;
-};
-
-/// RAII phase: records [construction, destruction) into \p T when \p T is
-/// non-null; a null trace costs one branch.
-class RequestPhase {
-public:
-  RequestPhase(RequestTrace *T, const char *Name) : T(T), Name(Name) {
-    if (T)
-      StartNs = steadyNowNs();
-  }
-  RequestPhase(const RequestPhase &) = delete;
-  RequestPhase &operator=(const RequestPhase &) = delete;
-  ~RequestPhase() {
-    if (T)
-      T->addPhase(Name, StartNs, steadyNowNs() - StartNs);
-  }
-
-private:
-  RequestTrace *T;
-  const char *Name;
-  int64_t StartNs = 0;
 };
 
 /// Process-wide JSONL sink for completed request traces (`lsra serve

@@ -7,13 +7,29 @@
 #include "obs/Trace.h"
 
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <ostream>
 
 using namespace lsra;
 using namespace lsra::obs;
+
+int64_t obs::steadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void ScopedSpan::finish() {
+  int64_t DurNs = steadyNowNs() - StartNs;
+  if (RT)
+    RT->addPhase(Name_, StartNs, DurNs);
+  if (Tracing)
+    Tracer::global().complete(std::move(Name_), Cat_, StartNs, DurNs);
+}
 
 Tracer &Tracer::global() {
   static Tracer T;
@@ -23,19 +39,13 @@ Tracer &Tracer::global() {
 void Tracer::enable() {
   std::lock_guard<std::mutex> L(Mu);
   if (!EpochSet) {
-    Epoch = std::chrono::steady_clock::now();
+    EpochNs = steadyNowNs();
     EpochSet = true;
   }
   Enabled.store(true, std::memory_order_release);
 }
 
 void Tracer::disable() { Enabled.store(false, std::memory_order_release); }
-
-int64_t Tracer::nowNs() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - Epoch)
-      .count();
-}
 
 Tracer::ThreadBuf &Tracer::localBuf() {
   // One buffer per (thread, tracer generation). The cache is invalidated by
@@ -123,7 +133,7 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
         .field("ph", "X")
         .field("pid", 1)
         .field("tid", static_cast<uint64_t>(E.Tid))
-        .field("ts", static_cast<double>(E.StartNs) / 1000.0)
+        .field("ts", static_cast<double>(E.StartNs - EpochNs) / 1000.0)
         .field("dur", static_cast<double>(E.DurNs) / 1000.0);
     OS << "  " << O.str();
   }

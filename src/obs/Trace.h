@@ -17,9 +17,14 @@
 /// Each buffer carries a small dense tid assigned on first use; nesting is
 /// implied per-tid by timestamps, as the trace_event format specifies.
 ///
-/// Cost: when the tracer is disabled (the default), a ScopedSpan is one
-/// relaxed atomic load and no allocation — cheap enough to leave compiled
-/// into every pass. Enabling is explicit (CLI flag, bench, or test).
+/// A ScopedSpan given a RequestTrace (obs/Metrics.h) also records its
+/// interval there, so one span serves both the Chrome trace and a sampled
+/// server request's phase chain under one name.
+///
+/// Cost: when the tracer is disabled (the default) and no request trace is
+/// given, a ScopedSpan is one relaxed atomic load and no allocation — cheap
+/// enough to leave compiled into every pass. Enabling is explicit (CLI
+/// flag, bench, or test).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +32,6 @@
 #define LSRA_OBS_TRACE_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -38,7 +42,15 @@
 namespace lsra {
 namespace obs {
 
-/// One complete span, in nanoseconds since the tracer's epoch.
+struct RequestTrace;
+
+/// Absolute steady-clock (CLOCK_MONOTONIC) nanoseconds. Spans, request
+/// traces and the loadgen --record-out timestamps share this clock, so
+/// client and server views of one request are directly comparable on the
+/// same machine.
+int64_t steadyNowNs();
+
+/// One complete span, in absolute steady-clock nanoseconds.
 struct TraceEvent {
   std::string Name;
   const char *Cat; ///< static category string ("pass", "phase", ...)
@@ -65,10 +77,8 @@ public:
   void disable();
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
-  /// Nanoseconds since enable()'s epoch.
-  int64_t nowNs() const;
-
-  /// Record a complete span (called by ScopedSpan's destructor).
+  /// Record a complete span (called by ScopedSpan's destructor); \p StartNs
+  /// is absolute steady-clock time.
   void complete(std::string Name, const char *Cat, int64_t StartNs,
                 int64_t DurNs);
 
@@ -85,7 +95,8 @@ public:
   std::vector<SpanSummary> summarize() const;
 
   /// Emit the Chrome trace_event JSON document (load in chrome://tracing
-  /// or https://ui.perfetto.dev). Returns false if \p Path is unwritable.
+  /// or https://ui.perfetto.dev), timestamps relative to the epoch.
+  /// Returns false if \p Path is unwritable.
   void writeChromeJson(std::ostream &OS) const;
   bool writeChromeJson(const std::string &Path) const;
 
@@ -103,7 +114,7 @@ private:
   ThreadBuf &localBuf();
 
   std::atomic<bool> Enabled{false};
-  std::chrono::steady_clock::time_point Epoch{};
+  int64_t EpochNs = 0; ///< steadyNowNs() at the first enable()
   bool EpochSet = false;
 
   mutable std::mutex Mu; ///< guards Buffers
@@ -112,47 +123,48 @@ private:
   uint32_t NextTid = 0;
 };
 
-/// RAII span: records [construction, destruction) under \p Name when the
-/// global tracer is enabled, and costs one atomic load otherwise.
+/// RAII span over [construction, destruction). It reads the steady clock
+/// once at each end and reports the interval to the global tracer when that
+/// was enabled at construction, and to \p RT when one is given.
 class ScopedSpan {
 public:
-  explicit ScopedSpan(const char *Name, const char *Cat = "pass") {
-    Tracer &G = Tracer::global();
-    if (!G.enabled())
+  explicit ScopedSpan(const char *Name, const char *Cat = "pass",
+                      RequestTrace *RT = nullptr)
+      : Tracing(Tracer::global().enabled()), RT(RT), Cat_(Cat) {
+    if (!Tracing && !RT)
       return;
-    T = &G;
     Name_ = Name;
-    Cat_ = Cat;
-    StartNs = G.nowNs();
+    StartNs = steadyNowNs();
   }
 
   /// Dynamic-name form, e.g. ScopedSpan("alloc:", F.name(), "function").
   /// The concatenation happens only when tracing is enabled.
   ScopedSpan(const char *Prefix, const std::string &Suffix,
-             const char *Cat = "function") {
-    Tracer &G = Tracer::global();
-    if (!G.enabled())
+             const char *Cat = "function")
+      : Tracing(Tracer::global().enabled()), Cat_(Cat) {
+    if (!Tracing)
       return;
-    T = &G;
     Name_.reserve(std::char_traits<char>::length(Prefix) + Suffix.size());
     Name_ += Prefix;
     Name_ += Suffix;
-    Cat_ = Cat;
-    StartNs = G.nowNs();
+    StartNs = steadyNowNs();
   }
 
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   ~ScopedSpan() {
-    if (T)
-      T->complete(std::move(Name_), Cat_, StartNs, T->nowNs() - StartNs);
+    if (Tracing || RT)
+      finish();
   }
 
 private:
-  Tracer *T = nullptr;
+  void finish();
+
+  bool Tracing;
+  RequestTrace *RT = nullptr;
   std::string Name_;
-  const char *Cat_ = "";
+  const char *Cat_;
   int64_t StartNs = 0;
 };
 

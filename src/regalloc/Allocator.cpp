@@ -13,6 +13,7 @@
 #include "obs/Counters.h"
 #include "obs/DecisionLog.h"
 #include "obs/Log.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "passes/Peephole.h"
 #include "passes/SpillCleanup.h"
@@ -128,7 +129,8 @@ AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
   }
   if (CR.enabled()) {
     CR.counter("alloc.functions").add(1);
-    CR.distribution("alloc.time.function_s").sample(Stats.AllocSeconds);
+    CR.histogram("alloc.time.function_us")
+        .record(obs::secondsToUs(Stats.AllocSeconds));
   }
   LSRA_LOG(2, "alloc %s [%s]: candidates=%u spilled=%u static-spill=%u "
               "splits=%u",

@@ -22,21 +22,19 @@ Client Client::connectTcp(const std::string &Host, uint16_t Port,
   return C;
 }
 
-bool Client::compile(const CompileRequest &Req, CompileResponse &Out,
-                     std::string &Err, int TimeoutMs) {
+bool Client::roundTrip(FrameType Type, const std::string &Payload,
+                       FrameType &ReplyType, std::string &Reply,
+                       int TimeoutMs, std::string &Err) {
   uint32_t Id = NextId++;
-  std::string Payload = encodeCompileRequest(Req);
-  if (!Sock.sendFrame(Id, FrameType::CompileRequest, Payload, Err))
+  if (!Sock.sendFrame(Id, Type, Payload, Err))
     return false;
-  BytesSent += FrameHeaderBytes + Payload.size();
-
   while (true) {
     uint32_t GotId = 0;
-    FrameType Type;
-    std::string Resp;
-    Socket::RecvStatus St = Sock.recvFrame(GotId, Type, Resp, TimeoutMs, Err);
+    Socket::RecvStatus St =
+        Sock.recvFrame(GotId, ReplyType, Reply, TimeoutMs, Err);
     if (St == Socket::RecvStatus::Timeout) {
-      Err = "timed out waiting for response";
+      Err = std::string("timed out waiting for a reply to ") +
+            frameTypeName(Type);
       return false;
     }
     if (St == Socket::RecvStatus::Closed) {
@@ -45,64 +43,41 @@ bool Client::compile(const CompileRequest &Req, CompileResponse &Out,
     }
     if (St == Socket::RecvStatus::Error)
       return false;
-    BytesReceived += FrameHeaderBytes + Resp.size();
-    if (GotId != Id)
-      continue; // stale response from an abandoned request; skip
-    return decodeCompileResponse(Type, Resp, Out, Err);
+    if (GotId == Id)
+      return true;
   }
+}
+
+bool Client::compile(const CompileRequest &Req, CompileResponse &Out,
+                     std::string &Err, int TimeoutMs) {
+  FrameType Type;
+  std::string Reply;
+  return roundTrip(FrameType::CompileRequest, encodeCompileRequest(Req), Type,
+                   Reply, TimeoutMs, Err) &&
+         decodeCompileResponse(Type, Reply, Out, Err);
 }
 
 bool Client::stats(const std::string &Format, std::string &Out,
                    std::string &Err, int TimeoutMs) {
-  uint32_t Id = NextId++;
   StatsRequest Req;
   Req.Format = Format;
-  std::string Payload = encodeStatsRequest(Req);
-  if (!Sock.sendFrame(Id, FrameType::StatsRequest, Payload, Err))
+  FrameType Type;
+  std::string Reply;
+  if (!roundTrip(FrameType::StatsRequest, encodeStatsRequest(Req), Type,
+                 Reply, TimeoutMs, Err))
     return false;
-  BytesSent += FrameHeaderBytes + Payload.size();
-  while (true) {
-    uint32_t GotId = 0;
-    FrameType Type;
-    std::string Resp;
-    Socket::RecvStatus St = Sock.recvFrame(GotId, Type, Resp, TimeoutMs, Err);
-    if (St == Socket::RecvStatus::Timeout) {
-      Err = "timed out waiting for stats reply";
-      return false;
-    }
-    if (St == Socket::RecvStatus::Closed) {
-      Err = "server closed the connection";
-      return false;
-    }
-    if (St == Socket::RecvStatus::Error)
-      return false;
-    BytesReceived += FrameHeaderBytes + Resp.size();
-    if (GotId != Id)
-      continue;
-    if (Type != FrameType::StatsReply) {
-      Err = std::string("unexpected ") + frameTypeName(Type) +
-            " reply to stats request: " + Resp;
-      return false;
-    }
-    Out = std::move(Resp);
-    return true;
+  if (Type != FrameType::StatsReply) {
+    Err = std::string("unexpected ") + frameTypeName(Type) +
+          " reply to stats request: " + Reply;
+    return false;
   }
+  Out = std::move(Reply);
+  return true;
 }
 
 bool Client::ping(std::string &Err, int TimeoutMs) {
-  uint32_t Id = NextId++;
-  if (!Sock.sendFrame(Id, FrameType::Ping, "", Err))
-    return false;
-  BytesSent += FrameHeaderBytes;
-  uint32_t GotId = 0;
   FrameType Type;
-  std::string Resp;
-  Socket::RecvStatus St = Sock.recvFrame(GotId, Type, Resp, TimeoutMs, Err);
-  if (St != Socket::RecvStatus::Ok) {
-    if (Err.empty())
-      Err = "no pong";
-    return false;
-  }
-  BytesReceived += FrameHeaderBytes + Resp.size();
-  return Type == FrameType::Pong && GotId == Id;
+  std::string Reply;
+  return roundTrip(FrameType::Ping, "", Type, Reply, TimeoutMs, Err) &&
+         Type == FrameType::Pong;
 }

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// Blocking client for the compile server: connect once, then issue
-/// compile() / ping() calls. One outstanding request per Client at a time
-/// (the load generator runs one Client per connection-thread); the
-/// response is matched to the request by the echoed request id.
+/// compile() / ping() / stats() calls. One outstanding request per Client
+/// at a time; the response is matched to the request by the echoed
+/// request id. `lsra stats`/`top`, the load generator's liveness probe,
+/// the tests and lsrabench use it; the load generator itself drives
+/// non-blocking connections from an event loop (server/LoadGen.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,22 +51,17 @@ public:
   bool stats(const std::string &Format, std::string &Out, std::string &Err,
              int TimeoutMs = -1);
 
-  /// Seed the request-id sequence. The load generator gives each
-  /// connection a disjoint id range so per-request records from different
-  /// connections can be joined against the server's request log.
-  void setNextId(uint32_t Id) { NextId = Id; }
-
-  /// Bytes moved over this connection (headers included).
-  uint64_t bytesSent() const { return BytesSent; }
-  uint64_t bytesReceived() const { return BytesReceived; }
-
   void close() { Sock.close(); }
 
 private:
+  /// Send one frame and wait for the reply echoing its id, skipping
+  /// replies to earlier, abandoned requests.
+  bool roundTrip(FrameType Type, const std::string &Payload,
+                 FrameType &ReplyType, std::string &Reply, int TimeoutMs,
+                 std::string &Err);
+
   Socket Sock;
   uint32_t NextId = 1;
-  uint64_t BytesSent = 0;
-  uint64_t BytesReceived = 0;
 };
 
 } // namespace server

@@ -11,20 +11,17 @@
 #include "net/Connection.h"
 #include "net/EventLoop.h"
 #include "obs/Json.h"
+#include "obs/Trace.h"
 #include "regalloc/Allocator.h"
 #include "server/Client.h"
 #include "server/Socket.h"
-#include "support/Timer.h"
 #include "target/Target.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -46,12 +43,6 @@ double lsra::server::latencyPercentile(std::vector<double> SamplesMs,
 
 namespace {
 
-int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// One answered request, as the client saw it (--record-out).
 struct RequestRecord {
   uint32_t Id;
@@ -63,18 +54,6 @@ struct RequestRecord {
   uint64_t QueueUs; ///< server-reported admission wait
   double LatencyMs;
 };
-
-struct WorkerResult {
-  std::vector<double> LatenciesMs;
-  std::vector<RequestRecord> Records;
-  uint64_t Ok = 0, Rejected = 0, Deadline = 0, Errors = 0, Transport = 0;
-  uint64_t Sent = 0, BytesSent = 0, BytesReceived = 0, Cached = 0;
-  uint64_t Merged = 0, Protocol = 0, VerifyBad = 0;
-};
-
-/// Request-id base for thread-fleet connection \p T: disjoint million-wide
-/// ranges. (The pipelined engine numbers requests globally instead.)
-uint32_t requestIdBase(unsigned T) { return T * 1000000u + 1; }
 
 /// Render the request corpus: either the named workloads or K seeded
 /// random programs (repeated-mix mode).
@@ -113,102 +92,71 @@ bool buildCorpus(const LoadGenOptions &Opts, std::vector<std::string> &Corpus,
   return true;
 }
 
-void tallyResponse(const CompileResponse &Resp, WorkerResult &R) {
+/// --verify: the ground truth is the same pipeline the server runs,
+/// compiled in-process with the same request knobs.
+bool compileExpected(const LoadGenOptions &Opts,
+                     const std::vector<std::string> &Corpus,
+                     std::vector<std::string> &Expected, std::string &Err) {
+  AllocatorKind Kind;
+  if (!parseAllocatorName(Opts.Allocator, Kind)) {
+    Err = "unknown allocator '" + Opts.Allocator + "'";
+    return false;
+  }
+  TargetDesc TD = TargetDesc::alphaLike();
+  if (Opts.Regs)
+    TD = TD.withRegLimit(Opts.Regs, Opts.Regs);
+  for (const std::string &Text : Corpus) {
+    TextCompileResult TC =
+        compileTextModule(Text, TD, Kind, AllocOptions(), ExecOptions(),
+                          Opts.Run);
+    if (!TC.Ok) {
+      Err = "verify: offline compile failed: " + TC.Error;
+      return false;
+    }
+    Expected.push_back(TC.AllocatedText);
+  }
+  return true;
+}
+
+void tallyResponse(const CompileResponse &Resp, LoadGenReport &R) {
   switch (Resp.Status) {
   case FrameType::CompileOk:
     R.Ok++;
     if (Resp.Cached)
-      R.Cached++;
+      R.CachedResponses++;
     break;
   case FrameType::Rejected:
     R.Rejected++;
     break;
   case FrameType::DeadlineExceeded:
-    R.Deadline++;
+    R.DeadlineExceeded++;
     break;
   default:
     R.Errors++;
     break;
   }
   if (Resp.Merged)
-    R.Merged++;
-}
-
-/// Merge per-worker tallies, write --record-out, compute percentiles.
-void finalizeReport(const std::vector<WorkerResult> &Results,
-                    std::ofstream &RecordOS, double WallSeconds,
-                    LoadGenReport &Out) {
-  Out = LoadGenReport();
-  std::vector<double> All;
-  for (const WorkerResult &R : Results) {
-    Out.Sent += R.Sent;
-    Out.Ok += R.Ok;
-    Out.Rejected += R.Rejected;
-    Out.DeadlineExceeded += R.Deadline;
-    Out.Errors += R.Errors;
-    Out.TransportErrors += R.Transport;
-    Out.BytesSent += R.BytesSent;
-    Out.BytesReceived += R.BytesReceived;
-    Out.CachedResponses += R.Cached;
-    Out.MergedResponses += R.Merged;
-    Out.ProtocolErrors += R.Protocol;
-    Out.VerifyMismatches += R.VerifyBad;
-    All.insert(All.end(), R.LatenciesMs.begin(), R.LatenciesMs.end());
-  }
-  if (RecordOS.is_open()) {
-    for (const WorkerResult &R : Results)
-      for (const RequestRecord &Rec : R.Records) {
-        obs::JsonObject O;
-        O.field("kind", "client-request")
-            .field("id", static_cast<uint64_t>(Rec.Id))
-            .field("conn", Rec.Conn)
-            .field("send_ns", static_cast<uint64_t>(Rec.SendNs))
-            .field("recv_ns", static_cast<uint64_t>(Rec.RecvNs))
-            .field("status", Rec.Status)
-            .field("cached", Rec.Cached ? 1 : 0)
-            .field("merged", Rec.Merged ? 1 : 0)
-            .field("queue_us", Rec.QueueUs)
-            .field("latency_ms", Rec.LatencyMs);
-        RecordOS << O.str() << "\n";
-      }
-    RecordOS.close();
-  }
-  Out.WallSeconds = WallSeconds;
-  uint64_t Answered = All.size();
-  Out.Throughput =
-      WallSeconds > 0 ? static_cast<double>(Answered) / WallSeconds : 0;
-  if (!All.empty()) {
-    double Sum = 0, Max = 0;
-    for (double L : All) {
-      Sum += L;
-      Max = std::max(Max, L);
-    }
-    Out.MeanMs = Sum / static_cast<double>(All.size());
-    Out.MaxMs = Max;
-    Out.P50Ms = latencyPercentile(All, 50);
-    Out.P95Ms = latencyPercentile(All, 95);
-    Out.P99Ms = latencyPercentile(All, 99);
-  }
+    R.MergedResponses++;
 }
 
 //===----------------------------------------------------------------------===//
-// Pipelined engine
+// Load engine
 //===----------------------------------------------------------------------===//
 
 /// Event-driven load engine: Connections non-blocking sockets on one epoll
 /// loop, up to Window requests pipelined on each, matched to responses by
 /// globally-unique id. Single-threaded — the loop thread is the caller.
-class PipelinedEngine {
+class LoadEngine {
 public:
-  PipelinedEngine(const LoadGenOptions &Opts,
-                  const std::vector<std::string> &Corpus,
-                  const std::vector<std::string> *Expected, bool WantRecords)
-      : Opts(Opts), Corpus(Corpus), Expected(Expected),
-        WantRecords(WantRecords), Total(std::max(1u, Opts.Requests)),
-        Window(std::max(1u, Opts.Pipeline)),
+  LoadEngine(const LoadGenOptions &Opts, const std::vector<std::string> &Corpus,
+             const std::vector<std::string> *Expected, std::ofstream &RecordOS)
+      : Opts(Opts), Corpus(Corpus), Expected(Expected), RecordOS(RecordOS),
+        Total(std::max(1u, Opts.Requests)), Window(std::max(1u, Opts.Pipeline)),
         IntervalNs(Opts.Qps > 0 ? 1e9 / Opts.Qps : 0) {}
 
-  bool run(std::string &Err, WorkerResult &Out, double &WallSeconds);
+  /// Drive the whole run, then write --record-out (when open) and the
+  /// report.
+  bool run(std::string &Err, LoadGenReport &Out);
 
 private:
   struct Outstanding {
@@ -227,18 +175,21 @@ private:
   void onFrame(unsigned ConnIdx, FrameDecoder::Frame &F);
   void onClose(unsigned ConnIdx);
   void armWatchdog();
+  void finish(double WallSeconds);
 
   const LoadGenOptions &Opts;
   const std::vector<std::string> &Corpus;
   const std::vector<std::string> *Expected; ///< offline bytes (--verify)
-  bool WantRecords;
+  std::ofstream &RecordOS;                  ///< --record-out sink
   const unsigned Total, Window;
   const double IntervalNs;
 
   net::EventLoop Loop;
   std::vector<EngineConn> Conns;
   std::unordered_map<uint32_t, Outstanding> InFlight;
-  WorkerResult R;
+  LoadGenReport R;
+  std::vector<double> LatenciesMs;
+  std::vector<RequestRecord> Records;
   unsigned NextK = 0;     ///< next request index to send
   unsigned Cursor = 0;    ///< round-robin connection cursor
   unsigned Alive = 0;     ///< connections not yet dead
@@ -252,12 +203,11 @@ private:
   static constexpr int64_t WatchdogNs = 30'000'000'000;
 };
 
-bool PipelinedEngine::run(std::string &Err, WorkerResult &Out,
-                          double &WallSeconds) {
+bool LoadEngine::run(std::string &Err, LoadGenReport &Out) {
   raiseFdLimit(); // the client side needs one fd per connection too
   if (!Loop.init(Err))
     return false;
-  unsigned NConn = Opts.Connections;
+  unsigned NConn = std::max(1u, Opts.Connections);
   Conns.resize(NConn);
   for (unsigned I = 0; I < NConn; ++I) {
     Socket S;
@@ -292,19 +242,58 @@ bool PipelinedEngine::run(std::string &Err, WorkerResult &Out,
     ++Alive;
   }
 
-  StartNs = nowNs();
+  StartNs = obs::steadyNowNs();
   pump();
   armWatchdog();
   Loop.run();
-  WallSeconds = static_cast<double>(nowNs() - StartNs) / 1e9;
+  double WallSeconds = static_cast<double>(obs::steadyNowNs() - StartNs) / 1e9;
   // Anything still unanswered at exit (watchdog abort) was lost in flight.
-  R.Transport += InFlight.size();
+  R.TransportErrors += InFlight.size();
   InFlight.clear();
-  Out = std::move(R);
+  finish(WallSeconds);
+  Out = R;
   return true;
 }
 
-void PipelinedEngine::armWatchdog() {
+/// Write --record-out and fill in the wall time, throughput and latency
+/// summary.
+void LoadEngine::finish(double WallSeconds) {
+  if (RecordOS.is_open()) {
+    for (const RequestRecord &Rec : Records) {
+      obs::JsonObject O;
+      O.field("kind", "client-request")
+          .field("id", static_cast<uint64_t>(Rec.Id))
+          .field("conn", Rec.Conn)
+          .field("send_ns", static_cast<uint64_t>(Rec.SendNs))
+          .field("recv_ns", static_cast<uint64_t>(Rec.RecvNs))
+          .field("status", Rec.Status)
+          .field("cached", Rec.Cached ? 1 : 0)
+          .field("merged", Rec.Merged ? 1 : 0)
+          .field("queue_us", Rec.QueueUs)
+          .field("latency_ms", Rec.LatencyMs);
+      RecordOS << O.str() << "\n";
+    }
+    RecordOS.close();
+  }
+  R.WallSeconds = WallSeconds;
+  R.Throughput = WallSeconds > 0
+                       ? static_cast<double>(LatenciesMs.size()) / WallSeconds
+                       : 0;
+  if (!LatenciesMs.empty()) {
+    double Sum = 0, Max = 0;
+    for (double L : LatenciesMs) {
+      Sum += L;
+      Max = std::max(Max, L);
+    }
+    R.MeanMs = Sum / static_cast<double>(LatenciesMs.size());
+    R.MaxMs = Max;
+    R.P50Ms = latencyPercentile(LatenciesMs, 50);
+    R.P95Ms = latencyPercentile(LatenciesMs, 95);
+    R.P99Ms = latencyPercentile(LatenciesMs, 99);
+  }
+}
+
+void LoadEngine::armWatchdog() {
   Loop.addTimerAtNs(net::EventLoop::nowNs() + WatchdogNs, [this] {
     if (Answered == WatchdogMark) {
       Loop.stop(); // wedged: no response for a whole watchdog period
@@ -315,9 +304,9 @@ void PipelinedEngine::armWatchdog() {
   });
 }
 
-void PipelinedEngine::pump() {
+void LoadEngine::pump() {
   while (NextK < Total && Alive > 0) {
-    int64_t Now = nowNs();
+    int64_t Now = obs::steadyNowNs();
     int64_t Sched = Now;
     if (IntervalNs > 0) {
       // Open loop: the next request launches at its global schedule slot,
@@ -368,17 +357,17 @@ void PipelinedEngine::pump() {
     Loop.stop();
 }
 
-void PipelinedEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
+void LoadEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
   if (!F.Err.empty()) {
     // Stream desync / version mismatch: protocol error; the connection
     // closes itself and onClose() re-accounts whatever was in flight.
-    R.Protocol++;
+    R.ProtocolErrors++;
     return;
   }
   R.BytesReceived += FrameHeaderBytes + F.Payload.size();
   auto It = InFlight.find(F.RequestId);
   if (It == InFlight.end()) {
-    R.Protocol++; // response id we never sent (or answered twice)
+    R.ProtocolErrors++; // response id we never sent (or answered twice)
     return;
   }
   Outstanding O = It->second;
@@ -386,45 +375,46 @@ void PipelinedEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
   if (Conns[O.ConnIdx].InFlight)
     Conns[O.ConnIdx].InFlight--;
   if (O.ConnIdx != ConnIdx)
-    R.Protocol++; // response surfaced on the wrong connection
+    R.ProtocolErrors++; // response surfaced on the wrong connection
   Answered++;
 
   CompileResponse Resp;
   std::string DErr;
   if (!decodeCompileResponse(F.Type, F.Payload, Resp, DErr)) {
-    R.Protocol++;
+    R.ProtocolErrors++;
     R.Errors++;
   } else {
     tallyResponse(Resp, R);
     if (Expected && Resp.Status == FrameType::CompileOk &&
         Resp.IRText != (*Expected)[O.CorpusIdx])
-      R.VerifyBad++;
+      R.VerifyMismatches++;
   }
-  int64_t RecvNs = nowNs();
+  int64_t RecvNs = obs::steadyNowNs();
   double LatMs = static_cast<double>(RecvNs - O.ScheduledNs) / 1e6;
-  R.LatenciesMs.push_back(LatMs);
-  if (WantRecords)
-    R.Records.push_back({F.RequestId, O.ConnIdx, O.SendNs, RecvNs,
-                         frameTypeName(Resp.Status), Resp.Cached, Resp.Merged,
-                         Resp.QueueUs, LatMs});
+  LatenciesMs.push_back(LatMs);
+  if (RecordOS.is_open())
+    Records.push_back({F.RequestId, O.ConnIdx, O.SendNs, RecvNs,
+                       frameTypeName(Resp.Status), Resp.Cached, Resp.Merged,
+                       Resp.QueueUs, LatMs});
   pump();
 }
 
-void PipelinedEngine::onClose(unsigned ConnIdx) {
+void LoadEngine::onClose(unsigned ConnIdx) {
   EngineConn &EC = Conns[ConnIdx];
   if (EC.Dead)
     return;
   EC.Dead = true;
   EC.InFlight = 0;
   --Alive;
-  // Whatever this connection still had in flight is lost.
+  // Whatever this connection still had in flight is lost; the connection
+  // is not reopened.
   std::vector<uint32_t> Lost;
   for (const auto &KV : InFlight)
     if (KV.second.ConnIdx == ConnIdx)
       Lost.push_back(KV.first);
   for (uint32_t Id : Lost)
     InFlight.erase(Id);
-  R.Transport += Lost.size();
+  R.TransportErrors += Lost.size();
   if (Alive == 0) {
     Loop.stop();
     return;
@@ -453,7 +443,7 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
     }
   }
 
-  // Probe the server once before spawning the fleet.
+  // Probe the server once before opening the connections.
   {
     Client Probe = Opts.UnixPath.empty()
                        ? Client::connectTcp(Opts.Host, Opts.Port, Err)
@@ -462,120 +452,12 @@ bool lsra::server::runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
       return false;
   }
 
-  if (Opts.Connections > 0) {
-    // --verify: the ground truth is the same pipeline the server runs,
-    // compiled in-process with the same request knobs.
-    std::vector<std::string> Expected;
-    if (Opts.Verify) {
-      AllocatorKind Kind;
-      if (!parseAllocatorName(Opts.Allocator, Kind)) {
-        Err = "unknown allocator '" + Opts.Allocator + "'";
-        return false;
-      }
-      TargetDesc TD = TargetDesc::alphaLike();
-      if (Opts.Regs)
-        TD = TD.withRegLimit(Opts.Regs, Opts.Regs);
-      AllocOptions AO;
-      ExecOptions EO;
-      for (const std::string &Text : Corpus) {
-        TextCompileResult TC =
-            compileTextModule(Text, TD, Kind, AO, EO, Opts.Run);
-        if (!TC.Ok) {
-          Err = "verify: offline compile failed: " + TC.Error;
-          return false;
-        }
-        Expected.push_back(TC.AllocatedText);
-      }
-    }
-    PipelinedEngine Engine(Opts, Corpus, Opts.Verify ? &Expected : nullptr,
-                           RecordOS.is_open());
-    std::vector<WorkerResult> Results(1);
-    double Wall = 0;
-    if (!Engine.run(Err, Results[0], Wall))
-      return false;
-    finalizeReport(Results, RecordOS, Wall, Out);
-    return true;
-  }
-
-  unsigned Threads = std::max(1u, Opts.Concurrency);
-  unsigned Total = std::max(1u, Opts.Requests);
-
-  std::atomic<unsigned> NextReq{0};
-  std::vector<WorkerResult> Results(Threads);
-  std::vector<std::thread> Fleet;
-  int64_t StartNs = nowNs();
-  double IntervalNs = Opts.Qps > 0 ? 1e9 / Opts.Qps : 0;
-
-  for (unsigned T = 0; T < Threads; ++T)
-    Fleet.emplace_back([&, T] {
-      WorkerResult &R = Results[T];
-      std::string CErr;
-      Client C = Opts.UnixPath.empty()
-                     ? Client::connectTcp(Opts.Host, Opts.Port, CErr)
-                     : Client::connectUnix(Opts.UnixPath, CErr);
-      if (!C.valid()) {
-        R.Transport++;
-        return;
-      }
-      while (true) {
-        unsigned K = NextReq.fetch_add(1, std::memory_order_relaxed);
-        if (K >= Total)
-          break;
-        // Open loop: wait for this request's scheduled slot, then charge
-        // latency from the slot, not from the actual send.
-        int64_t ScheduledNs = StartNs;
-        if (IntervalNs > 0) {
-          ScheduledNs =
-              StartNs + static_cast<int64_t>(IntervalNs * double(K));
-          int64_t Wait = ScheduledNs - nowNs();
-          if (Wait > 0)
-            std::this_thread::sleep_for(std::chrono::nanoseconds(Wait));
-        } else {
-          ScheduledNs = nowNs();
-        }
-
-        CompileRequest Req;
-        Req.Allocator = Opts.Allocator;
-            Req.Regs = Opts.Regs;
-        Req.Run = Opts.Run;
-        Req.DeadlineMs = Opts.DeadlineMs;
-        Req.NoCache = Opts.NoCache;
-        Req.IRText = Corpus[K % Corpus.size()];
-        CompileResponse Resp;
-        // Re-seed the id before every request (not just once at connect)
-        // so the Conn-disjoint numbering survives reconnects.
-        uint32_t MyId = requestIdBase(T) + static_cast<uint32_t>(R.Sent);
-        C.setNextId(MyId);
-        R.Sent++;
-        int64_t SendNs = nowNs();
-        if (!C.compile(Req, Resp, CErr)) {
-          R.Transport++;
-          // Transport loss kills this connection; reconnect for the rest.
-          C = Opts.UnixPath.empty()
-                  ? Client::connectTcp(Opts.Host, Opts.Port, CErr)
-                  : Client::connectUnix(Opts.UnixPath, CErr);
-          if (!C.valid())
-            break;
-          continue;
-        }
-        int64_t RecvNs = nowNs();
-        double LatMs = static_cast<double>(RecvNs - ScheduledNs) / 1e6;
-        R.LatenciesMs.push_back(LatMs);
-        if (RecordOS.is_open())
-          R.Records.push_back({MyId, T, SendNs, RecvNs,
-                               frameTypeName(Resp.Status), Resp.Cached,
-                               Resp.Merged, Resp.QueueUs, LatMs});
-        tallyResponse(Resp, R);
-      }
-      R.BytesSent = C.bytesSent();
-      R.BytesReceived = C.bytesReceived();
-    });
-
-  for (std::thread &T : Fleet)
-    T.join();
-  double Wall = static_cast<double>(nowNs() - StartNs) / 1e9;
-  finalizeReport(Results, RecordOS, Wall, Out);
-  return true;
+  std::vector<std::string> Expected;
+  if (Opts.Verify && !compileExpected(Opts, Corpus, Expected, Err))
+    return false;
+  LoadEngine Engine(Opts, Corpus, Opts.Verify ? &Expected : nullptr,
+                    RecordOS);
+  return Engine.run(Err, Out);
 }
 
 std::string lsra::server::loadGenReportJson(const LoadGenOptions &Opts,
@@ -590,9 +472,8 @@ std::string lsra::server::loadGenReportJson(const LoadGenOptions &Opts,
   O.field("kind", "loadgen");
   O.field("workloads", Workloads);
   O.field("allocator", Opts.Allocator);
-  O.field("concurrency", Opts.Concurrency);
   O.field("connections", Opts.Connections);
-  O.field("pipeline", Opts.Connections ? Opts.Pipeline : 0);
+  O.field("pipeline", Opts.Pipeline);
   O.field("requests", Opts.Requests);
   O.field("unique_programs", Opts.UniquePrograms);
   O.field("no_cache", Opts.NoCache ? 1 : 0);

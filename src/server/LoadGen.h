@@ -6,29 +6,27 @@
 ///
 /// \file
 /// Replays the src/workloads corpus against a compile server and reports
-/// throughput and latency percentiles. Two load models:
+/// throughput and latency percentiles. One epoll event loop drives
+/// Connections non-blocking connections with up to Pipeline requests in
+/// flight on each, so a single loadgen process can hold tens of thousands
+/// of connections against the server's event loop. Two load models:
 ///
 ///   - closed loop (Qps == 0): every connection keeps its pipeline full —
-///     measures capacity;
+///     measures capacity; Pipeline == 1 is the classic one-request-at-a-
+///     time client;
 ///   - open loop (Qps > 0): requests are launched on a global schedule of
 ///     one every 1/Qps seconds regardless of completions, and latency is
 ///     measured from the *scheduled* send time, so queueing delay under
 ///     overload is charged to the server, not hidden by client
 ///     self-throttling (the coordinated-omission correction).
 ///
-/// And two engines:
-///
-///   - thread fleet (Connections == 0): Concurrency threads, one blocking
-///     connection each, one request outstanding per connection — the
-///     classic synchronous client;
-///   - pipelined (Connections > 0): one epoll event loop drives that many
-///     connections with up to Pipeline requests in flight on each, so a
-///     single loadgen process can hold tens of thousands of connections
-///     against the server's event loop. Responses arrive out of order and
-///     are matched by globally-unique request id; any frame that cannot be
-///     matched or decoded counts as a protocol error. --verify
-///     additionally compiles the corpus offline and byte-compares every
-///     CompileOk payload against the offline result.
+/// Responses may arrive out of order and are matched by globally-unique
+/// request id; any frame that cannot be matched or decoded counts as a
+/// protocol error. A connection the server closes is not reopened: its
+/// in-flight requests count as transport errors and the rest of the run
+/// goes to the other connections. --verify additionally compiles the
+/// corpus offline and byte-compares every CompileOk payload against the
+/// offline result.
 ///
 /// Per-request latencies are kept raw and percentiles computed by sorting,
 /// not from a histogram, so p99 on small runs is exact.
@@ -63,17 +61,15 @@ struct LoadGenOptions {
   unsigned UniquePrograms = 0;
   uint64_t MixSeed = 1; ///< base seed for the repeated-mix programs
 
-  unsigned Concurrency = 4; ///< thread-fleet engine: connections = threads
-  unsigned Requests = 64;   ///< total requests to send
-  double Qps = 0;           ///< open-loop arrival rate (0 = closed loop)
+  unsigned Requests = 64; ///< total requests to send
+  double Qps = 0;         ///< open-loop arrival rate (0 = closed loop)
 
-  /// Pipelined engine: when non-zero, drive this many connections from one
-  /// event loop instead of the Concurrency thread fleet.
-  unsigned Connections = 0;
-  /// Maximum requests in flight per connection (pipelined engine only).
-  unsigned Pipeline = 8;
+  /// Connections driven from the one event loop.
+  unsigned Connections = 4;
+  /// Maximum requests in flight per connection.
+  unsigned Pipeline = 1;
   /// Compile the corpus offline first and byte-compare every CompileOk
-  /// response's IR text against the offline result (pipelined engine only).
+  /// response's IR text against the offline result.
   bool Verify = false;
 
   // Per-request knobs, forwarded verbatim.
@@ -86,8 +82,8 @@ struct LoadGenOptions {
   /// When non-empty, write one JSONL record per answered request (id,
   /// connection, send/recv steady-clock timestamps, status, and the
   /// server-reported queue_us) so the client's view joins against the
-  /// server's --request-log by request id. Each connection uses a disjoint
-  /// id range (conn * 1e6 + seq) to keep ids unique across connections.
+  /// server's --request-log by request id. Ids number the requests 1..N
+  /// across all connections, so they are unique within a run.
   std::string RecordOut;
 };
 
@@ -110,8 +106,8 @@ struct LoadGenReport {
 };
 
 /// Run the load test. False (with \p Err) only for setup failures
-/// (unknown workload, no connection); per-request failures are counted in
-/// the report instead.
+/// (unknown workload or allocator, no connection, failed --verify compile);
+/// per-request failures are counted in the report instead.
 bool runLoadGen(const LoadGenOptions &Opts, LoadGenReport &Out,
                 std::string &Err);
 

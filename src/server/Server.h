@@ -124,10 +124,12 @@ struct ServerOptions {
   std::string L2Path;
   size_t L2Bytes = 256u << 20; ///< segment budget when creating L2Path
 
-  /// Request-trace sampling: every Nth admitted compile request gets a
-  /// full recv→admit→queue-wait→cache-probe→parse→alloc→emit→reply span
-  /// chain (merged waiters get recv→admit→merged→reply; 0 = tracing off,
-  /// 1 = every request). Sampled traces go to the Chrome tracer (when
+  /// Request-trace sampling: every Nth admitted compile request gets an
+  /// obs::RequestTrace (0 = tracing off, 1 = every request). The loop adds
+  /// recv, admit, queue-wait and reply; the compile pipeline's spans add
+  /// cache-probe, l2-probe, parse, alloc (lowerCalls, dce, allocateModule)
+  /// and emit under their span names. Merged waiters get
+  /// recv→admit→merged→reply. Sampled traces go to the Chrome tracer (when
   /// enabled) and the request log (when open).
   unsigned SampleEvery = 0;
 

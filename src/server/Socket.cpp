@@ -124,11 +124,6 @@ void Socket::close() {
   }
 }
 
-void Socket::shutdownBoth() {
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-}
-
 bool Socket::setNonBlocking(bool On, std::string &Err) {
   int Flags = ::fcntl(Fd, F_GETFL, 0);
   if (Flags < 0) {
@@ -340,17 +335,6 @@ Listener Listener::listenTcp(uint16_t Port, std::string &Err) {
     L.Port = ntohs(Addr.sin_port);
   L.Fd = Fd;
   return L;
-}
-
-Socket Listener::accept(int TimeoutMs) {
-  if (Fd < 0)
-    return Socket();
-  if (pollIn(Fd, TimeoutMs) != 1)
-    return Socket();
-  int CFd = ::accept(Fd, nullptr, nullptr);
-  if (CFd < 0)
-    return Socket();
-  return Socket(CFd);
 }
 
 Socket Listener::acceptNow() {

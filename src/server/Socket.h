@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Thin RAII layer over POSIX stream sockets plus whole-frame send/recv in
-/// the server/Protocol.h framing. Two transports: unix-domain sockets (the
-/// default — no port allocation, filesystem permissions) and loopback/LAN
-/// TCP. Receives poll() with a timeout before the first header byte so
-/// server threads can interleave blocking reads with shutdown checks; once
-/// a frame has started arriving it is read to completion.
+/// Thin RAII layer over POSIX stream sockets. Two transports: unix-domain
+/// sockets (the default — no port allocation, filesystem permissions) and
+/// loopback/LAN TCP. The server and the load generator hand their fds to
+/// an event loop (net/Connection.h) through release() and acceptNow().
+/// The blocking whole-frame sendFrame()/recvFrame() pair in the
+/// server/Protocol.h framing serves the synchronous Client, the tests and
+/// lsrabench: a receive polls with a timeout before the first header byte,
+/// and once a frame has started arriving it is read to completion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,9 +68,6 @@ public:
   RecvStatus recvFrame(uint32_t &RequestId, FrameType &Type,
                        std::string &Payload, int TimeoutMs, std::string &Err);
 
-  /// Force-wake any thread blocked on this socket (shutdown(2) RDWR).
-  void shutdownBoth();
-
   /// Switch O_NONBLOCK on or off (event-loop connections run non-blocking;
   /// the synchronous Client keeps the default blocking mode).
   bool setNonBlocking(bool On, std::string &Err);
@@ -113,13 +112,9 @@ public:
   uint16_t port() const { return Port; }
   const std::string &unixPath() const { return Path; }
 
-  /// Accept one connection, waiting at most \p TimeoutMs (< 0 = forever).
-  /// Returns an invalid Socket on timeout or close().
-  Socket accept(int TimeoutMs);
-
   /// Non-blocking accept for event-loop use: returns an invalid Socket
   /// immediately when no connection is pending (the loop's readiness
-  /// notification replaces the poll). The accepted fd is already in
+  /// notification says when to call). The accepted fd is already in
   /// non-blocking close-on-exec mode.
   Socket acceptNow();
 

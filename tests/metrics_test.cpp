@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -374,8 +375,8 @@ TEST(RequestTrace, PhasesAccumulate) {
   T.RequestId = 9;
   T.ArrivalNs = 1000;
   T.addPhase("recv", 1000, 0);
-  { RequestPhase P(&T, "parse"); }
-  { RequestPhase Null(nullptr, "ignored"); } // null trace: one branch, no-op
+  { ScopedSpan P("parse", "pass", &T); }
+  { ScopedSpan Null("ignored", "pass"); } // no tracer, no trace: no-op
   std::vector<RequestTrace::Phase> Ps = T.phases();
   ASSERT_EQ(Ps.size(), 2u);
   EXPECT_EQ(Ps[0].Name, "recv");

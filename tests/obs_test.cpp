@@ -12,6 +12,7 @@
 #include "driver/Pipeline.h"
 #include "obs/Counters.h"
 #include "obs/DecisionLog.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "workloads/SyntheticModule.h"
 
@@ -320,9 +321,34 @@ TEST_F(ObsTest, ChromeTraceJsonParses) {
     ASSERT_NE(E.get("name"), nullptr);
     ASSERT_NE(E.get("ts"), nullptr);
     EXPECT_EQ(E.get("ts")->K, JsonValue::Number);
+    EXPECT_GE(E.get("ts")->Num, 0.0); // relative to the tracer's epoch
     ASSERT_NE(E.get("dur"), nullptr);
     EXPECT_GE(E.get("dur")->Num, 0.0);
     ASSERT_NE(E.get("tid"), nullptr);
+  }
+}
+
+// One span, two sinks: the Chrome tracer and a request trace see the same
+// interval (one clock read at each end), and re-emitting the request trace
+// into the tracer keeps its absolute times.
+TEST_F(ObsTest, SpanFeedsTracerAndRequestTraceOneInterval) {
+  obs::Tracer &T = obs::Tracer::global();
+  obs::RequestTrace RT;
+  RT.RequestId = 7;
+  T.enable();
+  { obs::ScopedSpan S("parse", "pass", &RT); }
+  std::vector<obs::RequestTrace::Phase> Phases = RT.phases();
+  RT.emitToTracer();
+  T.disable();
+
+  ASSERT_EQ(Phases.size(), 1u);
+  EXPECT_EQ(Phases[0].Name, "parse");
+  std::vector<obs::TraceEvent> Events = T.snapshot();
+  ASSERT_EQ(Events.size(), 2u);
+  for (const obs::TraceEvent &E : Events) {
+    EXPECT_TRUE(E.Name == "parse" || E.Name == "req:7:parse") << E.Name;
+    EXPECT_EQ(E.StartNs, Phases[0].StartNs) << E.Name;
+    EXPECT_EQ(E.DurNs, Phases[0].DurNs) << E.Name;
   }
 }
 
@@ -372,7 +398,7 @@ TEST_F(ObsTest, StatsJsonlLinesParse) {
     ASSERT_TRUE(parseJson(Line, V)) << Line;
     const JsonValue *Kind = V.get("kind");
     ASSERT_NE(Kind, nullptr) << Line;
-    EXPECT_TRUE(Kind->Str == "counter" || Kind->Str == "dist") << Line;
+    EXPECT_TRUE(Kind->Str == "counter" || Kind->Str == "hist") << Line;
     const JsonValue *Name = V.get("name");
     ASSERT_NE(Name, nullptr) << Line;
     EXPECT_GE(Name->Str, PrevName) << "lines must be sorted by name";
@@ -380,10 +406,17 @@ TEST_F(ObsTest, StatsJsonlLinesParse) {
     if (Kind->Str == "counter")
       ASSERT_NE(V.get("value"), nullptr) << Line;
     else
-      ASSERT_NE(V.get("mean"), nullptr) << Line;
+      ASSERT_NE(V.get("p99"), nullptr) << Line;
     ++N;
   }
   EXPECT_GT(N, 5u);
+  // The timing samples are histograms whose names carry the unit.
+  for (const char *H :
+       {"alloc.time.cpu_us", "alloc.time.function_us", "alloc.time.wall_us"})
+    EXPECT_NE(OS.str().find("{\"kind\": \"hist\", \"name\": \"" +
+                            std::string(H) + "\""),
+              std::string::npos)
+        << H;
 }
 
 TEST_F(ObsTest, DisabledRegistryCostsNothing) {

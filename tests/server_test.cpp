@@ -721,7 +721,7 @@ TEST(LoadGen, ClosedAndOpenLoop) {
   LoadGenOptions LO;
   LO.UnixPath = SO.UnixPath;
   LO.Workloads = {"eqntott", "wc"};
-  LO.Concurrency = 4;
+  LO.Connections = 4;
   LO.Requests = 16;
   LoadGenReport R;
   ASSERT_TRUE(runLoadGen(LO, R, Err)) << Err;
@@ -732,6 +732,30 @@ TEST(LoadGen, ClosedAndOpenLoop) {
   LO.Qps = 500; // open loop
   ASSERT_TRUE(runLoadGen(LO, R, Err)) << Err;
   EXPECT_EQ(R.Ok, 16u);
+  S.shutdown();
+}
+
+// --verify holds for a run with the default engine options: the offline
+// ground truth is compiled before any request is sent, so an allocator the
+// offline pipeline cannot name is a setup failure, not a run that compares
+// nothing and reports zero mismatches.
+TEST(LoadGen, VerifyWithDefaultOptionsRejectsUnknownAllocator) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("lg-verify");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  LoadGenOptions LO;
+  LO.UnixPath = SO.UnixPath;
+  LO.Workloads = {"eqntott"};
+  LO.Requests = 4;
+  LO.Verify = true;
+  LO.Allocator = "nosuch";
+  LoadGenReport R;
+  EXPECT_FALSE(runLoadGen(LO, R, Err));
+  EXPECT_NE(Err.find("unknown allocator"), std::string::npos) << Err;
   S.shutdown();
 }
 
@@ -895,7 +919,7 @@ TEST(LoadGen, RecordOutWritesJoinableJsonl) {
   LoadGenOptions LO;
   LO.UnixPath = SO.UnixPath;
   LO.Workloads = {"eqntott", "wc"};
-  LO.Concurrency = 2;
+  LO.Connections = 2;
   LO.Requests = 8;
   LO.RecordOut = Path;
   LoadGenReport R;
@@ -922,7 +946,7 @@ TEST(LoadGen, RecordOutWritesJoinableJsonl) {
     Ids.insert(std::strtoull(Line.c_str() + P + 6, nullptr, 10));
   }
   EXPECT_EQ(Lines, 8u);
-  EXPECT_EQ(Ids.size(), 8u); // ids unique across client threads
+  EXPECT_EQ(Ids.size(), 8u); // ids unique across connections
   std::remove(Path.c_str());
 }
 

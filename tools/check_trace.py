@@ -10,7 +10,7 @@ violation:
                        spans properly nested per tid.
   --stats s.jsonl      Counter snapshot: one JSON object per line; an
                        optional leading {"kind": "meta"} line, then
-                       counter/dist/hist/gauge lines sorted by name.
+                       counter/hist/gauge lines sorted by name.
   --decisions d.jsonl  Decision log: {"kind": "decision"} lines with a
                        known event name and a 0/1 split flag.
   --server-stats s.jsonl
@@ -181,8 +181,8 @@ def check_stats(path):
             if lineno != 1:
                 fail(f"{where}: meta line must come first")
             continue
-        if kind not in ("counter", "dist", "hist", "gauge"):
-            fail(f"{where}: kind must be meta/counter/dist/hist/gauge, "
+        if kind not in ("counter", "hist", "gauge"):
+            fail(f"{where}: kind must be meta/counter/hist/gauge, "
                  f"got {kind!r}")
             continue
         name = obj.get("name")
@@ -198,19 +198,15 @@ def check_stats(path):
         elif kind == "gauge":
             if not isinstance(obj.get("value"), int):
                 fail(f"{where}: gauge 'value' must be an integer")
-        elif kind == "hist":
+        else:
             for key in ("count", "sum", "min", "max", "p50", "p95", "p99"):
                 if not isinstance(obj.get(key), (int, float)):
                     fail(f"{where}: hist '{key}' must be a number")
-        else:
-            for key in ("count", "sum", "min", "max", "mean"):
-                if not isinstance(obj.get(key), (int, float)):
-                    fail(f"{where}: dist '{key}' must be a number")
         n += 1
     if n == 0:
-        fail(f"{path}: no counter/dist/hist/gauge lines")
+        fail(f"{path}: no counter/hist/gauge lines")
     else:
-        print(f"{path}: {n} counter/dist/hist/gauge lines: OK")
+        print(f"{path}: {n} counter/hist/gauge lines: OK")
 
 
 def check_decisions(path):
@@ -621,7 +617,7 @@ def check_records(path):
 REQUEST_PHASES = {
     "recv", "admit", "queue-wait", "merged", "cache-probe", "l2-probe",
     "parse",
-    "alloc", "alloc:lower", "alloc:dce", "alloc:regalloc",
+    "alloc", "lowerCalls", "dce", "allocateModule",
     "emit", "reply",
 }
 

@@ -105,14 +105,13 @@ int usage() {
                "options for loadgen:\n"
                "  --socket=PATH | --port=N      server address\n"
                "  --workloads=a,b,c  corpus to replay (default all)\n"
-               "  --concurrency=N    client connections (default 4)\n"
                "  --requests=N       total requests (default 64)\n"
                "  --qps=R            open-loop arrival rate (0 = closed "
                "loop)\n"
-               "  --connections=N    pipelined engine: drive N connections\n"
-               "                     from one event loop (0 = thread fleet)\n"
+               "  --connections=N    client connections, all driven from\n"
+               "                     one event loop (default 4)\n"
                "  --pipeline=D       max in-flight requests per connection\n"
-               "                     (pipelined engine; default 8)\n"
+               "                     (default 1)\n"
                "  --verify           byte-compare responses against offline\n"
                "                     compiles of the same corpus\n"
                "  --allocator=K --regs=N --run --deadline-ms=N  per-request\n"
@@ -635,9 +634,6 @@ int cmdLoadgen(int Argc, char **Argv) {
       while (std::getline(SS, W, ','))
         if (!W.empty())
           LO.Workloads.push_back(W);
-    } else if (A.rfind("--concurrency=", 0) == 0) {
-      LO.Concurrency =
-          static_cast<unsigned>(std::strtoul(A.c_str() + 14, nullptr, 10));
     } else if (A.rfind("--requests=", 0) == 0) {
       LO.Requests =
           static_cast<unsigned>(std::strtoul(A.c_str() + 11, nullptr, 10));

@@ -31,7 +31,7 @@ execute_process(
     done
     # Cold pass on server A: every workload compiled once, published to
     # the shared segment by A's publish agent.
-    '${LSRA_TOOL}' loadgen --socket='${SOCK_A}' --concurrency=2 \
+    '${LSRA_TOOL}' loadgen --socket='${SOCK_A}' --connections=2 --pipeline=1 \
         --requests=8 --workloads=eqntott,espresso,sort,wc --verify
     rc=\$?
     [ \$rc -eq 0 ] || { echo \"cold loadgen failed (rc=\$rc)\" >&2; exit 1; }
@@ -40,7 +40,7 @@ execute_process(
     # Warm pass on server B: a fresh process-local L1, so any cache hit
     # here can only come from the shared segment. --verify keeps every
     # response byte-compared against an offline compile.
-    out=\$('${LSRA_TOOL}' loadgen --socket='${SOCK_B}' --concurrency=2 \
+    out=\$('${LSRA_TOOL}' loadgen --socket='${SOCK_B}' --connections=2 --pipeline=1 \
         --requests=8 --workloads=eqntott,espresso,sort,wc --verify)
     wrc=\$?
     echo \"\$out\"

@@ -1,8 +1,9 @@
 # Test driver: end-to-end serving smoke test. Starts `lsra serve` on a
 # unix socket, replays part of the workloads corpus against it with
-# `lsra loadgen` (4 concurrent clients), stops the server with SIGTERM to
-# exercise the graceful drain, and validates the emitted server.* counter
-# snapshot with check_trace.py --server-stats. Invoked by ctest as
+# `lsra loadgen` (4 connections, one request in flight on each), stops the
+# server with SIGTERM to exercise the graceful drain, and validates the
+# emitted server.* counter snapshot with check_trace.py --server-stats.
+# Invoked by ctest as
 #   cmake -DLSRA_TOOL=... -DPYTHON=... -DCHECKER=... -DOUT_DIR=... -P this
 set(SOCK "${OUT_DIR}/check_serve.sock")
 set(STATS "${OUT_DIR}/check_serve.stats.jsonl")
@@ -23,12 +24,12 @@ execute_process(
       [ \$i -gt 300 ] && { echo 'server never bound socket' >&2; exit 1; }
       sleep 0.1
     done
-    '${LSRA_TOOL}' loadgen --socket='${SOCK}' --concurrency=4 \
+    '${LSRA_TOOL}' loadgen --socket='${SOCK}' --connections=4 --pipeline=1 \
         --requests=32 --workloads=eqntott,espresso,sort,wc --run
     rc=\$?
     # Repeated-mix leg: 4 unique programs cycled over 32 requests should be
     # served mostly from the compile cache (28 hits minus first-wave races).
-    out=\$('${LSRA_TOOL}' loadgen --socket='${SOCK}' --concurrency=4 \
+    out=\$('${LSRA_TOOL}' loadgen --socket='${SOCK}' --connections=4 --pipeline=1 \
         --requests=32 --unique=4 --mix-seed=7)
     mixrc=\$?
     echo \"\$out\"
@@ -36,9 +37,8 @@ execute_process(
     [ \$mixrc -eq 0 ] || { echo \"mix loadgen failed (rc=\$mixrc)\" >&2; exit 1; }
     [ \"\${cached:-0}\" -ge 20 ] || {
       echo \"repeated-mix hit rate too low: \$cached/32 cached\" >&2; exit 1; }
-    # Pipelined leg: event-loop client, 64 connections x 8 deep, duplicate-
-    # heavy corpus, every CompileOk byte-compared against an offline
-    # compile. The first in-flight wave is all duplicates, so the server's
+    # Pipelined leg: 64 connections x 8 deep, duplicate-heavy corpus,
+    # every CompileOk byte-compared against an offline compile. The first in-flight wave is all duplicates, so the server's
     # request merging must be visible in the responses.
     pout=\$('${LSRA_TOOL}' loadgen --socket='${SOCK}' --connections=64 \
         --pipeline=8 --requests=512 --unique=4 --mix-seed=11 --verify)
@@ -103,7 +103,7 @@ execute_process(
       [ \$i -gt 300 ] && { echo 'server never bound socket' >&2; exit 1; }
       sleep 0.1
     done
-    '${LSRA_TOOL}' loadgen --socket='${TSOCK}' --concurrency=4 \
+    '${LSRA_TOOL}' loadgen --socket='${TSOCK}' --connections=4 --pipeline=1 \
         --requests=64 --workloads=eqntott,espresso,sort,wc \
         --record-out='${RECORDS}' --json='${LGJSON}'
     rc=\$?
