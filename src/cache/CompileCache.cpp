@@ -118,12 +118,7 @@ CompileCache::CompileCache(CacheConfig C) : Config(C) {
     Shards.push_back(std::make_unique<Shard>());
 }
 
-CompileCache::~CompileCache() {
-  // The L2 agent thread may still be polling; make sure it can no longer
-  // call into this (dying) cache's L1 drop.
-  if (L2)
-    L2->setInvalidationSink(nullptr);
-}
+CompileCache::~CompileCache() = default;
 
 CompileCache::Shard &CompileCache::shardFor(const CacheKey &K) {
   return *Shards[CacheKeyHash()(K) % Shards.size()];
@@ -187,7 +182,6 @@ void CompileCache::insertL1(const CacheKey &K,
     L2Entry P;
     P.Payload = E->AllocatedText;
     P.Stats = E->Stats;
-    P.ClassTag = E->ClassTag;
     L2->publishAsync(K, std::move(P));
   }
   if (E->Bytes > ShardBudget)
@@ -251,52 +245,11 @@ CompileCache::lookupL2Fill(const CacheKey &K) {
   auto E = std::make_shared<CachedCompile>();
   E->AllocatedText = std::move(Found.Payload);
   E->Stats = Found.Stats;
-  E->ClassTag = Found.ClassTag;
   E->Bytes = E->AllocatedText.size() + sizeof(CachedCompile);
   // Promote into L1 without echoing back to L2 — the entry came from
   // there, and a re-publish would churn the arena log for nothing.
   insertL1(K, E, /*PublishL2=*/false);
   return E;
-}
-
-void CompileCache::attachL2(SharedCache *NewL2) {
-  if (L2 && L2 != NewL2)
-    L2->setInvalidationSink(nullptr);
-  L2 = NewL2;
-  if (L2)
-    L2->setInvalidationSink(
-        [this](uint64_t ClassTag) { dropClassLocal(ClassTag); });
-}
-
-void CompileCache::invalidateClass(uint64_t ClassTag) {
-  if (L2) {
-    // The shared directory is cleared and the record broadcast; our own
-    // L1 drop arrives through the sink attachL2 registered.
-    L2->invalidateClass(ClassTag);
-    return;
-  }
-  dropClassLocal(ClassTag);
-}
-
-void CompileCache::dropClassLocal(uint64_t ClassTag) {
-  for (const auto &S : Shards) {
-    std::vector<std::shared_ptr<const CachedCompile>> Dead;
-    std::lock_guard<std::mutex> L(S->Mu);
-    for (auto It = S->Lru.begin(); It != S->Lru.end();) {
-      if (ClassTag != 0 && It->second->ClassTag != ClassTag) {
-        ++It;
-        continue;
-      }
-      S->Bytes -= It->second->Bytes;
-      TotBytes.fetch_sub(static_cast<int64_t>(It->second->Bytes),
-                         std::memory_order_acq_rel);
-      TotEntries.fetch_sub(1, std::memory_order_acq_rel);
-      Dead.push_back(std::move(It->second));
-      S->Map.erase(It->first);
-      It = S->Lru.erase(It);
-    }
-  }
-  publishGauges();
 }
 
 CacheStats CompileCache::stats() const {

@@ -20,7 +20,9 @@
 ///    lowered function, so repeated functions hit across distinct modules.
 ///
 /// Entries are immutable once inserted (shared_ptr<const CachedCompile>);
-/// readers clone out of them without holding any shard lock.
+/// readers clone out of them without holding any shard lock. The key is
+/// the only coherence rule: an entry is never stale, so nothing is ever
+/// invalidated — entries leave by LRU eviction or clear() only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +76,6 @@ struct CachedCompile {
   std::vector<std::pair<unsigned, std::string>> Callees;
   AllocStats Stats;                     ///< the original (cold) run's stats
   size_t Bytes = 0;                     ///< charged against the budget
-  /// Invalidation class (target fingerprint by convention): an
-  /// invalidateClass(Tag) drops every entry carrying Tag, in every tier,
-  /// in every attached process. 0 = unclassified (only a wildcard drops it).
-  uint64_t ClassTag = 0;
 };
 
 struct CacheConfig {
@@ -99,7 +97,7 @@ struct CacheStats {
 class CompileCache {
 public:
   explicit CompileCache(CacheConfig C = {});
-  ~CompileCache();
+  ~CompileCache(); // defaulted where Shard is complete
 
   CompileCache(const CompileCache &) = delete;
   CompileCache &operator=(const CompileCache &) = delete;
@@ -125,16 +123,10 @@ public:
   std::shared_ptr<const CachedCompile> lookupL2Fill(const CacheKey &K);
 
   /// Attach (or detach, with nullptr) the process's shared L2. Non-owning:
-  /// the caller keeps \p L2 alive until this cache is destroyed or
-  /// detached. Registers this cache's L1 drop as the L2 invalidation sink,
-  /// so rotations from other processes evict matching L1 entries here.
-  void attachL2(SharedCache *L2);
+  /// the caller keeps \p NewL2 alive until this cache is destroyed or
+  /// detached.
+  void attachL2(SharedCache *NewL2) { L2 = NewL2; }
   SharedCache *l2() const { return L2; }
-
-  /// Drop every entry of \p ClassTag (0 = all) from L1 and, when an L2 is
-  /// attached, from the shared segment plus every other process's L1 via
-  /// the invalidation log.
-  void invalidateClass(uint64_t ClassTag);
 
   CacheStats stats() const;
   void clear();
@@ -147,7 +139,6 @@ private:
   Shard &shardFor(const CacheKey &K);
   void insertL1(const CacheKey &K, std::shared_ptr<const CachedCompile> E,
                 bool PublishL2);
-  void dropClassLocal(uint64_t ClassTag);
   void publishGauges() const;
 
   CacheConfig Config;

@@ -7,7 +7,7 @@
 // Implementation notes (the header holds the protocol overview):
 //
 //  - Every word that lives in the segment is either a std::atomic<uint64_t>
-//    struct member (header, rings, directory slots) or is accessed through
+//    struct member (header, directory slots) or is accessed through
 //    std::atomic_ref<uint64_t> (arena entry words). Plain loads/stores into
 //    MAP_SHARED memory would be a data race the moment two threads of one
 //    process touch the same mapping, and TSan rightly flags it.
@@ -17,6 +17,12 @@
 //    commit word is stored with release ordering after everything else and
 //    loaded with acquire first, so an entry that passes commit+checksum was
 //    fully written by some writer and not yet overwritten by a wrap.
+//
+//  - Nothing read from the segment is trusted as a size or an offset. The
+//    geometry is checked against the file size once, at open, and kept in
+//    this process; a slot's (offset, bytes) pair and an entry's payload
+//    size are bounds-checked without overflow before anything is read
+//    through them, so a corrupted slot or entry is a miss, not a crash.
 //
 //  - The segment is initialised under an flock so a second process that
 //    races open() either waits for a fully-built header or attaches to one;
@@ -32,14 +38,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <type_traits>
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -51,13 +55,14 @@ namespace cache {
 namespace {
 
 constexpr uint64_t SegMagic = 0x4c53524132ull;   // "LSRA2"
-constexpr uint64_t SegVersion = 1;
+constexpr uint64_t SegVersion = 2;
 constexpr uint64_t EntryMagic = 0x4c32454e545259ull; // "L2ENTRY"
 constexpr uint64_t EntryCommit = 0x434f4d4d495421ull; // "COMMIT!"
 
 constexpr unsigned SlotsPerBucketN = 4;
-constexpr unsigned NumRings = 32;
-constexpr unsigned RingCap = 128; // records per ring; power of two
+
+// The agent refreshes the l2 gauges at least this often.
+constexpr unsigned GaugeRefreshMs = 20;
 
 // A writer that dies holding a slot's seqlock odd leaves it unusable; any
 // later writer that finds the slot odd and untouched for this many ticks
@@ -119,8 +124,6 @@ void copyWordsFromShared(void *Dst, const unsigned char *Src, size_t Bytes) {
   }
 }
 
-std::atomic<uint64_t> InstanceCounter{1};
-
 void bumpObs(const char *Name, uint64_t N = 1) {
   auto &CR = obs::CounterRegistry::global();
   if (CR.enabled())
@@ -133,18 +136,6 @@ void bumpObs(const char *Name, uint64_t N = 1) {
 // On-segment structures
 //===----------------------------------------------------------------------===//
 
-/// One per-process invalidation ring. Owner packs (instance<<32 | pid); 0
-/// means free. Only the owner appends; everyone else reads Head with
-/// acquire and consumes records behind it. A record at index I is valid
-/// until Head passes I + RingCap (the writer reuses the cell), which
-/// consumers re-check after every read.
-struct SharedCache::SegRing {
-  std::atomic<uint64_t> Owner;
-  std::atomic<uint64_t> Head;
-  std::atomic<uint64_t> RecEpoch[RingCap];
-  std::atomic<uint64_t> RecClass[RingCap];
-};
-
 struct SharedCache::SegHeader {
   std::atomic<uint64_t> Magic;
   std::atomic<uint64_t> Version;
@@ -156,54 +147,66 @@ struct SharedCache::SegHeader {
   std::atomic<uint64_t> ArenaBytes;
   std::atomic<uint64_t> Cursor;    ///< next free arena offset (log head)
   std::atomic<uint64_t> Wraps;     ///< times the cursor wrapped to 0
-  std::atomic<uint64_t> HighWater; ///< max cursor before first wrap
-  std::atomic<uint64_t> Epoch;     ///< global invalidation epoch
   std::atomic<uint64_t> Tick;      ///< LRU/staleness clock
-  SegRing Rings[NumRings];
 };
 
 /// One directory slot: a seqlock (odd = mid-write) naming an arena region.
-/// 64 bytes so a bucket's four slots share two cache lines.
+/// 64 bytes, one cache line per slot.
 struct SharedCache::SegSlot {
   std::atomic<uint64_t> Seq;
   std::atomic<uint64_t> KeyHi;
   std::atomic<uint64_t> KeyLo;
   std::atomic<uint64_t> Offset;
   std::atomic<uint64_t> Bytes;   ///< whole-entry bytes; 0 = empty slot
-  std::atomic<uint64_t> ClassTag;
   std::atomic<uint64_t> LastUse;
-  std::atomic<uint64_t> Pad;
+  uint64_t Pad[2]; ///< never read or written
 };
 
 static_assert(std::is_trivially_copyable_v<AllocStats>,
               "AllocStats is memcpy'd into the shared arena");
 
 // Arena entry word layout (offsets in 8-byte words):
-//   0 magic  1 keyHi  2 keyLo  3 payloadBytes  4 classTag  5 checksum
-//   6 statsBytes  [stats blob][payload]  last: commit
+//   0 magic  1 keyHi  2 keyLo  3 payloadBytes  4 checksum  5 statsBytes
+//   [stats blob][payload]  last: commit
 namespace {
-constexpr size_t EntryHeaderWords = 7;
+constexpr size_t EntryHeaderWords = 6;
 
 size_t entryBytesFor(size_t PayloadBytes) {
   return EntryHeaderWords * 8 + align8(sizeof(AllocStats)) +
          align8(PayloadBytes) + 8;
+}
+
+/// Where the directory and the arena sit in a segment of a given size. The
+/// creator lays a segment out with this, and every attacher recomputes it
+/// from the file size and requires the stored header to agree.
+struct SegGeometry {
+  uint64_t BucketCount = 0;
+  uint64_t DirOffset = 0;
+  uint64_t ArenaOffset = 0;
+  uint64_t ArenaBytes = 0;
+};
+
+/// False when \p MapBytes cannot hold a header, a directory and a 64 KiB
+/// arena.
+bool segGeometryFor(size_t MapBytes, size_t HeaderStructBytes,
+                    size_t SlotBytes, SegGeometry &G) {
+  size_t HeaderBytes = alignPage(HeaderStructBytes);
+  size_t Buckets = MapBytes / (64u << 10);
+  size_t B = 64;
+  while (B < Buckets && B < (1u << 16))
+    B <<= 1;
+  size_t ArenaOff =
+      alignPage(HeaderBytes + B * SlotsPerBucketN * SlotBytes);
+  if (ArenaOff + (64u << 10) > MapBytes)
+    return false;
+  G = {B, HeaderBytes, ArenaOff, MapBytes - ArenaOff};
+  return true;
 }
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Open / map / teardown
 //===----------------------------------------------------------------------===//
-
-SharedCache::SegSlot *SharedCache::slotArray() const {
-  return reinterpret_cast<SegSlot *>(
-      static_cast<unsigned char *>(Map) +
-      Hdr->DirOffset.load(std::memory_order_relaxed));
-}
-
-unsigned char *SharedCache::arena() const {
-  return static_cast<unsigned char *>(Map) +
-         Hdr->ArenaOffset.load(std::memory_order_relaxed);
-}
 
 std::unique_ptr<SharedCache> SharedCache::open(const SharedCacheConfig &C,
                                                std::string &Err) {
@@ -215,7 +218,7 @@ std::unique_ptr<SharedCache> SharedCache::open(const SharedCacheConfig &C,
   if (!SC->mapSegment(C, Err))
     return nullptr;
   if (C.StartAgent)
-    SC->startAgent(C.AgentPollMs ? C.AgentPollMs : 20);
+    SC->startAgent();
   return SC;
 }
 
@@ -243,6 +246,14 @@ bool SharedCache::mapSegment(const SharedCacheConfig &C, std::string &Err) {
   bool Creating = St.st_size == 0;
   size_t Want = std::max<size_t>(C.MaxBytes, 1u << 20);
   size_t MapBytes = Creating ? Want : static_cast<size_t>(St.st_size);
+  SegGeometry G;
+  if (!segGeometryFor(MapBytes, sizeof(SegHeader), sizeof(SegSlot), G)) {
+    Err = Creating
+              ? "shared cache: segment too small for directory + arena"
+              : "shared cache: " + C.Path + " has an incompatible layout";
+    ::flock(Fd, LOCK_UN);
+    return false;
+  }
   if (Creating && ::ftruncate(Fd, static_cast<off_t>(MapBytes)) != 0) {
     Err = "shared cache: ftruncate: " + std::string(std::strerror(errno));
     ::flock(Fd, LOCK_UN);
@@ -261,77 +272,43 @@ bool SharedCache::mapSegment(const SharedCacheConfig &C, std::string &Err) {
   if (Creating) {
     // ftruncate gave zero pages, so every atomic already reads 0; fill in
     // the geometry and publish the magic last.
-    size_t HeaderBytes = alignPage(sizeof(SegHeader));
-    size_t Buckets = MapBytes / (64u << 10);
-    size_t B = 64;
-    while (B < Buckets && B < (1u << 16))
-      B <<= 1;
-    size_t DirBytes = B * SlotsPerBucketN * sizeof(SegSlot);
-    size_t ArenaOff = alignPage(HeaderBytes + DirBytes);
-    if (ArenaOff + (64u << 10) > MapBytes) {
-      Err = "shared cache: segment too small for directory + arena";
-      ::flock(Fd, LOCK_UN);
-      return false;
-    }
     Hdr->Version.store(SegVersion, std::memory_order_relaxed);
     Hdr->SegBytes.store(MapBytes, std::memory_order_relaxed);
-    Hdr->BucketCount.store(B, std::memory_order_relaxed);
+    Hdr->BucketCount.store(G.BucketCount, std::memory_order_relaxed);
     Hdr->SlotsPerBucket.store(SlotsPerBucketN, std::memory_order_relaxed);
-    Hdr->DirOffset.store(HeaderBytes, std::memory_order_relaxed);
-    Hdr->ArenaOffset.store(ArenaOff, std::memory_order_relaxed);
-    Hdr->ArenaBytes.store(MapBytes - ArenaOff, std::memory_order_relaxed);
+    Hdr->DirOffset.store(G.DirOffset, std::memory_order_relaxed);
+    Hdr->ArenaOffset.store(G.ArenaOffset, std::memory_order_relaxed);
+    Hdr->ArenaBytes.store(G.ArenaBytes, std::memory_order_relaxed);
     Hdr->Magic.store(SegMagic, std::memory_order_release);
-  } else {
-    if (Hdr->Magic.load(std::memory_order_acquire) != SegMagic ||
-        Hdr->Version.load(std::memory_order_relaxed) != SegVersion ||
-        Hdr->SegBytes.load(std::memory_order_relaxed) != MapBytes ||
-        Hdr->SlotsPerBucket.load(std::memory_order_relaxed) !=
-            SlotsPerBucketN) {
-      Err = "shared cache: " + C.Path + " has an incompatible layout";
-      ::flock(Fd, LOCK_UN);
-      return false;
-    }
+  } else if (Hdr->Magic.load(std::memory_order_acquire) != SegMagic ||
+             Hdr->Version.load(std::memory_order_relaxed) != SegVersion ||
+             Hdr->SegBytes.load(std::memory_order_relaxed) != MapBytes ||
+             Hdr->SlotsPerBucket.load(std::memory_order_relaxed) !=
+                 SlotsPerBucketN ||
+             Hdr->BucketCount.load(std::memory_order_relaxed) !=
+                 G.BucketCount ||
+             Hdr->DirOffset.load(std::memory_order_relaxed) != G.DirOffset ||
+             Hdr->ArenaOffset.load(std::memory_order_relaxed) !=
+                 G.ArenaOffset ||
+             Hdr->ArenaBytes.load(std::memory_order_relaxed) !=
+                 G.ArenaBytes) {
+    Err = "shared cache: " + C.Path + " has an incompatible layout";
+    ::flock(Fd, LOCK_UN);
+    return false;
   }
-
-  // Claim an invalidation ring: (instance<<32 | pid) so liveness checks can
-  // recover rings from SIGKILLed processes while two instances inside one
-  // live process keep distinct claims.
-  uint64_t Pid = static_cast<uint64_t>(::getpid()) & 0xffffffffull;
-  RingToken =
-      (InstanceCounter.fetch_add(1, std::memory_order_relaxed) << 32) | Pid;
-  for (unsigned R = 0; R < NumRings && RingIndex < 0; ++R) {
-    uint64_t Cur = Hdr->Rings[R].Owner.load(std::memory_order_acquire);
-    if (Cur != 0) {
-      pid_t OwnerPid = static_cast<pid_t>(Cur & 0xffffffffull);
-      bool Dead = ::kill(OwnerPid, 0) != 0 && errno == ESRCH;
-      if (!Dead)
-        continue;
-    }
-    if (Hdr->Rings[R].Owner.compare_exchange_strong(
-            Cur, RingToken, std::memory_order_acq_rel))
-      RingIndex = static_cast<int>(R);
-  }
-  // RingIndex can stay -1 when 32 processes are already attached; this
-  // process then invalidates L2 directly but cannot broadcast L1 drops.
-
-  // Start consuming every ring at its current head — records older than
-  // our attach describe entries our (empty) L1 never held.
-  RingConsumed.assign(NumRings, 0);
-  RingOwnerSeen.assign(NumRings, 0);
-  for (unsigned R = 0; R < NumRings; ++R) {
-    RingConsumed[R] = Hdr->Rings[R].Head.load(std::memory_order_acquire);
-    RingOwnerSeen[R] = Hdr->Rings[R].Owner.load(std::memory_order_acquire);
-  }
-  EpochSeen.store(Hdr->Epoch.load(std::memory_order_acquire),
-                  std::memory_order_relaxed);
-
   ::flock(Fd, LOCK_UN);
+
+  // The validated geometry is kept here, never re-read from the shared
+  // header, so a later scribble over the header cannot move our bounds.
+  Buckets = G.BucketCount;
+  ArenaCap = G.ArenaBytes;
+  Dir = reinterpret_cast<SegSlot *>(static_cast<unsigned char *>(Map) +
+                                    G.DirOffset);
+  Arena = static_cast<unsigned char *>(Map) + G.ArenaOffset;
 
   auto &CR = obs::CounterRegistry::global();
   if (CR.enabled())
-    CR.gauge("cache.l2.capacity_bytes")
-        .set(static_cast<int64_t>(
-            Hdr->ArenaBytes.load(std::memory_order_relaxed)));
+    CR.gauge("cache.l2.capacity_bytes").set(static_cast<int64_t>(ArenaCap));
   return true;
 }
 
@@ -354,11 +331,6 @@ SharedCache::~SharedCache() {
       publish(KV.first, KV.second);
     }
   }
-  if (Hdr && RingIndex >= 0) {
-    uint64_t Tok = RingToken;
-    Hdr->Rings[RingIndex].Owner.compare_exchange_strong(
-        Tok, 0, std::memory_order_acq_rel);
-  }
   if (Map)
     ::munmap(Map, SegBytes);
   if (Fd >= 0)
@@ -370,10 +342,8 @@ SharedCache::~SharedCache() {
 //===----------------------------------------------------------------------===//
 
 bool SharedCache::lookup(const CacheKey &K, L2Entry &Out) {
-  const uint64_t Buckets = Hdr->BucketCount.load(std::memory_order_relaxed);
-  const uint64_t ArenaCap = Hdr->ArenaBytes.load(std::memory_order_relaxed);
   const uint64_t Bucket = CacheKeyHash()(K) & (Buckets - 1);
-  SegSlot *Slots = slotArray() + Bucket * SlotsPerBucketN;
+  SegSlot *Slots = Dir + Bucket * SlotsPerBucketN;
 
   for (unsigned I = 0; I < SlotsPerBucketN; ++I) {
     SegSlot &S = Slots[I];
@@ -390,8 +360,11 @@ bool SharedCache::lookup(const CacheKey &K, L2Entry &Out) {
         continue; // republished underneath us: re-read
       if (Len == 0 || Hi != K.Hi || Lo != K.Lo)
         break;
-      if (Off + Len > ArenaCap || Len < entryBytesFor(0))
-        break; // directory corruption: fall through to self-heal
+      // Directory corruption is a miss. Written so no sum can wrap: a slot
+      // of Offset = 2^63, Bytes = 2^63 + n must not pass as in bounds.
+      if (Off > ArenaCap || Len > ArenaCap - Off ||
+          Len < entryBytesFor(0) || ((Off | Len) & 7) != 0)
+        break;
       if (readEntryAt(Off, Len, K, Out)) {
         // Re-check the slot: a wrap plus a republish could have recycled
         // both the slot and the region while we copied. A checksum match
@@ -416,7 +389,6 @@ bool SharedCache::lookup(const CacheKey &K, L2Entry &Out) {
         S.KeyLo.store(0, std::memory_order_relaxed);
         S.Bytes.store(0, std::memory_order_relaxed);
         S.Offset.store(0, std::memory_order_relaxed);
-        S.ClassTag.store(0, std::memory_order_relaxed);
         S.Seq.store(S1 + 2, std::memory_order_release);
       }
       break;
@@ -429,7 +401,7 @@ bool SharedCache::lookup(const CacheKey &K, L2Entry &Out) {
 
 bool SharedCache::readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
                               L2Entry &Out) {
-  unsigned char *E = arena() + Off;
+  unsigned char *E = Arena + Off;
   // Commit word first, with acquire: it was released after the body, so a
   // valid commit means the body words below are the writer's.
   std::atomic_ref<uint64_t> Commit(
@@ -442,8 +414,9 @@ bool SharedCache::readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
   if (Head[0] != EntryMagic || Head[1] != K.Hi || Head[2] != K.Lo)
     return false;
   uint64_t PayloadBytes = Head[3];
-  uint64_t StatsBytes = Head[6];
-  if (StatsBytes != sizeof(AllocStats) ||
+  uint64_t StatsBytes = Head[5];
+  // PayloadBytes > Len first: entryBytesFor would wrap on a huge value.
+  if (StatsBytes != sizeof(AllocStats) || PayloadBytes > Len ||
       entryBytesFor(PayloadBytes) != Len)
     return false;
 
@@ -454,12 +427,11 @@ bool SharedCache::readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
   copyWordsFromShared(Payload.data(),
                       E + EntryHeaderWords * 8 + align8(sizeof(AllocStats)),
                       PayloadBytes);
-  if (fnv1aBytes(Payload.data(), Payload.size()) != Head[5])
+  if (fnv1aBytes(Payload.data(), Payload.size()) != Head[4])
     return false; // torn or wrapped-over mid-copy
 
   Out.Payload = std::move(Payload);
   Out.Stats = Stats;
-  Out.ClassTag = Head[4];
   return true;
 }
 
@@ -468,11 +440,12 @@ bool SharedCache::readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
 //===----------------------------------------------------------------------===//
 
 uint64_t SharedCache::claimArena(size_t Need) {
-  const uint64_t Cap = Hdr->ArenaBytes.load(std::memory_order_relaxed);
   for (;;) {
     uint64_t Cur = Hdr->Cursor.load(std::memory_order_relaxed);
     uint64_t Off, Next;
-    bool Wrap = Cur + Need > Cap;
+    // Overflow-safe, so a scribbled cursor wraps instead of writing out
+    // of bounds.
+    bool Wrap = Cur > ArenaCap || Need > ArenaCap - Cur;
     if (Wrap) {
       Off = 0;
       Next = Need;
@@ -482,16 +455,8 @@ uint64_t SharedCache::claimArena(size_t Need) {
     }
     if (Hdr->Cursor.compare_exchange_weak(Cur, Next,
                                           std::memory_order_acq_rel)) {
-      if (Wrap) {
+      if (Wrap)
         Hdr->Wraps.fetch_add(1, std::memory_order_relaxed);
-        // The high-water mark freezes at the fullest pre-wrap cursor so
-        // occupancy reporting stays meaningful after wrapping.
-        uint64_t HW = Hdr->HighWater.load(std::memory_order_relaxed);
-        while (HW < Cur &&
-               !Hdr->HighWater.compare_exchange_weak(
-                   HW, Cur, std::memory_order_relaxed)) {
-        }
-      }
       return Off;
     }
   }
@@ -501,21 +466,19 @@ bool SharedCache::writeEntry(const CacheKey &K, const L2Entry &E,
                              uint64_t &OffOut, uint64_t &LenOut,
                              size_t TornPayloadBytes, bool Torn) {
   size_t Need = entryBytesFor(E.Payload.size());
-  uint64_t Cap = Hdr->ArenaBytes.load(std::memory_order_relaxed);
-  if (Need > Cap / 2) {
+  if (Need > ArenaCap / 2) {
     NPublishRejected.fetch_add(1, std::memory_order_relaxed);
     bumpObs("cache.l2.publish_rejected");
     return false;
   }
   uint64_t Off = claimArena(Need);
-  unsigned char *Dst = arena() + Off;
+  unsigned char *Dst = Arena + Off;
 
   uint64_t Head[EntryHeaderWords] = {
       EntryMagic,
       K.Hi,
       K.Lo,
       static_cast<uint64_t>(E.Payload.size()),
-      E.ClassTag,
       fnv1aBytes(E.Payload.data(), E.Payload.size()),
       sizeof(AllocStats)};
   copyWordsToShared(Dst, Head, sizeof(Head));
@@ -538,11 +501,9 @@ bool SharedCache::writeEntry(const CacheKey &K, const L2Entry &E,
   return true;
 }
 
-void SharedCache::publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len,
-                              uint64_t ClassTag) {
-  const uint64_t Buckets = Hdr->BucketCount.load(std::memory_order_relaxed);
+void SharedCache::publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len) {
   const uint64_t Bucket = CacheKeyHash()(K) & (Buckets - 1);
-  SegSlot *Slots = slotArray() + Bucket * SlotsPerBucketN;
+  SegSlot *Slots = Dir + Bucket * SlotsPerBucketN;
   const uint64_t Now = Hdr->Tick.fetch_add(1, std::memory_order_relaxed);
 
   for (int Round = 0; Round < 4; ++Round) {
@@ -573,12 +534,10 @@ void SharedCache::publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len,
         Victim = static_cast<int>(I);
         break;
       }
-      if (Bytes == 0 && Victim < 0) {
-        Victim = static_cast<int>(I);
-        OldestUse = 0;
-        continue;
-      }
-      uint64_t Use = Slots[I].LastUse.load(std::memory_order_relaxed);
+      // An empty slot ranks 0 and an occupied one LastUse + 1, so any empty
+      // slot wins over every occupied one, wherever it sits in the bucket.
+      uint64_t Use =
+          Bytes == 0 ? 0 : Slots[I].LastUse.load(std::memory_order_relaxed) + 1;
       if (Use < OldestUse) {
         OldestUse = Use;
         Victim = static_cast<int>(I);
@@ -599,7 +558,6 @@ void SharedCache::publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len,
     S.KeyLo.store(K.Lo, std::memory_order_relaxed);
     S.Offset.store(Off, std::memory_order_relaxed);
     S.Bytes.store(Len, std::memory_order_relaxed);
-    S.ClassTag.store(ClassTag, std::memory_order_relaxed);
     S.LastUse.store(Now, std::memory_order_relaxed);
     S.Seq.store(Seq + 2, std::memory_order_release);
     return;
@@ -610,7 +568,7 @@ bool SharedCache::publish(const CacheKey &K, const L2Entry &E) {
   uint64_t Off = 0, Len = 0;
   if (!writeEntry(K, E, Off, Len, 0, /*Torn=*/false))
     return false;
-  publishSlot(K, Off, Len, E.ClassTag);
+  publishSlot(K, Off, Len);
   NFills.fetch_add(1, std::memory_order_relaxed);
   bumpObs("cache.l2.fills");
   return true;
@@ -621,7 +579,7 @@ void SharedCache::debugPublishTorn(const CacheKey &K, const L2Entry &E,
   uint64_t Off = 0, Len = 0;
   if (!writeEntry(K, E, Off, Len, PayloadBytesWritten, /*Torn=*/true))
     return;
-  publishSlot(K, Off, Len, E.ClassTag);
+  publishSlot(K, Off, Len);
 }
 
 void SharedCache::publishAsync(const CacheKey &K, L2Entry E) {
@@ -645,163 +603,18 @@ void SharedCache::drainPublishes() {
 }
 
 //===----------------------------------------------------------------------===//
-// Invalidation
+// Agent / stats
 //===----------------------------------------------------------------------===//
 
-void SharedCache::clearMatchingSlots(uint64_t ClassTag) {
-  const uint64_t Buckets = Hdr->BucketCount.load(std::memory_order_relaxed);
-  SegSlot *Slots = slotArray();
-  for (uint64_t I = 0; I < Buckets * SlotsPerBucketN; ++I) {
-    SegSlot &S = Slots[I];
-    uint64_t Seq = S.Seq.load(std::memory_order_acquire);
-    if (Seq & 1)
-      continue;
-    if (S.Bytes.load(std::memory_order_relaxed) == 0)
-      continue;
-    if (ClassTag != 0 &&
-        S.ClassTag.load(std::memory_order_relaxed) != ClassTag)
-      continue;
-    uint64_t Expect = Seq;
-    if (!S.Seq.compare_exchange_strong(Expect, Seq + 1,
-                                       std::memory_order_acq_rel))
-      continue; // concurrent publish wins; its entry post-dates the epoch
-    S.KeyHi.store(0, std::memory_order_relaxed);
-    S.KeyLo.store(0, std::memory_order_relaxed);
-    S.Bytes.store(0, std::memory_order_relaxed);
-    S.Offset.store(0, std::memory_order_relaxed);
-    S.ClassTag.store(0, std::memory_order_relaxed);
-    S.Seq.store(Seq + 2, std::memory_order_release);
-  }
-}
-
-void SharedCache::invalidateClass(uint64_t ClassTag) {
-  uint64_t Epoch = Hdr->Epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // L2 slots are cleared in the shared directory directly — every process
-  // sees that immediately; the ring record only propagates the L1 drop.
-  clearMatchingSlots(ClassTag);
-  if (RingIndex >= 0) {
-    std::lock_guard<std::mutex> L(RingMu);
-    SegRing &R = Hdr->Rings[RingIndex];
-    uint64_t H = R.Head.load(std::memory_order_relaxed);
-    R.RecEpoch[H % RingCap].store(Epoch, std::memory_order_relaxed);
-    R.RecClass[H % RingCap].store(ClassTag, std::memory_order_relaxed);
-    R.Head.store(H + 1, std::memory_order_release);
-  }
-  // Apply locally right away instead of waiting a poll: our own ring is
-  // skipped by consumeRings.
-  applyInvalidation(ClassTag, /*CountRecord=*/true);
-  uint64_t Seen = EpochSeen.load(std::memory_order_relaxed);
-  while (Seen < Epoch &&
-         !EpochSeen.compare_exchange_weak(Seen, Epoch,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
-void SharedCache::applyInvalidation(uint64_t ClassTag, bool CountRecord) {
-  std::function<void(uint64_t)> S;
-  {
-    std::lock_guard<std::mutex> L(SinkMu);
-    S = Sink;
-  }
-  if (S)
-    S(ClassTag);
-  if (CountRecord) {
-    NInvalidations.fetch_add(1, std::memory_order_relaxed);
-    bumpObs("cache.l2.invalidations");
-  }
-}
-
-void SharedCache::consumeRings() {
-  for (unsigned R = 0; R < NumRings; ++R) {
-    if (static_cast<int>(R) == RingIndex)
-      continue;
-    SegRing &Ring = Hdr->Rings[R];
-    uint64_t Owner = Ring.Owner.load(std::memory_order_acquire);
-    if (Owner != RingOwnerSeen[R]) {
-      // Ring changed hands (owner died, slot reclaimed): restart from the
-      // new owner's current head.
-      RingOwnerSeen[R] = Owner;
-      RingConsumed[R] = Ring.Head.load(std::memory_order_acquire);
-      continue;
-    }
-    if (Owner == 0)
-      continue;
-    uint64_t Head = Ring.Head.load(std::memory_order_acquire);
-    uint64_t Cons = RingConsumed[R];
-    if (Head == Cons)
-      continue;
-    if (Head - Cons > RingCap) {
-      // We lagged a full ring: records were overwritten before we read
-      // them, so the only safe move is a wildcard L1 drop.
-      NRingLagWipes.fetch_add(1, std::memory_order_relaxed);
-      bumpObs("cache.l2.ring_lag_wipes");
-      applyInvalidation(0, /*CountRecord=*/true);
-      RingConsumed[R] = Head;
-      continue;
-    }
-    bool Wiped = false;
-    for (uint64_t I = Cons; I != Head; ++I) {
-      uint64_t Epoch = Ring.RecEpoch[I % RingCap].load(
-          std::memory_order_relaxed);
-      uint64_t Tag =
-          Ring.RecClass[I % RingCap].load(std::memory_order_relaxed);
-      // The writer recycles cell I once Head passes I + RingCap; if that
-      // happened mid-read the record is torn — wildcard instead.
-      if (Ring.Head.load(std::memory_order_acquire) - I > RingCap) {
-        NRingLagWipes.fetch_add(1, std::memory_order_relaxed);
-        bumpObs("cache.l2.ring_lag_wipes");
-        applyInvalidation(0, /*CountRecord=*/true);
-        Wiped = true;
-        break;
-      }
-      applyInvalidation(Tag, /*CountRecord=*/true);
-      uint64_t Seen = EpochSeen.load(std::memory_order_relaxed);
-      while (Seen < Epoch &&
-             !EpochSeen.compare_exchange_weak(Seen, Epoch,
-                                              std::memory_order_relaxed)) {
-      }
-    }
-    RingConsumed[R] =
-        Wiped ? Ring.Head.load(std::memory_order_acquire) : Head;
-  }
-}
-
-void SharedCache::setInvalidationSink(std::function<void(uint64_t)> S) {
-  std::lock_guard<std::mutex> L(SinkMu);
-  Sink = std::move(S);
-}
-
-//===----------------------------------------------------------------------===//
-// Agent / poll / stats
-//===----------------------------------------------------------------------===//
-
-void SharedCache::poll() {
-  std::lock_guard<std::mutex> PL(PollMu);
-  // Drain queued publishes (manual-poll mode: tests with StartAgent=false).
-  for (;;) {
-    std::pair<CacheKey, L2Entry> KV;
-    {
-      std::lock_guard<std::mutex> L(PubMu);
-      if (PubQueue.empty())
-        break;
-      KV = std::move(PubQueue.front());
-      PubQueue.pop_front();
-    }
-    publish(KV.first, KV.second);
-  }
-  consumeRings();
-  updateGauges();
-}
-
-void SharedCache::startAgent(unsigned PollMs) {
+void SharedCache::startAgent() {
   {
     std::lock_guard<std::mutex> L(PubMu);
     AgentRunning = true;
   }
-  Agent = std::thread([this, PollMs] { agentMain(PollMs); });
+  Agent = std::thread([this] { agentMain(); });
 }
 
-void SharedCache::agentMain(unsigned PollMs) {
+void SharedCache::agentMain() {
   for (;;) {
     // Publish queue first: compile results should reach other processes
     // within one turn, not one poll interval.
@@ -822,15 +635,11 @@ void SharedCache::agentMain(unsigned PollMs) {
       }
       publish(KV.first, KV.second);
     }
-    {
-      std::lock_guard<std::mutex> PL(PollMu);
-      consumeRings();
-      updateGauges();
-    }
+    updateGauges();
     std::unique_lock<std::mutex> L(AgentMu);
     if (AgentStop)
       break;
-    AgentCv.wait_for(L, std::chrono::milliseconds(PollMs), [&] {
+    AgentCv.wait_for(L, std::chrono::milliseconds(GaugeRefreshMs), [&] {
       if (AgentStop)
         return true;
       std::lock_guard<std::mutex> PL(PubMu);
@@ -862,34 +671,23 @@ L2Stats SharedCache::stats() const {
   S.Misses = NMisses.load(std::memory_order_relaxed);
   S.Fills = NFills.load(std::memory_order_relaxed);
   S.PublishRejected = NPublishRejected.load(std::memory_order_relaxed);
-  S.Invalidations = NInvalidations.load(std::memory_order_relaxed);
-  S.RingLagWipes = NRingLagWipes.load(std::memory_order_relaxed);
   S.Wraps = Hdr->Wraps.load(std::memory_order_relaxed);
-  S.CapacityBytes = Hdr->ArenaBytes.load(std::memory_order_relaxed);
+  S.CapacityBytes = ArenaCap;
   // After a wrap the log is conceptually full; before it, the cursor is
   // exactly the occupied prefix.
   S.Bytes = S.Wraps ? S.CapacityBytes
                     : std::min<size_t>(
                           Hdr->Cursor.load(std::memory_order_relaxed),
                           S.CapacityBytes);
-  S.Epoch = Hdr->Epoch.load(std::memory_order_relaxed);
-  S.EpochSeen = EpochSeen.load(std::memory_order_relaxed);
 
-  const uint64_t Buckets = Hdr->BucketCount.load(std::memory_order_relaxed);
-  SegSlot *Slots = slotArray();
   size_t Live = 0;
   for (uint64_t I = 0; I < Buckets * SlotsPerBucketN; ++I) {
-    uint64_t Seq = Slots[I].Seq.load(std::memory_order_acquire);
-    if ((Seq & 1) == 0 &&
-        Slots[I].Bytes.load(std::memory_order_relaxed) != 0)
+    uint64_t Seq = Dir[I].Seq.load(std::memory_order_acquire);
+    if ((Seq & 1) == 0 && Dir[I].Bytes.load(std::memory_order_relaxed) != 0)
       ++Live;
   }
   S.Entries = Live;
   return S;
-}
-
-uint64_t SharedCache::epochWatermark() const {
-  return EpochSeen.load(std::memory_order_relaxed);
 }
 
 } // namespace cache

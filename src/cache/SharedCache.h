@@ -14,8 +14,7 @@
 ///
 /// Segment layout (one mmap, geometry fixed at creation):
 ///
-///   [SegHeader]   magic/version/geometry, the arena cursor, the global
-///                 invalidation epoch, and per-process invalidation rings
+///   [SegHeader]   magic/version/geometry and the arena cursor
 ///   [directory]   BucketCount buckets x SlotsPerBucket seqlock slots,
 ///                 each naming a 128-bit CacheKey and an arena region
 ///   [value arena] log-structured: entries are bump-allocated and never
@@ -25,9 +24,10 @@
 /// Concurrency protocol (lock-free readers, per-process writer):
 ///   - readers validate a slot with a seqlock (odd = write in progress;
 ///     re-read after copying out) and then validate the arena region
-///     itself (entry magic, key echo, commit word, payload checksum), so
-///     a torn write, a crashed writer, or a wrap overwrite is a clean
-///     miss, never a torn value;
+///     itself (bounds, entry magic, key echo, commit word, payload
+///     checksum), so a torn write, a crashed writer, a wrap overwrite or
+///     a corrupted slot is a clean miss, never a torn value or a stray
+///     read outside the arena;
 ///   - writers claim arena space with a CAS bump (wrapping to offset 0
 ///     when full) and claim a directory slot by CAS-ing its sequence
 ///     number odd; the entry is fully written and its commit word
@@ -36,16 +36,11 @@
 ///     never wedge the cache — at worst it leaks one mid-write slot,
 ///     which the stale-slot reclaimer eventually recycles.
 ///
-/// Invalidation is log-based (the RACoherence shape): each process owns
-/// one ring in the header and appends (epoch, key-class) records to it;
-/// a background agent thread in every attached process consumes all other
-/// rings into a local epoch watermark and forwards each record to an
-/// invalidation sink (the owning CompileCache drops matching L1 entries).
-/// L2 slots of the class are cleared directly in the shared directory by
-/// the rotating process, so the read path never takes a lock and a
-/// rotation propagates fleet-wide within one agent poll interval. A
-/// consumer that lags a full ring falls back to a conservative wildcard
-/// drop (class 0 = every class).
+/// Coherence is the key alone: a key covers the module text, the
+/// AllocOptions fingerprint, the allocator and the target fingerprint, and
+/// allocation is deterministic for a fixed key, so an entry never goes
+/// stale and nothing is ever invalidated. An entry leaves the segment only
+/// when the arena log wraps over it or its bucket evicts its slot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,16 +49,15 @@
 
 #include "cache/CompileCache.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace lsra {
 namespace cache {
@@ -75,44 +69,36 @@ struct SharedCacheConfig {
   /// Total segment budget (header + directory + value arena). Ignored when
   /// attaching to an existing segment — the creator's geometry wins.
   size_t MaxBytes = 256u << 20;
-  /// Agent cadence: invalidation rings are consumed and the l2 gauges
-  /// refreshed at least this often, so a rotation in one process reaches
-  /// every attached process within ~one poll interval.
-  unsigned AgentPollMs = 20;
-  /// Tests drive poll() by hand; servers want the background agent.
+  /// Servers want the background agent (async publish, gauge refresh);
+  /// tests without it get synchronous publishes.
   bool StartAgent = true;
 };
 
-/// One L2 value: the allocated module text plus the cold run's statistics
-/// and the entry's invalidation class (target fingerprint by convention).
+/// One L2 value: the allocated module text plus the cold run's statistics.
 struct L2Entry {
   std::string Payload;
   AllocStats Stats{};
-  uint64_t ClassTag = 0;
 };
 
-/// Point-in-time view. Hits/Misses/Fills/Invalidations are this process's
+/// Point-in-time view. Hits/Misses/Fills/PublishRejected are this process's
 /// lifetime totals; Bytes/Entries describe the shared segment itself.
 struct L2Stats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Fills = 0;            ///< entries this process published
   uint64_t PublishRejected = 0;  ///< oversize (entry > arena/2)
-  uint64_t Invalidations = 0;    ///< class records applied by this process
-  uint64_t RingLagWipes = 0;     ///< conservative wildcard fallbacks
   uint64_t Wraps = 0;            ///< arena cursor wrap-arounds
   size_t Bytes = 0;              ///< arena occupancy (monotone until wrap)
   size_t CapacityBytes = 0;      ///< arena size
   size_t Entries = 0;            ///< live directory slots (validated scan)
-  uint64_t Epoch = 0;            ///< global invalidation epoch
-  uint64_t EpochSeen = 0;        ///< this process's consumed watermark
 };
 
 class SharedCache {
 public:
   /// Open (creating and initialising if needed) the segment at C.Path.
-  /// Returns nullptr with \p Err set when the file cannot be created,
-  /// mapped, or carries an incompatible layout.
+  /// Returns nullptr with \p Err set when the file cannot be created or
+  /// mapped, or carries an incompatible layout: wrong magic or version,
+  /// or a stored geometry that differs from the one the file size implies.
   static std::unique_ptr<SharedCache> open(const SharedCacheConfig &C,
                                            std::string &Err);
   ~SharedCache();
@@ -138,26 +124,9 @@ public:
   /// Block until every queued publishAsync has landed in the segment.
   void drainPublishes();
 
-  /// Rotate \p ClassTag out fleet-wide: clear matching L2 slots in the
-  /// shared directory, append an (epoch, class) record to this process's
-  /// ring for every other attached process, and apply the drop to the
-  /// local sink immediately. ClassTag 0 is the wildcard (drop everything).
-  void invalidateClass(uint64_t ClassTag);
-
-  /// One agent turn, callable from tests: drain queued publishes, consume
-  /// every other process's invalidation ring (forwarding records to the
-  /// sink and advancing the watermark), refresh the l2 gauges.
-  void poll();
-
-  /// Invalidation sink: called with each consumed class record (and with
-  /// 0 on a wildcard/lag wipe). The owning CompileCache registers its L1
-  /// drop here. Called from the agent thread (or poll()'s caller).
-  void setInvalidationSink(std::function<void(uint64_t)> Sink);
-
   L2Stats stats() const;
   size_t maxBytes() const { return SegBytes; }
   const std::string &path() const { return FilePath; }
-  uint64_t epochWatermark() const;
 
   /// Test hook: append a deliberately torn entry — the first
   /// \p PayloadBytesWritten payload bytes are written, the commit word is
@@ -170,42 +139,30 @@ private:
   SharedCache() = default;
 
   struct SegHeader;
-  struct SegRing;
   struct SegSlot;
 
   bool mapSegment(const SharedCacheConfig &C, std::string &Err);
-  void startAgent(unsigned PollMs);
-  void agentMain(unsigned PollMs);
-  void consumeRings();
-  void applyInvalidation(uint64_t ClassTag, bool CountRecord);
-  void clearMatchingSlots(uint64_t ClassTag);
+  void startAgent();
+  void agentMain();
   void updateGauges();
   bool readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
                    L2Entry &Out);
   uint64_t claimArena(size_t Need);
   bool writeEntry(const CacheKey &K, const L2Entry &E, uint64_t &OffOut,
                   uint64_t &LenOut, size_t TornPayloadBytes, bool Torn);
-  void publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len,
-                   uint64_t ClassTag);
+  void publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len);
 
-  SegSlot *slotArray() const;
-  unsigned char *arena() const;
   SegHeader *Hdr = nullptr;
+  SegSlot *Dir = nullptr;         ///< directory, Buckets x SlotsPerBucket
+  unsigned char *Arena = nullptr; ///< value arena, ArenaCap bytes
+  uint64_t Buckets = 0;
+  uint64_t ArenaCap = 0;
   void *Map = nullptr;
   size_t SegBytes = 0;
   int Fd = -1;
   std::string FilePath;
-  int RingIndex = -1;     ///< this process's ring (-1: none free)
-  uint64_t RingToken = 0; ///< our claim on Rings[RingIndex]
 
   // Per-process side (never in the segment).
-  mutable std::mutex SinkMu;
-  std::function<void(uint64_t)> Sink;
-  std::mutex RingMu;                  ///< serialises our ring's appends
-  std::mutex PollMu;                  ///< serialises poll()/agent turns
-  std::vector<uint64_t> RingConsumed; ///< per-ring consumed head
-  std::vector<uint64_t> RingOwnerSeen; ///< detects ring owner turnover
-
   std::mutex PubMu;
   std::condition_variable PubCv;
   std::deque<std::pair<CacheKey, L2Entry>> PubQueue;
@@ -217,9 +174,7 @@ private:
   bool AgentStop = false;
   bool AgentRunning = false;
 
-  std::atomic<uint64_t> NHits{0}, NMisses{0}, NFills{0}, NPublishRejected{0},
-      NInvalidations{0}, NRingLagWipes{0};
-  std::atomic<uint64_t> EpochSeen{0};
+  std::atomic<uint64_t> NHits{0}, NMisses{0}, NFills{0}, NPublishRejected{0};
 };
 
 } // namespace cache

@@ -256,7 +256,6 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
     Entry->Stats = R.Stats;
     Entry->Bytes = IRText.size() + R.AllocatedText.size() +
                    sizeof(cache::CachedCompile);
-    Entry->ClassTag = TD.fingerprint();
     EO.Cache->insert(ModKey, std::move(Entry));
   }
   if (RunAfter) {

@@ -2,8 +2,9 @@
 
 #include "net/EventLoop.h"
 
+#include "support/Timer.h"
+
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -19,12 +20,6 @@ EventLoop::~EventLoop() {
     ::close(WakeFd);
   if (EpollFd >= 0)
     ::close(EpollFd);
-}
-
-int64_t EventLoop::nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 bool EventLoop::init(std::string &Err) {
@@ -53,7 +48,7 @@ bool EventLoop::init(std::string &Err) {
     WakeFd = EpollFd = -1;
     return false;
   }
-  LastTickNs = nowNs();
+  LastTickNs = steadyNowNs();
   return true;
 }
 
@@ -192,7 +187,7 @@ void EventLoop::run() {
   constexpr int MaxEvents = 256;
   struct epoll_event Events[MaxEvents];
   while (true) {
-    int64_t Now = nowNs();
+    int64_t Now = steadyNowNs();
     int TimeoutMs = msUntilNextTimer(Now);
     bool HavePosted;
     {
@@ -219,7 +214,7 @@ void EventLoop::run() {
         It->second(Events[I].events);
     }
     drainPosted();
-    advanceWheel(nowNs());
+    advanceWheel(steadyNowNs());
     if (AfterPoll)
       AfterPoll();
     if (Stopping.load(std::memory_order_acquire)) {

@@ -81,9 +81,8 @@ public:
   bool mod(int Fd, uint32_t Events, std::string &Err);
   /// Stop watching \p Fd. Safe to call for an fd that was never added.
   void del(int Fd);
-
-  /// Arm a one-shot timer firing at absolute steady-clock \p DeadlineNs
-  /// (rounded up to the wheel tick). Returns a cancellation id. Loop
+  /// Arm a one-shot timer firing at absolute \p DeadlineNs (steadyNowNs()
+  /// time, rounded up to the wheel tick). Returns a cancellation id. Loop
   /// thread only.
   uint64_t addTimerAtNs(int64_t DeadlineNs, std::function<void()> Fn);
   /// Cancel a pending timer; no-op if it already fired. Loop thread only.
@@ -97,9 +96,6 @@ public:
   bool inLoopThread() const {
     return std::this_thread::get_id() == LoopThreadId;
   }
-
-  /// Monotonic steady-clock now, ns (the clock the timer wheel runs on).
-  static int64_t nowNs();
 
   /// Loop iterations so far (observability; relaxed reads are fine).
   uint64_t iterations() const {

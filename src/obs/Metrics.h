@@ -238,7 +238,7 @@ struct MetricsSnapshot {
 //===----------------------------------------------------------------------===//
 
 /// The span chain of one sampled server request, in absolute steady-clock
-/// time (obs::steadyNowNs). The server's loop adds the recv, admit,
+/// time (steadyNowNs). The server's loop adds the recv, admit,
 /// queue-wait, merged and reply intervals with addPhase(); the compile
 /// pipeline's ScopedSpans add cache-probe, l2-probe, parse, alloc (with
 /// lowerCalls, dce and allocateModule inside it) and emit when handed the

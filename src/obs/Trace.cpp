@@ -10,18 +10,11 @@
 #include "obs/Metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <ostream>
 
 using namespace lsra;
 using namespace lsra::obs;
-
-int64_t obs::steadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void ScopedSpan::finish() {
   int64_t DurNs = steadyNowNs() - StartNs;

@@ -31,6 +31,8 @@
 #ifndef LSRA_OBS_TRACE_H
 #define LSRA_OBS_TRACE_H
 
+#include "support/Timer.h"
+
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -43,12 +45,6 @@ namespace lsra {
 namespace obs {
 
 struct RequestTrace;
-
-/// Absolute steady-clock (CLOCK_MONOTONIC) nanoseconds. Spans, request
-/// traces and the loadgen --record-out timestamps share this clock, so
-/// client and server views of one request are directly comparable on the
-/// same machine.
-int64_t steadyNowNs();
 
 /// One complete span, in absolute steady-clock nanoseconds.
 struct TraceEvent {

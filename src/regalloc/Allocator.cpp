@@ -152,7 +152,7 @@ namespace {
 /// func-ref operands when the entry hits in a different module.
 std::shared_ptr<const cache::CachedCompile>
 snapshotAllocatedFunction(const Module &M, const Function &F,
-                          const AllocStats &Stats, uint64_t ClassTag) {
+                          const AllocStats &Stats) {
   auto Entry = std::make_shared<cache::CachedCompile>();
   auto Clone = std::make_unique<Function>(F.id(), F.name());
   cloneFunctionInto(F, *Clone);
@@ -167,7 +167,6 @@ snapshotAllocatedFunction(const Module &M, const Function &F,
   Entry->Stats = Stats;
   Entry->Bytes = cache::estimateFunctionBytes(*Entry->Fn) +
                  sizeof(cache::CachedCompile);
-  Entry->ClassTag = ClassTag;
   return Entry;
 }
 
@@ -226,8 +225,7 @@ AllocStats allocateFunctionCached(Module &M, unsigned Idx,
     }
   }
   AllocStats Stats = allocateFunction(F, TD, K, AO);
-  EO.Cache->insert(Key,
-                   snapshotAllocatedFunction(M, F, Stats, TD.fingerprint()));
+  EO.Cache->insert(Key, snapshotAllocatedFunction(M, F, Stats));
   return Stats;
 }
 

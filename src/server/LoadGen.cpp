@@ -15,6 +15,7 @@
 #include "regalloc/Allocator.h"
 #include "server/Client.h"
 #include "server/Socket.h"
+#include "support/Timer.h"
 #include "target/Target.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -242,11 +243,11 @@ bool LoadEngine::run(std::string &Err, LoadGenReport &Out) {
     ++Alive;
   }
 
-  StartNs = obs::steadyNowNs();
+  StartNs = steadyNowNs();
   pump();
   armWatchdog();
   Loop.run();
-  double WallSeconds = static_cast<double>(obs::steadyNowNs() - StartNs) / 1e9;
+  double WallSeconds = static_cast<double>(steadyNowNs() - StartNs) / 1e9;
   // Anything still unanswered at exit (watchdog abort) was lost in flight.
   R.TransportErrors += InFlight.size();
   InFlight.clear();
@@ -294,7 +295,7 @@ void LoadEngine::finish(double WallSeconds) {
 }
 
 void LoadEngine::armWatchdog() {
-  Loop.addTimerAtNs(net::EventLoop::nowNs() + WatchdogNs, [this] {
+  Loop.addTimerAtNs(steadyNowNs() + WatchdogNs, [this] {
     if (Answered == WatchdogMark) {
       Loop.stop(); // wedged: no response for a whole watchdog period
       return;
@@ -306,7 +307,7 @@ void LoadEngine::armWatchdog() {
 
 void LoadEngine::pump() {
   while (NextK < Total && Alive > 0) {
-    int64_t Now = obs::steadyNowNs();
+    int64_t Now = steadyNowNs();
     int64_t Sched = Now;
     if (IntervalNs > 0) {
       // Open loop: the next request launches at its global schedule slot,
@@ -389,7 +390,7 @@ void LoadEngine::onFrame(unsigned ConnIdx, FrameDecoder::Frame &F) {
         Resp.IRText != (*Expected)[O.CorpusIdx])
       R.VerifyMismatches++;
   }
-  int64_t RecvNs = obs::steadyNowNs();
+  int64_t RecvNs = steadyNowNs();
   double LatMs = static_cast<double>(RecvNs - O.ScheduledNs) / 1e6;
   LatenciesMs.push_back(LatMs);
   if (RecordOS.is_open())

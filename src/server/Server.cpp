@@ -13,6 +13,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/MemStats.h"
+#include "support/Timer.h"
 
 #include <chrono>
 #include <future>
@@ -51,8 +52,6 @@ Server::Server(const ServerOptions &O)
     : Opts(O), Queue(O.QueueCapacity ? O.QueueCapacity : 1) {}
 
 Server::~Server() { shutdown(); }
-
-int64_t Server::nowNs() const { return net::EventLoop::nowNs(); }
 
 bool Server::start(std::string &Err) {
   if (Running.load(std::memory_order_acquire)) {
@@ -240,7 +239,7 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
     return;
   }
 
-  int64_t ArrivalNs = nowNs();
+  int64_t ArrivalNs = steadyNowNs();
   std::shared_ptr<obs::RequestTrace> RT;
   if (Opts.SampleEvery && ReqSeq++ % Opts.SampleEvery == 0) {
     RT = std::make_shared<obs::RequestTrace>();
@@ -311,7 +310,7 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
       bumpCounter("server.merged");
       gaugeAdd("server.inflight", 1);
       if (RT)
-        RT->addPhase("admit", ArrivalNs, nowNs() - ArrivalNs);
+        RT->addPhase("admit", ArrivalNs, steadyNowNs() - ArrivalNs);
       armDeadline(P);
       return;
     }
@@ -346,7 +345,7 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
   bumpCounter("server.accepted");
   gaugeAdd("server.inflight", 1);
   if (RT)
-    RT->addPhase("admit", ArrivalNs, nowNs() - ArrivalNs);
+    RT->addPhase("admit", ArrivalNs, steadyNowNs() - ArrivalNs);
   armDeadline(P);
   // Large modules never batch — they hold a worker long enough that
   // grouping them only adds head-of-line blocking for whatever shares the
@@ -364,7 +363,7 @@ void Server::armDeadline(const PendingPtr &P) {
 void Server::onDeadline(const PendingPtr &P) {
   if (P->Answered.exchange(true, std::memory_order_acq_rel))
     return; // the worker's fan-out won; this timer is stale
-  int64_t Now = nowNs();
+  int64_t Now = steadyNowNs();
   uint64_t WaitedUs = clampedUs(Now - P->ArrivalNs);
   bumpCounter("server.deadline_exceeded");
   histRecord("server.queue_wait_us", WaitedUs);
@@ -437,7 +436,7 @@ void Server::afterPoll() {
     Loop.stop();
     return;
   }
-  if (nowNs() > DrainDeadlineNs) {
+  if (steadyNowNs() > DrainDeadlineNs) {
     // A peer that stopped reading cannot hold shutdown hostage: cut the
     // stragglers and let their queued bytes go.
     for (auto &KV : Conns)
@@ -467,7 +466,7 @@ void Server::sendToConn(uint64_t ConnId, uint32_t Id, FrameType Type,
 //===----------------------------------------------------------------------===//
 
 void Server::compileEntry(const InflightPtr &E) {
-  int64_t TaskStartNs = nowNs();
+  int64_t TaskStartNs = steadyNowNs();
   {
     // Every waiter already answered (deadlines fired while queued): the
     // compile would be pure waste, skip it and retire the entry.
@@ -500,7 +499,7 @@ void Server::compileEntry(const InflightPtr &E) {
   AO.SpillCleanup = E->Req.Cleanup;
 
   TextCompileResult TC;
-  int64_t CompileStartNs = nowNs();
+  int64_t CompileStartNs = steadyNowNs();
   try {
     TC = compileTextModule(E->Req.IRText, E->TD, E->Kind, AO, EO, E->Req.Run);
   } catch (const std::exception &Ex) {
@@ -510,7 +509,7 @@ void Server::compileEntry(const InflightPtr &E) {
     TC.Ok = false;
     TC.Error = "internal error";
   }
-  int64_t CompileNs = nowNs() - CompileStartNs;
+  int64_t CompileNs = steadyNowNs() - CompileStartNs;
   histRecord("server.compile_us", CompileNs > 0 ? CompileNs / 1000 : 0);
 
   // Close the entry: joins from here on start a fresh compile (usually a
@@ -582,7 +581,7 @@ void Server::answerWaiter(const PendingPtr &W, const CompileResponse &Base,
   R.Merged = W->Merged;
   uint64_t QueueUs = clampedUs(TaskStartNs - W->ArrivalNs);
   R.QueueUs = QueueUs;
-  int64_t Now = nowNs();
+  int64_t Now = steadyNowNs();
   if (W->RT) {
     if (W->Merged)
       W->RT->addPhase("merged", W->ArrivalNs,
@@ -673,7 +672,7 @@ void Server::shutdown() {
   // that won't read gets cut at the drain deadline in afterPoll().
   Loop.post([this] {
     DrainFinal = true;
-    DrainDeadlineNs = nowNs() + DrainFlushTimeoutNs;
+    DrainDeadlineNs = steadyNowNs() + DrainFlushTimeoutNs;
     if (Conns.empty()) {
       Loop.stop();
       return;

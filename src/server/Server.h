@@ -234,14 +234,12 @@ private:
   /// Refresh the process/cache gauges and render the registry's
   /// MetricsSnapshot as \p Format ("json", "prom", or "text").
   std::string renderStats(const std::string &Format);
-  int64_t nowNs() const;
 
   ServerOptions Opts;
   Listener L;
   RequestQueue Queue;
-  /// Declared before Cache: the L1 detaches its invalidation sink in its
-  /// destructor, so the L2 (and its agent thread) must still be alive
-  /// when the Cache member is destroyed.
+  /// Declared before Cache: the L1 holds a non-owning pointer to the L2,
+  /// so the L2 (and its agent thread) must outlive the Cache member.
   std::unique_ptr<cache::SharedCache> L2;
   std::unique_ptr<cache::CompileCache> Cache;
   std::unique_ptr<ThreadPool> Workers;

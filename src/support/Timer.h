@@ -7,7 +7,8 @@
 /// \file
 /// Monotonic wall-clock stopwatch used by the Table 3 compile-time
 /// experiments, mirroring the paper's "record the time of day before and
-/// after allocation" methodology.
+/// after allocation" methodology, and the project's one steady-clock
+/// timestamp function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,19 @@
 #define LSRA_SUPPORT_TIMER_H
 
 #include <chrono>
+#include <cstdint>
 
 namespace lsra {
+
+/// Absolute steady-clock (CLOCK_MONOTONIC) nanoseconds. The event loop's
+/// timer wheel, server request traces, spans and the loadgen --record-out
+/// timestamps all read this one function, so client and server views of
+/// one request are directly comparable on the same machine.
+inline int64_t steadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Accumulating stopwatch. start()/stop() pairs add to the running total so
 /// a single timer can sum the allocation time over all procedures in a

@@ -14,6 +14,7 @@
 #include "net/Connection.h"
 #include "net/EventLoop.h"
 #include "server/Protocol.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -104,10 +105,10 @@ TEST(EventLoop, TimerFiresAtDeadline) {
   std::string Err;
   ASSERT_TRUE(R.start(Err)) << Err;
   std::promise<int64_t> FiredAt;
-  int64_t Armed = EventLoop::nowNs();
+  int64_t Armed = steadyNowNs();
   R.sync([&] {
     R.Loop.addTimerAtNs(Armed + 50'000'000,
-                        [&] { FiredAt.set_value(EventLoop::nowNs()); });
+                        [&] { FiredAt.set_value(steadyNowNs()); });
   });
   auto F = FiredAt.get_future();
   ASSERT_EQ(F.wait_for(std::chrono::seconds(10)), std::future_status::ready);
@@ -122,7 +123,7 @@ TEST(EventLoop, CancelledTimerNeverFires) {
   std::atomic<int> CancelledFired{0};
   std::promise<void> KeptFired;
   R.sync([&] {
-    int64_t Now = EventLoop::nowNs();
+    int64_t Now = steadyNowNs();
     uint64_t Doomed =
         R.Loop.addTimerAtNs(Now + 30'000'000, [&] { CancelledFired++; });
     R.Loop.addTimerAtNs(Now + 60'000'000, [&] { KeptFired.set_value(); });

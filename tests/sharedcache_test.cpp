@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // The L2 tier's contract: a reader sees a complete entry or a clean miss,
-// never a torn value — across instances, across processes, and across a
-// writer SIGKILLed mid-publish. Plus the log-based invalidation protocol
-// (class drops propagate to other instances within one poll, ring overflow
-// degrades to a conservative wildcard) and the arena's wrap behaviour.
+// never a torn value or a crash — across instances, across processes,
+// across a writer SIGKILLed mid-publish, and across a segment whose header,
+// directory or arena bytes were overwritten behind the cache's back (the
+// corruption cases write through a second raw mapping of the file). Plus
+// the open-time layout check and the arena's wrap behaviour.
 // The fork-based tests create SharedCache instances only *after* forking
 // (or in instances with StartAgent=false), so no threads exist at fork
 // time. Designed to run under LSRA_SANITIZE=thread and =address.
@@ -27,8 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
+#include <fcntl.h>
+#include <random>
 #include <sstream>
 #include <string>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -80,8 +86,76 @@ L2Entry entryFor(unsigned I, size_t PayloadBytes = 256) {
   E.Payload.resize(PayloadBytes);
   E.Stats.SpilledTemps = I;
   E.Stats.RegCandidates = I * 3 + 1;
-  E.ClassTag = 0x1000 + (I % 4);
   return E;
+}
+
+// Segment words the corruption cases address directly. Header word
+// indices and the first five words of a 64-byte directory slot; an arena
+// entry's payload-size word is its word 3.
+constexpr size_t HdrVersion = 1, HdrBucketCount = 3, HdrDirOffset = 5,
+                 HdrArenaOffset = 6, HdrArenaBytes = 7, HdrCursor = 8;
+constexpr size_t SlotBytesTotal = 64, SlotKeyHi = 1, SlotKeyLo = 2,
+                 SlotOffset = 3, SlotBytes = 4, EntryPayloadBytes = 3;
+
+/// A second, raw read-write mapping of a segment file: what a buggy or
+/// hostile co-tenant of the segment can scribble on.
+struct RawSeg {
+  unsigned char *Base = nullptr;
+  size_t Size = 0;
+
+  explicit RawSeg(const std::string &Path) {
+    int Fd = ::open(Path.c_str(), O_RDWR);
+    struct stat St {};
+    if (Fd >= 0 && ::fstat(Fd, &St) == 0 && St.st_size > 0) {
+      void *M = ::mmap(nullptr, static_cast<size_t>(St.st_size),
+                       PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
+      if (M != MAP_FAILED) {
+        Base = static_cast<unsigned char *>(M);
+        Size = static_cast<size_t>(St.st_size);
+      }
+    }
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+  ~RawSeg() {
+    if (Base)
+      ::munmap(Base, Size);
+  }
+  RawSeg(const RawSeg &) = delete;
+  RawSeg &operator=(const RawSeg &) = delete;
+
+  uint64_t &word(size_t ByteOff) {
+    return *reinterpret_cast<uint64_t *>(Base + ByteOff);
+  }
+  uint64_t &hdr(size_t W) { return word(W * 8); }
+
+  /// Byte offset of the live directory slot naming \p K; 0 when absent.
+  size_t slotOf(const CacheKey &K) {
+    size_t Dir = hdr(HdrDirOffset);
+    size_t N = hdr(HdrBucketCount) * 4;
+    for (size_t I = 0; I < N; ++I) {
+      size_t S = Dir + I * SlotBytesTotal;
+      if (word(S + SlotKeyHi * 8) == K.Hi &&
+          word(S + SlotKeyLo * 8) == K.Lo && word(S + SlotBytes * 8) != 0)
+        return S;
+    }
+    return 0;
+  }
+
+  /// Byte offset of the arena entry the slot at \p Slot names.
+  size_t entryOf(size_t Slot) {
+    return hdr(HdrArenaOffset) + word(Slot + SlotOffset * 8);
+  }
+};
+
+/// open() without openSeg's non-null expectation, for the refusal cases.
+std::unique_ptr<SharedCache> tryOpenSeg(const std::string &Path,
+                                        std::string &Err) {
+  SharedCacheConfig C;
+  C.Path = Path;
+  C.StartAgent = false;
+  Err.clear();
+  return SharedCache::open(C, Err);
 }
 
 std::string workloadText(const char *Name) {
@@ -104,7 +178,6 @@ TEST(SharedCache, PublishLookupRoundtrip) {
   L2Entry Out;
   ASSERT_TRUE(SC->lookup(keyFor(7), Out));
   EXPECT_EQ(Out.Payload, In.Payload);
-  EXPECT_EQ(Out.ClassTag, In.ClassTag);
   EXPECT_EQ(Out.Stats.SpilledTemps, In.Stats.SpilledTemps);
   EXPECT_EQ(Out.Stats.RegCandidates, In.Stats.RegCandidates);
 
@@ -146,6 +219,28 @@ TEST(SharedCache, OversizeEntryIsRejectedNotTorn) {
   EXPECT_FALSE(SC->lookup(keyFor(1), Out));
   EXPECT_EQ(SC->stats().PublishRejected, 1u);
   EXPECT_EQ(SC->stats().Entries, 0u);
+}
+
+// A second key landing in a bucket whose first slot holds the segment's
+// very first entry (LastUse 0) takes one of the three empty slots; it must
+// not evict the first entry while the bucket still has room.
+TEST(SharedCache, BucketFillsEmptySlotsBeforeEvicting) {
+  SegFile Seg("bucket");
+  auto SC = openSeg(Seg.Path, 4u << 20);
+  ASSERT_NE(SC, nullptr);
+  RawSeg Raw(Seg.Path);
+  ASSERT_NE(Raw.Base, nullptr);
+  const uint64_t Mask = Raw.hdr(HdrBucketCount) - 1;
+  unsigned Mate = 1;
+  while ((CacheKeyHash()(keyFor(Mate)) & Mask) !=
+         (CacheKeyHash()(keyFor(0)) & Mask))
+    ++Mate;
+  ASSERT_TRUE(SC->publish(keyFor(0), entryFor(0)));
+  ASSERT_TRUE(SC->publish(keyFor(Mate), entryFor(Mate)));
+  L2Entry Out;
+  EXPECT_TRUE(SC->lookup(keyFor(0), Out));
+  EXPECT_TRUE(SC->lookup(keyFor(Mate), Out));
+  EXPECT_EQ(SC->stats().Entries, 2u);
 }
 
 // --- Crash consistency ------------------------------------------------------
@@ -289,109 +384,153 @@ TEST(SharedCache, WarmAcrossProcessesByteIdentical) {
   EXPECT_EQ(L2->stats().Hits, 1u); // unchanged: L1 answered
 }
 
-// --- Invalidation -----------------------------------------------------------
+// --- Corrupted segments ---------------------------------------------------
 
-// invalidateClass in one instance clears matching L2 slots immediately and
-// reaches the other instance's L1 after one poll, with the epoch watermark
-// advancing to the rotation's epoch (the "bounded number of epochs" bound:
-// one).
-TEST(SharedCache, ClassInvalidationPropagatesAcrossInstances) {
-  SegFile Seg("inval");
-  auto A = openSeg(Seg.Path);
-  auto B = openSeg(Seg.Path);
-  ASSERT_NE(A, nullptr);
-  ASSERT_NE(B, nullptr);
+// A slot whose (offset, bytes) pair was shifted by 2^63 each: their sum
+// wraps back to the entry's true end, so a sum-based bound check passes
+// and the commit word it reads is genuine, while the entry header would be
+// read 2^63 bytes past the arena. Must be a clean miss, not a wild read.
+TEST(SharedCache, WrappingSlotBoundsAreCleanMiss) {
+  SegFile Seg("wrapslot");
+  auto SC = openSeg(Seg.Path);
+  ASSERT_NE(SC, nullptr);
+  L2Entry Empty = entryFor(1, 0);
+  ASSERT_TRUE(SC->publish(keyFor(1), Empty));
+  ASSERT_TRUE(SC->publish(keyFor(2), entryFor(2)));
 
-  CompileCache L1A, L1B;
-  L1A.attachL2(A.get());
-  L1B.attachL2(B.get());
-
-  // Same entry in both L1s (class 42), plus the shared copy in L2.
-  auto mkEntry = [] {
-    auto E = std::make_shared<CachedCompile>();
-    E->AllocatedText = "allocated text";
-    E->Bytes = 256;
-    E->ClassTag = 42;
-    return E;
-  };
-  L1A.insert(keyFor(0), mkEntry()); // also publishes to L2 (sync, no agent)
-  L1B.insert(keyFor(0), mkEntry());
-  ASSERT_EQ(L1A.stats().Entries, 1u);
-  ASSERT_EQ(L1B.stats().Entries, 1u);
-  ASSERT_GE(A->stats().Entries, 1u);
-
-  uint64_t EpochBefore = B->stats().Epoch;
-  L1A.invalidateClass(42);
-
-  // L2 effect is immediate and global (shared directory).
-  L2Entry Out;
-  EXPECT_FALSE(B->lookup(keyFor(0), Out));
-  // A's own L1 dropped synchronously.
-  EXPECT_EQ(L1A.stats().Entries, 0u);
-  // B's L1 still warm until its agent consumes the ring...
-  EXPECT_EQ(L1B.stats().Entries, 1u);
-  B->poll();
-  // ...after which the drop has landed and the watermark covers the epoch.
-  EXPECT_EQ(L1B.stats().Entries, 0u);
-  EXPECT_GE(B->epochWatermark(), EpochBefore + 1);
-  EXPECT_GE(B->stats().Invalidations, 1u);
-}
-
-// Class selectivity: a rotation drops only matching entries.
-TEST(SharedCache, ClassInvalidationIsSelective) {
-  SegFile Seg("inval-sel");
-  auto A = openSeg(Seg.Path);
-  ASSERT_NE(A, nullptr);
-  CompileCache L1;
-  L1.attachL2(A.get());
-  for (unsigned I = 0; I < 8; ++I) {
-    auto E = std::make_shared<CachedCompile>();
-    E->AllocatedText = "text " + std::to_string(I);
-    E->Bytes = 128;
-    E->ClassTag = (I % 2) ? 7 : 9;
-    L1.insert(keyFor(I), std::move(E));
+  RawSeg Raw(Seg.Path);
+  ASSERT_NE(Raw.Base, nullptr);
+  for (unsigned I : {1u, 2u}) {
+    size_t S = Raw.slotOf(keyFor(I));
+    ASSERT_NE(S, 0u);
+    Raw.word(S + SlotOffset * 8) += 1ull << 63;
+    Raw.word(S + SlotBytes * 8) += 1ull << 63;
+    L2Entry Out;
+    EXPECT_FALSE(SC->lookup(keyFor(I), Out)) << I;
   }
-  ASSERT_EQ(L1.stats().Entries, 8u);
-  ASSERT_EQ(A->stats().Entries, 8u);
-  L1.invalidateClass(7);
-  EXPECT_EQ(L1.stats().Entries, 4u);
-  EXPECT_EQ(A->stats().Entries, 4u);
-  // Wildcard: everything goes.
-  L1.invalidateClass(0);
-  EXPECT_EQ(L1.stats().Entries, 0u);
-  EXPECT_EQ(A->stats().Entries, 0u);
+  // The rest of the segment is untouched and still serves.
+  ASSERT_TRUE(SC->publish(keyFor(3), entryFor(3)));
+  L2Entry Out;
+  ASSERT_TRUE(SC->lookup(keyFor(3), Out));
+  EXPECT_EQ(Out.Payload, entryFor(3).Payload);
 }
 
-// A consumer that missed more ring records than the ring holds cannot know
-// what it missed: it must degrade to a conservative wildcard drop.
-TEST(SharedCache, RingOverflowDegradesToWildcardWipe) {
-  SegFile Seg("ringlag");
-  auto A = openSeg(Seg.Path);
-  auto B = openSeg(Seg.Path);
-  ASSERT_NE(A, nullptr);
-  ASSERT_NE(B, nullptr);
+// An entry whose payload-size word reads 2^64 - 1: rounding that up to a
+// word wraps to 0, so the computed entry size matches the slot's. Must be
+// a clean miss, not a 16 EiB allocation.
+TEST(SharedCache, HugePayloadSizeWordIsCleanMiss) {
+  SegFile Seg("hugepayload");
+  auto SC = openSeg(Seg.Path);
+  ASSERT_NE(SC, nullptr);
+  ASSERT_TRUE(SC->publish(keyFor(1), entryFor(1, 0)));
 
-  std::atomic<unsigned> Wildcards{0};
-  std::atomic<unsigned> Records{0};
-  B->setInvalidationSink([&](uint64_t Tag) {
-    if (Tag == 0)
-      Wildcards.fetch_add(1);
-    else
-      Records.fetch_add(1);
-  });
+  RawSeg Raw(Seg.Path);
+  ASSERT_NE(Raw.Base, nullptr);
+  size_t S = Raw.slotOf(keyFor(1));
+  ASSERT_NE(S, 0u);
+  Raw.word(Raw.entryOf(S) + EntryPayloadBytes * 8) = ~0ull;
+  L2Entry Out;
+  EXPECT_FALSE(SC->lookup(keyFor(1), Out));
+}
 
-  // Far more rotations than the ring holds, with B never polling.
-  for (unsigned I = 0; I < 200; ++I)
-    A->invalidateClass(1000 + I);
-  B->poll();
-  EXPECT_GE(Wildcards.load(), 1u);
-  EXPECT_GE(B->stats().RingLagWipes, 1u);
-  // And the watermark still reaches the newest epoch eventually: later
-  // rotations with a caught-up consumer deliver their records exactly.
-  A->invalidateClass(5);
-  B->poll();
-  EXPECT_EQ(Records.load(), 1u);
-  EXPECT_GE(B->epochWatermark(), A->stats().Epoch);
+// Seeded byte flips over a populated segment — the header's geometry words
+// (after attach), the live directory slots and the written arena prefix —
+// one at a time, each followed by a probe of every key: every probe is a
+// clean miss or the byte-exact payload. Each flip is undone before the
+// next, but self-healed slots stay cleared, so later probes see a mix.
+TEST(SharedCache, ByteFlipSweepReadsMissOrExact) {
+  constexpr unsigned Rounds = 6, Keys = 16, FlipsPerRound = 64;
+  std::mt19937_64 Rng(1998);
+  auto payloadBytes = [](unsigned I) { return size_t(I) * 37; };
+  unsigned Hits = 0;
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    SegFile Seg("flipsweep");
+    auto SC = openSeg(Seg.Path, 1u << 20);
+    ASSERT_NE(SC, nullptr);
+    for (unsigned I = 0; I < Keys; ++I)
+      ASSERT_TRUE(SC->publish(keyFor(I), entryFor(I, payloadBytes(I))));
+    RawSeg Raw(Seg.Path);
+    ASSERT_NE(Raw.Base, nullptr);
+    std::vector<size_t> SlotAt;
+    for (unsigned I = 0; I < Keys; ++I)
+      if (size_t S = Raw.slotOf(keyFor(I)))
+        SlotAt.push_back(S);
+    ASSERT_FALSE(SlotAt.empty());
+    const size_t ArenaOff = Raw.hdr(HdrArenaOffset);
+    const size_t ArenaUsed = Raw.hdr(HdrCursor);
+
+    for (unsigned F = 0; F < FlipsPerRound; ++F) {
+      size_t At = 0;
+      switch (Rng() % 3) {
+      case 0: // BucketCount, DirOffset, ArenaOffset, ArenaBytes
+        At = HdrBucketCount * 8 +
+             Rng() % ((HdrArenaBytes - HdrBucketCount + 1) * 8);
+        break;
+      case 1:
+        At = SlotAt[Rng() % SlotAt.size()] + Rng() % SlotBytesTotal;
+        break;
+      default:
+        At = ArenaOff + Rng() % ArenaUsed;
+        break;
+      }
+      const unsigned char Mask = static_cast<unsigned char>(1 + Rng() % 255);
+      Raw.Base[At] ^= Mask;
+      for (unsigned I = 0; I < Keys; ++I) {
+        L2Entry Out;
+        if (!SC->lookup(keyFor(I), Out))
+          continue;
+        ASSERT_EQ(Out.Payload, entryFor(I, payloadBytes(I)).Payload)
+            << "round " << Round << " flip " << F << " at byte " << At;
+        ++Hits;
+      }
+      Raw.Base[At] ^= Mask;
+    }
+  }
+  // Most flips land away from any one key: the sweep must still be
+  // serving, or it proved nothing about byte-exact hits.
+  EXPECT_GT(Hits, 0u);
+}
+
+// An attacher recomputes the geometry from the file size and refuses a
+// header that disagrees, with the typed "incompatible layout" error.
+TEST(SharedCache, HeaderGeometryMismatchIsIncompatibleLayout) {
+  SegFile Seg("geometry");
+  {
+    auto SC = openSeg(Seg.Path);
+    ASSERT_NE(SC, nullptr);
+  }
+  for (size_t W : {HdrBucketCount, HdrDirOffset, HdrArenaOffset,
+                   HdrArenaBytes}) {
+    RawSeg Raw(Seg.Path);
+    ASSERT_NE(Raw.Base, nullptr);
+    const uint64_t Saved = Raw.hdr(W);
+    Raw.hdr(W) ^= 0x1000;
+    std::string Err;
+    EXPECT_EQ(tryOpenSeg(Seg.Path, Err), nullptr) << W;
+    EXPECT_NE(Err.find("incompatible layout"), std::string::npos)
+        << W << ": " << Err;
+    Raw.hdr(W) = Saved;
+    EXPECT_NE(tryOpenSeg(Seg.Path, Err), nullptr) << Err;
+  }
+}
+
+// A segment file written by the version-1 layout (rings in the header, a
+// class word in every slot and entry) is refused, never misread.
+TEST(SharedCache, VersionOneSegmentIsIncompatibleLayout) {
+  SegFile Seg("v1");
+  {
+    auto SC = openSeg(Seg.Path);
+    ASSERT_NE(SC, nullptr);
+    ASSERT_TRUE(SC->publish(keyFor(1), entryFor(1)));
+  }
+  {
+    RawSeg Raw(Seg.Path);
+    ASSERT_NE(Raw.Base, nullptr);
+    Raw.hdr(HdrVersion) = 1;
+  }
+  std::string Err;
+  EXPECT_EQ(tryOpenSeg(Seg.Path, Err), nullptr);
+  EXPECT_NE(Err.find("incompatible layout"), std::string::npos) << Err;
 }
 
 // --- Arena wrap and occupancy -----------------------------------------------

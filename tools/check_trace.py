@@ -404,11 +404,10 @@ def check_cache_stats(path, expect_l2_hits=False):
             fail(
                 f"{path}: L2 occupancy {occ} exceeds its capacity {cap}"
             )
-        if l2_fills and gauges.get("cache.l2.entries", 0) <= 0 \
-                and not counters.get("cache.l2.invalidations", 0):
+        if l2_fills and gauges.get("cache.l2.entries", 0) <= 0:
             fail(
                 f"{path}: cache.l2.entries is zero despite {l2_fills} "
-                f"fills and no invalidations"
+                f"fills"
             )
         if expect_l2_hits and l2_hits <= 0:
             fail(f"{path}: expected cache.l2.hits > 0, got {l2_hits}")
