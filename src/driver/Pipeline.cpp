@@ -21,7 +21,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <sstream>
 
 using namespace lsra;
 
@@ -243,12 +242,13 @@ TextCompileResult lsra::compileTextModule(const std::string &IRText,
       return R;
     }
   }
-  std::ostringstream OS;
   {
     obs::ScopedSpan S("emit", "pass", EO.ReqTrace);
-    printModule(OS, *P.M);
+    printModule(R.AllocatedText, *P.M);
+    // printModule reserves an estimate; callers keep this text (cache
+    // entries, replies, result lists), so hand it back at its exact size.
+    R.AllocatedText.shrink_to_fit();
   }
-  R.AllocatedText = OS.str();
   R.Ok = true;
   if (EO.Cache) {
     auto Entry = std::make_shared<cache::CachedCompile>();

@@ -3,13 +3,25 @@
 // Part of the lsra project (PLDI 1998 linear-scan reproduction).
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// One pass over a string_view of the text. Lines are found with memchr and
+/// numbers read with from_chars; no per-line or per-token string is made.
+/// A function is added when its header is seen, so ids follow text order;
+/// call targets are recorded as fixups and resolved at the end against a
+/// name -> id hash map. `mem` lines, 97% of a printed corpus module, take
+/// their own fast path.
+///
+//===----------------------------------------------------------------------===//
 
 #include "ir/Parser.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 using namespace lsra;
@@ -22,278 +34,485 @@ struct CallFixup {
   Function *F;
   unsigned Block;
   unsigned InstrIdx;
-  std::string Callee;
+  std::string_view Callee; ///< the "@NAME" operand; empty if there is none
+  unsigned Line, Col;      ///< where the operand is, for the diagnostic
 };
 
-/// Parse \p S fully as an unsigned decimal number; false if any trailing
-/// characters remain (so "%1x" or "$f" are rejected, not truncated).
-bool parseFullUInt(const char *S, unsigned &Out) {
-  if (*S < '0' || *S > '9')
+bool startsWith(std::string_view S, std::string_view Prefix) {
+  return S.compare(0, Prefix.size(), Prefix) == 0;
+}
+
+/// Parse all of \p S as an unsigned decimal number: digits only, no
+/// sign, no overflow (so "%1x", "$f" or a 2^32 vreg id are rejected, not
+/// truncated).
+template <typename T> bool parseFull(std::string_view S, T &Out) {
+  auto [P, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+  return Ec == std::errc() && P == S.data() + S.size();
+}
+
+/// 0-15 for a hex digit of either case, 16 otherwise.
+unsigned hexValue(char Ch) {
+  unsigned C = static_cast<unsigned char>(Ch);
+  if (C - '0' < 10)
+    return C - '0';
+  if ((C | 0x20) - 'a' < 6)
+    return (C | 0x20) - 'a' + 10;
+  return 16;
+}
+
+/// Reads the printed form "mem ADDR 0xHEX" at \p P, up to \p End, and
+/// returns the end of the hex digits, or null if the text there is not of
+/// that form. An address past 2^59 reads as UINT64_MAX: out of range
+/// either way, and never wrapped.
+const char *scanMemLine(const char *P, const char *End, uint64_t &Addr,
+                        uint64_t &Val) {
+  if (End - P < 4 || std::memcmp(P, "mem ", 4) != 0)
+    return nullptr;
+  P += 4;
+  const char *Digits = P;
+  Addr = 0;
+  for (; P < End && static_cast<unsigned>(*P - '0') < 10; ++P)
+    Addr = Addr >= (1ull << 59) ? UINT64_MAX : Addr * 10 + (*P - '0');
+  if (P == Digits || End - P < 3 || std::memcmp(P, " 0x", 3) != 0)
+    return nullptr;
+  P += 3;
+  const char *Hex = P;
+  Val = 0;
+  for (; P < End; ++P) {
+    unsigned D = hexValue(*P);
+    if (D > 15)
+      break;
+    if (P - Hex == 16) // a 17th digit
+      return nullptr;
+    Val = Val << 4 | D;
+  }
+  return P == Hex ? nullptr : P;
+}
+
+/// Read \p S as an unsigned decimal that must fit a 64-bit value below
+/// \p Limit. Returns 1 when it does, 0 when \p S is not all digits, and -1
+/// when the digits overflow or reach the limit.
+int parseBounded(std::string_view S, unsigned long long Limit,
+                 unsigned long long &Out) {
+  auto [P, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+  if (P != S.data() + S.size() ||
+      (Ec != std::errc() && Ec != std::errc::result_out_of_range))
+    return 0;
+  return Ec == std::errc() && Out < Limit ? 1 : -1;
+}
+
+/// An integer immediate: optional leading blanks and sign (as strtoll took
+/// them, so hand-written text keeps parsing), then decimal digits, in range
+/// of int64_t.
+bool parseImm(std::string_view S, int64_t &Out) {
+  size_t I = S.find_first_not_of(" \t\v\f\r");
+  if (I == std::string_view::npos)
     return false;
+  S.remove_prefix(I);
+  if (S.size() > 1 && S[0] == '+' && S[1] != '-')
+    S.remove_prefix(1);
+  auto [P, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+  return Ec == std::errc() && P == S.data() + S.size();
+}
+
+/// A `movf` immediate, read with strtod (hex floats, inf and nan included)
+/// from a NUL-terminated copy of the token.
+bool parseDouble(std::string_view S, double &Out) {
+  char Buf[64];
+  std::string Long;
+  const char *C = Buf;
+  if (S.size() < sizeof(Buf)) {
+    std::memcpy(Buf, S.data(), S.size());
+    Buf[S.size()] = '\0';
+  } else {
+    Long.assign(S);
+    C = Long.c_str();
+  }
   char *End = nullptr;
-  Out = static_cast<unsigned>(std::strtoul(S, &End, 10));
-  return End != S && *End == '\0';
+  Out = std::strtod(C, &End);
+  return !S.empty() && End == C + S.size();
+}
+
+/// The opcode and spill-tag name tables, built once per process.
+const std::unordered_map<std::string_view, Opcode> &opcodeTable() {
+  static const auto Table = [] {
+    std::unordered_map<std::string_view, Opcode> T;
+    for (unsigned I = 0; I < NumOpcodes; ++I)
+      T.emplace(opcodeName(static_cast<Opcode>(I)), static_cast<Opcode>(I));
+    return T;
+  }();
+  return Table;
+}
+
+const std::unordered_map<std::string_view, SpillKind> &spillTable() {
+  static const auto Table = [] {
+    std::unordered_map<std::string_view, SpillKind> T;
+    for (SpillKind K :
+         {SpillKind::EvictLoad, SpillKind::EvictStore, SpillKind::EvictMove,
+          SpillKind::ResolveLoad, SpillKind::ResolveStore,
+          SpillKind::ResolveMove, SpillKind::CalleeSave,
+          SpillKind::CalleeRestore})
+      T.emplace(spillKindName(K), K);
+    return T;
+  }();
+  return Table;
+}
+
+/// Extract the value after \p Key ("vregs=") from a header body like
+/// "(iparams=2 fparams=0 ret=int vregs=9 slots=0 lowered)". The value
+/// runs to the next ' ' or ')'.
+bool headerField(std::string_view Body, std::string_view Key,
+                 std::string_view &Out) {
+  size_t P = Body.find(Key);
+  if (P == std::string_view::npos)
+    return false;
+  size_t S = P + Key.size();
+  size_t E = Body.find_first_of(" )", S);
+  Out = Body.substr(S, E == std::string_view::npos ? E : E - S);
+  return true;
 }
 
 class Parser {
 public:
-  explicit Parser(const std::string &Text) : In(Text) {}
+  explicit Parser(std::string_view Text) : Text(Text) {}
 
   ParseResult run();
 
 private:
-  std::istringstream In;
-  std::unique_ptr<Module> M = std::make_unique<Module>();
+  std::string_view Text;
+  size_t Pos = 0; ///< start of the next unread line
   unsigned LineNo = 0;
-  std::string Line;
+  std::string_view Line; ///< current line, trailing ' '/'\r' trimmed
+  std::unique_ptr<Module> M = std::make_unique<Module>();
   std::string Error;
   unsigned ErrLine = 0;
   unsigned ErrCol = 0;
   std::string ErrToken;
   std::vector<CallFixup> Fixups;
-  std::map<std::string, Opcode, std::less<>> OpcodeByName;
-  std::map<std::string, SpillKind, std::less<>> SpillByName;
+  std::unordered_map<std::string_view, unsigned> FuncByName;
+  /// Size of the memory image: one past the highest `mem` address, or the
+  /// largest `memsize`, whichever is more.
+  size_t MemWords = 0;
 
-  bool fail(const std::string &Msg) {
-    if (Error.empty()) {
-      ErrLine = LineNo;
-      Error = "line " + std::to_string(LineNo) + ": " + Msg;
-    }
-    return false;
+  // The function being read and its block; null at top level.
+  Function *CurF = nullptr;
+  Block *CurB = nullptr;
+  // Header counts and the declaration lines that may follow the header,
+  // applied when the first other line (or the end of the function) is seen.
+  bool InDecls = false;
+  unsigned NumV = 0, NumS = 0;
+  std::vector<bool> FpVReg, FpSlot;
+  std::vector<unsigned> Params;
+
+  /// 1-based column of \p Tok in the current line; 0 if it is not a view
+  /// into it.
+  unsigned columnOf(std::string_view Tok) const {
+    if (Tok.empty() || Tok.data() < Line.data() ||
+        Tok.data() >= Line.data() + Line.size())
+      return 0;
+    return static_cast<unsigned>(Tok.data() - Line.data()) + 1;
   }
 
-  /// Failure anchored at \p Tok: records the 1-based column where the token
-  /// occurs on the current line (servers turn this into structured error
-  /// responses; "line N, col C: msg (near 'TOK')").
-  bool failTok(const std::string &Msg, const std::string &Tok) {
+  /// Failure anchored at token \p Tok at line \p L, column \p Col (servers
+  /// turn this into structured error responses; "line N, col C: msg (near
+  /// 'TOK')").
+  bool failAt(unsigned L, unsigned Col, const std::string &Msg,
+              std::string_view Tok) {
     if (!Error.empty())
       return false;
-    ErrLine = LineNo;
-    ErrToken = Tok;
-    size_t P = Tok.empty() ? std::string::npos : Line.find(Tok);
-    if (P != std::string::npos)
-      ErrCol = static_cast<unsigned>(P) + 1;
-    Error = "line " + std::to_string(LineNo);
+    ErrLine = L;
+    ErrCol = Col;
+    ErrToken.assign(Tok);
+    Error = "line " + std::to_string(L);
     if (ErrCol)
       Error += ", col " + std::to_string(ErrCol);
     Error += ": " + Msg;
     if (!Tok.empty())
-      Error += " (near '" + Tok + "')";
+      Error += " (near '" + ErrToken + "')";
     return false;
   }
 
-  /// A `mem` address or `memsize` at or above MaxMemoryWords; the value
-  /// token starts at \p Pos of the trimmed line \p L.
-  bool failMemTooLarge(const char *What, const std::string &L, size_t Pos) {
+  /// Failure anchored at \p Tok, a view into the current line.
+  bool failTok(const std::string &Msg, std::string_view Tok) {
+    return failAt(LineNo, columnOf(Tok), Msg, Tok);
+  }
+
+  /// Failure of the current line as a whole ("line N: msg").
+  bool fail(const std::string &Msg) { return failAt(LineNo, 0, Msg, {}); }
+
+  /// The first word of \p L: up to the next space.
+  static std::string_view firstWord(std::string_view L) {
+    return L.substr(0, L.find(' '));
+  }
+
+  /// Advance to the next line that is neither blank nor a comment (";"
+  /// first — corpus files carry "; oracle: ..." replay headers). Sets Line
+  /// and returns the line with leading spaces removed in \p Trimmed.
+  bool nextLine(std::string_view &Trimmed) {
+    while (Pos < Text.size()) {
+      const char *Start = Text.data() + Pos;
+      size_t Left = Text.size() - Pos;
+      const char *NL =
+          static_cast<const char *>(std::memchr(Start, '\n', Left));
+      size_t Len = NL ? static_cast<size_t>(NL - Start) : Left;
+      Pos += NL ? Len + 1 : Len;
+      ++LineNo;
+      while (Len && (Start[Len - 1] == ' ' || Start[Len - 1] == '\r'))
+        --Len;
+      size_t First = 0;
+      while (First < Len && Start[First] == ' ')
+        ++First;
+      if (First < Len && Start[First] != ';') {
+        Line = std::string_view(Start, Len);
+        Trimmed = Line.substr(First);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  bool parseLine(std::string_view T);
+  bool parseMem(std::string_view T);
+  bool parseMemSize(std::string_view T);
+  bool parseFunctionHeader(std::string_view T);
+  bool parseDeclLine(std::string_view T);
+  void finishDecls();
+  bool parseBlockHeader(std::string_view T);
+  bool parseInstr(std::string_view Body);
+  bool parseOperand(std::string_view Tok, Opcode Op, unsigned Slot,
+                    Operand &Out, std::string_view &CalleeName);
+  bool parseDeclaredCount(std::string_view V, const std::string &Name,
+                          unsigned &Out);
+
+  /// End the current function, if any: apply pending declarations and
+  /// return to top level.
+  void endFunction() {
+    if (!CurF)
+      return;
+    finishDecls();
+    CurF = nullptr;
+    CurB = nullptr;
+  }
+
+  void storeWord(uint64_t Addr, uint64_t Val) {
+    // Grow by doubling; run() trims the image to MemWords at the end.
+    std::vector<uint64_t> &Mem = M->InitialMemory;
+    if (Addr >= Mem.size())
+      Mem.resize(std::min<size_t>(std::max<size_t>(Addr + 1, Mem.size() * 2),
+                                  MaxMemoryWords));
+    Mem[Addr] = Val;
+    MemWords = std::max<size_t>(MemWords, Addr + 1);
+  }
+
+  /// The memory image's common case, read in place without finding the
+  /// line end first: a `mem` line in printed form with an in-range address,
+  /// ending in '\n' or the text. Any other line, including a `mem` line
+  /// that needs a diagnostic, is left to nextLine and parseLine.
+  bool fastMemLine() {
+    const char *End = Text.data() + Text.size();
+    uint64_t Addr, Val;
+    const char *P = scanMemLine(Text.data() + Pos, End, Addr, Val);
+    if (!P || (P != End && *P != '\n') || Addr >= MaxMemoryWords)
+      return false;
+    endFunction();
+    storeWord(Addr, Val);
+    ++LineNo;
+    Pos = static_cast<size_t>(P - Text.data()) + (P != End);
+    return true;
+  }
+
+  /// A `mem` address or `memsize` at or above MaxMemoryWords.
+  bool failMemTooLarge(const char *What, std::string_view Tok) {
     return failTok(std::string(What) + " out of range (limit " +
                        std::to_string(MaxMemoryWords) + " words)",
-                   L.substr(Pos, L.find(' ', Pos) - Pos));
+                   Tok);
   }
-
-  bool nextLine() {
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      // Trim trailing whitespace; skip blank lines and comment lines (";"
-      // first — corpus files carry "; oracle: ..." replay headers).
-      while (!Line.empty() && (Line.back() == ' ' || Line.back() == '\r'))
-        Line.pop_back();
-      size_t First = Line.find_first_not_of(' ');
-      if (First != std::string::npos && Line[First] != ';')
-        return true;
-    }
-    return false;
-  }
-
-  void buildTables() {
-    for (unsigned I = 0; I < NumOpcodes; ++I) {
-      Opcode Op = static_cast<Opcode>(I);
-      OpcodeByName[opcodeName(Op)] = Op;
-    }
-    const SpillKind Kinds[] = {
-        SpillKind::EvictLoad,     SpillKind::EvictStore,
-        SpillKind::EvictMove,     SpillKind::ResolveLoad,
-        SpillKind::ResolveStore,  SpillKind::ResolveMove,
-        SpillKind::CalleeSave,    SpillKind::CalleeRestore,
-    };
-    for (SpillKind K : Kinds)
-      SpillByName[spillKindName(K)] = K;
-  }
-
-  /// Extract "key=value" from a header body like
-  /// "iparams=2 fparams=0 ret=int vregs=9 slots=0 lowered".
-  static bool headerField(const std::string &Body, const char *Key,
-                          std::string &Out) {
-    std::string Needle = std::string(Key) + "=";
-    size_t P = Body.find(Needle);
-    if (P == std::string::npos)
-      return false;
-    size_t S = P + Needle.size();
-    size_t E = Body.find_first_of(" )", S);
-    Out = Body.substr(S, E == std::string::npos ? E : E - S);
-    return true;
-  }
-
-  bool parseFunctionHeader(const std::string &L, bool Prescan);
-  bool parseFunctionBody(Function &F);
-  bool parseInstr(Function &F, Block &B, const std::string &Body);
-  bool parseOperand(const std::string &Tok, Opcode Op, unsigned Slot,
-                    Operand &Out, std::string *CalleeName);
-
-  bool parseTopLevel(bool Prescan);
 };
 
-bool Parser::parseFunctionHeader(const std::string &L, bool Prescan) {
+bool Parser::parseMem(std::string_view T) {
+  uint64_t Addr, Val;
+  if (scanMemLine(T.data(), T.data() + T.size(), Addr, Val) !=
+      T.data() + T.size())
+    return fail("bad mem line");
+  if (Addr >= MaxMemoryWords)
+    return failMemTooLarge("mem address", firstWord(T.substr(4)));
+  storeWord(Addr, Val);
+  return true;
+}
+
+bool Parser::parseMemSize(std::string_view T) {
+  std::string_view Tok = T.substr(8);
+  unsigned long long Words = 0;
+  int Fits = parseBounded(Tok, MaxMemoryWords, Words);
+  if (!Fits)
+    return failTok("bad memsize", Tok);
+  if (Fits < 0)
+    return failMemTooLarge("memsize", Tok);
+  MemWords = std::max<size_t>(MemWords, Words);
+  return true;
+}
+
+/// Read \p V, the value of header field \p Name ("vregs"), strictly:
+/// decimal digits only, below MaxDeclaredIds.
+bool Parser::parseDeclaredCount(std::string_view V, const std::string &Name,
+                                unsigned &Out) {
+  unsigned long long N = 0;
+  int Fits = parseBounded(V, MaxDeclaredIds, N);
+  if (!Fits) // an empty value is reported at its "NAME=" key
+    return failTok("bad " + Name + " count",
+                   V.empty() ? std::string_view(V.data() - Name.size() - 1,
+                                                Name.size() + 1)
+                             : V);
+  if (Fits < 0)
+    return failTok(Name + " out of range (limit " +
+                       std::to_string(MaxDeclaredIds) + ")",
+                   V);
+  Out = static_cast<unsigned>(N);
+  return true;
+}
+
+bool Parser::parseFunctionHeader(std::string_view T) {
   // "func NAME (iparams=I fparams=P ret=K vregs=V slots=S [lowered])"
-  size_t NameStart = 5;
-  size_t NameEnd = L.find(' ', NameStart);
-  if (NameEnd == std::string::npos)
+  size_t NameEnd = T.find(' ', 5);
+  if (NameEnd == std::string_view::npos)
     return fail("malformed func header");
-  std::string Name = L.substr(NameStart, NameEnd - NameStart);
-  if (Prescan) {
-    M->addFunction(Name);
-    return true;
-  }
-  Function *F = M->findFunction(Name);
-  if (!F)
-    return fail("internal: function not prescanned");
-  std::string Ret, VRegs, Slots;
-  if (!headerField(L, "ret", Ret) || !headerField(L, "vregs", VRegs) ||
-      !headerField(L, "slots", Slots))
-    return failTok("func header missing ret=/vregs=/slots=", "func");
-  F->RetKind = Ret == "int"   ? CallRetKind::Int
-               : Ret == "fp"  ? CallRetKind::Float
-                              : CallRetKind::None;
-  F->CallsLowered = L.find(" lowered") != std::string::npos;
+  std::string_view Name = T.substr(5, NameEnd - 5);
+  std::string_view Header = T.substr(NameEnd);
+  std::string_view Ret, VRegs, Slots;
+  if (!headerField(Header, "ret=", Ret) ||
+      !headerField(Header, "vregs=", VRegs) ||
+      !headerField(Header, "slots=", Slots))
+    return failTok("func header missing ret=/vregs=/slots=", T.substr(0, 4));
+  unsigned V = 0, S = 0;
+  if (!parseDeclaredCount(VRegs, "vregs", V) ||
+      !parseDeclaredCount(Slots, "slots", S))
+    return false;
+  if (!FuncByName.emplace(Name, M->numFunctions()).second)
+    return failTok("duplicate function '" + std::string(Name) + "'", Name);
 
-  unsigned NumV = static_cast<unsigned>(std::strtoul(VRegs.c_str(), nullptr, 10));
-  unsigned NumS = static_cast<unsigned>(std::strtoul(Slots.c_str(), nullptr, 10));
+  Function &F = M->addFunction(std::string(Name));
+  F.RetKind = Ret == "int"  ? CallRetKind::Int
+              : Ret == "fp" ? CallRetKind::Float
+                            : CallRetKind::None;
+  F.CallsLowered = Header.find(" lowered") != std::string_view::npos;
+  CurF = &F;
+  CurB = nullptr;
+  InDecls = true;
+  NumV = V;
+  NumS = S;
+  FpVReg.assign(NumV, false);
+  FpSlot.assign(NumS, false);
+  Params.clear();
+  return true;
+}
 
-  // Optional declaration lines follow, before the first block header.
-  std::vector<bool> FpVReg(NumV, false), FpSlot(NumS, false);
-  std::vector<unsigned> Params;
-  std::streampos Mark = In.tellg();
-  unsigned MarkLine = LineNo;
-  while (nextLine()) {
-    std::string Trimmed = Line.substr(Line.find_first_not_of(' '));
-    if (Trimmed.rfind("fpvregs:", 0) == 0 || Trimmed.rfind("fpslots:", 0) == 0 ||
-        Trimmed.rfind("params:", 0) == 0) {
-      std::istringstream SS(Trimmed.substr(Trimmed.find(':') + 1));
-      std::string Tok;
-      while (SS >> Tok) {
-        unsigned Id = 0;
-        if (Trimmed[0] == 'p') { // params
-          if (Tok[0] != '%' || !parseFullUInt(Tok.c_str() + 1, Id))
-            return failTok("bad params entry", Tok);
-          Params.push_back(Id);
-        } else if (Trimmed.rfind("fpvregs", 0) == 0) {
-          if (Tok[0] != '%' || !parseFullUInt(Tok.c_str() + 1, Id))
-            return failTok("bad fpvregs entry", Tok);
-          if (Id >= NumV)
-            return failTok("fpvregs id out of range", Tok);
-          FpVReg[Id] = true;
-        } else {
-          if (Tok[0] != 's' || !parseFullUInt(Tok.c_str() + 1, Id))
-            return failTok("bad fpslots entry", Tok);
-          if (Id >= NumS)
-            return failTok("fpslots id out of range", Tok);
-          FpSlot[Id] = true;
-        }
-      }
-      Mark = In.tellg();
-      MarkLine = LineNo;
-      continue;
+bool Parser::parseDeclLine(std::string_view T) {
+  // "fpvregs: %3 %4", "fpslots: s0", "params: %0 %1".
+  char Kind = T[2]; // 'v', 's' or 'r'
+  std::string_view Rest = T.substr(T.find(':') + 1);
+  constexpr std::string_view Blank = " \t\n\v\f\r";
+  for (size_t B = Rest.find_first_not_of(Blank); B != std::string_view::npos;
+       B = Rest.find_first_not_of(Blank, B)) {
+    size_t E = Rest.find_first_of(Blank, B);
+    std::string_view Tok = Rest.substr(B, E - B);
+    B = E;
+    unsigned Id = 0;
+    if (Kind == 'r') {
+      if (Tok[0] != '%' || !parseFull(Tok.substr(1), Id))
+        return failTok("bad params entry", Tok);
+      if (Id >= NumV)
+        return fail("param vreg out of range");
+      Params.push_back(Id);
+    } else if (Kind == 'v') {
+      if (Tok[0] != '%' || !parseFull(Tok.substr(1), Id))
+        return failTok("bad fpvregs entry", Tok);
+      if (Id >= NumV)
+        return failTok("fpvregs id out of range", Tok);
+      FpVReg[Id] = true;
+    } else {
+      if (Tok[0] != 's' || !parseFull(Tok.substr(1), Id))
+        return failTok("bad fpslots entry", Tok);
+      if (Id >= NumS)
+        return failTok("fpslots id out of range", Tok);
+      FpSlot[Id] = true;
     }
-    // Not a declaration: rewind so the body parser sees this line.
-    In.seekg(Mark);
-    LineNo = MarkLine;
-    break;
   }
+  return true;
+}
 
+void Parser::finishDecls() {
+  if (!InDecls)
+    return;
+  InDecls = false;
+  Function &F = *CurF;
   for (unsigned V = 0; V < NumV; ++V)
-    F->newVReg(FpVReg[V] ? RegClass::Float : RegClass::Int);
+    F.newVReg(FpVReg[V] ? RegClass::Float : RegClass::Int);
   for (unsigned S = 0; S < NumS; ++S)
-    F->newSlot(FpSlot[S] ? RegClass::Float : RegClass::Int);
-  for (unsigned V : Params) {
-    if (V >= NumV)
-      return fail("param vreg out of range");
-    (F->vregClass(V) == RegClass::Float ? F->FpParamVRegs : F->IntParamVRegs)
+    F.newSlot(FpSlot[S] ? RegClass::Float : RegClass::Int);
+  for (unsigned V : Params)
+    (F.vregClass(V) == RegClass::Float ? F.FpParamVRegs : F.IntParamVRegs)
         .push_back(V);
-  }
-  return parseFunctionBody(*F);
 }
 
-bool Parser::parseFunctionBody(Function &F) {
-  Block *Cur = nullptr;
-  while (true) {
-    std::streampos Mark = In.tellg();
-    unsigned MarkLine = LineNo;
-    if (!nextLine())
-      return true; // end of input ends the function
-    size_t First = Line.find_first_not_of(' ');
-    std::string Trimmed = Line.substr(First);
-    if (Trimmed.rfind("func ", 0) == 0 || Trimmed.rfind("mem", 0) == 0) {
-      In.seekg(Mark);
-      LineNo = MarkLine;
-      return true; // next top-level entity
-    }
-    if (Trimmed.rfind("bb", 0) == 0 && Trimmed.find(" (") != std::string::npos &&
-        Trimmed.back() == ':') {
-      size_t NameStart = Trimmed.find(" (") + 2;
-      size_t NameEnd = Trimmed.rfind("):");
-      std::string BlockName =
-          Trimmed.substr(NameStart, NameEnd - NameStart);
-      unsigned Id =
-          static_cast<unsigned>(std::strtoul(Trimmed.c_str() + 2, nullptr, 10));
-      Block &B = F.addBlock(BlockName);
-      if (B.id() != Id)
-        return fail("block ids must be dense and in order");
-      Cur = &B;
-      continue;
-    }
-    if (!Cur)
-      return fail("instruction outside any block");
-    if (!parseInstr(F, *Cur, Trimmed))
-      return false;
-  }
+bool Parser::parseBlockHeader(std::string_view T) {
+  // "bbN (NAME):"
+  size_t NameStart = T.find(" (") + 2;
+  size_t NameEnd = T.rfind("):");
+  std::string_view BlockName =
+      T.substr(NameStart, NameEnd == std::string_view::npos ||
+                                  NameEnd < NameStart
+                              ? std::string_view::npos
+                              : NameEnd - NameStart);
+  unsigned Id = 0;
+  auto [P, Ec] = std::from_chars(T.data() + 2, T.data() + T.size(), Id);
+  (void)P;
+  Block &B = CurF->addBlock(std::string(BlockName));
+  if (Ec == std::errc::result_out_of_range || B.id() != Id)
+    return fail("block ids must be dense and in order");
+  CurB = &B;
+  return true;
 }
 
-bool Parser::parseInstr(Function &F, Block &B, const std::string &BodyIn) {
-  std::string Body = BodyIn;
-
+bool Parser::parseInstr(std::string_view Body) {
   // Spill tag comment: "...  ; evict-store".
   SpillKind Spill = SpillKind::None;
   size_t Semi = Body.find("  ; ");
-  if (Semi == std::string::npos)
+  if (Semi == std::string_view::npos)
     Semi = Body.find(" ; ");
-  if (Semi != std::string::npos) {
-    std::string Tag = Body.substr(Body.find("; ", Semi) + 2);
-    auto It = SpillByName.find(Tag);
-    if (It == SpillByName.end())
+  if (Semi != std::string_view::npos) {
+    std::string_view Tag = Body.substr(Body.find("; ", Semi) + 2);
+    auto K = spillTable().find(Tag);
+    if (K == spillTable().end())
       return failTok("unknown spill tag", Tag);
-    Spill = It->second;
+    Spill = K->second;
     Body = Body.substr(0, Semi);
   }
 
   // Call metadata: "...  (iargs=N fargs=M)".
   uint8_t IArgs = 0, FArgs = 0;
   size_t Paren = Body.find("  (iargs=");
-  if (Paren != std::string::npos) {
-    std::string Meta = Body.substr(Paren);
-    std::string V;
-    if (headerField(Meta, "iargs", V))
-      IArgs = static_cast<uint8_t>(std::strtoul(V.c_str(), nullptr, 10));
-    if (headerField(Meta, "fargs", V))
-      FArgs = static_cast<uint8_t>(std::strtoul(V.c_str(), nullptr, 10));
+  if (Paren != std::string_view::npos) {
+    std::string_view Meta = Body.substr(Paren), V;
+    unsigned N = 0;
+    if (headerField(Meta, "iargs=", V)) {
+      std::from_chars(V.data(), V.data() + V.size(), N);
+      IArgs = static_cast<uint8_t>(N);
+    }
+    N = 0;
+    if (headerField(Meta, "fargs=", V)) {
+      std::from_chars(V.data(), V.data() + V.size(), N);
+      FArgs = static_cast<uint8_t>(N);
+    }
     Body = Body.substr(0, Paren);
   }
   while (!Body.empty() && Body.back() == ' ')
-    Body.pop_back();
+    Body.remove_suffix(1);
 
   // "opcode op1, op2, op3".
   size_t Sp = Body.find(' ');
-  std::string OpName = Body.substr(0, Sp);
-  auto OpIt = OpcodeByName.find(OpName);
-  if (OpIt == OpcodeByName.end())
+  std::string_view OpName = Body.substr(0, Sp);
+  auto OpIt = opcodeTable().find(OpName);
+  if (OpIt == opcodeTable().end())
     return failTok("unknown opcode", OpName);
   Opcode Op = OpIt->second;
 
@@ -302,72 +521,58 @@ bool Parser::parseInstr(Function &F, Block &B, const std::string &BodyIn) {
   I.CallIntArgs = IArgs;
   I.CallFpArgs = FArgs;
 
-  std::string CalleeName;
-  if (Sp != std::string::npos) {
-    std::string Rest = Body.substr(Sp + 1);
-    unsigned Slot = 0;
-    size_t Pos = 0;
-    while (Pos <= Rest.size() && Slot < 3) {
-      size_t Comma = Rest.find(", ", Pos);
-      std::string Tok = Rest.substr(
-          Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-      if (!Tok.empty()) {
-        Operand O;
-        if (!parseOperand(Tok, Op, Slot, O, &CalleeName))
-          return false;
-        I.op(Slot) = O;
-      }
-      ++Slot;
-      if (Comma == std::string::npos)
+  std::string_view CalleeName;
+  if (Sp != std::string_view::npos) {
+    std::string_view Rest = Body.substr(Sp + 1);
+    for (unsigned Slot = 0; Slot < 3; ++Slot) {
+      size_t Comma = Rest.find(", ");
+      std::string_view Tok = Rest.substr(0, Comma);
+      if (!Tok.empty() && !parseOperand(Tok, Op, Slot, I.op(Slot), CalleeName))
+        return false;
+      if (Comma == std::string_view::npos)
         break;
-      Pos = Comma + 2;
+      Rest.remove_prefix(Comma + 2);
     }
   }
 
-  B.append(I);
+  CurB->append(I);
   if (Op == Opcode::Call)
-    Fixups.push_back({&F, B.id(), B.size() - 1, CalleeName});
+    Fixups.push_back({CurF, CurB->id(), CurB->size() - 1, CalleeName, LineNo,
+                      columnOf(CalleeName)});
   return true;
 }
 
-bool Parser::parseOperand(const std::string &Tok, Opcode Op, unsigned Slot,
-                          Operand &Out, std::string *CalleeName) {
+bool Parser::parseOperand(std::string_view Tok, Opcode Op, unsigned Slot,
+                          Operand &Out, std::string_view &CalleeName) {
   unsigned N = 0;
   if (Tok == "_") {
     Out = Operand::none();
     return true;
   }
   if (Tok[0] == '%') {
-    if (!parseFullUInt(Tok.c_str() + 1, N))
+    if (!parseFull(Tok.substr(1), N))
       return failTok("bad vreg operand", Tok);
     Out = Operand::vreg(N);
     return true;
   }
   if (Tok[0] == '$') {
-    if (Tok.size() > 1 && Tok[1] == 'f') {
-      if (!parseFullUInt(Tok.c_str() + 2, N))
-        return failTok("bad preg operand", Tok);
-      Out = Operand::preg(fpReg(N));
-    } else {
-      if (!parseFullUInt(Tok.c_str() + 1, N))
-        return failTok("bad preg operand", Tok);
-      Out = Operand::preg(intReg(N));
-    }
+    bool Fp = Tok.size() > 1 && Tok[1] == 'f';
+    if (!parseFull(Tok.substr(Fp ? 2 : 1), N) ||
+        N >= (Fp ? NumFpPRegs : NumIntPRegs))
+      return failTok("bad preg operand", Tok);
+    Out = Operand::preg(Fp ? fpReg(N) : intReg(N));
     return true;
   }
   if (Tok[0] == '[') {
-    std::string Inner = Tok.substr(1, Tok.size() >= 2 && Tok.back() == ']'
-                                          ? Tok.size() - 2
-                                          : std::string::npos);
-    if (Tok.back() != ']' || Inner.size() < 2 || Inner[0] != 's' ||
-        !parseFullUInt(Inner.c_str() + 1, N))
+    if (Tok.size() < 4 || Tok.back() != ']' || Tok[1] != 's' ||
+        !parseFull(Tok.substr(2, Tok.size() - 3), N))
       return failTok("bad slot operand", Tok);
     Out = Operand::slot(N);
     return true;
   }
-  if (Tok.rfind("bb", 0) == 0 && Tok.size() > 2 && Tok[2] >= '0' &&
+  if (Tok.size() > 2 && Tok[0] == 'b' && Tok[1] == 'b' && Tok[2] >= '0' &&
       Tok[2] <= '9') {
-    if (!parseFullUInt(Tok.c_str() + 2, N))
+    if (!parseFull(Tok.substr(2), N))
       return failTok("bad label operand", Tok);
     Out = Operand::label(N);
     return true;
@@ -375,105 +580,86 @@ bool Parser::parseOperand(const std::string &Tok, Opcode Op, unsigned Slot,
   if (Tok[0] == '@') {
     if (Tok.size() < 2)
       return failTok("empty call target", Tok);
-    *CalleeName = Tok.substr(1);
+    CalleeName = Tok;
     Out = Operand::func(0); // fixed up once all functions are known
     return true;
   }
   // Numeric: a float immediate only in MovF's value slot.
-  char *End = nullptr;
   if (Op == Opcode::MovF && Slot == 1) {
-    double D = std::strtod(Tok.c_str(), &End);
-    if (End == Tok.c_str() || *End != '\0')
+    double D;
+    if (!parseDouble(Tok, D))
       return failTok("bad float immediate", Tok);
     Out = Operand::fimm(D);
     return true;
   }
-  long long V = std::strtoll(Tok.c_str(), &End, 10);
-  if (End == Tok.c_str() || *End != '\0')
+  int64_t V;
+  if (!parseImm(Tok, V))
     return failTok("bad operand", Tok);
   Out = Operand::imm(V);
   return true;
 }
 
-bool Parser::parseTopLevel(bool Prescan) {
-  while (nextLine()) {
-    size_t First = Line.find_first_not_of(' ');
-    std::string Trimmed = Line.substr(First);
-    if (Trimmed.rfind("mem ", 0) == 0) {
-      if (Prescan)
-        continue;
-      unsigned long long Addr = 0, Val = 0;
-      if (std::sscanf(Trimmed.c_str(), "mem %llu 0x%llx", &Addr, &Val) != 2)
-        return fail("bad mem line");
-      if (Addr >= MaxMemoryWords)
-        return failMemTooLarge("mem address", Trimmed, 4);
-      M->reserveMemory(static_cast<unsigned>(Addr) + 1);
-      M->InitialMemory[Addr] = Val;
-      continue;
-    }
-    if (Trimmed.rfind("memsize ", 0) == 0) {
-      if (Prescan)
-        continue;
-      unsigned long long Words =
-          std::strtoull(Trimmed.c_str() + 8, nullptr, 10);
-      if (Words >= MaxMemoryWords)
-        return failMemTooLarge("memsize", Trimmed, 8);
-      M->reserveMemory(static_cast<unsigned>(Words));
-      continue;
-    }
-    if (Trimmed.rfind("func ", 0) == 0) {
-      if (Prescan) {
-        if (!parseFunctionHeader(Trimmed, /*Prescan=*/true))
-          return false;
-        continue;
-      }
-      if (!parseFunctionHeader(Trimmed, /*Prescan=*/false))
-        return false;
-      continue;
-    }
-    if (Prescan)
-      continue; // bodies are skipped during the prescan
-    return failTok("unexpected top-level line",
-                   Trimmed.substr(0, Trimmed.find(' ')));
+/// One non-blank, non-comment line, leading spaces removed.
+bool Parser::parseLine(std::string_view T) {
+  // The memory image first: it is nearly every line of a printed module.
+  // A "mem" or "func" line ends the function being read.
+  if (startsWith(T, "mem")) {
+    endFunction();
+    if (startsWith(T, "mem "))
+      return parseMem(T);
+    if (startsWith(T, "memsize "))
+      return parseMemSize(T);
+    return failTok("unexpected top-level line", firstWord(T));
   }
-  return true;
+  if (startsWith(T, "func ")) {
+    endFunction();
+    return parseFunctionHeader(T);
+  }
+  if (!CurF)
+    return failTok("unexpected top-level line", firstWord(T));
+  if (InDecls && (startsWith(T, "fpvregs:") || startsWith(T, "fpslots:") ||
+                  startsWith(T, "params:")))
+    return parseDeclLine(T);
+  finishDecls();
+  if (startsWith(T, "bb") && T.find(" (") != std::string_view::npos &&
+      T.back() == ':')
+    return parseBlockHeader(T);
+  if (!CurB)
+    return fail("instruction outside any block");
+  return parseInstr(T);
 }
 
 ParseResult Parser::run() {
-  buildTables();
-  auto MakeError = [this]() {
-    ParseResult R;
-    R.Error = Error;
-    R.ErrLine = ErrLine;
-    R.ErrCol = ErrCol;
-    R.ErrToken = ErrToken;
-    return R;
-  };
-  // Pass 1: collect function names so call targets can be resolved.
-  if (!parseTopLevel(/*Prescan=*/true))
-    return MakeError();
-  // Pass 2: full parse.
-  In.clear();
-  In.seekg(0);
-  LineNo = 0;
-  if (!parseTopLevel(/*Prescan=*/false))
-    return MakeError();
-  if (M->numFunctions() == 0) {
+  std::string_view T;
+  while (Pos < Text.size())
+    if (!fastMemLine() && (!nextLine(T) || !parseLine(T)))
+      break;
+  endFunction();
+  M->InitialMemory.resize(MemWords);
+  if (Error.empty() && M->numFunctions() == 0)
     Error = "empty module: no functions";
-    return MakeError();
-  }
 
   // Resolve call targets and their return-kind metadata.
-  for (const CallFixup &Fx : Fixups) {
-    Function *Callee = M->findFunction(Fx.Callee);
-    if (!Callee) {
-      Error = "unknown call target '@" + Fx.Callee + "'";
-      ErrToken = "@" + Fx.Callee;
-      return MakeError();
+  for (size_t I = 0; Error.empty() && I < Fixups.size(); ++I) {
+    const CallFixup &Fx = Fixups[I];
+    auto It = FuncByName.find(Fx.Callee.substr(Fx.Callee.empty() ? 0 : 1));
+    if (It == FuncByName.end()) {
+      failAt(Fx.Line, Fx.Col, "unknown call target",
+             Fx.Callee.empty() ? "@" : Fx.Callee);
+      continue;
     }
-    Instr &I = Fx.F->block(Fx.Block).instrs()[Fx.InstrIdx];
-    I.op(0) = Operand::func(Callee->id());
-    I.CallRet = Callee->RetKind;
+    const Function &Callee = M->function(It->second);
+    Instr &Call = Fx.F->block(Fx.Block).instrs()[Fx.InstrIdx];
+    Call.op(0) = Operand::func(Callee.id());
+    Call.CallRet = Callee.RetKind;
+  }
+  if (!Error.empty()) {
+    ParseResult R;
+    R.Error = std::move(Error);
+    R.ErrLine = ErrLine;
+    R.ErrCol = ErrCol;
+    R.ErrToken = std::move(ErrToken);
+    return R;
   }
   return {std::move(M), "", 0, 0, ""};
 }

@@ -30,6 +30,12 @@ namespace lsra {
 /// parse error naming its line, not an allocation the host cannot make.
 constexpr unsigned long long MaxMemoryWords = 1ull << 24;
 
+/// Upper bound (exclusive) on the `vregs=` and `slots=` counts a function
+/// header may declare. The parser allocates one entry per declared id, so
+/// an unbounded count is an allocation the host cannot make; a larger
+/// value is a parse error naming its line, column and token.
+constexpr unsigned long long MaxDeclaredIds = 1ull << 24;
+
 struct ParseResult {
   std::unique_ptr<Module> M; ///< null on failure
   /// Human-readable diagnostic on failure: "line N, col C: message

@@ -6,20 +6,27 @@
 
 #include "ir/Printer.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
-#include <sstream>
 
 using namespace lsra;
 
 namespace {
 
-/// Print a double losslessly (17 significant digits round-trip).
-void printDouble(std::ostream &OS, double D) {
+template <typename T> void appendDecimal(std::string &Out, T V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr - Buf);
+}
+
+/// Append a double losslessly (17 significant digits round-trip). The text
+/// must stay printf's "%.17g": golden files hash the printed module, and
+/// the shortest round-trip form would print other bytes.
+void appendDouble(std::string &Out, double D) {
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-  OS << Buf;
+  int N = std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+  Out.append(Buf, static_cast<size_t>(N));
 }
 
 const char *retKindName(CallRetKind K) {
@@ -34,139 +41,203 @@ const char *retKindName(CallRetKind K) {
   return "void";
 }
 
-} // namespace
+/// Append one "mem ADDR 0xVALUE" line (lowercase hex, as PRIx64 prints).
+void appendMemLine(std::string &Out, uint64_t Addr, uint64_t Value) {
+  char Buf[48];
+  char *P = Buf;
+  std::memcpy(P, "mem ", 4);
+  P = std::to_chars(P + 4, Buf + sizeof(Buf), Addr).ptr;
+  std::memcpy(P, " 0x", 3);
+  P = std::to_chars(P + 3, Buf + sizeof(Buf), Value, 16).ptr;
+  *P++ = '\n';
+  Out.append(Buf, P - Buf);
+}
 
-void lsra::printOperand(std::ostream &OS, const Operand &Op, const Module *M) {
+/// Append \p Op; \p M (optional) resolves function-reference names.
+void printOperand(std::string &Out, const Operand &Op, const Module *M) {
   switch (Op.kind()) {
   case Operand::Kind::None:
-    OS << "_";
+    Out += '_';
     break;
   case Operand::Kind::VReg:
-    OS << "%" << Op.vregId();
+    Out += '%';
+    appendDecimal(Out, Op.vregId());
     break;
   case Operand::Kind::PReg:
-    if (pregClass(Op.pregId()) == RegClass::Int)
-      OS << "$" << Op.pregId();
-    else
-      OS << "$f" << (Op.pregId() - NumIntPRegs);
+    if (pregClass(Op.pregId()) == RegClass::Int) {
+      Out += '$';
+      appendDecimal(Out, Op.pregId());
+    } else {
+      Out += "$f";
+      appendDecimal(Out, Op.pregId() - NumIntPRegs);
+    }
     break;
   case Operand::Kind::Imm:
-    OS << Op.immValue();
+    appendDecimal(Out, Op.immValue());
     break;
   case Operand::Kind::FImm:
-    printDouble(OS, Op.fimmValue());
+    appendDouble(Out, Op.fimmValue());
     break;
   case Operand::Kind::Slot:
-    OS << "[s" << Op.slotId() << "]";
+    Out += "[s";
+    appendDecimal(Out, Op.slotId());
+    Out += ']';
     break;
   case Operand::Kind::Label:
-    OS << "bb" << Op.labelBlock();
+    Out += "bb";
+    appendDecimal(Out, Op.labelBlock());
     break;
   case Operand::Kind::Func:
-    if (M)
-      OS << "@" << M->function(Op.funcId()).name();
-    else
-      OS << "@f" << Op.funcId();
+    if (M) {
+      Out += '@';
+      Out += M->function(Op.funcId()).name();
+    } else {
+      Out += "@f";
+      appendDecimal(Out, Op.funcId());
+    }
     break;
   }
 }
 
-void lsra::printInstr(std::ostream &OS, const Instr &I, const Function &F,
+} // namespace
+
+void lsra::printInstr(std::string &Out, const Instr &I, const Function &F,
                       const Module *M) {
   (void)F;
-  OS << opcodeName(I.opcode());
+  Out += opcodeName(I.opcode());
   bool First = true;
   for (unsigned OpIdx = 0; OpIdx < 3; ++OpIdx) {
     const Operand &Op = I.op(OpIdx);
     if (Op.isNone())
       continue;
-    OS << (First ? " " : ", ");
+    Out += First ? " " : ", ";
     First = false;
-    printOperand(OS, Op, M);
+    printOperand(Out, Op, M);
   }
-  if (I.isCall())
-    OS << "  (iargs=" << unsigned(I.CallIntArgs)
-       << " fargs=" << unsigned(I.CallFpArgs) << ")";
-  if (I.Spill != SpillKind::None)
-    OS << "  ; " << spillKindName(I.Spill);
+  if (I.isCall()) {
+    Out += "  (iargs=";
+    appendDecimal(Out, I.CallIntArgs);
+    Out += " fargs=";
+    appendDecimal(Out, I.CallFpArgs);
+    Out += ')';
+  }
+  if (I.Spill != SpillKind::None) {
+    Out += "  ; ";
+    Out += spillKindName(I.Spill);
+  }
 }
 
-void lsra::printFunction(std::ostream &OS, const Function &F,
+void lsra::printFunction(std::string &Out, const Function &F,
                          const Module *M) {
-  OS << "func " << F.name() << " (iparams=" << F.IntParamVRegs.size()
-     << " fparams=" << F.FpParamVRegs.size() << " ret="
-     << retKindName(F.RetKind) << " vregs=" << F.numVRegs()
-     << " slots=" << F.numSlots() << (F.CallsLowered ? " lowered" : "")
-     << ")\n";
+  Out += "func ";
+  Out += F.name();
+  Out += " (iparams=";
+  appendDecimal(Out, F.IntParamVRegs.size());
+  Out += " fparams=";
+  appendDecimal(Out, F.FpParamVRegs.size());
+  Out += " ret=";
+  Out += retKindName(F.RetKind);
+  Out += " vregs=";
+  appendDecimal(Out, F.numVRegs());
+  Out += " slots=";
+  appendDecimal(Out, F.numSlots());
+  Out += F.CallsLowered ? " lowered)\n" : ")\n";
   // Declarations the textual form needs for a lossless round trip: vreg
   // and slot register classes (fp ids only; everything else is int), and
   // parameter vreg bindings.
   bool AnyFp = false;
-  for (unsigned V = 0; V < F.numVRegs(); ++V)
-    AnyFp |= F.vregClass(V) == RegClass::Float;
+  for (unsigned V = 0; V < F.numVRegs() && !AnyFp; ++V)
+    AnyFp = F.vregClass(V) == RegClass::Float;
   if (AnyFp) {
-    OS << "  fpvregs:";
+    Out += "  fpvregs:";
     for (unsigned V = 0; V < F.numVRegs(); ++V)
-      if (F.vregClass(V) == RegClass::Float)
-        OS << " %" << V;
-    OS << "\n";
+      if (F.vregClass(V) == RegClass::Float) {
+        Out += " %";
+        appendDecimal(Out, V);
+      }
+    Out += '\n';
   }
   bool AnyFpSlot = false;
-  for (unsigned S = 0; S < F.numSlots(); ++S)
-    AnyFpSlot |= F.slotClass(S) == RegClass::Float;
+  for (unsigned S = 0; S < F.numSlots() && !AnyFpSlot; ++S)
+    AnyFpSlot = F.slotClass(S) == RegClass::Float;
   if (AnyFpSlot) {
-    OS << "  fpslots:";
+    Out += "  fpslots:";
     for (unsigned S = 0; S < F.numSlots(); ++S)
-      if (F.slotClass(S) == RegClass::Float)
-        OS << " s" << S;
-    OS << "\n";
+      if (F.slotClass(S) == RegClass::Float) {
+        Out += " s";
+        appendDecimal(Out, S);
+      }
+    Out += '\n';
   }
   if (!F.IntParamVRegs.empty() || !F.FpParamVRegs.empty()) {
-    OS << "  params:";
-    for (unsigned V : F.IntParamVRegs)
-      OS << " %" << V;
-    for (unsigned V : F.FpParamVRegs)
-      OS << " %" << V;
-    OS << "\n";
+    Out += "  params:";
+    for (const auto *Regs : {&F.IntParamVRegs, &F.FpParamVRegs})
+      for (unsigned V : *Regs) {
+        Out += " %";
+        appendDecimal(Out, V);
+      }
+    Out += '\n';
   }
   for (const Block &B : F.blocks()) {
-    OS << "bb" << B.id() << " (" << B.name() << "):\n";
+    Out += "bb";
+    appendDecimal(Out, B.id());
+    Out += " (";
+    Out += B.name();
+    Out += "):\n";
     for (const Instr &I : B.instrs()) {
-      OS << "  ";
-      printInstr(OS, I, F, M);
-      OS << "\n";
+      Out += "  ";
+      printInstr(Out, I, F, M);
+      Out += '\n';
     }
   }
+}
+
+void lsra::printModule(std::string &Out, const Module &M) {
+  // One reservation for the whole text, at about 20 bytes per image line
+  // and 24 per instruction, instead of a dozen regrowths.
+  size_t Guess = Out.size() + 32;
+  for (uint64_t W : M.InitialMemory)
+    Guess += W ? 20 : 0;
+  for (const auto &F : M.functions())
+    Guess += 128 + 24 * size_t(F->numInstrs());
+  Out.reserve(Guess);
+  // Sparse initial-memory image.
+  for (unsigned A = 0; A < M.InitialMemory.size(); ++A)
+    if (M.InitialMemory[A] != 0)
+      appendMemLine(Out, A, M.InitialMemory[A]);
+  if (!M.InitialMemory.empty()) {
+    Out += "memsize ";
+    appendDecimal(Out, M.InitialMemory.size());
+    Out += "\n\n";
+  }
+  for (const auto &F : M.functions()) {
+    printFunction(Out, *F, &M);
+    Out += '\n';
+  }
+}
+
+void lsra::printFunction(std::ostream &OS, const Function &F,
+                         const Module *M) {
+  OS << toString(F, M);
 }
 
 void lsra::printModule(std::ostream &OS, const Module &M) {
-  // Sparse initial-memory image.
-  for (unsigned A = 0; A < M.InitialMemory.size(); ++A)
-    if (M.InitialMemory[A] != 0) {
-      char Buf[64];
-      std::snprintf(Buf, sizeof(Buf), "mem %u 0x%" PRIx64 "\n", A,
-                    M.InitialMemory[A]);
-      OS << Buf;
-    }
-  if (!M.InitialMemory.empty())
-    OS << "memsize " << M.InitialMemory.size() << "\n\n";
-  for (const auto &F : M.functions()) {
-    printFunction(OS, *F, &M);
-    OS << "\n";
-  }
+  std::string Out;
+  printModule(Out, M);
+  OS << Out;
 }
 
 std::string lsra::toString(const Function &F, const Module *M) {
-  std::ostringstream OS;
-  printFunction(OS, F, M);
-  return OS.str();
+  std::string Out;
+  printFunction(Out, F, M);
+  return Out;
 }
 
 std::string lsra::toString(const Instr &I, const Function &F,
                            const Module *M) {
-  std::ostringstream OS;
-  printInstr(OS, I, F, M);
-  return OS.str();
+  std::string Out;
+  printInstr(Out, I, F, M);
+  return Out;
 }
 
 void lsra::printDotCFG(std::ostream &OS, const Function &F, const Module *M) {
@@ -176,12 +247,9 @@ void lsra::printDotCFG(std::ostream &OS, const Function &F, const Module *M) {
     OS << "  bb" << B.id() << " [label=\"bb" << B.id() << " (" << B.name()
        << ")\\l";
     for (const Instr &I : B.instrs()) {
-      std::ostringstream Tmp;
-      printInstr(Tmp, I, F, M);
-      std::string S = Tmp.str();
       // Escape characters dot treats specially inside labels.
       std::string Esc;
-      for (char C : S) {
+      for (char C : toString(I, F, M)) {
         if (C == '"' || C == '\\')
           Esc += '\\';
         Esc += C;

@@ -6,7 +6,10 @@
 ///
 /// \file
 /// Human-readable dumps of operands, instructions, functions, and modules,
-/// used by the examples and by test failure diagnostics.
+/// used by the examples and by test failure diagnostics. The text is also
+/// the compile pipeline's output and the function cache key, so there is
+/// one implementation: it appends to a std::string. The ostream forms are
+/// thin wrappers over it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,19 +23,19 @@
 
 namespace lsra {
 
-/// Print \p Op; \p M (optional) resolves function-reference names.
-void printOperand(std::ostream &OS, const Operand &Op, const Module *M = nullptr);
-
-/// Print one instruction (no trailing newline). Spill-category tags are
+/// Append one instruction (no trailing newline). Spill-category tags are
 /// shown as trailing comments so allocator output is self-describing.
-void printInstr(std::ostream &OS, const Instr &I, const Function &F,
+void printInstr(std::string &Out, const Instr &I, const Function &F,
                 const Module *M = nullptr);
 
-/// Print a whole function.
+/// Append a whole function.
+void printFunction(std::string &Out, const Function &F,
+                   const Module *M = nullptr);
 void printFunction(std::ostream &OS, const Function &F,
                    const Module *M = nullptr);
 
-/// Print a whole module.
+/// Append a whole module: the memory image, then every function.
+void printModule(std::string &Out, const Module &M);
 void printModule(std::ostream &OS, const Module &M);
 
 /// Convenience: function dump as a string (tests use this).

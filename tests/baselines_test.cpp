@@ -178,9 +178,10 @@ TEST(Poletto, IntervalsAcrossCallsAvoidCallerSaved) {
   for (const Instr &I : Instrs)
     if (I.opcode() == Opcode::Mov && I.op(0).isPReg() &&
         I.op(0).pregId() == TargetDesc::intRetReg() && I.op(1).isPReg() &&
-        I.op(1).pregId() != TargetDesc::intRetReg())
+        I.op(1).pregId() != TargetDesc::intRetReg()) {
       EXPECT_TRUE(TD.isCalleeSaved(I.op(1).pregId()))
           << toString(M.function(1), &M);
+    }
 }
 
 TEST(Baselines, BothPreserveSemanticsOnPressureLoop) {

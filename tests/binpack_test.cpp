@@ -204,8 +204,9 @@ TEST(Binpack, MoveCoalescingRespectsConflicts) {
   for (const Instr &I : Instrs)
     if (I.opcode() == Opcode::Add)
       for (unsigned S2 = 1; S2 <= 2; ++S2)
-        if (I.op(S2).isPReg())
+        if (I.op(S2).isPReg()) {
           EXPECT_NE(I.op(S2).pregId(), TargetDesc::intArgReg(0));
+        }
 }
 
 TEST(Binpack, SecondChanceWriteAvoidsReload) {

@@ -178,8 +178,9 @@ TEST(Coloring, BothClassesAllocatedIndependently) {
   EXPECT_EQ(verifyModule(M, VO), "");
   // fp values ended in fp registers.
   for (const Instr &I : M.function(0).entry().instrs())
-    if (I.opcode() == Opcode::FAdd)
+    if (I.opcode() == Opcode::FAdd) {
       EXPECT_EQ(pregClass(I.op(0).pregId()), RegClass::Float);
+    }
 }
 
 TEST(Coloring, DeepPressureStillTerminates) {

@@ -209,8 +209,9 @@ TEST(LifetimeAnalysis, CallClobberCreatesFixedPointSegments) {
   for (unsigned P = 0; P < NumPRegs; ++P) {
     if (TD.isCallerSaved(P))
       CallerSegs += !Bu.LT->pregFixed(P).empty();
-    else if (TD.isCalleeSaved(P))
+    else if (TD.isCalleeSaved(P)) {
       EXPECT_TRUE(Bu.LT->pregFixed(P).empty());
+    }
   }
   EXPECT_EQ(CallerSegs, 38u);
 }

@@ -108,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ParallelAllocTest,
                          ::testing::Values(AllocatorKind::SecondChanceBinpack,
                                            AllocatorKind::GraphColoring,
                                            AllocatorKind::TwoPassBinpack,
-                                           AllocatorKind::PolettoScan),
+                                           AllocatorKind::PolettoScan,
+                                           AllocatorKind::EbbScan),
                          [](const auto &Info) {
                            switch (Info.param) {
                            case AllocatorKind::SecondChanceBinpack:
@@ -119,6 +120,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ParallelAllocTest,
                              return "TwoPass";
                            case AllocatorKind::PolettoScan:
                              return "Poletto";
+                           case AllocatorKind::EbbScan:
+                             return "Ebb";
                            }
                            return "Unknown";
                          });

@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <random>
 #include <sstream>
+#include <string_view>
 
 using namespace lsra;
 
@@ -179,6 +182,19 @@ TEST(Parser, RandomProgramsRoundTrip) {
   }
 }
 
+TEST(Parser, CrlfTrailingBlanksAndCommentsAreIgnored) {
+  // Windows line ends, trailing spaces, blank lines and ";" comment lines
+  // (corpus replay headers) do not change the module.
+  auto M = buildWorkload("fpppp");
+  std::string Once = moduleText(*M);
+  std::string Noisy = "; oracle: replay header\n\n   \n";
+  for (char C : Once)
+    Noisy += C == '\n' ? std::string("  \r\n") : std::string(1, C);
+  ParseResult R = parseModule(Noisy);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(moduleText(*R.M), Once);
+}
+
 // Negative inputs: the parser must report the line, column, and offending
 // token of the first error — this is what the compile server forwards to
 // clients in typed Error responses.
@@ -272,6 +288,149 @@ TEST(ParserDiagnostics, MemoryImageBoundIsExclusive) {
   std::string Limit = std::to_string(MaxMemoryWords);
   expectImageTooLarge("mem " + Limit + " 0x1", Limit);
   expectImageTooLarge("memsize " + Limit, Limit);
+}
+
+// A header's vregs=/slots= counts are read strictly and bounded by
+// MaxDeclaredIds: the parser allocates per declared id, so a huge count is a
+// typed error on its line, in well under 10 ms, not an allocation the host
+// cannot make.
+void expectHeaderError(const std::string &Counts, const std::string &Tok,
+                       const std::string &Msg) {
+  std::string Header =
+      "func main (iparams=0 fparams=0 ret=int " + Counts + ")";
+  auto T0 = std::chrono::steady_clock::now();
+  ParseResult R =
+      parseModule(Header + "\nbb0 (entry):\n  movi %0, 0\n  ret %0\n");
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+  ASSERT_FALSE(R.ok()) << Counts;
+  EXPECT_EQ(R.ErrLine, 1u) << R.Error;
+  EXPECT_EQ(R.ErrToken, Tok) << R.Error;
+  EXPECT_EQ(R.ErrCol, Header.find(Tok) + 1) << R.Error;
+  EXPECT_NE(R.Error.find(Msg), std::string::npos) << R.Error;
+  EXPECT_LT(Ms, 10.0) << Counts;
+}
+
+TEST(ParserDiagnostics, HugeDeclaredCountsAreRejected) {
+  expectHeaderError("vregs=2000000000 slots=0", "2000000000",
+                    "vregs out of range");
+  expectHeaderError("vregs=1 slots=2000000000", "2000000000",
+                    "slots out of range");
+  // Overflowing 64 bits is the same error, not a wrapped count.
+  expectHeaderError("vregs=99999999999999999999999 slots=0",
+                    "99999999999999999999999", "vregs out of range");
+  std::string Limit = std::to_string(MaxDeclaredIds);
+  expectHeaderError("vregs=" + Limit + " slots=0", Limit,
+                    "vregs out of range");
+  expectHeaderError("vregs=1 slots=" + Limit, Limit, "slots out of range");
+  // The bound is exclusive: one below it still parses.
+  std::string Below = std::to_string(MaxDeclaredIds - 1);
+  ParseResult R = parseModule("func main (iparams=0 fparams=0 ret=int vregs=" +
+                              Below + " slots=" + Below +
+                              ")\nbb0 (entry):\n  movi %0, 0\n  ret %0\n");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.M->function(0).numVRegs(), MaxDeclaredIds - 1);
+  EXPECT_EQ(R.M->function(0).numSlots(), MaxDeclaredIds - 1);
+}
+
+TEST(ParserDiagnostics, DeclaredCountsAreDigitsOnly) {
+  expectHeaderError("vregs=zz slots=0", "zz", "bad vregs count");
+  expectHeaderError("vregs=1x slots=0", "1x", "bad vregs count");
+  expectHeaderError("vregs=+1 slots=0", "+1", "bad vregs count");
+  expectHeaderError("vregs=1 slots=-1", "-1", "bad slots count");
+  expectHeaderError("vregs= slots=0", "vregs=", "bad vregs count");
+}
+
+TEST(ParserDiagnostics, DuplicateFunctionName) {
+  ParseResult R = parseModule(
+      "func f (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n  movi %0, 0\n  ret %0\n"
+      "\n"
+      "func f (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n  movi %0, 1\n  ret %0\n");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.ErrLine, 6u) << R.Error;
+  EXPECT_EQ(R.ErrCol, 6u) << R.Error;
+  EXPECT_EQ(R.ErrToken, "f");
+  EXPECT_NE(R.Error.find("duplicate function 'f'"), std::string::npos)
+      << R.Error;
+}
+
+TEST(ParserDiagnostics, UnknownCallTargetHasPosition) {
+  ParseResult R = parseModule(
+      "func f (iparams=0 fparams=0 ret=void vregs=1 slots=0)\n"
+      "bb0 (entry):\n"
+      "  call @nosuch  (iargs=0 fargs=0)\n"
+      "  ret\n");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.ErrLine, 3u) << R.Error;
+  EXPECT_EQ(R.ErrCol, 8u) << R.Error;
+  EXPECT_EQ(R.ErrToken, "@nosuch");
+}
+
+/// Parses \p Text and checks the outcome is a module or a typed error that
+/// points into the text: ErrLine names one of its lines and ErrCol, when
+/// set, the place ErrToken occurs. Line 0 is allowed only for the one
+/// whole-text error, a text without any function.
+void expectModuleOrTypedError(const std::string &Text,
+                              const std::string &What) {
+  ParseResult R = parseModule(Text);
+  if (R.ok())
+    return;
+  ASSERT_FALSE(R.Error.empty()) << What;
+  std::vector<std::string_view> Lines;
+  std::string_view Rest = Text;
+  while (!Rest.empty()) {
+    size_t NL = Rest.find('\n');
+    Lines.push_back(Rest.substr(0, NL));
+    Rest.remove_prefix(NL == std::string_view::npos ? Rest.size() : NL + 1);
+  }
+  if (R.ErrLine == 0) {
+    EXPECT_NE(R.Error.find("empty module"), std::string::npos)
+        << What << ": " << R.Error;
+    return;
+  }
+  ASSERT_LE(R.ErrLine, Lines.size()) << What << ": " << R.Error;
+  if (R.ErrCol) {
+    std::string_view L = Lines[R.ErrLine - 1];
+    ASSERT_LE(R.ErrCol - 1 + R.ErrToken.size(), L.size())
+        << What << ": " << R.Error;
+    EXPECT_EQ(L.substr(R.ErrCol - 1, R.ErrToken.size()), R.ErrToken)
+        << What << ": " << R.Error;
+  }
+}
+
+/// Every line prefix of \p Text, then 256 seeded single-byte flips.
+void sweepHostileText(const std::string &Text, const std::string &Name) {
+  for (size_t P = Text.find('\n'); P != std::string::npos;
+       P = Text.find('\n', P + 1)) {
+    expectModuleOrTypedError(Text.substr(0, P + 1),
+                             Name + " prefix of " + std::to_string(P + 1) +
+                                 " bytes");
+    if (testing::Test::HasFatalFailure())
+      return;
+  }
+  std::mt19937_64 Rng(1998);
+  for (int I = 0; I < 256; ++I) {
+    std::string Flipped = Text;
+    size_t At = Rng() % Flipped.size();
+    Flipped[At] = static_cast<char>(Flipped[At] ^ (1 + Rng() % 255));
+    expectModuleOrTypedError(Flipped, Name + " byte " + std::to_string(At) +
+                                          " flipped");
+    if (testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+TEST(ParserHostile, PrefixesAndByteFlipsGiveModuleOrTypedError) {
+  // An allocated corpus module (memory image, pregs, slots, spill tags,
+  // lowered calls) and a random program (calls, params, fp declarations).
+  auto Corpus = buildWorkload("fpppp");
+  compileModule(*Corpus, TargetDesc::alphaLike(),
+                AllocatorKind::SecondChanceBinpack);
+  sweepHostileText(moduleText(*Corpus), "fpppp");
+  sweepHostileText(moduleText(*buildRandomProgram(70)), "random-70");
 }
 
 TEST(ParserDiagnostics, EmptyInputIsAnError) {

@@ -522,6 +522,48 @@ TEST(Server, HugeMemoryImageGetsTypedErrorAndServerSurvives) {
   S.shutdown();
 }
 
+// A header that declares more vregs or slots than MaxDeclaredIds, or a
+// count that is not all digits, gets an Error frame naming line 1 well
+// under 10 ms, and the same server keeps compiling.
+TEST(Server, HugeDeclaredCountGetsTypedErrorAndServerSurvives) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("count-bound");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+  // Warm the connection so the timings below are the requests' own.
+  ASSERT_TRUE(C.ping(Err, 5000)) << Err;
+
+  for (const char *Counts :
+       {"vregs=2000000000 slots=0", "vregs=1 slots=2000000000",
+        "vregs=zz slots=0"}) {
+    CompileRequest Req;
+    Req.IRText = "func main (iparams=0 fparams=0 ret=int " +
+                 std::string(Counts) +
+                 ")\nbb0 (entry):\n  movi %0, 0\n  ret %0\n";
+    CompileResponse Resp;
+    auto T0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(C.compile(Req, Resp, Err, 30000)) << Err;
+    double Ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count();
+    EXPECT_EQ(Resp.Status, FrameType::Error) << Counts;
+    EXPECT_EQ(Resp.ErrLine, 1u) << Counts << ": " << Resp.Message;
+    EXPECT_LT(Ms, 10.0) << Counts;
+  }
+
+  CompileRequest Req;
+  Req.IRText = workloadText("eqntott");
+  CompileResponse Ok;
+  ASSERT_TRUE(C.compile(Req, Ok, Err, 30000)) << Err;
+  EXPECT_EQ(Ok.Status, FrameType::CompileOk) << Ok.Message;
+  EXPECT_FALSE(Ok.IRText.empty());
+  S.shutdown();
+}
+
 TEST(Server, VerifyAllocProvesServedAllocations) {
   // With --verify-alloc the server runs the translation validator on every
   // compile; a provable allocation serves normally.

@@ -559,8 +559,9 @@ TEST(SharedCache, ArenaWrapKeepsOccupancyBoundedAndReadsClean) {
   // payload or a clean miss.
   for (unsigned I = 0; I < N; I += 7) {
     L2Entry P;
-    if (SC->lookup(keyFor(I), P))
+    if (SC->lookup(keyFor(I), P)) {
       EXPECT_EQ(P.Payload, entryFor(I, Payload).Payload) << I;
+    }
   }
 }
 

@@ -149,7 +149,6 @@ TEST(ParallelForChunked, ChunksVisitIndicesInOrder) {
   // streaming driver's index-order merge is built on.
   constexpr unsigned N = 512, Chunk = 16;
   std::array<std::atomic<unsigned>, N / Chunk> LastInChunk;
-  std::array<std::atomic<std::thread::id *>, N / Chunk> Owner{};
   for (auto &L : LastInChunk)
     L.store(~0u);
   std::atomic<bool> Ordered{true}, SingleOwner{true};
