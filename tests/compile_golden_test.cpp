@@ -13,7 +13,12 @@
 //     them, and the random programs again at the full register file,
 //     where large graphs with call-clobber edges need several rounds;
 //   - the 11 corpus programs at the full register file;
-//   - `lsra fuzz` programs 1-50 at register limits 0 (full), 8 and 4.
+//   - `lsra fuzz` programs 1-50 at register limits 0 (full), 8 and 4;
+//   - second-chance binpacking again in each ablation mode (conservative
+//     consistency, no early second chance, no move coalescing) on the
+//     code-heavy inputs at 8+8 registers and fuzz programs 1-50 at limits
+//     8 and 4, so the block-boundary and consistency state is pinned in
+//     every mode the ablation benches use.
 //
 // Each point goes text -> parse -> lowerCalls -> eliminateDeadCode ->
 // allocateModule -> print, like compileTextModule, and gives one line: the
@@ -70,9 +75,11 @@ TargetDesc targetFor(unsigned Regs) {
   return Regs ? TD.withRegLimit(Regs, Regs) : TD;
 }
 
-/// One line for (program text, backend, register limit).
+/// One line for (program text, backend, register limit); \p Mode names
+/// non-default options \p AO and is empty for the defaults.
 std::string compileLine(const std::string &Name, const std::string &Text,
-                        AllocatorKind K, unsigned Regs) {
+                        AllocatorKind K, unsigned Regs,
+                        const AllocOptions &AO = {}, const char *Mode = "") {
   ParseResult P = parseModule(Text);
   EXPECT_TRUE(P.ok()) << Name << ": " << P.Error;
   if (!P.ok())
@@ -80,12 +87,12 @@ std::string compileLine(const std::string &Name, const std::string &Text,
   TargetDesc TD = targetFor(Regs);
   lowerCalls(*P.M);
   unsigned Removed = eliminateDeadCode(*P.M, TD);
-  AllocStats S = allocateModule(*P.M, TD, K);
+  AllocStats S = allocateModule(*P.M, TD, K, AO);
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
-                "%s %s r%u: fnv=%016" PRIx64
+                "%s %s%s r%u: fnv=%016" PRIx64
                 " spilled=%u edges=%u rounds=%u coalesced=%u dce=%u\n",
-                Name.c_str(), allocatorName(K), Regs,
+                Name.c_str(), allocatorName(K), Mode, Regs,
                 fnv1a64(printed(*P.M)), S.SpilledTemps, S.InterferenceEdges,
                 S.ColoringIterations, S.MovesCoalesced, Removed);
   return Buf;
@@ -128,6 +135,34 @@ std::string allOutputs() {
   for (uint64_t S = 1; S <= 50; ++S)
     AddAll("fuzz-" + std::to_string(S),
            printed(*buildRandomProgram(S, FO.Program)), {0, 8, 4});
+
+  // Second-chance binpacking in each ablation mode.
+  struct Ablation {
+    const char *Mode;
+    AllocOptions AO;
+  } Ablations[3];
+  Ablations[0].Mode = "/conservative";
+  Ablations[0].AO.Consistency = AllocOptions::ConsistencyMode::Conservative;
+  Ablations[1].Mode = "/no-early-second-chance";
+  Ablations[1].AO.EarlySecondChance = false;
+  Ablations[2].Mode = "/no-move-coalesce";
+  Ablations[2].AO.MoveCoalesce = false;
+  for (const Ablation &A : Ablations) {
+    auto AddBinpack = [&](const std::string &Name, const std::string &Text,
+                          std::initializer_list<unsigned> Limits) {
+      for (unsigned Regs : Limits)
+        Out += compileLine(Name, Text, AllocatorKind::SecondChanceBinpack,
+                           Regs, A.AO, A.Mode);
+    };
+    for (const Scaled &S : Scaleds)
+      AddBinpack(S.Name, printed(*buildScaledModule(S.Opts)), {8});
+    for (uint64_t S = 1; S <= 8; ++S)
+      AddBinpack("random-" + std::to_string(S),
+                 printed(*buildRandomProgram(S, RO)), {8});
+    for (uint64_t S = 1; S <= 50; ++S)
+      AddBinpack("fuzz-" + std::to_string(S),
+                 printed(*buildRandomProgram(S, FO.Program)), {8, 4});
+  }
   return Out;
 }
 
@@ -170,9 +205,11 @@ TEST(CompileGolden, CoversEveryBackendAndPoint) {
     Removing += L.find(" dce=0") == std::string::npos;
   }
   // (4 + 8 x 2 code-heavy + 11 corpus + 50 x 3 fuzz points) x every
-  // backend.
+  // backend, then (4 + 8 code-heavy + 50 x 2 fuzz points) x 3 binpacking
+  // ablation modes.
   EXPECT_EQ(Lines, (20u + 11u + 150u) *
-                       AllocatorRegistry::global().kinds().size());
+                           AllocatorRegistry::global().kinds().size() +
+                       (12u + 100u) * 3u);
   EXPECT_GT(Coalescing, 0u);
   EXPECT_GT(Removing, 0u);
 }
