@@ -54,3 +54,10 @@ void FunctionAnalyses::invalidate() {
   Num.reset();
   RPO.reset();
 }
+
+void FunctionAnalyses::adoptLiveness(std::unique_ptr<Liveness> NewLV) {
+  assert(NewLV && NewLV->numVRegs() == F.numVRegs() && "liveness of another function");
+  LT.reset();
+  Num.reset();
+  LV = std::move(NewLV);
+}

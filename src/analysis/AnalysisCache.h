@@ -66,6 +66,14 @@ public:
   /// the function before further analyses are requested.
   void invalidate();
 
+  /// After an edit that deleted instructions but no terminator, install
+  /// \p LV, which the editing pass kept equal to a fresh solve on the
+  /// edited function, so liveness() is not solved again. The block order,
+  /// dominators and loops depend only on the CFG and stay cached; the
+  /// numbering and lifetimes are dropped. Dead-code elimination hands its
+  /// liveness to the allocator this way.
+  void adoptLiveness(std::unique_ptr<Liveness> LV);
+
 private:
   const Function &F;
   const TargetDesc &TD;

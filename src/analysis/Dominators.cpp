@@ -53,16 +53,35 @@ Dominators::Dominators(const Function &F, const std::vector<unsigned> &RPO) {
       }
     }
   }
-}
 
-bool Dominators::dominates(unsigned A, unsigned B) const {
-  if (!isReachable(B))
-    return false;
-  while (true) {
-    if (A == B)
-      return true;
-    if (B == 0)
-      return false;
-    B = IDom[B];
+  // Number the dominator tree in preorder. Children are listed in RPO,
+  // and an explicit stack keeps deep trees off the call stack.
+  std::vector<unsigned> ChildBegin(N + 1, 0), Children(N);
+  for (unsigned B : RPO)
+    if (B != 0 && IDom[B] != ~0u)
+      ++ChildBegin[IDom[B] + 1];
+  for (unsigned B = 0; B < N; ++B)
+    ChildBegin[B + 1] += ChildBegin[B];
+  std::vector<unsigned> Fill(ChildBegin.begin(), ChildBegin.end() - 1);
+  for (unsigned B : RPO)
+    if (B != 0 && IDom[B] != ~0u)
+      Children[Fill[IDom[B]]++] = B;
+  Pre.assign(N, 0);
+  Size.assign(N, 1);
+  unsigned Next = 0;
+  std::vector<std::pair<unsigned, unsigned>> Stack = {{0u, ChildBegin[0]}};
+  Pre[0] = Next++;
+  while (!Stack.empty()) {
+    auto &[B, C] = Stack.back();
+    if (C == ChildBegin[B + 1]) {
+      unsigned Done = B;
+      Stack.pop_back();
+      if (!Stack.empty())
+        Size[Stack.back().first] += Size[Done];
+      continue;
+    }
+    unsigned Child = Children[C++];
+    Pre[Child] = Next++;
+    Stack.push_back({Child, ChildBegin[Child]});
   }
 }

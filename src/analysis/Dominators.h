@@ -32,14 +32,21 @@ public:
   /// unreachable blocks.
   unsigned idom(unsigned B) const { return IDom[B]; }
 
-  /// True if \p A dominates \p B (reflexive).
-  bool dominates(unsigned A, unsigned B) const;
+  /// True if \p A dominates \p B (reflexive). O(1): A's subtree of the
+  /// dominator tree holds the preorder numbers [Pre[A], Pre[A] + Size[A]).
+  bool dominates(unsigned A, unsigned B) const {
+    return isReachable(A) && isReachable(B) && Pre[B] >= Pre[A] &&
+           Pre[B] - Pre[A] < Size[A];
+  }
 
   bool isReachable(unsigned B) const { return IDom[B] != ~0u; }
 
 private:
   std::vector<unsigned> IDom;
   std::vector<unsigned> RPONumber;
+  /// Dominator-tree preorder number and subtree size of each reachable
+  /// block.
+  std::vector<unsigned> Pre, Size;
 };
 
 } // namespace lsra

@@ -15,6 +15,12 @@
 /// immediately follow it; entry moves copy argument registers away at the
 /// top of the entry block).
 ///
+/// The sets are bit vectors over the function's global vregs only: those
+/// read in some block before any write there (the "global names" of
+/// semi-pruned SSA). No other vreg can be live at a block boundary, and in
+/// the code-heavy programs they are about a tenth of all vregs, so the
+/// blocks x vregs tables shrink by that factor.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LSRA_ANALYSIS_LIVENESS_H
@@ -39,10 +45,38 @@ public:
   Liveness(const Function &F, const TargetDesc &TD,
            const std::vector<unsigned> *RPO = nullptr);
 
-  const BitVector &liveIn(unsigned B) const { return LiveIn[B]; }
-  const BitVector &liveOut(unsigned B) const { return LiveOut[B]; }
-  const BitVector &useSet(unsigned B) const { return UseSets[B]; }
-  const BitVector &defSet(unsigned B) const { return DefSets[B]; }
+  /// The vregs live at one block boundary.
+  class Set {
+  public:
+    Set(const Liveness &LV, const BitVector &Bits) : LV(&LV), Bits(&Bits) {}
+
+    bool test(unsigned V) const {
+      unsigned G = V < LV->GlobalOf.size() ? LV->GlobalOf[V] : ~0u;
+      return G != ~0u && Bits->test(G);
+    }
+    /// Call \p Fn with each vreg of the set, in ascending id order.
+    template <typename Fn> void forEach(Fn &&F) const {
+      Bits->forEachSetBit([&](unsigned G) { F(LV->Globals[G]); });
+    }
+    /// Call \p Fn with each vreg of this set that \p Other (a set of the
+    /// same solve) lacks, in ascending id order, a word at a time.
+    template <typename Fn> void forEachNotIn(const Set &Other, Fn &&F) const {
+      assert(LV == Other.LV && "sets of different solves");
+      Bits->forEachSetBitNotIn(*Other.Bits,
+                               [&](unsigned G) { F(LV->Globals[G]); });
+    }
+    unsigned count() const { return Bits->count(); }
+    /// Same vregs (the two sets may come from different solves).
+    bool operator==(const Set &R) const;
+    bool operator!=(const Set &R) const { return !(*this == R); }
+
+  private:
+    const Liveness *LV;
+    const BitVector *Bits;
+  };
+
+  Set liveIn(unsigned B) const { return Set(*this, LiveIn[B]); }
+  Set liveOut(unsigned B) const { return Set(*this, LiveOut[B]); }
 
   /// True if \p V appears in any block's live-in or live-out set, i.e. its
   /// lifetime crosses a basic-block boundary. The paper excludes purely
@@ -56,11 +90,38 @@ public:
   /// equal to it for acyclic CFGs).
   unsigned numIterations() const { return Iterations; }
 
+  /// Bring the sets up to date after an edit of \p F that deleted whole
+  /// instructions, each one a write of a vreg that no path reads before
+  /// the next write (a dead def), and no terminator. Such an edit never
+  /// changes the sets of a vreg that lost no read, and only shrinks those
+  /// of the vregs in \p LostReads, which lists every vreg the edit deleted
+  /// a read of. Those vregs' bits are cleared and solved again with the
+  /// same worklist, masked to them, so the result equals a fresh solve on
+  /// the edited function. \p RPO as in the constructor.
+  void removeReads(const Function &F, const std::vector<unsigned> &LostReads,
+                   const std::vector<unsigned> *RPO = nullptr);
+
 private:
   unsigned NumVRegs;
   unsigned Iterations = 0;
-  std::vector<BitVector> LiveIn, LiveOut, UseSets, DefSets;
-  BitVector CrossBlock;
+  std::vector<unsigned> GlobalOf; ///< vreg -> bit index, ~0u if not global
+  std::vector<unsigned> Globals;  ///< bit index -> vreg, ascending
+  std::vector<BitVector> LiveIn, LiveOut;
+  BitVector CrossBlock; ///< over all vregs
+
+  /// Per block, the bit indices of the global vregs it reads before any
+  /// write (Uses) and of those it writes (Defs), restricted to \p Only
+  /// when given; Begin[B]..Begin[B+1] delimit block B's entries.
+  struct LocalSets {
+    std::vector<unsigned> UseBegin, Uses, DefBegin, Defs;
+  };
+  LocalSets localSets(const Function &F, const BitVector *Only) const;
+
+  /// Worklist fixpoint over the bits of \p Mask (all bits when null),
+  /// starting from LiveIn |= the local reads; the bits outside \p Mask
+  /// must already be a fixpoint. Returns the number of block visits.
+  unsigned solve(const Function &F, const LocalSets &L, const BitVector *Mask,
+                 const std::vector<unsigned> *RPO);
 };
 
 } // namespace lsra

@@ -7,7 +7,8 @@
 #include "analysis/Loops.h"
 
 #include "analysis/Dominators.h"
-#include "support/BitVector.h"
+
+#include <algorithm>
 
 using namespace lsra;
 
@@ -19,7 +20,11 @@ LoopInfo::LoopInfo(const Function &F, const Dominators &Dom) {
   auto Preds = F.predecessors();
 
   // Find back edges T -> H (H dominates T); flood backward from T to H to
-  // collect the natural loop body.
+  // collect the natural loop body. Mark[B] == Stamp means B is already in
+  // the set being built, so each flood costs the size of its loop.
+  std::vector<unsigned> Mark(N, 0);
+  unsigned Stamp = 0;
+  std::vector<unsigned> Work;
   for (unsigned T = 0; T < N; ++T) {
     if (!Dom.isReachable(T))
       continue;
@@ -28,42 +33,46 @@ LoopInfo::LoopInfo(const Function &F, const Dominators &Dom) {
         continue;
       Loop L;
       L.Header = H;
-      BitVector InLoop(N);
-      InLoop.set(H);
-      std::vector<unsigned> Work;
-      if (!InLoop.test(T)) {
-        InLoop.set(T);
+      ++Stamp;
+      Mark[H] = Stamp;
+      L.Blocks.push_back(H);
+      if (Mark[T] != Stamp) {
+        Mark[T] = Stamp;
+        L.Blocks.push_back(T);
         Work.push_back(T);
       }
       while (!Work.empty()) {
         unsigned B = Work.back();
         Work.pop_back();
         for (unsigned P : Preds[B])
-          if (!InLoop.test(P)) {
-            InLoop.set(P);
+          if (Mark[P] != Stamp) {
+            Mark[P] = Stamp;
+            L.Blocks.push_back(P);
             Work.push_back(P);
           }
       }
-      InLoop.forEachSetBit([&](unsigned B) { L.Blocks.push_back(B); });
+      std::sort(L.Blocks.begin(), L.Blocks.end());
       Loops.push_back(std::move(L));
     }
   }
 
   // Depth = number of loops containing the block. Two back edges sharing a
-  // header describe one loop, so count each (header, block) pair once.
-  for (unsigned B = 0; B < N; ++B) {
-    BitVector SeenHeaders(N);
-    for (const Loop &L : Loops) {
-      bool Contains = false;
-      for (unsigned LB : L.Blocks)
-        if (LB == B) {
-          Contains = true;
-          break;
-        }
-      if (Contains && !SeenHeaders.test(L.Header)) {
-        SeenHeaders.set(L.Header);
+  // header describe one loop, so each header's loops are visited together
+  // and count a block once.
+  std::vector<unsigned> ByHeader(Loops.size());
+  for (unsigned I = 0; I < ByHeader.size(); ++I)
+    ByHeader[I] = I;
+  std::stable_sort(ByHeader.begin(), ByHeader.end(),
+                   [&](unsigned A, unsigned B) {
+                     return Loops[A].Header < Loops[B].Header;
+                   });
+  for (unsigned I = 0; I < ByHeader.size(); ++I) {
+    if (I == 0 || Loops[ByHeader[I]].Header != Loops[ByHeader[I - 1]].Header)
+      ++Stamp;
+    for (unsigned B : Loops[ByHeader[I]].Blocks)
+      if (Mark[B] != Stamp) {
+        Mark[B] = Stamp;
         ++Depth[B];
       }
-    }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "driver/Pipeline.h"
 
+#include "analysis/AnalysisCache.h"
 #include "cache/CompileCache.h"
 #include "check/Clone.h"
 #include "check/Verifier.h"
@@ -38,35 +39,26 @@ AllocStats lsra::compileModule(Module &M, const TargetDesc &TD,
   Timer Wall;
   Wall.start();
   if (Threads <= 1) {
-    {
-      obs::ScopedSpan S("lowerCalls", "pass", EO.ReqTrace);
-      lowerCalls(M);
-    }
-    {
-      obs::ScopedSpan S("dce", "pass", EO.ReqTrace);
-      eliminateDeadCode(M, TD);
-    }
+    obs::ScopedSpan S("lowerCalls", "pass", EO.ReqTrace);
+    lowerCalls(M);
   } else {
-    // Parallel path: lowering and DCE are per-function, so run them on the
-    // workers, then let allocateModule (which handles cache hits safely
-    // across threads) do the allocation fan-out itself.
+    // Lowering is per-function, so run it on the workers.
     parallelFor(N, Threads, [&](unsigned I) {
-      Function &F = M.function(I);
-      obs::ScopedSpan FnSpan("compile:", F.name(), "function");
-      {
-        obs::ScopedSpan S("lowerCalls", "pass");
-        lowerCalls(F);
-      }
-      {
-        obs::ScopedSpan S("dce", "pass");
-        eliminateDeadCode(F, TD);
-      }
+      obs::ScopedSpan S("lowerCalls", "pass");
+      lowerCalls(M.function(I));
     });
   }
+  // Each function's DCE runs right before its allocation, in the same
+  // worker, and hands its liveness to the allocator.
+  obs::RequestTrace *DceTrace = Threads <= 1 ? EO.ReqTrace : nullptr;
   AllocStats Total;
   {
     obs::ScopedSpan S("allocateModule", "pass", EO.ReqTrace);
-    Total = allocateModule(M, TD, K, AO, EO);
+    Total = allocateModule(M, TD, K, AO, EO,
+                           [&](Function &F, FunctionAnalyses &FA) {
+                             obs::ScopedSpan S("dce", "pass", DceTrace);
+                             eliminateDeadCode(F, TD, FA);
+                           });
   }
   Wall.stop();
   Total.WallSeconds = Wall.seconds();
@@ -94,8 +86,9 @@ AllocStats lsra::compileModuleStreaming(
     if (BuildBody)
       BuildBody(M, I);
     lowerCalls(F);
-    eliminateDeadCode(F, TD);
-    PerFn[I] = allocateFunctionInModule(M, I, TD, K, AO, EO);
+    FunctionAnalyses FA(F, TD);
+    eliminateDeadCode(F, TD, FA);
+    PerFn[I] = allocateFunctionInModule(M, I, TD, K, AO, EO, &FA);
   };
   auto EmitAndRelease = [&](unsigned I) {
     Function &F = M.function(I);

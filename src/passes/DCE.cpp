@@ -16,10 +16,11 @@
 
 #include "passes/DCE.h"
 
+#include "analysis/AnalysisCache.h"
 #include "analysis/Liveness.h"
-#include "support/BitVector.h"
 
 #include <algorithm>
+#include <memory>
 
 using namespace lsra;
 
@@ -43,20 +44,32 @@ bool isRemovableWhenDead(const Instr &I) {
 
 class DeadCodeEliminator {
 public:
-  DeadCodeEliminator(Function &F, const TargetDesc &TD) : F(F), TD(TD) {}
+  DeadCodeEliminator(Function &F, const TargetDesc &TD,
+                     std::unique_ptr<Liveness> LV)
+      : F(F), TD(TD), LV(std::move(LV)) {}
 
   unsigned run();
+
+  /// The liveness of the function as it is now: the input's solve, with
+  /// the vregs that lost a read solved again.
+  std::unique_ptr<Liveness> takeLiveness(const std::vector<unsigned> *RPO) {
+    LV->removeReads(F, LostRead, RPO);
+    return std::move(LV);
+  }
 
 private:
   Function &F;
   const TargetDesc &TD;
+  std::unique_ptr<Liveness> LV;
+  /// Every vreg a removal deleted a read of, once.
+  std::vector<unsigned> LostRead;
   /// Block B's instructions hold the positions [Start[B], Start[B+1]).
   std::vector<uint32_t> Start;
   std::vector<uint8_t> Removed; ///< by position
   unsigned NumRemoved = 0;
   /// VRegs that lost a read since their defs were last tested.
   std::vector<unsigned> Work;
-  std::vector<uint8_t> InWork;
+  std::vector<uint8_t> InWork, WasInWork;
 
   /// A read or write of a vreg by the instruction at Pos. An instruction
   /// that reads and writes one vreg lists the read first.
@@ -91,6 +104,10 @@ void DeadCodeEliminator::remove(uint32_t Pos, const Instr &I) {
     if (!NumUses.empty())
       --NumUses[V];
     if (!InWork[V]) {
+      if (!WasInWork[V]) {
+        WasInWork[V] = 1;
+        LostRead.push_back(V);
+      }
       InWork[V] = 1;
       Work.push_back(V);
     }
@@ -98,23 +115,34 @@ void DeadCodeEliminator::remove(uint32_t Pos, const Instr &I) {
 }
 
 void DeadCodeEliminator::sweep() {
-  Liveness LV(F, TD);
+  // Seen[V] == B + 1 once block B's backward walk has passed an occurrence
+  // of V; Live[V] then holds V's liveness at the current point. Before
+  // that, it is V's live-out bit.
+  std::vector<unsigned> Seen(F.numVRegs(), 0);
+  std::vector<uint8_t> Live(F.numVRegs(), 0);
   for (unsigned B = 0; B < F.numBlocks(); ++B) {
     auto Instrs = F.block(B).instrs();
-    BitVector Live = LV.liveOut(B);
+    Liveness::Set Out = LV->liveOut(B);
+    auto Note = [&](unsigned V, bool L) {
+      Seen[V] = B + 1;
+      Live[V] = L;
+    };
     for (unsigned Idx = Instrs.size(); Idx-- > 0;) {
       const Instr &I = Instrs[Idx];
-      if (isRemovableWhenDead(I) && !Live.test(I.op(0).vregId())) {
-        remove(Start[B] + Idx, I);
-        continue;
+      if (isRemovableWhenDead(I)) {
+        unsigned V = I.op(0).vregId();
+        if (Seen[V] == B + 1 ? !Live[V] : !Out.test(V)) {
+          remove(Start[B] + Idx, I);
+          continue;
+        }
       }
       forEachDefinedReg(I, [&](const Operand &Op) {
         if (Op.isVReg())
-          Live.reset(Op.vregId());
+          Note(Op.vregId(), false);
       });
       forEachUsedReg(I, [&](const Operand &Op) {
         if (Op.isVReg())
-          Live.set(Op.vregId());
+          Note(Op.vregId(), true);
       });
     }
   }
@@ -206,6 +234,7 @@ unsigned DeadCodeEliminator::run() {
     Start[B + 1] = Start[B] + F.block(B).size();
   Removed.assign(Start[NumBlocks], 0);
   InWork.assign(F.numVRegs(), 0);
+  WasInWork.assign(F.numVRegs(), 0);
 
   sweep();
   if (!Work.empty())
@@ -242,7 +271,16 @@ unsigned DeadCodeEliminator::run() {
 } // namespace
 
 unsigned lsra::eliminateDeadCode(Function &F, const TargetDesc &TD) {
-  return DeadCodeEliminator(F, TD).run();
+  return DeadCodeEliminator(F, TD, std::make_unique<Liveness>(F, TD)).run();
+}
+
+unsigned lsra::eliminateDeadCode(Function &F, const TargetDesc &TD,
+                                 FunctionAnalyses &FA) {
+  assert(&FA.function() == &F && "analyses are for a different function");
+  DeadCodeEliminator DCE(F, TD, std::make_unique<Liveness>(F, TD, &FA.rpo()));
+  unsigned Removed = DCE.run();
+  FA.adoptLiveness(DCE.takeLiveness(&FA.rpo()));
+  return Removed;
 }
 
 unsigned lsra::eliminateDeadCode(Module &M, const TargetDesc &TD) {

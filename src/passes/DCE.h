@@ -20,9 +20,18 @@
 
 namespace lsra {
 
+class FunctionAnalyses;
+
 /// Remove instructions that define a virtual register nobody reads and
 /// have no other effect. Returns the number of instructions removed.
 unsigned eliminateDeadCode(Function &F, const TargetDesc &TD);
+
+/// As above, with the liveness of the result left in \p FA (which must be
+/// for \p F): the solve DCE needs is updated exactly for the reads it
+/// deleted and handed over, so an allocation that follows with \p FA
+/// does not solve liveness again.
+unsigned eliminateDeadCode(Function &F, const TargetDesc &TD,
+                           FunctionAnalyses &FA);
 
 /// Run DCE over every function of \p M.
 unsigned eliminateDeadCode(Module &M, const TargetDesc &TD);

@@ -81,13 +81,20 @@ unsigned countLifetimeHoles(const LifetimeAnalysis &LT) {
 
 AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
                                   AllocatorKind K, const AllocOptions &Opts) {
+  FunctionAnalyses FA(F, TD);
+  return allocateFunction(F, TD, K, Opts, FA);
+}
+
+AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
+                                  AllocatorKind K, const AllocOptions &Opts,
+                                  FunctionAnalyses &FA) {
   assert(F.CallsLowered && "lower calls before register allocation");
+  assert(&FA.function() == &F && "analyses are for a different function");
   obs::ScopedSpan FnSpan("alloc:", F.name(), "function");
   obs::CounterRegistry &CR = obs::CounterRegistry::global();
   // Warm the analysis cache with everything the chosen allocator consumes,
   // then time only the core allocation — the paper likewise reports times
   // "after setup activities common to both allocators".
-  FunctionAnalyses FA(F, TD);
   const AllocatorInfo &Info = AllocatorRegistry::global().info(K);
   if (Info.needs(CapNeedsLiveness)) {
     obs::ScopedSpan S("liveness", "phase");
@@ -202,10 +209,15 @@ AllocStats allocateFunctionCached(Module &M, unsigned Idx,
                                   const TargetDesc &TD, AllocatorKind K,
                                   const AllocOptions &AO,
                                   const ExecOptions &EO,
-                                  std::unique_ptr<Function> *Deferred) {
+                                  std::unique_ptr<Function> *Deferred,
+                                  FunctionAnalyses *FA) {
   Function &F = M.function(Idx);
+  auto Allocate = [&] {
+    return FA ? allocateFunction(F, TD, K, AO, *FA)
+              : allocateFunction(F, TD, K, AO);
+  };
   if (!EO.Cache)
-    return allocateFunction(F, TD, K, AO);
+    return Allocate();
   std::string Canonical = toString(F, &M);
   cache::CacheKey Key = cache::makeFunctionKey(Canonical, AO.fingerprint(),
                                                K, TD.fingerprint());
@@ -224,7 +236,7 @@ AllocStats allocateFunctionCached(Module &M, unsigned Idx,
       return Hit->Stats;
     }
   }
-  AllocStats Stats = allocateFunction(F, TD, K, AO);
+  AllocStats Stats = Allocate();
   EO.Cache->insert(Key, snapshotAllocatedFunction(M, F, Stats));
   return Stats;
 }
@@ -235,21 +247,36 @@ AllocStats lsra::allocateFunctionInModule(Module &M, unsigned Idx,
                                           const TargetDesc &TD,
                                           AllocatorKind K,
                                           const AllocOptions &AO,
-                                          const ExecOptions &EO) {
-  return allocateFunctionCached(M, Idx, TD, K, AO, EO, nullptr);
+                                          const ExecOptions &EO,
+                                          FunctionAnalyses *FA) {
+  return allocateFunctionCached(M, Idx, TD, K, AO, EO, nullptr, FA);
 }
 
 AllocStats lsra::allocateModule(Module &M, const TargetDesc &TD,
                                 AllocatorKind K, const AllocOptions &AO,
                                 const ExecOptions &EO) {
+  return allocateModule(M, TD, K, AO, EO, nullptr);
+}
+
+AllocStats lsra::allocateModule(Module &M, const TargetDesc &TD,
+                                AllocatorKind K, const AllocOptions &AO,
+                                const ExecOptions &EO,
+                                const PrepareFunction &Prepare) {
   Timer Wall;
   Wall.start();
   AllocStats Total;
   unsigned N = M.numFunctions();
   unsigned Threads = resolveThreadCount(EO.Threads, N);
+  auto AllocateOne = [&](unsigned I, std::unique_ptr<Function> *Deferred) {
+    if (!Prepare)
+      return allocateFunctionCached(M, I, TD, K, AO, EO, Deferred, nullptr);
+    FunctionAnalyses FA(M.function(I), TD);
+    Prepare(M.function(I), FA);
+    return allocateFunctionCached(M, I, TD, K, AO, EO, Deferred, &FA);
+  };
   if (Threads <= 1) {
     for (unsigned I = 0; I < N; ++I)
-      Total += allocateFunctionInModule(M, I, TD, K, AO, EO);
+      Total += AllocateOne(I, nullptr);
   } else {
     // Functions are independent (each allocator mutates only its own
     // Function); merge the per-function statistics in index order so the
@@ -258,9 +285,8 @@ AllocStats lsra::allocateModule(Module &M, const TargetDesc &TD,
     // workers resolving callee names through the function table.
     std::vector<AllocStats> Per(N);
     std::vector<std::unique_ptr<Function>> Hit(N);
-    parallelFor(N, Threads, [&](unsigned I) {
-      Per[I] = allocateFunctionCached(M, I, TD, K, AO, EO, &Hit[I]);
-    });
+    parallelFor(N, Threads,
+                [&](unsigned I) { Per[I] = AllocateOne(I, &Hit[I]); });
     for (unsigned I = 0; I < N; ++I)
       if (Hit[I])
         M.replaceFunction(I, std::move(Hit[I]));

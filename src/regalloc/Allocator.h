@@ -19,6 +19,7 @@
 #include "target/Target.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace lsra {
@@ -30,6 +31,8 @@ class CompileCache;
 namespace obs {
 struct RequestTrace;
 } // namespace obs
+
+class FunctionAnalyses;
 
 /// Backend ids are stable and append-only: the integer value participates
 /// in compile-cache keys (cache::makeModuleKey / makeFunctionKey), so
@@ -170,15 +173,24 @@ struct AllocStats {
 AllocStats allocateFunction(Function &F, const TargetDesc &TD,
                             AllocatorKind K, const AllocOptions &AO = {});
 
+/// As above, with analyses of \p F's current IR already in \p FA (the
+/// liveness that dead-code elimination hands over) used instead of solved
+/// again. \p FA is stale afterwards.
+AllocStats allocateFunction(Function &F, const TargetDesc &TD,
+                            AllocatorKind K, const AllocOptions &AO,
+                            FunctionAnalyses &FA);
+
 /// Allocate the function at index \p Idx of \p M, consulting EO.Cache (if
 /// any) keyed on the function's canonical printed text. On a hit the cached
 /// allocated body replaces the function and the cached statistics are
 /// returned; on a miss the function is allocated and the result inserted.
-/// With EO.Cache == nullptr this is exactly allocateFunction.
+/// With EO.Cache == nullptr this is exactly allocateFunction. A miss
+/// allocates with \p FA when given (see allocateFunction).
 AllocStats allocateFunctionInModule(Module &M, unsigned Idx,
                                     const TargetDesc &TD, AllocatorKind K,
                                     const AllocOptions &AO = {},
-                                    const ExecOptions &EO = {});
+                                    const ExecOptions &EO = {},
+                                    FunctionAnalyses *FA = nullptr);
 
 /// Allocate every function in \p M; returns the statistics merged in
 /// function-index order. With EO.Threads != 1 functions are farmed out
@@ -186,6 +198,17 @@ AllocStats allocateFunctionInModule(Module &M, unsigned Idx,
 AllocStats allocateModule(Module &M, const TargetDesc &TD, AllocatorKind K,
                           const AllocOptions &AO = {},
                           const ExecOptions &EO = {});
+
+/// A pass run on each function right before it is allocated, in the
+/// worker that allocates it, with the analyses the allocation then uses.
+using PrepareFunction = std::function<void(Function &, FunctionAnalyses &)>;
+
+/// As above, running \p Prepare on each function first. compileModule
+/// passes dead-code elimination, whose liveness the allocation then
+/// reuses; it lives only from one function's DCE to its allocation.
+AllocStats allocateModule(Module &M, const TargetDesc &TD, AllocatorKind K,
+                          const AllocOptions &AO, const ExecOptions &EO,
+                          const PrepareFunction &Prepare);
 
 /// Effective worker count for \p Requested threads over \p NumItems
 /// independent work items (0 = hardware concurrency; capped by NumItems).

@@ -47,6 +47,7 @@
 #include "regalloc/SpillSlots.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
 using namespace lsra;
@@ -66,7 +67,7 @@ public:
   BinpackScanner(Function &F, const TargetDesc &TD, const AllocOptions &Opts,
                  FunctionAnalyses &FA)
       : F(F), TD(TD), Opts(Opts), Num(FA.numbering()), LV(FA.liveness()),
-        LI(FA.loops()), LT(FA.lifetimes()), Slots(F) {}
+        LI(FA.loops()), LT(FA.lifetimes()), RPO(FA.rpo()), Slots(F) {}
 
   AllocStats run();
 
@@ -78,15 +79,11 @@ private:
   const Liveness &LV;
   const LoopInfo &LI;
   const LifetimeAnalysis &LT;
+  const std::vector<unsigned> &RPO;
   SpillSlots Slots;
   AllocStats Stats;
   obs::DecisionLog &DL = obs::DecisionLog::global();
   unsigned Evictions = 0; ///< evictVictim + evictForConvention decisions
-
-  // Dense universe of cross-block temporaries (shared by the location maps
-  // and the consistency bit vectors, per the paper's §3 optimisation).
-  std::vector<unsigned> VRegToDense;
-  std::vector<unsigned> DenseToVReg;
 
   // Scan state.
   std::array<unsigned, NumPRegs> Occ{};    // register -> occupant temp
@@ -100,6 +97,10 @@ private:
   std::vector<unsigned> LastReg;
   std::vector<uint8_t> Consistent;         // working ARE_CONSISTENT (all temps)
   std::vector<unsigned> DeterminedStamp;   // CurBlock+1 when At set locally
+  /// Conservative mode only: every temp made consistent since the current
+  /// block's top (repeats allowed), so the top can clear them and the
+  /// bottom can list them without a sweep over all temps.
+  std::vector<unsigned> MadeConsistent;
   BitVector EverSpilled;
 
   // Monotone cursors that keep every lifetime query O(1) amortised, which
@@ -107,9 +108,17 @@ private:
   std::vector<unsigned> SegCur, RefCur;
   std::array<unsigned, NumPRegs> FixCur{};
 
-  std::vector<std::vector<LocCode>> LocTop, LocBottom;
+  BoundaryLocs RegTop, RegBottom;
+  /// Conservative mode only: the cross-block temps consistent at each
+  /// block's bottom, sorted; a block's top starts from the intersection
+  /// over its predecessors (§2.6).
+  std::vector<std::vector<unsigned>> ExitConsistent;
   std::unique_ptr<ConsistencyInfo> CI;
   std::vector<std::vector<unsigned>> Preds;
+
+  bool conservative() const {
+    return Opts.Consistency == AllocOptions::ConsistencyMode::Conservative;
+  }
 
   unsigned CurBlock = 0;
   std::vector<Instr> Prefix; // code to insert before the current instruction
@@ -172,13 +181,18 @@ private:
   // --- Consistency bookkeeping --------------------------------------------
 
   void markDetermined(unsigned V) {
+    if (DeterminedStamp[V] == CurBlock + 1)
+      return;
     DeterminedStamp[V] = CurBlock + 1;
-    if (VRegToDense[V] != ~0u)
-      CI->WroteTR[CurBlock].set(VRegToDense[V]);
+    if (LV.isCrossBlock(V))
+      CI->WroteTR[CurBlock].push_back(V);
   }
 
-  void setConsistent(unsigned V, bool C) {
-    Consistent[V] = C;
+  /// A store or a load just made V's register and memory home agree.
+  void setConsistent(unsigned V) {
+    if (conservative() && !Consistent[V])
+      MadeConsistent.push_back(V);
+    Consistent[V] = 1;
     markDetermined(V);
   }
 
@@ -187,8 +201,8 @@ private:
   void recordConsistencyUse(unsigned V) {
     if (DeterminedStamp[V] == CurBlock + 1)
       return;
-    if (VRegToDense[V] != ~0u)
-      CI->UsedConsistency[CurBlock].set(VRegToDense[V]);
+    if (LV.isCrossBlock(V))
+      CI->UsedConsistency[CurBlock].push_back(V);
   }
 
   // --- Core mechanics ------------------------------------------------------
@@ -257,7 +271,7 @@ private:
     if (StoreNeeded) {
       Prefix.push_back(Slots.makeStore(T, R, SpillKind::EvictStore));
       ++Stats.EvictStores;
-      setConsistent(T, true);
+      setConsistent(T);
       if (DL.enabled())
         DL.record(F, obs::DecisionKind::EvictConvention, T, UsePos, R,
                   "convention claims register; store to memory home");
@@ -278,7 +292,7 @@ private:
     if (!Consistent[T]) {
       Prefix.push_back(Slots.makeStore(T, R, SpillKind::EvictStore));
       ++Stats.EvictStores;
-      setConsistent(T, true);
+      setConsistent(T);
       if (DL.enabled())
         DL.record(F, obs::DecisionKind::EvictStore, T, Pos, R,
                   "lowest priority occupant; store to memory home");
@@ -397,7 +411,7 @@ private:
         Occ[R] = V;
         Loc[V] = locReg(R);
         LastReg[V] = R;
-        setConsistent(V, true); // a spill load makes reg and memory agree
+        setConsistent(V); // a spill load makes reg and memory agree
         if (DL.enabled())
           DL.record(F, obs::DecisionKind::SecondChanceLoad, V, UsePos, R,
                     "reload at next use; optimistically stays registered");
@@ -505,37 +519,58 @@ private:
 
   void blockTop(unsigned B) {
     CurBlock = B;
-    if (Opts.Consistency == AllocOptions::ConsistencyMode::Conservative) {
+    if (conservative()) {
       // §2.6: initialise the working ARE_CONSISTENT with the intersection
       // of the saved bottoms of all predecessors; an unprocessed
       // predecessor (back edge) clears everything.
-      std::fill(Consistent.begin(), Consistent.end(), 0);
+      for (unsigned V : MadeConsistent)
+        Consistent[V] = 0;
+      MadeConsistent.clear();
       bool AllProcessed = true;
       for (unsigned P : Preds[B])
         if (P >= B)
           AllProcessed = false;
       if (AllProcessed && !Preds[B].empty()) {
-        BitVector Inter = CI->AreConsistentBottom[Preds[B][0]];
-        for (unsigned PI = 1; PI < Preds[B].size(); ++PI)
-          Inter &= CI->AreConsistentBottom[Preds[B][PI]];
-        Inter.forEachSetBit([&](unsigned D) { Consistent[DenseToVReg[D]] = 1; });
+        std::vector<unsigned> Inter = ExitConsistent[Preds[B][0]], Next;
+        for (unsigned PI = 1; PI < Preds[B].size(); ++PI) {
+          const std::vector<unsigned> &Bot = ExitConsistent[Preds[B][PI]];
+          Next.clear();
+          std::set_intersection(Inter.begin(), Inter.end(), Bot.begin(),
+                                Bot.end(), std::back_inserter(Next));
+          Inter.swap(Next);
+        }
+        for (unsigned V : Inter)
+          Consistent[V] = 1;
+        MadeConsistent = std::move(Inter);
       }
     }
-    LV.liveIn(B).forEachSetBit([&](unsigned V) {
-      unsigned D = VRegToDense[V];
-      assert(D != ~0u && "live-in temp must be cross-block");
-      LocTop[B][D] = isRegLoc(Loc[V]) ? Loc[V] : LocMem;
-    });
+    recordRegisters(RegTop[B], LV.liveIn(B));
   }
 
   void blockBottom(unsigned B) {
-    LV.liveOut(B).forEachSetBit([&](unsigned V) {
-      unsigned D = VRegToDense[V];
-      LocBottom[B][D] = isRegLoc(Loc[V]) ? Loc[V] : LocMem;
-    });
-    for (unsigned D = 0; D < DenseToVReg.size(); ++D)
-      if (Consistent[DenseToVReg[D]])
-        CI->AreConsistentBottom[B].set(D);
+    recordRegisters(RegBottom[B], LV.liveOut(B));
+    if (conservative()) {
+      std::vector<unsigned> &Exit = ExitConsistent[B];
+      for (unsigned V : MadeConsistent)
+        if (Consistent[V] && LV.isCrossBlock(V))
+          Exit.push_back(V);
+      std::sort(Exit.begin(), Exit.end());
+      Exit.erase(std::unique(Exit.begin(), Exit.end()), Exit.end());
+    }
+  }
+
+  /// The temps of \p Live held in registers right now, by vreg id; every
+  /// other temp of \p Live is in its memory home (or nowhere yet).
+  void recordRegisters(std::vector<BoundaryLoc> &Out, Liveness::Set Live) {
+    for (unsigned R = 0; R < NumPRegs; ++R) {
+      unsigned T = Occ[R];
+      if (T != NoTemp && Live.test(T))
+        Out.push_back({T, locReg(R), Consistent[T] != 0});
+    }
+    std::sort(Out.begin(), Out.end(),
+              [](const BoundaryLoc &A, const BoundaryLoc &B) {
+                return A.V < B.V;
+              });
   }
 };
 
@@ -544,13 +579,6 @@ AllocStats BinpackScanner::run() {
   unsigned NumV = F.numVRegs();
   unsigned NumBlocks = F.numBlocks();
   Stats.RegCandidates = NumV;
-
-  // Dense cross-block universe.
-  VRegToDense.assign(NumV, ~0u);
-  LV.crossBlockSet().forEachSetBit([&](unsigned V) {
-    VRegToDense[V] = static_cast<unsigned>(DenseToVReg.size());
-    DenseToVReg.push_back(V);
-  });
 
   Occ.fill(NoTemp);
   Loc.assign(NumV, LocNowhere);
@@ -561,11 +589,11 @@ AllocStats BinpackScanner::run() {
   SegCur.assign(NumV, 0);
   RefCur.assign(NumV, 0);
   FixCur.fill(0);
-  LocTop.assign(NumBlocks,
-                std::vector<LocCode>(DenseToVReg.size(), LocMem));
-  LocBottom.assign(NumBlocks,
-                   std::vector<LocCode>(DenseToVReg.size(), LocMem));
-  CI = std::make_unique<ConsistencyInfo>(NumBlocks, VRegToDense, DenseToVReg);
+  RegTop.assign(NumBlocks, {});
+  RegBottom.assign(NumBlocks, {});
+  if (conservative())
+    ExitConsistent.assign(NumBlocks, {});
+  CI = std::make_unique<ConsistencyInfo>(NumBlocks);
   Preds = F.predecessors();
 
   // The single allocate/rewrite pass (§2.3).
@@ -599,27 +627,27 @@ AllocStats BinpackScanner::run() {
     }
   }
 
-  // Register the resolver's own reliance on exit consistency: edges that
-  // will suppress a reg->mem store because ARE_CONSISTENT(p) is set.
-  for (unsigned B = 0; B < NumBlocks; ++B) {
-    for (unsigned S : F.block(B).successors()) {
-      // Only temps consistent at B's bottom can have a store suppressed.
-      CI->AreConsistentBottom[B].forEachSetBit([&](unsigned D) {
-        unsigned V = DenseToVReg[D];
-        if (!LV.liveIn(S).test(V))
-          return;
-        if (isRegLoc(LocBottom[B][D]) && !isRegLoc(LocTop[S][D]))
-          CI->UsedAtExit[B].set(D);
-      });
-    }
-  }
-
   // §2.4 dataflow (skipped in conservative mode, which is sound without it).
-  bool Iterative =
-      Opts.Consistency == AllocOptions::ConsistencyMode::Iterative;
+  // It first registers the resolver's own reliance on exit consistency:
+  // edges that will suppress a reg->mem store because ARE_CONSISTENT(p) is
+  // set, i.e. a consistent temp held in a register at p's bottom and in
+  // memory at the successor's top.
+  bool Iterative = !conservative();
   if (Iterative) {
     obs::ScopedSpan Span("binpack.dataflow", "phase");
-    Stats.DataflowIterations = CI->solve(F);
+    for (unsigned B = 0; B < NumBlocks; ++B)
+      for (unsigned S : F.block(B).successors()) {
+        Liveness::Set LiveInS = LV.liveIn(S);
+        for (const BoundaryLoc &Bot : RegBottom[B])
+          if (Bot.Consistent && LiveInS.test(Bot.V) &&
+              !std::binary_search(RegTop[S].begin(), RegTop[S].end(), Bot,
+                                  [](const BoundaryLoc &X,
+                                     const BoundaryLoc &Y) {
+                                    return X.V < Y.V;
+                                  }))
+            CI->UsedAtExit[B].push_back(Bot.V);
+      }
+    Stats.DataflowIterations = CI->solve(F, &RPO);
   }
 
   // Resolution (§2.4).
@@ -627,18 +655,16 @@ AllocStats BinpackScanner::run() {
     obs::ScopedSpan Span("binpack.resolution", "phase");
     ResolverInput In;
     In.LV = &LV;
-    In.VRegToDense = &VRegToDense;
-    In.DenseToVReg = &DenseToVReg;
-    In.LocTop = &LocTop;
-    In.LocBottom = &LocBottom;
+    In.Top = &RegTop;
+    In.Bottom = &RegBottom;
     In.CI = Iterative ? CI.get() : nullptr;
-    In.ConsistentBottom = &CI->AreConsistentBottom;
     ResolveCounts RC = resolveEdges(F, In, Slots);
     Stats.ResolveLoads = RC.Loads;
     Stats.ResolveStores = RC.Stores;
     Stats.ResolveMoves = RC.Moves;
     Stats.SplitEdges = RC.SplitEdges;
   }
+
   Stats.SpilledTemps = EverSpilled.count();
 
   obs::CounterRegistry &CR = obs::CounterRegistry::global();

@@ -389,7 +389,7 @@ void ColoringProblem::build() {
       InLive[N] = 0;
     LiveNodes.clear();
     // Vreg ids ascend with node ids, so the seed list comes out sorted.
-    LV.liveOut(B).forEachSetBit([&](unsigned V) {
+    LV.liveOut(B).forEach([&](unsigned V) {
       unsigned N = VRegToNode[V];
       if (N != NoNode && !EverSpilledV.test(V)) {
         InLive[N] = 1;

@@ -19,8 +19,12 @@
 /// resolution inserts a store on edge p->s when USED_C_in(s) is set but
 /// ARE_CONSISTENT(p) is clear.
 ///
-/// Bit vectors are sized by the temporaries live across block boundaries
-/// only, per the paper's optimisation (§3).
+/// The recorded sets are sparse: each block lists the cross-block temps
+/// (§3) it recorded, a few per eviction or write, so they are sized by the
+/// scan's events. USED_C_in can only ever hold a temp that some block
+/// relies on (GEN or exit GEN), so the solution is a bit vector per block
+/// over those temps alone, not over every temporary. ARE_CONSISTENT at a
+/// block bottom lives with the block-boundary locations (Resolver.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,51 +34,47 @@
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace lsra {
 
 class ConsistencyInfo {
 public:
-  /// Build with the dense universe of cross-block temporaries.
-  ConsistencyInfo(unsigned NumBlocks, std::vector<unsigned> VRegToDense,
-                  std::vector<unsigned> DenseToVReg);
+  explicit ConsistencyInfo(unsigned NumBlocks)
+      : UsedConsistency(NumBlocks), WroteTR(NumBlocks), UsedAtExit(NumBlocks) {}
 
-  unsigned denseIndex(unsigned V) const { return VRegToDense[V]; }
-  bool inUniverse(unsigned V) const { return VRegToDense[V] != ~0u; }
-  unsigned universeSize() const {
-    return static_cast<unsigned>(DenseToVReg.size());
-  }
-
-  // Filled by the allocator during the linear scan:
-  std::vector<BitVector> AreConsistentBottom;
-  std::vector<BitVector> UsedConsistency; // GEN
-  std::vector<BitVector> WroteTR;         // KILL
+  // Filled by the allocator during the linear scan, per block, with vreg
+  // ids in any order (repeats allowed):
+  std::vector<std::vector<unsigned>> UsedConsistency; // GEN
+  std::vector<std::vector<unsigned>> WroteTR;         // KILL
   /// Additional GEN at the *exit* of each block: the resolver itself relies
   /// on ARE_CONSISTENT(p) when it suppresses a reg->mem store on an
   /// outgoing edge of p (§2.4 "but only if inconsistent"). Registering that
   /// reliance here before solving makes the suppression sound along all
   /// paths, a detail the paper leaves implicit.
-  std::vector<BitVector> UsedAtExit;
+  std::vector<std::vector<unsigned>> UsedAtExit;
 
-  /// Solve the backward fixpoint; populates UsedCIn. Returns the number of
-  /// iterations (the paper reports 2-3 in practice).
-  unsigned solve(const Function &F);
+  /// Solve the backward fixpoint with a worklist swept in post-order (the
+  /// reverse of \p RPO, computed when null): a sweep visits only the
+  /// blocks queued since their last visit, and a block is queued again
+  /// only when a successor's USED_C_in grew. Returns the number of sweeps
+  /// that visited a block (the paper reports 2-3 iterations in practice).
+  unsigned solve(const Function &F,
+                 const std::vector<unsigned> *RPO = nullptr);
 
-  std::vector<BitVector> UsedCIn;
-
-  /// Should resolution insert a consistency store for vreg \p V on edge
-  /// \p Pred -> \p Succ? (Callable only after solve().)
-  bool needsEdgeStore(unsigned Pred, unsigned Succ, unsigned V) const {
-    unsigned D = VRegToDense[V];
-    if (D == ~0u)
-      return false;
-    return UsedCIn[Succ].test(D) && !AreConsistentBottom[Pred].test(D);
+  /// Is \p V in USED_C_in(\p B)? (Valid only after solve().)
+  bool usedAtEntry(unsigned B, unsigned V) const {
+    auto It = std::lower_bound(Relied.begin(), Relied.end(), V);
+    return It != Relied.end() && *It == V &&
+           UsedCIn[B].test(static_cast<unsigned>(It - Relied.begin()));
   }
 
 private:
-  std::vector<unsigned> VRegToDense;
-  std::vector<unsigned> DenseToVReg;
+  /// The temps some block relies on, sorted; bit I of UsedCIn is
+  /// Relied[I].
+  std::vector<unsigned> Relied;
+  std::vector<BitVector> UsedCIn;
 };
 
 } // namespace lsra

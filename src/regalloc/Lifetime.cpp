@@ -131,6 +131,12 @@ LifetimeAnalysis::LifetimeAnalysis(const Function &F, const Numbering &Num,
 
   // Per-register state during the reverse scan: the end position of the
   // segment currently being built (0 when the register is not live).
+  // Liveness is exact, so at a block's top the open vregs are its live-in
+  // set. One live out of the block just before it in the linear order
+  // stays open across the boundary (the old top-of-block piece and the
+  // new bottom-of-block piece would merge anyway, positions being
+  // contiguous), so a boundary costs the vregs that start or stop being
+  // live there, not every vreg live across it.
   std::vector<unsigned> VEnd(NumV, 0);
   std::array<unsigned, NumPRegs> PEnd{};
 
@@ -142,7 +148,11 @@ LifetimeAnalysis::LifetimeAnalysis(const Function &F, const Numbering &Num,
     uint8_t Depth = static_cast<uint8_t>(std::min(LI.depth(B), 255u));
 
     // Temporaries live out of the block are live through its bottom.
-    LV.liveOut(B).forEachSetBit([&](unsigned V) { VEnd[V] = BlockEnd; });
+    auto Open = [&](unsigned V) { VEnd[V] = BlockEnd; };
+    if (B + 1 < F.numBlocks())
+      LV.liveOut(B).forEachNotIn(LV.liveIn(B + 1), Open);
+    else
+      LV.liveOut(B).forEach(Open);
     // Physical registers never cross block boundaries in this IR.
 
     for (unsigned Idx = Blk.size(); Idx-- > 0;) {
@@ -198,11 +208,15 @@ LifetimeAnalysis::LifetimeAnalysis(const Function &F, const Numbering &Num,
     // (live-in temporaries, or argument registers in the entry block). The
     // LiveIn flag marks that the preceding linear gap, if any, is not a
     // true hole: the value arrives over a CFG edge.
-    for (unsigned V = 0; V < NumV; ++V)
-      if (VEnd[V]) {
-        VRegLTs[V].addSegmentFront(BlockStart, VEnd[V], /*LiveIn=*/true);
-        VEnd[V] = 0;
-      }
+    auto Close = [&](unsigned V) {
+      assert(VEnd[V] && "live-in vreg not live at the block top");
+      VRegLTs[V].addSegmentFront(BlockStart, VEnd[V], /*LiveIn=*/true);
+      VEnd[V] = 0;
+    };
+    if (B > 0)
+      LV.liveIn(B).forEachNotIn(LV.liveOut(B - 1), Close);
+    else
+      LV.liveIn(B).forEach(Close);
     for (unsigned P = 0; P < NumPRegs; ++P)
       if (PEnd[P]) {
         PRegLTs[P].addSegmentFront(BlockStart, PEnd[P]);

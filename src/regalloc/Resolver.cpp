@@ -23,10 +23,8 @@ struct Edge {
 ResolveCounts lsra::resolveEdges(Function &F, const ResolverInput &In,
                                  SpillSlots &Slots) {
   ResolveCounts Counts;
-  const Liveness &LV = *In.LV;
-  const auto &DenseToVReg = *In.DenseToVReg;
-  const auto &LocTop = *In.LocTop;
-  const auto &LocBottom = *In.LocBottom;
+  const BoundaryLocs &Tops = *In.Top;
+  const BoundaryLocs &Bottoms = *In.Bottom;
 
   // Collect the original edges and predecessor counts before any splitting
   // mutates the CFG.
@@ -45,41 +43,44 @@ ResolveCounts lsra::resolveEdges(Function &F, const ResolverInput &In,
 
   for (const Edge &E : Edges) {
     ParallelCopy PC;
-    const BitVector &LiveInS = LV.liveIn(E.Succ);
-    for (unsigned D = 0; D < DenseToVReg.size(); ++D) {
-      unsigned V = DenseToVReg[D];
-      if (V >= LiveInS.size() || !LiveInS.test(V))
-        continue;
-      LocCode Bot = LocBottom[E.Pred][D];
-      LocCode Top = LocTop[E.Succ][D];
-      bool BotReg = isRegLoc(Bot);
-      bool TopReg = isRegLoc(Top);
-      bool ConsistentAtBot =
-          (*In.ConsistentBottom)[E.Pred].size() > D &&
-          (*In.ConsistentBottom)[E.Pred].test(D);
-      if (BotReg && TopReg) {
-        if (regOfLoc(Bot) != regOfLoc(Top))
-          PC.addMove(V, regOfLoc(Bot), regOfLoc(Top));
+    // Only temps held in a register at either end need code (mem -> mem
+    // needs nothing). Merge the predecessor's bottom and the successor's
+    // top by vreg id, so temps are visited in ascending order.
+    const std::vector<BoundaryLoc> &Bots = Bottoms[E.Pred];
+    const std::vector<BoundaryLoc> &TopRegs = Tops[E.Succ];
+    Liveness::Set LiveInS = In.LV->liveIn(E.Succ);
+    size_t J = 0, K = 0;
+    while (J < Bots.size() || K < TopRegs.size()) {
+      const BoundaryLoc *BotL = nullptr, *TopL = nullptr;
+      if (K == TopRegs.size() ||
+          (J < Bots.size() && Bots[J].V <= TopRegs[K].V))
+        BotL = &Bots[J++];
+      if (K < TopRegs.size() && (!BotL || TopRegs[K].V == BotL->V))
+        TopL = &TopRegs[K++];
+      unsigned V = BotL ? BotL->V : TopL->V;
+      if (!TopL && !LiveInS.test(V))
+        continue; // live out of the predecessor along another edge only
+      if (BotL && TopL) {
+        unsigned From = regOfLoc(BotL->Loc), To = regOfLoc(TopL->Loc);
+        if (From != To)
+          PC.addMove(V, From, To);
         // The successor may rely on consistency that does not hold at the
         // predecessor even though the temp stays in a register.
-        if (In.CI && In.CI->needsEdgeStore(E.Pred, E.Succ, V))
-          PC.addStore(V, regOfLoc(Bot));
-      } else if (BotReg && !TopReg) {
+        if (In.CI && !BotL->Consistent && In.CI->usedAtEntry(E.Succ, V))
+          PC.addStore(V, From);
+      } else if (BotL) {
         // Register at the bottom, memory at the top: store, "but only if
         // the temporary's allocated register and memory home are
-        // inconsistent" (§2.4). The consistency dataflow covers the case
-        // where the suppression is unsound along this path.
-        bool NeedStore = !ConsistentAtBot;
-        if (!NeedStore && In.CI && In.CI->needsEdgeStore(E.Pred, E.Succ, V))
-          NeedStore = true;
-        if (NeedStore)
-          PC.addStore(V, regOfLoc(Bot));
-      } else if (!BotReg && TopReg) {
+        // inconsistent" (§2.4). The scan registered each suppression as a
+        // use of consistency at P's exit (UsedAtExit), so the dataflow
+        // makes it sound along every path into P.
+        if (!BotL->Consistent)
+          PC.addStore(V, regOfLoc(BotL->Loc));
+      } else {
         // Memory (or not-yet-materialised) at the bottom, register at the
         // top: load from the memory home.
-        PC.addLoad(V, regOfLoc(Top));
+        PC.addLoad(V, regOfLoc(TopL->Loc));
       }
-      // mem -> mem needs nothing.
     }
     if (PC.empty())
       continue;

@@ -48,24 +48,33 @@ struct ResolveCounts {
   unsigned SplitEdges = 0;
 };
 
+/// A temporary held in a register at a block boundary.
+struct BoundaryLoc {
+  unsigned V;
+  LocCode Loc; ///< always a register location
+  /// At a block bottom: the temp's register and memory home agree
+  /// (ARE_CONSISTENT, §2.4). Unused at a block top.
+  bool Consistent;
+};
+
+/// Per block, the live temps held in registers at its top (live-in) or
+/// bottom (live-out), sorted by vreg id; every other live temp is in its
+/// memory home. At most one entry per register, so a boundary costs the
+/// register file, not the temps live across it.
+using BoundaryLocs = std::vector<std::vector<BoundaryLoc>>;
+
 /// Everything the resolver needs from the allocate/rewrite scan.
 struct ResolverInput {
   const Liveness *LV = nullptr;
-  /// Cross-block dense universe (shared with ConsistencyInfo).
-  const std::vector<unsigned> *VRegToDense = nullptr;
-  const std::vector<unsigned> *DenseToVReg = nullptr;
-  /// Location maps, indexed [block][dense temp], valid for live-in /
-  /// live-out temps respectively.
-  const std::vector<std::vector<LocCode>> *LocTop = nullptr;
-  const std::vector<std::vector<LocCode>> *LocBottom = nullptr;
+  /// Register-held temps at each block's top and bottom.
+  const BoundaryLocs *Top = nullptr;
+  const BoundaryLocs *Bottom = nullptr;
   /// Solved consistency dataflow; null when the allocator ran in
   /// conservative mode (then reg->mem stores are inserted whenever the
   /// bottom state is inconsistent, and no extra consistency stores are
-  /// needed).
+  /// needed). A store goes on edge P -> S for a temp whose consistency S
+  /// relies on (USED_C_in(S)) but that is not consistent at P's bottom.
   const ConsistencyInfo *CI = nullptr;
-  /// Per-(block, dense) consistency at block bottom, used to suppress
-  /// reg->mem stores ("but only if inconsistent"). Always present.
-  const std::vector<BitVector> *ConsistentBottom = nullptr;
 };
 
 /// Run resolution over every CFG edge of \p F.

@@ -163,6 +163,22 @@ public:
     }
   }
 
+  /// Invoke \p F(index) for every bit set here and clear in \p RHS, in
+  /// ascending order, a word at a time.
+  template <typename Fn>
+  void forEachSetBitNotIn(const BitVector &RHS, Fn &&F) const {
+    assert(NumBits == RHS.NumBits && "size mismatch");
+    for (unsigned WI = 0, E = static_cast<unsigned>(Words.size()); WI != E;
+         ++WI) {
+      uint64_t W = Words[WI] & ~RHS.Words[WI];
+      while (W) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        W &= W - 1;
+        F(WI * 64 + Bit);
+      }
+    }
+  }
+
   /// First set bit at index >= From, or -1 if none.
   int findNext(unsigned From) const;
 

@@ -9,9 +9,14 @@
 #include "analysis/Liveness.h"
 #include "analysis/Loops.h"
 #include "analysis/Order.h"
+#include "ExactnessInputs.h"
 #include "ir/Builder.h"
+#include "passes/DCE.h"
+#include "support/BitVector.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace lsra;
 
@@ -244,6 +249,209 @@ TEST(AnalysisCache, AnalysesMatchStandaloneConstruction) {
   Dominators Dom(*Fx.F);
   for (unsigned B = 0; B < Fx.F->numBlocks(); ++B)
     EXPECT_EQ(Dom.idom(B), FA.dominators().idom(B));
+}
+
+// --- Exactness against brute-force references ----------------------------
+
+/// Loop depth by the original definition: for every block, the number of
+/// distinct headers among the natural loops that contain it.
+std::vector<unsigned> referenceDepths(const Function &F, const LoopInfo &LI) {
+  std::vector<unsigned> Depth(F.numBlocks(), 0);
+  for (unsigned B = 0; B < F.numBlocks(); ++B) {
+    std::vector<unsigned> Headers;
+    for (const Loop &L : LI.loops())
+      if (std::find(L.Blocks.begin(), L.Blocks.end(), B) != L.Blocks.end() &&
+          std::find(Headers.begin(), Headers.end(), L.Header) == Headers.end())
+        Headers.push_back(L.Header);
+    Depth[B] = static_cast<unsigned>(Headers.size());
+  }
+  return Depth;
+}
+
+/// Natural loops by the original definition: for each back edge T -> H
+/// (H dominates T, found by walking T's dominator chain), the blocks that
+/// reach T without passing H.
+std::vector<Loop> referenceLoops(const Function &F) {
+  Dominators Dom(F);
+  auto Dominates = [&](unsigned A, unsigned B) {
+    if (!Dom.isReachable(B))
+      return false;
+    for (;; B = Dom.idom(B)) {
+      if (A == B)
+        return true;
+      if (B == 0)
+        return false;
+    }
+  };
+  auto Preds = F.predecessors();
+  std::vector<Loop> Loops;
+  for (unsigned T = 0; T < F.numBlocks(); ++T) {
+    if (!Dom.isReachable(T))
+      continue;
+    for (unsigned H : F.block(T).successors()) {
+      if (!Dominates(H, T))
+        continue;
+      BitVector In(F.numBlocks());
+      In.set(H);
+      std::vector<unsigned> Work;
+      if (!In.test(T)) {
+        In.set(T);
+        Work.push_back(T);
+      }
+      while (!Work.empty()) {
+        unsigned B = Work.back();
+        Work.pop_back();
+        for (unsigned P : Preds[B])
+          if (!In.test(P)) {
+            In.set(P);
+            Work.push_back(P);
+          }
+      }
+      Loop L;
+      L.Header = H;
+      In.forEachSetBit([&](unsigned B) { L.Blocks.push_back(B); });
+      Loops.push_back(std::move(L));
+    }
+  }
+  return Loops;
+}
+
+/// Liveness by the original definition: bit vectors over every vreg,
+/// swept until nothing changes.
+struct ReferenceLiveness {
+  std::vector<BitVector> In, Out;
+  BitVector Cross;
+
+  explicit ReferenceLiveness(const Function &F) {
+    unsigned N = F.numBlocks(), V = F.numVRegs();
+    In.assign(N, BitVector(V));
+    Out.assign(N, BitVector(V));
+    std::vector<BitVector> Use(N, BitVector(V)), Def(N, BitVector(V));
+    for (unsigned B = 0; B < N; ++B)
+      for (const Instr &I : F.block(B).instrs()) {
+        forEachUsedReg(I, [&](const Operand &Op) {
+          if (Op.isVReg() && !Def[B].test(Op.vregId()))
+            Use[B].set(Op.vregId());
+        });
+        forEachDefinedReg(I, [&](const Operand &Op) {
+          if (Op.isVReg())
+            Def[B].set(Op.vregId());
+        });
+      }
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (unsigned B = N; B-- > 0;) {
+        for (unsigned S : F.block(B).successors())
+          Out[B] |= In[S];
+        Changed |= In[B].unionWithDifference(Out[B], Def[B]);
+        Changed |= In[B] |= Use[B];
+      }
+    }
+    Cross.resize(V);
+    for (unsigned B = 0; B < N; ++B) {
+      Cross |= In[B];
+      Cross |= Out[B];
+    }
+  }
+};
+
+std::vector<unsigned> members(const Liveness::Set &S) {
+  std::vector<unsigned> Out;
+  S.forEach([&](unsigned V) { Out.push_back(V); });
+  return Out;
+}
+
+std::vector<unsigned> members(const BitVector &S) {
+  std::vector<unsigned> Out;
+  S.forEachSetBit([&](unsigned V) { Out.push_back(V); });
+  return Out;
+}
+
+TEST(Loops, TwoBackEdgesToOneHeaderFoundApart) {
+  // b0 -> b1; b1 -> b2; b2 -> {b1, b3}; b3 -> {b3, b4}; b4 -> {b1, b5}.
+  // Back edges are found by source block: b2 -> b1, then b3 -> b3, then
+  // b4 -> b1, so header b1's two loops are not found one after the other.
+  Module M;
+  FunctionBuilder B(M, "f", 0, 0, CallRetKind::None);
+  std::vector<Block *> Bs;
+  for (unsigned I = 0; I < 6; ++I)
+    Bs.push_back(&B.newBlock("b" + std::to_string(I)));
+  B.setBlock(*Bs[0]);
+  B.br(*Bs[1]);
+  B.setBlock(*Bs[1]);
+  B.br(*Bs[2]);
+  B.setBlock(*Bs[2]);
+  B.cbr(B.movi(1), *Bs[1], *Bs[3]);
+  B.setBlock(*Bs[3]);
+  B.cbr(B.movi(1), *Bs[3], *Bs[4]);
+  B.setBlock(*Bs[4]);
+  B.cbr(B.movi(1), *Bs[1], *Bs[5]);
+  B.setBlock(*Bs[5]);
+  B.retVoid();
+  Function &F = B.function();
+  LoopInfo LI(F);
+  ASSERT_EQ(LI.loops().size(), 3u);
+  EXPECT_EQ(LI.loops()[0].Header, 1u);
+  EXPECT_EQ(LI.loops()[1].Header, 3u);
+  EXPECT_EQ(LI.loops()[2].Header, 1u);
+  const unsigned Want[] = {0, 1, 1, 2, 1, 0};
+  for (unsigned Blk = 0; Blk < 6; ++Blk)
+    EXPECT_EQ(LI.depth(Blk), Want[Blk]) << "b" << Blk;
+  EXPECT_EQ(referenceDepths(F, LI), std::vector<unsigned>(Want, Want + 6));
+}
+
+TEST(Exactness, LoopsMatchReference) {
+  for (auto &[Name, M] : exactnessInputs())
+    for (const auto &F : M->functions()) {
+      LoopInfo LI(*F);
+      std::vector<Loop> Ref = referenceLoops(*F);
+      ASSERT_EQ(LI.loops().size(), Ref.size()) << Name << " " << F->name();
+      for (size_t I = 0; I < Ref.size(); ++I) {
+        EXPECT_EQ(LI.loops()[I].Header, Ref[I].Header) << Name;
+        EXPECT_EQ(LI.loops()[I].Blocks, Ref[I].Blocks) << Name;
+      }
+      std::vector<unsigned> Depth(F->numBlocks());
+      for (unsigned B = 0; B < F->numBlocks(); ++B)
+        Depth[B] = LI.depth(B);
+      EXPECT_EQ(Depth, referenceDepths(*F, LI)) << Name << " " << F->name();
+    }
+}
+
+TEST(Exactness, LivenessMatchesReference) {
+  TargetDesc TD = TargetDesc::alphaLike();
+  for (auto &[Name, M] : exactnessInputs())
+    for (const auto &F : M->functions()) {
+      Liveness LV(*F, TD);
+      ReferenceLiveness Ref(*F);
+      for (unsigned B = 0; B < F->numBlocks(); ++B) {
+        ASSERT_EQ(members(LV.liveIn(B)), members(Ref.In[B]))
+            << Name << " " << F->name() << " block " << B;
+        ASSERT_EQ(members(LV.liveOut(B)), members(Ref.Out[B]))
+            << Name << " " << F->name() << " block " << B;
+      }
+      EXPECT_EQ(LV.crossBlockSet(), Ref.Cross) << Name << " " << F->name();
+    }
+}
+
+TEST(Exactness, DeadCodeEliminationHandsOverFreshLiveness) {
+  TargetDesc TD = TargetDesc::alphaLike();
+  unsigned Removed = 0;
+  for (auto &[Name, M] : exactnessInputs())
+    for (const auto &F : M->functions()) {
+      FunctionAnalyses FA(*F, TD);
+      Removed += eliminateDeadCode(*F, TD, FA);
+      const Liveness &Handed = FA.liveness();
+      Liveness Fresh(*F, TD);
+      for (unsigned B = 0; B < F->numBlocks(); ++B) {
+        ASSERT_EQ(members(Handed.liveIn(B)), members(Fresh.liveIn(B)))
+            << Name << " " << F->name() << " block " << B;
+        ASSERT_EQ(members(Handed.liveOut(B)), members(Fresh.liveOut(B)))
+            << Name << " " << F->name() << " block " << B;
+      }
+      EXPECT_EQ(Handed.crossBlockSet(), Fresh.crossBlockSet())
+          << Name << " " << F->name();
+    }
+  EXPECT_GT(Removed, 0u) << "the inputs must exercise the update";
 }
 
 } // namespace

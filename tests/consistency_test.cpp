@@ -28,38 +28,33 @@ struct Chain {
   }
 };
 
-ConsistencyInfo makeInfo(const Function &F, unsigned NumTemps) {
-  std::vector<unsigned> V2D, D2V;
-  for (unsigned I = 0; I < NumTemps; ++I) {
-    V2D.push_back(I);
-    D2V.push_back(I);
-  }
-  return ConsistencyInfo(F.numBlocks(), V2D, D2V);
+ConsistencyInfo makeInfo(const Function &F) {
+  return ConsistencyInfo(F.numBlocks());
 }
 
 TEST(Consistency, GenPropagatesBackward) {
   Chain C(3);
-  ConsistencyInfo CI = makeInfo(*C.F, 2);
+  ConsistencyInfo CI = makeInfo(*C.F);
   // Temp 0's consistency is used in b2.
-  CI.UsedConsistency[2].set(0);
+  CI.UsedConsistency[2].push_back(0);
   unsigned Iters = CI.solve(*C.F);
   EXPECT_GE(Iters, 1u);
-  EXPECT_TRUE(CI.UsedCIn[2].test(0));
-  EXPECT_TRUE(CI.UsedCIn[1].test(0));
-  EXPECT_TRUE(CI.UsedCIn[0].test(0));
-  EXPECT_FALSE(CI.UsedCIn[0].test(1));
+  EXPECT_TRUE(CI.usedAtEntry(2, 0));
+  EXPECT_TRUE(CI.usedAtEntry(1, 0));
+  EXPECT_TRUE(CI.usedAtEntry(0, 0));
+  EXPECT_FALSE(CI.usedAtEntry(0, 1));
 }
 
 TEST(Consistency, KillStopsPropagation) {
   Chain C(3);
-  ConsistencyInfo CI = makeInfo(*C.F, 1);
-  CI.UsedConsistency[2].set(0);
-  CI.WroteTR[1].set(0); // b1 locally determines temp 0's consistency
+  ConsistencyInfo CI = makeInfo(*C.F);
+  CI.UsedConsistency[2].push_back(0);
+  CI.WroteTR[1].push_back(0); // b1 locally determines temp 0's consistency
   CI.solve(*C.F);
-  EXPECT_TRUE(CI.UsedCIn[2].test(0));
+  EXPECT_TRUE(CI.usedAtEntry(2, 0));
   // USED_C_in(b1) = GEN(b1) | (OUT(b1) - KILL(b1)) = {} | ({0} - {0}) = {}.
-  EXPECT_FALSE(CI.UsedCIn[1].test(0));
-  EXPECT_FALSE(CI.UsedCIn[0].test(0));
+  EXPECT_FALSE(CI.usedAtEntry(1, 0));
+  EXPECT_FALSE(CI.usedAtEntry(0, 0));
 }
 
 TEST(Consistency, GenPropagatesPastOwnKill) {
@@ -69,34 +64,23 @@ TEST(Consistency, GenPropagatesPastOwnKill) {
   // for one temp (Ut is only set when the assumption is not local), but
   // the equation must behave per the paper regardless.
   Chain C(2);
-  ConsistencyInfo CI = makeInfo(*C.F, 1);
-  CI.UsedConsistency[1].set(0);
-  CI.WroteTR[1].set(0);
+  ConsistencyInfo CI = makeInfo(*C.F);
+  CI.UsedConsistency[1].push_back(0);
+  CI.WroteTR[1].push_back(0);
   CI.solve(*C.F);
-  EXPECT_TRUE(CI.UsedCIn[1].test(0));
-  EXPECT_TRUE(CI.UsedCIn[0].test(0));
+  EXPECT_TRUE(CI.usedAtEntry(1, 0));
+  EXPECT_TRUE(CI.usedAtEntry(0, 0));
 }
 
 TEST(Consistency, UsedAtExitActsAsEdgeGen) {
   Chain C(3);
-  ConsistencyInfo CI = makeInfo(*C.F, 1);
+  ConsistencyInfo CI = makeInfo(*C.F);
   // The resolver will suppress a store on an outgoing edge of b1.
-  CI.UsedAtExit[1].set(0);
+  CI.UsedAtExit[1].push_back(0);
   CI.solve(*C.F);
-  EXPECT_TRUE(CI.UsedCIn[1].test(0));
-  EXPECT_TRUE(CI.UsedCIn[0].test(0));
-  EXPECT_FALSE(CI.UsedCIn[2].test(0));
-}
-
-TEST(Consistency, NeedsEdgeStoreCombinesBothSides) {
-  Chain C(2);
-  ConsistencyInfo CI = makeInfo(*C.F, 2);
-  CI.UsedConsistency[1].set(0);
-  CI.UsedConsistency[1].set(1);
-  CI.AreConsistentBottom[0].set(1); // temp 1 is consistent at b0's exit
-  CI.solve(*C.F);
-  EXPECT_TRUE(CI.needsEdgeStore(0, 1, 0));  // relied on, not consistent
-  EXPECT_FALSE(CI.needsEdgeStore(0, 1, 1)); // relied on, consistent
+  EXPECT_TRUE(CI.usedAtEntry(1, 0));
+  EXPECT_TRUE(CI.usedAtEntry(0, 0));
+  EXPECT_FALSE(CI.usedAtEntry(2, 0));
 }
 
 TEST(Consistency, LoopReachesFixpoint) {
@@ -113,26 +97,30 @@ TEST(Consistency, LoopReachesFixpoint) {
                           Operand::label(2)));
   F.block(2).append(Instr(Opcode::Ret));
 
-  ConsistencyInfo CI = makeInfo(F, 1);
-  CI.UsedConsistency[2].set(0);
+  ConsistencyInfo CI = makeInfo(F);
+  CI.UsedConsistency[2].push_back(0);
   unsigned Iters = CI.solve(F);
-  EXPECT_TRUE(CI.UsedCIn[1].test(0));
-  EXPECT_TRUE(CI.UsedCIn[0].test(0));
+  EXPECT_TRUE(CI.usedAtEntry(1, 0));
+  EXPECT_TRUE(CI.usedAtEntry(0, 0));
   // The paper reports 2-3 iterations in practice.
   EXPECT_LE(Iters, 4u);
 }
 
-TEST(Consistency, DenseUniverseMapping) {
+TEST(Consistency, SparseSetsTakeRepeatsInAnyOrder) {
+  // The scan appends vreg ids as it meets them; solve() sorts and dedups.
   Chain C(2);
-  // Universe of 2 cross-block temps among 5 vregs.
-  std::vector<unsigned> V2D = {~0u, 0u, ~0u, 1u, ~0u};
-  std::vector<unsigned> D2V = {1, 3};
-  ConsistencyInfo CI(C.F->numBlocks(), V2D, D2V);
-  EXPECT_TRUE(CI.inUniverse(1));
-  EXPECT_FALSE(CI.inUniverse(2));
-  EXPECT_EQ(CI.denseIndex(3), 1u);
-  EXPECT_EQ(CI.universeSize(), 2u);
-  EXPECT_FALSE(CI.needsEdgeStore(0, 1, 2)) << "non-universe temps never store";
+  ConsistencyInfo CI = makeInfo(*C.F);
+  for (unsigned V : {9u, 3u, 9u, 40u})
+    CI.UsedConsistency[1].push_back(V);
+  CI.WroteTR[0].push_back(40);
+  CI.WroteTR[0].push_back(40);
+  CI.solve(*C.F);
+  for (unsigned V : {3u, 9u, 40u})
+    EXPECT_TRUE(CI.usedAtEntry(1, V)) << V;
+  EXPECT_TRUE(CI.usedAtEntry(0, 3));
+  EXPECT_TRUE(CI.usedAtEntry(0, 9));
+  EXPECT_FALSE(CI.usedAtEntry(0, 40));
+  EXPECT_FALSE(CI.usedAtEntry(1, 4)) << "never relied on";
 }
 
 } // namespace

@@ -12,11 +12,15 @@
 #include "analysis/Liveness.h"
 #include "analysis/Loops.h"
 #include "analysis/Order.h"
+#include "ExactnessInputs.h"
 #include "ir/Builder.h"
+#include "passes/DCE.h"
 #include "regalloc/Lifetime.h"
 #include "target/LowerCalls.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace lsra;
 
@@ -317,6 +321,105 @@ TEST(LifetimeAnalysis, Figure1HoleSharing) {
   ASSERT_EQ(L1.Segs.size(), 2u);
   EXPECT_FALSE(L1.overlaps(L3));
   EXPECT_TRUE(L3.fitsInHolesOf(L1, 0));
+}
+
+/// Lifetime segments by the original construction: the same reverse pass,
+/// but every vreg still open at a block top is closed there (a sweep over
+/// all vregs), and segments are kept as plain (start, end, live-in) lists.
+struct ReferenceLifetimes {
+  struct Seg {
+    unsigned Start, End;
+    bool LiveIn;
+    bool operator==(const Seg &R) const {
+      return Start == R.Start && End == R.End && LiveIn == R.LiveIn;
+    }
+  };
+  std::vector<std::vector<Seg>> VRegs, PRegs;
+
+  static void addFront(std::vector<Seg> &Segs, unsigned Start, unsigned End,
+                       bool LiveIn) {
+    if (!Segs.empty() && End >= Segs.back().Start) {
+      if (Start < Segs.back().Start)
+        Segs.back() = {Start, Segs.back().End, LiveIn};
+      return;
+    }
+    Segs.push_back({Start, End, LiveIn});
+  }
+
+  ReferenceLifetimes(const Function &F, const Numbering &Num,
+                     const Liveness &LV, const TargetDesc &TD)
+      : VRegs(F.numVRegs()), PRegs(NumPRegs) {
+    unsigned NumV = F.numVRegs();
+    std::vector<unsigned> VEnd(NumV, 0), PEnd(NumPRegs, 0);
+    for (unsigned B = F.numBlocks(); B-- > 0;) {
+      const Block &Blk = F.block(B);
+      LV.liveOut(B).forEach(
+          [&](unsigned V) { VEnd[V] = Num.blockEndPos(B); });
+      for (unsigned Idx = Blk.size(); Idx-- > 0;) {
+        const Instr &I = Blk.instrs()[Idx];
+        unsigned G = Num.instrIndex(B, Idx);
+        unsigned UsePos = Numbering::usePos(G), DefPos = Numbering::defPos(G);
+        forEachDefinedReg(I, [&](const Operand &Op) {
+          bool V = Op.isVReg();
+          unsigned R = V ? Op.vregId() : Op.pregId();
+          unsigned &End = V ? VEnd[R] : PEnd[R];
+          addFront(V ? VRegs[R] : PRegs[R], DefPos, End ? End : DefPos + 1,
+                   false);
+          End = 0;
+        });
+        forEachClobberedReg(I, TD, [&](unsigned P) {
+          addFront(PRegs[P], DefPos, PEnd[P] ? PEnd[P] : DefPos + 1, false);
+          PEnd[P] = 0;
+        });
+        forEachUsedReg(I, [&](const Operand &Op) {
+          unsigned &End = Op.isVReg() ? VEnd[Op.vregId()] : PEnd[Op.pregId()];
+          if (!End)
+            End = UsePos + 1;
+        });
+      }
+      for (unsigned V = 0; V < NumV; ++V)
+        if (VEnd[V]) {
+          addFront(VRegs[V], Num.blockStartPos(B), VEnd[V], true);
+          VEnd[V] = 0;
+        }
+      for (unsigned P = 0; P < NumPRegs; ++P)
+        if (PEnd[P]) {
+          addFront(PRegs[P], Num.blockStartPos(B), PEnd[P], false);
+          PEnd[P] = 0;
+        }
+    }
+    for (auto &S : VRegs)
+      std::reverse(S.begin(), S.end());
+    for (auto &S : PRegs)
+      std::reverse(S.begin(), S.end());
+  }
+};
+
+std::vector<ReferenceLifetimes::Seg> segsOf(const Lifetime &LT) {
+  std::vector<ReferenceLifetimes::Seg> Out;
+  for (const Segment &S : LT.Segs)
+    Out.push_back({S.Start, S.End, S.LiveInStart});
+  return Out;
+}
+
+TEST(Exactness, LifetimesMatchReference) {
+  TargetDesc TD = TargetDesc::alphaLike();
+  for (auto &[Name, M] : exactnessInputs()) {
+    eliminateDeadCode(*M, TD);
+    for (const auto &F : M->functions()) {
+      Numbering Num(*F);
+      Liveness LV(*F, TD);
+      LoopInfo LI(*F);
+      LifetimeAnalysis LT(*F, Num, LV, LI, TD);
+      ReferenceLifetimes Ref(*F, Num, LV, TD);
+      for (unsigned V = 0; V < F->numVRegs(); ++V)
+        ASSERT_EQ(segsOf(LT.vreg(V)), Ref.VRegs[V])
+            << Name << " " << F->name() << " %" << V;
+      for (unsigned P = 0; P < NumPRegs; ++P)
+        ASSERT_EQ(segsOf(LT.pregFixed(P)), Ref.PRegs[P])
+            << Name << " " << F->name() << " preg " << P;
+    }
+  }
 }
 
 } // namespace

@@ -28,9 +28,10 @@ struct ResolverFixture {
   Function *F = nullptr;
   unsigned T = 0;
   std::unique_ptr<Liveness> LV;
-  std::vector<unsigned> V2D, D2V;
-  std::vector<std::vector<LocCode>> Top, Bottom;
-  std::unique_ptr<ConsistencyInfo> CI;
+  /// %T's location at each block's top and bottom (memory unless a test
+  /// says otherwise) and its consistency at each bottom.
+  std::vector<LocCode> Top, Bot;
+  std::vector<bool> BotConsistent;
   std::unique_ptr<SpillSlots> Slots;
 
   /// Build a CFG from an edge list; block 0 is entry. %T is defined in the
@@ -64,25 +65,28 @@ struct ResolverFixture {
     lowerCalls(*F);
     TargetDesc TD = TargetDesc::alphaLike();
     LV = std::make_unique<Liveness>(*F, TD);
-    V2D.assign(F->numVRegs(), ~0u);
-    V2D[T] = 0;
-    D2V = {T};
-    Top.assign(NumBlocks, {LocMem});
-    Bottom.assign(NumBlocks, {LocMem});
-    CI = std::make_unique<ConsistencyInfo>(NumBlocks, V2D, D2V);
+    Top.assign(NumBlocks, LocMem);
+    Bot.assign(NumBlocks, LocMem);
+    BotConsistent.assign(NumBlocks, false);
     Slots = std::make_unique<SpillSlots>(*F);
     Slots->homeOf(T);
   }
 
-  ResolveCounts resolve() {
+  ResolveCounts resolve(const ConsistencyInfo *CI = nullptr) {
+    // The scan records a live temp at a boundary only while it is held in
+    // a register.
+    BoundaryLocs TopRegs(F->numBlocks()), BotRegs(F->numBlocks());
+    for (unsigned B = 0; B < F->numBlocks(); ++B) {
+      if (isRegLoc(Top[B]) && LV->liveIn(B).test(T))
+        TopRegs[B].push_back({T, Top[B], false});
+      if (isRegLoc(Bot[B]) && LV->liveOut(B).test(T))
+        BotRegs[B].push_back({T, Bot[B], BotConsistent[B]});
+    }
     ResolverInput In;
     In.LV = LV.get();
-    In.VRegToDense = &V2D;
-    In.DenseToVReg = &D2V;
-    In.LocTop = &Top;
-    In.LocBottom = &Bottom;
-    In.CI = nullptr;
-    In.ConsistentBottom = &CI->AreConsistentBottom;
+    In.Top = &TopRegs;
+    In.Bottom = &BotRegs;
+    In.CI = CI;
     return resolveEdges(*F, In, *Slots);
   }
 };
@@ -90,8 +94,8 @@ struct ResolverFixture {
 TEST(Resolver, NoCodeWhenStatesAgree) {
   ResolverFixture Fx;
   Fx.build(2, {{0, 1}});
-  Fx.Bottom[0][0] = locReg(intReg(3));
-  Fx.Top[1][0] = locReg(intReg(3));
+  Fx.Bot[0] = locReg(intReg(3));
+  Fx.Top[1] = locReg(intReg(3));
   ResolveCounts C = Fx.resolve();
   EXPECT_EQ(C.Loads + C.Stores + C.Moves, 0u);
   EXPECT_EQ(C.SplitEdges, 0u);
@@ -101,12 +105,12 @@ TEST(Resolver, MoveOnRegisterMismatchAtSinglePredTop) {
   ResolverFixture Fx;
   // Diamond: 0 -> {1, 2} -> 3. Blocks 1 and 2 have a single pred each.
   Fx.build(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  Fx.Bottom[0][0] = locReg(intReg(3));
-  Fx.Top[1][0] = locReg(intReg(4)); // mismatch on edge 0->1
-  Fx.Top[2][0] = locReg(intReg(3));
-  Fx.Bottom[1][0] = locReg(intReg(4));
-  Fx.Bottom[2][0] = locReg(intReg(3));
-  Fx.Top[3][0] = locReg(intReg(3));
+  Fx.Bot[0] = locReg(intReg(3));
+  Fx.Top[1] = locReg(intReg(4)); // mismatch on edge 0->1
+  Fx.Top[2] = locReg(intReg(3));
+  Fx.Bot[1] = locReg(intReg(4));
+  Fx.Bot[2] = locReg(intReg(3));
+  Fx.Top[3] = locReg(intReg(3));
   // Edge 1->3 also mismatches (reg4 -> reg3).
   ResolveCounts C = Fx.resolve();
   EXPECT_EQ(C.Moves, 2u);
@@ -124,26 +128,45 @@ TEST(Resolver, MoveOnRegisterMismatchAtSinglePredTop) {
 TEST(Resolver, StoreOnlyWhenInconsistent) {
   ResolverFixture Fx;
   Fx.build(2, {{0, 1}});
-  Fx.Bottom[0][0] = locReg(intReg(3));
-  Fx.Top[1][0] = LocMem;
+  Fx.Bot[0] = locReg(intReg(3));
+  Fx.Top[1] = LocMem;
   // First: inconsistent -> store inserted.
   ResolveCounts C = Fx.resolve();
   EXPECT_EQ(C.Stores, 1u);
 
   ResolverFixture Fx2;
   Fx2.build(2, {{0, 1}});
-  Fx2.Bottom[0][0] = locReg(intReg(3));
-  Fx2.Top[1][0] = LocMem;
-  Fx2.CI->AreConsistentBottom[0].set(0); // consistent: suppressed (§2.4)
+  Fx2.Bot[0] = locReg(intReg(3));
+  Fx2.Top[1] = LocMem;
+  Fx2.BotConsistent[0] = true; // consistent: suppressed (§2.4)
   ResolveCounts C2 = Fx2.resolve();
   EXPECT_EQ(C2.Stores, 0u);
+}
+
+TEST(Resolver, ConsistencyStoreWhereReliedOnAndInconsistent) {
+  // %T stays in r3 across 0 -> 1, but bb1 relies on its consistency
+  // (USED_C_in(1)): a store goes on the edge only while bb0's bottom is
+  // inconsistent (§2.4).
+  for (bool ConsistentAtBottom : {false, true}) {
+    ResolverFixture Fx;
+    Fx.build(2, {{0, 1}});
+    Fx.Bot[0] = locReg(intReg(3));
+    Fx.BotConsistent[0] = ConsistentAtBottom;
+    Fx.Top[1] = locReg(intReg(3));
+    ConsistencyInfo CI(Fx.F->numBlocks());
+    CI.UsedConsistency[1].push_back(Fx.T);
+    CI.solve(*Fx.F);
+    ResolveCounts C = Fx.resolve(&CI);
+    EXPECT_EQ(C.Stores, ConsistentAtBottom ? 0u : 1u);
+    EXPECT_EQ(C.Moves, 0u);
+  }
 }
 
 TEST(Resolver, LoadOnMemToReg) {
   ResolverFixture Fx;
   Fx.build(2, {{0, 1}});
-  Fx.Bottom[0][0] = LocMem;
-  Fx.Top[1][0] = locReg(intReg(5));
+  Fx.Bot[0] = LocMem;
+  Fx.Top[1] = locReg(intReg(5));
   ResolveCounts C = Fx.resolve();
   EXPECT_EQ(C.Loads, 1u);
   const Instr &TopI = Fx.F->block(1).instrs().front();
@@ -157,10 +180,10 @@ TEST(Resolver, CriticalEdgeIsSplit) {
   ResolverFixture Fx;
   Fx.build(4, {{0, 3}, {0, 1}, {1, 3}, {2, 2}});
   // (Block 2 is an unreachable self-loop filler; ignore it.)
-  Fx.Bottom[0][0] = locReg(intReg(3));
-  Fx.Top[3][0] = locReg(intReg(4)); // mismatch on critical edge 0->3
-  Fx.Top[1][0] = locReg(intReg(4));
-  Fx.Bottom[1][0] = locReg(intReg(4));
+  Fx.Bot[0] = locReg(intReg(3));
+  Fx.Top[3] = locReg(intReg(4)); // mismatch on critical edge 0->3
+  Fx.Top[1] = locReg(intReg(4));
+  Fx.Bot[1] = locReg(intReg(4));
   unsigned BlocksBefore = Fx.F->numBlocks();
   ResolveCounts C = Fx.resolve();
   EXPECT_EQ(C.SplitEdges, 1u);
@@ -198,22 +221,15 @@ TEST(Resolver, BackEdgeIntoEntryNeverInsertsAtEntryTop) {
   TargetDesc TD = TargetDesc::alphaLike();
   Liveness LV(F, TD);
   ASSERT_TRUE(LV.liveIn(0).test(T)) << "test needs %T live into the entry";
-  std::vector<unsigned> V2D(F.numVRegs(), ~0u), D2V = {T};
-  V2D[T] = 0;
-  std::vector<std::vector<LocCode>> Top(2, std::vector<LocCode>(1, LocMem));
-  std::vector<std::vector<LocCode>> Bot(2, std::vector<LocCode>(1, LocMem));
-  Bot[0][0] = locReg(intReg(3));
-  Top[0][0] = locReg(intReg(4)); // mismatch on the back edge 0->0
-  ConsistencyInfo CI(2, V2D, D2V);
+  ASSERT_TRUE(LV.liveOut(0).test(T));
+  BoundaryLocs Top(2), Bot(2);
+  Bot[0] = {{T, locReg(intReg(3)), false}};
+  Top[0] = {{T, locReg(intReg(4)), false}}; // mismatch on the back edge 0->0
   SpillSlots Slots(F);
   ResolverInput In;
   In.LV = &LV;
-  In.VRegToDense = &V2D;
-  In.DenseToVReg = &D2V;
-  In.LocTop = &Top;
-  In.LocBottom = &Bot;
-  In.CI = nullptr;
-  In.ConsistentBottom = &CI.AreConsistentBottom;
+  In.Top = &Top;
+  In.Bottom = &Bot;
   unsigned BlocksBefore = F.numBlocks();
   ResolveCounts Counts = resolveEdges(F, In, Slots);
   EXPECT_EQ(Counts.Moves, 1u);
@@ -249,25 +265,17 @@ TEST(Resolver, SwapUsesScratchSlotCycleBreak) {
   lowerCalls(F);
   TargetDesc TD = TargetDesc::alphaLike();
   Liveness LV(F, TD);
-  std::vector<unsigned> V2D(F.numVRegs(), ~0u), D2V = {T1, T2};
-  V2D[T1] = 0;
-  V2D[T2] = 1;
-  std::vector<std::vector<LocCode>> Top(2, std::vector<LocCode>(2, LocMem));
-  std::vector<std::vector<LocCode>> Bot(2, std::vector<LocCode>(2, LocMem));
-  Bot[0][0] = locReg(intReg(3));
-  Bot[0][1] = locReg(intReg(4));
-  Top[1][0] = locReg(intReg(4)); // swapped!
-  Top[1][1] = locReg(intReg(3));
-  ConsistencyInfo CI(2, V2D, D2V);
+  ASSERT_LT(T1, T2);
+  ASSERT_TRUE(LV.liveIn(1).test(T1) && LV.liveIn(1).test(T2));
+  BoundaryLocs Top(2), Bot(2);
+  Bot[0] = {{T1, locReg(intReg(3)), false}, {T2, locReg(intReg(4)), false}};
+  Top[1] = {{T1, locReg(intReg(4)), false}, // swapped!
+            {T2, locReg(intReg(3)), false}};
   SpillSlots Slots(F);
   ResolverInput In;
   In.LV = &LV;
-  In.VRegToDense = &V2D;
-  In.DenseToVReg = &D2V;
-  In.LocTop = &Top;
-  In.LocBottom = &Bot;
-  In.CI = nullptr;
-  In.ConsistentBottom = &CI.AreConsistentBottom;
+  In.Top = &Top;
+  In.Bottom = &Bot;
   ResolveCounts C = resolveEdges(F, In, Slots);
   // A 2-cycle: scratch store + one move + scratch load.
   EXPECT_EQ(C.Moves, 1u);
