@@ -557,7 +557,7 @@ void Server::compileEntry(const InflightPtr &E) {
       Base.DynSpills = TC.Run.Stats.spillInstrs();
       Base.ReturnValue = TC.Run.ReturnValue;
     }
-    Base.IRText = TC.AllocatedText;
+    Base.IRText = std::move(TC.AllocatedText);
     CounterName = "server.completed";
     LogStatus = "ok";
   }
@@ -571,16 +571,15 @@ void Server::compileEntry(const InflightPtr &E) {
   }
 }
 
-void Server::answerWaiter(const PendingPtr &W, const CompileResponse &Base,
+void Server::answerWaiter(const PendingPtr &W, CompileResponse &Resp,
                           const char *LogStatus, bool Cached,
                           int64_t TaskStartNs) {
   // Per-waiter response: identical compile payload, per-request queue wait
   // and merge marker. A merged waiter that arrived after dispatch waited
   // zero queue time by definition.
-  CompileResponse R = Base;
-  R.Merged = W->Merged;
+  Resp.Merged = W->Merged;
   uint64_t QueueUs = clampedUs(TaskStartNs - W->ArrivalNs);
-  R.QueueUs = QueueUs;
+  Resp.QueueUs = QueueUs;
   int64_t Now = steadyNowNs();
   if (W->RT) {
     if (W->Merged)
@@ -590,8 +589,8 @@ void Server::answerWaiter(const PendingPtr &W, const CompileResponse &Base,
   }
   histRecord("server.queue_wait_us", QueueUs);
   finishRequest(W, LogStatus, Cached, QueueUs, Now);
-  std::string Payload = encodeCompileResponse(R);
-  FrameType Type = R.Status;
+  std::string Payload = encodeCompileResponse(Resp);
+  FrameType Type = Resp.Status;
   uint64_t ConnId = W->ConnId;
   uint32_t FrameId = W->FrameId;
   uint64_t TimerId = W->TimerId;

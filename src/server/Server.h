@@ -222,7 +222,10 @@ private:
 
   // --- worker-side ----------------------------------------------------------
   void compileEntry(const InflightPtr &E);
-  void answerWaiter(const PendingPtr &W, const CompileResponse &Base,
+  /// Answer one waiter with \p Resp, the compile's shared response, after
+  /// setting its per-waiter fields (merge marker, queue wait); the
+  /// allocated text is encoded straight from it, never copied.
+  void answerWaiter(const PendingPtr &W, CompileResponse &Resp,
                     const char *LogStatus, bool Cached, int64_t TaskStartNs);
 
   /// Terminal per-request telemetry: latency/queue-wait histograms,
