@@ -241,8 +241,9 @@ struct MetricsSnapshot {
 /// time (steadyNowNs). The server's loop adds the recv, admit,
 /// queue-wait, merged and reply intervals with addPhase(); the compile
 /// pipeline's ScopedSpans add cache-probe, l2-probe, parse, alloc (with
-/// lowerCalls, dce and allocateModule inside it) and emit when handed the
-/// trace through ExecOptions::ReqTrace, which no cache key includes.
+/// lowerCalls and allocateModule, each function's dce inside the latter)
+/// and emit when handed the trace through ExecOptions::ReqTrace, which no
+/// cache key includes.
 /// Phases may be appended from the loop thread and a worker thread at
 /// different times; a request is never in both at once, but the mutex
 /// keeps the container safe regardless.

@@ -127,8 +127,8 @@ struct ServerOptions {
   /// Request-trace sampling: every Nth admitted compile request gets an
   /// obs::RequestTrace (0 = tracing off, 1 = every request). The loop adds
   /// recv, admit, queue-wait and reply; the compile pipeline's spans add
-  /// cache-probe, l2-probe, parse, alloc (lowerCalls, dce, allocateModule)
-  /// and emit under their span names. Merged waiters get
+  /// cache-probe, l2-probe, parse, alloc (lowerCalls, then allocateModule
+  /// with each function's dce inside it) and emit under their span names. Merged waiters get
   /// recv→admit→merged→reply. Sampled traces go to the Chrome tracer (when
   /// enabled) and the request log (when open).
   unsigned SampleEvery = 0;
