@@ -56,7 +56,8 @@ void FunctionAnalyses::invalidate() {
 }
 
 void FunctionAnalyses::adoptLiveness(std::unique_ptr<Liveness> NewLV) {
-  assert(NewLV && NewLV->numVRegs() == F.numVRegs() && "liveness of another function");
+  assert(NewLV && NewLV->numVRegs() == F.numVRegs() &&
+         "liveness of another function");
   LT.reset();
   Num.reset();
   LV = std::move(NewLV);

@@ -95,7 +95,7 @@ public:
   /// the next write (a dead def), and no terminator. Such an edit never
   /// changes the sets of a vreg that lost no read, and only shrinks those
   /// of the vregs in \p LostReads, which lists every vreg the edit deleted
-  /// a read of. Those vregs' bits are cleared and solved again with the
+  /// a read of (repeats allowed). Those vregs' bits are cleared and solved again with the
   /// same worklist, masked to them, so the result equals a fresh solve on
   /// the edited function. \p RPO as in the constructor.
   void removeReads(const Function &F, const std::vector<unsigned> &LostReads,

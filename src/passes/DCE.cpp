@@ -44,9 +44,8 @@ bool isRemovableWhenDead(const Instr &I) {
 
 class DeadCodeEliminator {
 public:
-  DeadCodeEliminator(Function &F, const TargetDesc &TD,
-                     std::unique_ptr<Liveness> LV)
-      : F(F), TD(TD), LV(std::move(LV)) {}
+  DeadCodeEliminator(Function &F, std::unique_ptr<Liveness> LV)
+      : F(F), LV(std::move(LV)) {}
 
   unsigned run();
 
@@ -59,9 +58,8 @@ public:
 
 private:
   Function &F;
-  const TargetDesc &TD;
   std::unique_ptr<Liveness> LV;
-  /// Every vreg a removal deleted a read of, once.
+  /// Every vreg a removal deleted a read of (repeats allowed).
   std::vector<unsigned> LostRead;
   /// Block B's instructions hold the positions [Start[B], Start[B+1]).
   std::vector<uint32_t> Start;
@@ -69,7 +67,7 @@ private:
   unsigned NumRemoved = 0;
   /// VRegs that lost a read since their defs were last tested.
   std::vector<unsigned> Work;
-  std::vector<uint8_t> InWork, WasInWork;
+  std::vector<uint8_t> InWork;
 
   /// A read or write of a vreg by the instruction at Pos. An instruction
   /// that reads and writes one vreg lists the read first.
@@ -103,11 +101,8 @@ void DeadCodeEliminator::remove(uint32_t Pos, const Instr &I) {
     unsigned V = Op.vregId();
     if (!NumUses.empty())
       --NumUses[V];
+    LostRead.push_back(V);
     if (!InWork[V]) {
-      if (!WasInWork[V]) {
-        WasInWork[V] = 1;
-        LostRead.push_back(V);
-      }
       InWork[V] = 1;
       Work.push_back(V);
     }
@@ -234,7 +229,6 @@ unsigned DeadCodeEliminator::run() {
     Start[B + 1] = Start[B] + F.block(B).size();
   Removed.assign(Start[NumBlocks], 0);
   InWork.assign(F.numVRegs(), 0);
-  WasInWork.assign(F.numVRegs(), 0);
 
   sweep();
   if (!Work.empty())
@@ -271,13 +265,13 @@ unsigned DeadCodeEliminator::run() {
 } // namespace
 
 unsigned lsra::eliminateDeadCode(Function &F, const TargetDesc &TD) {
-  return DeadCodeEliminator(F, TD, std::make_unique<Liveness>(F, TD)).run();
+  return DeadCodeEliminator(F, std::make_unique<Liveness>(F, TD)).run();
 }
 
 unsigned lsra::eliminateDeadCode(Function &F, const TargetDesc &TD,
                                  FunctionAnalyses &FA) {
   assert(&FA.function() == &F && "analyses are for a different function");
-  DeadCodeEliminator DCE(F, TD, std::make_unique<Liveness>(F, TD, &FA.rpo()));
+  DeadCodeEliminator DCE(F, std::make_unique<Liveness>(F, TD, &FA.rpo()));
   unsigned Removed = DCE.run();
   FA.adoptLiveness(DCE.takeLiveness(&FA.rpo()));
   return Removed;
