@@ -100,15 +100,17 @@ AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
     obs::ScopedSpan S("liveness", "phase");
     FA.liveness();
   }
+  // Lifetimes weight references by loop depth, so loops come first and
+  // get their own span either way.
+  if (Info.needs(CapNeedsLoops) || Info.needs(CapNeedsLifetimes)) {
+    obs::ScopedSpan S("loops", "phase");
+    FA.loops();
+  }
   if (Info.needs(CapNeedsLifetimes)) {
     obs::ScopedSpan S("lifetimes", "phase");
     FA.lifetimes();
     if (CR.enabled())
       CR.counter("lifetime.holes").add(countLifetimeHoles(FA.lifetimes()));
-  }
-  if (Info.needs(CapNeedsLoops)) {
-    obs::ScopedSpan S("loops", "phase");
-    FA.loops();
   }
   Timer T;
   T.start();
