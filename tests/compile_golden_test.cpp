@@ -18,7 +18,10 @@
 //     consistency, no early second chance, no move coalescing) on the
 //     code-heavy inputs at 8+8 registers and fuzz programs 1-50 at limits
 //     8 and 4, so the block-boundary and consistency state is pinned in
-//     every mode the ablation benches use.
+//     every mode the ablation benches use;
+//   - every backend again with the spill cleanup pass on, on the
+//     code-heavy inputs and fuzz programs 1-50 at limits 8 and 4, so the
+//     cleanup's rewrite of the allocated code is pinned too.
 //
 // Each point goes text -> parse -> lowerCalls -> eliminateDeadCode ->
 // allocateModule -> print, like compileTextModule, and gives one line: the
@@ -163,6 +166,23 @@ std::string allOutputs() {
       AddBinpack("fuzz-" + std::to_string(S),
                  printed(*buildRandomProgram(S, FO.Program)), {8, 4});
   }
+
+  // Every backend with the spill cleanup pass on.
+  AllocOptions Cleanup;
+  Cleanup.SpillCleanup = true;
+  auto AddCleanup = [&](const std::string &Name, const std::string &Text) {
+    for (unsigned Regs : {8u, 4u})
+      for (AllocatorKind K : Kinds)
+        Out += compileLine(Name, Text, K, Regs, Cleanup, "/cleanup");
+  };
+  for (const Scaled &S : Scaleds)
+    AddCleanup(S.Name, printed(*buildScaledModule(S.Opts)));
+  for (uint64_t S = 1; S <= 8; ++S)
+    AddCleanup("random-" + std::to_string(S),
+               printed(*buildRandomProgram(S, RO)));
+  for (uint64_t S = 1; S <= 50; ++S)
+    AddCleanup("fuzz-" + std::to_string(S),
+               printed(*buildRandomProgram(S, FO.Program)));
   return Out;
 }
 
@@ -206,10 +226,11 @@ TEST(CompileGolden, CoversEveryBackendAndPoint) {
   }
   // (4 + 8 x 2 code-heavy + 11 corpus + 50 x 3 fuzz points) x every
   // backend, then (4 + 8 code-heavy + 50 x 2 fuzz points) x 3 binpacking
-  // ablation modes.
-  EXPECT_EQ(Lines, (20u + 11u + 150u) *
-                           AllocatorRegistry::global().kinds().size() +
-                       (12u + 100u) * 3u);
+  // ablation modes, then (4 + 8 + 50) x 2 limits x every backend with the
+  // spill cleanup on.
+  unsigned Backends = AllocatorRegistry::global().kinds().size();
+  EXPECT_EQ(Lines, (20u + 11u + 150u) * Backends + (12u + 100u) * 3u +
+                       62u * 2u * Backends);
   EXPECT_GT(Coalescing, 0u);
   EXPECT_GT(Removing, 0u);
 }
