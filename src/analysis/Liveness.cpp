@@ -106,7 +106,7 @@ unsigned Liveness::solve(const Function &F, const LocalSets &L,
   // after all its successors on acyclic paths, so only blocks reached by a
   // back edge are ever re-queued — unlike whole-CFG sweeps, which recompute
   // every block until an entire pass changes nothing.
-  std::vector<std::vector<unsigned>> Succs(NumBlocks);
+  std::vector<SuccList> Succs(NumBlocks);
   for (unsigned B = 0; B < NumBlocks; ++B)
     Succs[B] = F.block(B).successors();
   std::vector<std::vector<unsigned>> Preds = F.predecessors();

@@ -35,7 +35,7 @@ std::vector<unsigned> lsra::reversePostOrder(const Function &F) {
   std::vector<std::pair<unsigned, unsigned>> Stack;
   Stack.push_back({0, 0});
   State[0] = 1;
-  std::vector<std::vector<unsigned>> Succs(F.numBlocks());
+  std::vector<SuccList> Succs(F.numBlocks());
   for (unsigned B = 0; B < F.numBlocks(); ++B)
     Succs[B] = F.block(B).successors();
   while (!Stack.empty()) {

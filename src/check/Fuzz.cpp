@@ -33,6 +33,13 @@ TargetDesc targetFor(unsigned RegLimit) {
   return RegLimit ? TD.withRegLimit(RegLimit, RegLimit) : TD;
 }
 
+/// The VM budget of both oracle runs.
+VM::Options refOptions() {
+  VM::Options O;
+  O.MaxInstrs = 50'000'000;
+  return O;
+}
+
 OracleResult fail(const char *Kind, std::string Detail) {
   OracleResult R;
   R.St = OracleResult::Fail;
@@ -74,39 +81,45 @@ std::string runCacheDifferential(const std::string &Text, AllocatorKind K,
 
 } // namespace
 
-OracleResult lsra::check::runOracle(const std::string &IRText, AllocatorKind K,
-                                    unsigned RegLimit, bool SpillCleanup) {
-  OracleResult R;
-  ParseResult P = parseModule(IRText);
-  if (!P.ok()) {
-    R.St = OracleResult::Malformed;
-    R.Detail = "parse: " + P.Error;
-    return R;
+PreparedProgram lsra::check::prepareOracle(const std::string &IRText,
+                                           unsigned RegLimit) {
+  PreparedProgram P;
+  ParseResult Parsed = parseModule(IRText);
+  if (!Parsed.ok()) {
+    P.Malformed.St = OracleResult::Malformed;
+    P.Malformed.Detail = "parse: " + Parsed.Error;
+    return P;
   }
-  std::string Diag = verifyModule(*P.M);
+  std::string Diag = verifyModule(*Parsed.M);
   if (!Diag.empty()) {
-    R.St = OracleResult::Malformed;
-    R.Detail = "verify: " + Diag;
-    return R;
+    P.Malformed.St = OracleResult::Malformed;
+    P.Malformed.Detail = "verify: " + Diag;
+    return P;
   }
 
-  TargetDesc TD = targetFor(RegLimit);
+  P.TD = targetFor(RegLimit);
   // Lower and DCE in place, leaving P.M as the exact module every allocator
   // consumes — the verifier's Orig snapshot. The instruction budget is far
   // above any generated program but low enough that reduction candidates
   // which break a loop counter reject quickly.
+  P.M = std::move(Parsed.M);
   lowerCalls(*P.M);
-  eliminateDeadCode(*P.M, TD);
-  VM::Options RefOpts;
-  RefOpts.MaxInstrs = 50'000'000;
-  RunResult Ref = VM(*P.M, TD, RefOpts).run();
+  eliminateDeadCode(*P.M, P.TD);
+  P.Ref = VM(*P.M, P.TD, refOptions()).run();
+  return P;
+}
 
+OracleResult lsra::check::runOracle(const PreparedProgram &P, AllocatorKind K,
+                                    bool SpillCleanup) {
+  if (!P.M)
+    return P.Malformed;
+  const TargetDesc &TD = P.TD;
   std::unique_ptr<Module> AM = cloneModule(*P.M);
   AllocOptions AO;
   AO.SpillCleanup = SpillCleanup;
   allocateModule(*AM, TD, K, AO);
 
-  Diag = checkAllocated(*AM);
+  std::string Diag = checkAllocated(*AM);
   if (!Diag.empty())
     return fail("structural", Diag);
 
@@ -114,17 +127,18 @@ OracleResult lsra::check::runOracle(const std::string &IRText, AllocatorKind K,
   if (!VR.ok())
     return fail("verifier", VR.str());
 
-  VM::Options GotOpts = RefOpts;
+  VM::Options GotOpts = refOptions();
   GotOpts.PoisonCallerSaved = true;
   GotOpts.CheckCalleeSaved = true;
   RunResult Got = VM(*AM, TD, GotOpts).run();
+  const RunResult &Ref = P.Ref;
   if (Ref.Ok != Got.Ok)
     return fail("vm-error", std::string("reference ") +
                                 (Ref.Ok ? "succeeded" : "failed") +
                                 " but allocated run " +
                                 (Got.Ok ? "succeeded" : "failed: " + Got.Error));
   if (!Ref.Ok)
-    return R; // both runs failed the same way the program demands; no oracle
+    return {}; // both runs failed as the program demands; no oracle
   if (Ref.ReturnValue != Got.ReturnValue)
     return fail("mismatch", "return value " + std::to_string(Got.ReturnValue) +
                                 " != reference " +
@@ -140,7 +154,12 @@ OracleResult lsra::check::runOracle(const std::string &IRText, AllocatorKind K,
        << ")";
     return fail("mismatch", OS.str());
   }
-  return R;
+  return {};
+}
+
+OracleResult lsra::check::runOracle(const std::string &IRText, AllocatorKind K,
+                                    unsigned RegLimit, bool SpillCleanup) {
+  return runOracle(prepareOracle(IRText, RegLimit), K, SpillCleanup);
 }
 
 FuzzReport lsra::check::runDifferentialFuzz(const FuzzOptions &Opts,
@@ -168,10 +187,13 @@ FuzzReport lsra::check::runDifferentialFuzz(const FuzzOptions &Opts,
     ++Report.Programs;
 
     for (unsigned Regs : Opts.RegLimits) {
+      // Parse, lowering, DCE and the reference run depend only on the text
+      // and the limit, so every backend and cleanup setting shares them.
+      PreparedProgram Prepared = prepareOracle(Text, Regs);
       for (AllocatorKind K : Allocators) {
         for (bool Cleanup : Cleanups) {
           ++Report.Runs;
-          OracleResult O = runOracle(Text, K, Regs, Cleanup);
+          OracleResult O = runOracle(Prepared, K, Cleanup);
           if (!O.fail())
             continue;
 

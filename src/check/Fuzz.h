@@ -19,10 +19,14 @@
 #ifndef LSRA_CHECK_FUZZ_H
 #define LSRA_CHECK_FUZZ_H
 
+#include "ir/Module.h"
 #include "regalloc/Allocator.h"
+#include "target/Target.h"
+#include "vm/VM.h"
 #include "workloads/RandomProgram.h"
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,10 +48,30 @@ struct OracleResult {
   bool fail() const { return St == Fail; }
 };
 
-/// Run the full differential oracle on one textual module: compile with
-/// allocator \p K at register limit \p RegLimit (0 = full machine), check the
-/// structural verifier + allocation verifier, then compare the allocated
-/// run against the reference run.
+/// The part of the oracle that depends only on the program text and the
+/// register limit: the module parsed, IR-verified, calls lowered and dead
+/// code removed — the exact module every allocator consumes and the
+/// allocation verifier's original — and its reference run. Every grid point
+/// at this limit reads it; none writes it.
+struct PreparedProgram {
+  OracleResult Malformed; ///< St == Malformed when the text is rejected
+  TargetDesc TD;
+  std::unique_ptr<Module> M; ///< null when the text is rejected
+  RunResult Ref;
+};
+
+/// Parse, verify, lower, DCE and run \p IRText once for register limit
+/// \p RegLimit (0 = full machine).
+PreparedProgram prepareOracle(const std::string &IRText, unsigned RegLimit);
+
+/// Run the differential oracle for one grid point of a prepared program:
+/// allocate a copy with allocator \p K, check the structural verifier and
+/// the allocation verifier, then compare the allocated run against the
+/// reference run.
+OracleResult runOracle(const PreparedProgram &P, AllocatorKind K,
+                       bool SpillCleanup = false);
+
+/// prepareOracle followed by runOracle, for one point of one text.
 OracleResult runOracle(const std::string &IRText, AllocatorKind K,
                        unsigned RegLimit, bool SpillCleanup = false);
 

@@ -8,8 +8,8 @@
 
 using namespace lsra;
 
-std::vector<unsigned> Block::successors() const {
-  std::vector<unsigned> Succs;
+SuccList Block::successors() const {
+  SuccList Succs;
   if (Ids.empty())
     return Succs;
   const Instr &T = Pool->get(Ids.back());

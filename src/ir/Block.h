@@ -26,6 +26,8 @@
 #include "ir/InstrPool.h"
 #include "support/Arena.h"
 
+#include <array>
+#include <cassert>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -101,6 +103,29 @@ private:
 using InstrRange = InstrRangeImpl<false>;
 using ConstInstrRange = InstrRangeImpl<true>;
 
+/// A block's successor ids, in terminator operand order: none for `ret`,
+/// one for `br`, and one or two for `cbr` (two equal targets count once).
+/// Held inline, so asking a block for its successors allocates nothing.
+class SuccList {
+public:
+  const unsigned *begin() const { return Ids.data(); }
+  const unsigned *end() const { return Ids.data() + N; }
+  unsigned size() const { return N; }
+  bool empty() const { return N == 0; }
+  unsigned operator[](unsigned I) const {
+    assert(I < N && "successor index out of range");
+    return Ids[I];
+  }
+  void push_back(unsigned Id) {
+    assert(N < Ids.size() && "a terminator has at most two successors");
+    Ids[N++] = Id;
+  }
+
+private:
+  std::array<unsigned, 2> Ids{};
+  unsigned N = 0;
+};
+
 /// Instruction-id sequence, bump-allocated from the function arena.
 using IdVec = std::vector<uint32_t, ArenaAllocator<uint32_t>>;
 
@@ -150,7 +175,7 @@ public:
   }
 
   /// Successor block ids, in terminator operand order (empty for Ret).
-  std::vector<unsigned> successors() const;
+  SuccList successors() const;
 
   /// Replace every label operand referring to \p OldId with \p NewId.
   void replaceSuccessor(unsigned OldId, unsigned NewId);

@@ -2,6 +2,8 @@
 
 #include "net/Connection.h"
 
+#include "support/Timer.h"
+
 #include <cerrno>
 #include <cstring>
 #include <sys/epoll.h>
@@ -43,14 +45,14 @@ bool Connection::updateInterest() {
 }
 
 void Connection::sendFrame(uint32_t RequestId, FrameType Type,
-                           const std::string &Payload) {
+                           const std::string &Payload, int64_t StampNs) {
   if (Fd < 0)
     return;
   std::string Wire = server::encodeFrameHeader(
       static_cast<uint32_t>(Payload.size()), RequestId, Type);
   Wire += Payload;
   BacklogBytes += Wire.size();
-  WriteQueue.push_back(std::move(Wire));
+  WriteQueue.push_back({std::move(Wire), StampNs});
   if (BacklogBytes > MaxWriteBacklog) {
     close("write backlog limit exceeded");
     return;
@@ -80,6 +82,10 @@ void Connection::close(const std::string &Reason) {
   Loop.del(Fd);
   ::close(Fd);
   Fd = -1;
+  if (OnSent)
+    for (const Outgoing &Out : WriteQueue)
+      if (Out.StampNs)
+        OnSent(Out.StampNs);
   WriteQueue.clear();
   BacklogBytes = 0;
   if (OnClose)
@@ -118,7 +124,7 @@ void Connection::handleReadable() {
       close("peer closed");
       return;
     }
-    Decoder.append(Buf, static_cast<size_t>(R));
+    Decoder.append(Buf, static_cast<size_t>(R), steadyNowNs());
     FrameDecoder::Frame F;
     FrameDecoder::Status St;
     while ((St = Decoder.next(F)) == FrameDecoder::Status::Frame) {
@@ -145,11 +151,11 @@ void Connection::handleWritable() {
     struct iovec Iov[8];
     int NIov = 0;
     size_t Offset = WriteOffset;
-    for (const auto &Chunk : WriteQueue) {
+    for (const Outgoing &Out : WriteQueue) {
       if (NIov == 8)
         break;
-      Iov[NIov].iov_base = const_cast<char *>(Chunk.data() + Offset);
-      Iov[NIov].iov_len = Chunk.size() - Offset;
+      Iov[NIov].iov_base = const_cast<char *>(Out.Wire.data() + Offset);
+      Iov[NIov].iov_len = Out.Wire.size() - Offset;
       ++NIov;
       Offset = 0;
     }
@@ -165,11 +171,14 @@ void Connection::handleWritable() {
     BacklogBytes -= static_cast<size_t>(W);
     size_t Left = static_cast<size_t>(W);
     while (Left > 0) {
-      size_t FrontLeft = WriteQueue.front().size() - WriteOffset;
+      size_t FrontLeft = WriteQueue.front().Wire.size() - WriteOffset;
       if (Left >= FrontLeft) {
         Left -= FrontLeft;
+        int64_t StampNs = WriteQueue.front().StampNs;
         WriteQueue.pop_front();
         WriteOffset = 0;
+        if (StampNs && OnSent)
+          OnSent(StampNs);
       } else {
         WriteOffset += Left;
         Left = 0;

@@ -11,6 +11,10 @@
 /// the write side is a queue of encoded frames drained with writev(),
 /// toggling EPOLLOUT interest only while a partial write is outstanding.
 ///
+/// A frame sent with a stamp is reported back to the owner once its last
+/// byte is written (or dropped at close), which is where a server's
+/// request latency ends.
+///
 /// The write queue is what makes pipelining work: responses are enqueued
 /// in completion order (not request order) and each carries its request
 /// id, so many requests can be in flight per connection and finish out of
@@ -48,6 +52,9 @@ public:
   /// NOT be destroyed inside the callback — it is still on the stack;
   /// post the erase to the loop instead.
   using OnCloseFn = std::function<void(const std::string &Reason)>;
+  /// Invoked with a frame's stamp when its last byte has been written, or
+  /// when the connection closes with the frame still queued.
+  using OnSentFn = std::function<void(int64_t StampNs)>;
 
   /// Takes ownership of \p Fd (already non-blocking). \p Id is an opaque
   /// owner-assigned identity (stable across the connection's life, unlike
@@ -61,11 +68,15 @@ public:
   /// Register with the loop for reads. False (Err set) if epoll refuses.
   bool start(OnFrameFn OnFrame, OnCloseFn OnClose, std::string &Err);
 
+  /// Report stamped frames to \p F (see OnSentFn).
+  void onStampedSent(OnSentFn F) { OnSent = std::move(F); }
+
   /// Queue one frame for writing; writes as much as the socket accepts
   /// immediately and arms EPOLLOUT for the rest. Dropped silently if the
-  /// connection is already closed.
+  /// connection is already closed. A nonzero \p StampNs goes back to the
+  /// OnSent callback when the frame is done.
   void sendFrame(uint32_t RequestId, server::FrameType Type,
-                 const std::string &Payload);
+                 const std::string &Payload, int64_t StampNs = 0);
 
   /// Close once the write queue drains (used for "typed error then
   /// hang up" on protocol version mismatch). Reads stop immediately.
@@ -97,12 +108,18 @@ private:
   uint64_t Id;
   OnFrameFn OnFrame;
   OnCloseFn OnClose;
+  OnSentFn OnSent;
 
   server::FrameDecoder Decoder;
 
-  // Write queue: fully-encoded frames (header + payload contiguous);
-  // WriteOffset is the consumed prefix of the front entry.
-  std::deque<std::string> WriteQueue;
+  // Write queue: fully-encoded frames (header + payload contiguous) with
+  // their stamps (0 = none); WriteOffset is the consumed prefix of the
+  // front entry.
+  struct Outgoing {
+    std::string Wire;
+    int64_t StampNs = 0;
+  };
+  std::deque<Outgoing> WriteQueue;
   size_t WriteOffset = 0;
   size_t BacklogBytes = 0;
   bool WantWrite = false; ///< EPOLLOUT currently armed

@@ -81,7 +81,7 @@ private:
   std::vector<Occ> Occs;
   std::vector<uint32_t> OccBegin;
   std::vector<unsigned> NumUses; ///< reads left, per vreg
-  std::vector<std::vector<unsigned>> Succs;
+  std::vector<SuccList> Succs;
   std::vector<unsigned> Visited, Queue;
   unsigned VisitEpoch = 0;
 

@@ -11,8 +11,8 @@
 /// can replace the two operations with a move from the store's source
 /// register to the load's destination register."
 ///
-/// This implementation is the local (per-block) form: it tracks which
-/// register mirrors each frame slot and
+/// This implementation tracks which register mirrors each frame slot,
+/// across blocks by a forward dataflow (see SpillCleanup.cpp), and
 ///   - deletes a reload whose destination already holds the slot's value,
 ///   - rewrites a reload into a register move when the value is still
 ///     available in another register, and

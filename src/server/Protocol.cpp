@@ -250,13 +250,17 @@ std::string lsra::server::encodeCompileResponse(const CompileResponse &R) {
   return OS.str();
 }
 
-void FrameDecoder::append(const char *Data, size_t N) {
+void FrameDecoder::append(const char *Data, size_t N, int64_t NowNs) {
   // Compact lazily: only when the consumed prefix dominates the buffer,
   // so steady-state appends are O(bytes) amortized.
   if (Pos > 4096 && Pos > Buf.size() / 2) {
     Buf.erase(0, Pos);
     Pos = 0;
   }
+  if (Pos == Buf.size())
+    FrontNs = NowNs; // the next frame starts in this read
+  LastAppendAt = Buf.size();
+  LastAppendNs = NowNs;
   Buf.append(Data, N);
 }
 
@@ -283,7 +287,12 @@ FrameDecoder::Status FrameDecoder::next(Frame &Out) {
   if (Buf.size() - Pos < FrameHeaderBytes + PayloadLen)
     return Status::NeedMore;
   Out.Payload.assign(Buf, Pos + FrameHeaderBytes, PayloadLen);
+  Out.FirstByteNs = FrontNs;
   Pos += FrameHeaderBytes + PayloadLen;
+  // Frames are drained after each append, so a frame left over begins in
+  // the last read.
+  if (Pos >= LastAppendAt)
+    FrontNs = LastAppendNs;
   if (Pos == Buf.size()) {
     Buf.clear();
     Pos = 0;

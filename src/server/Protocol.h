@@ -200,10 +200,14 @@ public:
     std::string Payload;
     std::string Err;              ///< Status::Error only
     bool VersionMismatch = false; ///< Error, but the id was readable
+    /// The NowNs of the append() that brought the frame's first byte.
+    int64_t FirstByteNs = 0;
   };
 
-  /// Buffer \p N raw bytes from the wire.
-  void append(const char *Data, size_t N);
+  /// Buffer \p N raw bytes from the wire, read at steady time \p NowNs.
+  /// A frame's first byte is stamped exactly when next() is drained after
+  /// every append, as the read handler above does.
+  void append(const char *Data, size_t N, int64_t NowNs = 0);
 
   /// Decode the next complete frame into \p Out.
   Status next(Frame &Out);
@@ -215,6 +219,9 @@ private:
   std::string Buf;
   size_t Pos = 0; ///< consumed prefix, compacted away periodically
   bool Broken = false;
+  int64_t FrontNs = 0;     ///< when the byte at Pos was read
+  size_t LastAppendAt = 0; ///< offset of the last append's first byte
+  int64_t LastAppendNs = 0;
 };
 
 } // namespace server

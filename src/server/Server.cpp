@@ -154,6 +154,8 @@ void Server::onAcceptable() {
     bumpCounter("server.connections");
     uint64_t Id = NextConnId++;
     auto C = std::make_unique<net::Connection>(Loop, S.release(), Id);
+    C->onStampedSent(
+        [this](int64_t FirstByteNs) { recordLatency(FirstByteNs); });
     std::string Err;
     bool Started = C->start(
         [this, Id](FrameDecoder::Frame &F) { onFrame(Id, F); },
@@ -214,7 +216,7 @@ void Server::onFrame(uint64_t ConnId, FrameDecoder::Frame &F) {
     return;
   }
   case FrameType::CompileRequest:
-    admitCompile(ConnId, F.RequestId, F.Payload);
+    admitCompile(ConnId, F);
     return;
   default: {
     CompileResponse R;
@@ -227,8 +229,9 @@ void Server::onFrame(uint64_t ConnId, FrameDecoder::Frame &F) {
   }
 }
 
-void Server::admitCompile(uint64_t ConnId, uint32_t Id,
-                          const std::string &Payload) {
+void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
+  uint32_t Id = F.RequestId;
+  const std::string &Payload = F.Payload;
   bumpCounter("server.requests");
   if (Stopping.load(std::memory_order_acquire)) {
     CompileResponse R;
@@ -275,6 +278,7 @@ void Server::admitCompile(uint64_t ConnId, uint32_t Id,
   P->ConnId = ConnId;
   P->FrameId = Id;
   P->ArrivalNs = ArrivalNs;
+  P->FirstByteNs = F.FirstByteNs ? F.FirstByteNs : ArrivalNs;
   P->DeadlineNs = DeadlineMs ? ArrivalNs + int64_t(DeadlineMs) * 1'000'000 : 0;
   P->RT = RT;
 
@@ -377,7 +381,8 @@ void Server::onDeadline(const PendingPtr &P) {
     P->RT->addPhase("reply", Now, 0);
   }
   finishRequest(P, "deadline", /*Cached=*/false, WaitedUs, Now);
-  sendToConn(P->ConnId, P->FrameId, R.Status, encodeCompileResponse(R));
+  sendToConn(P->ConnId, P->FrameId, R.Status, encodeCompileResponse(R),
+             P->FirstByteNs);
   // The request stays in its Inflight entry; the worker sees Answered and
   // skips it (and skips the whole compile when every waiter expired).
 }
@@ -446,7 +451,7 @@ void Server::afterPoll() {
 }
 
 void Server::sendToConn(uint64_t ConnId, uint32_t Id, FrameType Type,
-                        const std::string &Payload) {
+                        const std::string &Payload, int64_t FirstByteNs) {
   // Counted before the write so the total is never behind what a client
   // has already observed on the wire.
   Served.fetch_add(1, std::memory_order_relaxed);
@@ -455,9 +460,11 @@ void Server::sendToConn(uint64_t ConnId, uint32_t Id, FrameType Type,
     // Client went away (the mid-merge-disconnect case); nothing to do but
     // count it.
     bumpCounter("server.send_errors");
+    if (FirstByteNs)
+      recordLatency(FirstByteNs);
     return;
   }
-  It->second->sendFrame(Id, Type, Payload);
+  It->second->sendFrame(Id, Type, Payload, FirstByteNs);
   bumpCounter("server.bytes_out", FrameHeaderBytes + Payload.size());
 }
 
@@ -594,24 +601,28 @@ void Server::answerWaiter(const PendingPtr &W, CompileResponse &Resp,
   uint64_t ConnId = W->ConnId;
   uint32_t FrameId = W->FrameId;
   uint64_t TimerId = W->TimerId;
-  Loop.post([this, ConnId, FrameId, Type, TimerId,
+  int64_t FirstByteNs = W->FirstByteNs;
+  Loop.post([this, ConnId, FrameId, Type, TimerId, FirstByteNs,
              Payload = std::move(Payload)] {
     if (TimerId)
       Loop.cancelTimer(TimerId);
-    sendToConn(ConnId, FrameId, Type, Payload);
+    sendToConn(ConnId, FrameId, Type, Payload, FirstByteNs);
   });
 }
 
 void Server::finishRequest(const PendingPtr &W, const char *Status,
                            bool Cached, uint64_t QueueUs, int64_t AnsweredNs) {
   int64_t TotalNs = AnsweredNs - W->ArrivalNs;
-  histRecord("server.latency_us", clampedUs(TotalNs));
   gaugeAdd("server.inflight", -1);
   if (!W->RT)
     return;
   W->RT->emitToTracer();
   obs::RequestLog::global().write(*W->RT, Status, Cached, QueueUs,
                                   clampedUs(TotalNs));
+}
+
+void Server::recordLatency(int64_t FirstByteNs) {
+  histRecord("server.latency_us", clampedUs(steadyNowNs() - FirstByteNs));
 }
 
 std::string Server::renderStats(const std::string &Format) {

@@ -183,7 +183,8 @@ private:
     uint64_t ConnId = 0;
     uint32_t FrameId = 0;
     int64_t ArrivalNs = 0;
-    int64_t DeadlineNs = 0; ///< 0 = none
+    int64_t FirstByteNs = 0; ///< when the request frame's first byte was read
+    int64_t DeadlineNs = 0;  ///< 0 = none
     uint64_t TimerId = 0;   ///< deadline timer (loop thread only)
     bool Merged = false;    ///< joined an already-in-flight compile
     std::shared_ptr<obs::RequestTrace> RT;
@@ -210,15 +211,21 @@ private:
   void onAcceptable();
   void onFrame(uint64_t ConnId, FrameDecoder::Frame &F);
   void onConnClosed(uint64_t ConnId);
-  void admitCompile(uint64_t ConnId, uint32_t Id, const std::string &Payload);
+  void admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F);
   void armDeadline(const PendingPtr &P);
   void onDeadline(const PendingPtr &P);
   void flushBatch();
   void afterPoll();
   /// Write one frame to a connection by id; counts Served/bytes_out, and
-  /// counts a send error if the connection is already gone.
+  /// counts a send error if the connection is already gone. A reply to an
+  /// admitted request passes its \p FirstByteNs: server.latency_us is
+  /// recorded when the reply's last byte is written (at once if the
+  /// connection is gone).
   void sendToConn(uint64_t ConnId, uint32_t Id, FrameType Type,
-                  const std::string &Payload);
+                  const std::string &Payload, int64_t FirstByteNs = 0);
+  /// server.latency_us for a request whose first byte was read at
+  /// \p FirstByteNs and whose reply is written now.
+  void recordLatency(int64_t FirstByteNs);
 
   // --- worker-side ----------------------------------------------------------
   void compileEntry(const InflightPtr &E);
@@ -228,9 +235,9 @@ private:
   void answerWaiter(const PendingPtr &W, CompileResponse &Resp,
                     const char *LogStatus, bool Cached, int64_t TaskStartNs);
 
-  /// Terminal per-request telemetry: latency/queue-wait histograms,
-  /// in-flight gauge, trace flush, request-log line. Called exactly once
-  /// per answered request (guarded by Pending::Answered).
+  /// Terminal per-request telemetry: in-flight gauge, trace flush,
+  /// request-log line. Called exactly once per answered request (guarded
+  /// by Pending::Answered); the latency histogram waits for the write.
   void finishRequest(const PendingPtr &W, const char *Status, bool Cached,
                      uint64_t QueueUs, int64_t AnsweredNs);
 

@@ -9,15 +9,20 @@
 // pressure. Second, mutation: deliberately corrupt known-good allocations
 // (swap a register, drop a reload, retarget a resolution move, extend a
 // caller-saved value across a call, retarget a branch) and assert the
-// verifier rejects each with the right error class and location. Last,
+// verifier rejects each with the right error class and location. Then
 // the state representation: unreachable blocks keep their top-state
 // semantics, and verification memory does not grow with declared vregs.
+// Last, the prepared oracle: sharing one prepared program across grid
+// points gives the verdicts of preparing it afresh for each point.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/Clone.h"
+#include "check/Fuzz.h"
 #include "check/Verifier.h"
 #include "driver/Pipeline.h"
+#include "ir/Printer.h"
+#include "regalloc/Registry.h"
 #include "passes/DCE.h"
 #include "support/AllocProfile.h"
 #include "target/LowerCalls.h"
@@ -25,6 +30,11 @@
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace lsra;
 using namespace lsra::check;
@@ -461,6 +471,88 @@ TEST(VerifierMemory, IndependentOfDeclaredVRegs) {
   EXPECT_GT(Small, 0u);
   EXPECT_LE(Huge, 2 * Small) << "vregs=100: " << Small
                              << " bytes, vregs=1000000: " << Huge;
+}
+
+std::string printed(const Module &M) {
+  std::ostringstream OS;
+  printModule(OS, M);
+  return OS.str();
+}
+
+/// The program texts the prepared-oracle test runs, each with the register
+/// limits to run it at: fuzz programs 1-20 over the whole default grid, and
+/// every tests/corpus reproducer at the limit its header names.
+std::vector<std::pair<std::string, std::vector<unsigned>>>
+preparedOracleCases(std::vector<std::string> &Names) {
+  std::vector<std::pair<std::string, std::vector<unsigned>>> Cases;
+  FuzzOptions FO;
+  for (uint64_t S = 1; S <= 20; ++S) {
+    Names.push_back("fuzz-" + std::to_string(S));
+    Cases.emplace_back(printed(*buildRandomProgram(S, FO.Program)),
+                       FO.RegLimits);
+  }
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(LSRA_CORPUS_DIR))
+    if (E.path().extension() == ".ir")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  for (const auto &F : Files) {
+    std::ifstream In(F);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    std::string Text = SS.str();
+    std::string Header = Text.substr(0, Text.find('\n'));
+    size_t At = Header.find(" regs=");
+    EXPECT_NE(At, std::string::npos) << F << ": no regs= in its header";
+    if (At == std::string::npos)
+      continue;
+    Names.push_back(F.filename().string());
+    Cases.emplace_back(Text, std::vector<unsigned>{static_cast<unsigned>(
+                                 std::stoul(Header.substr(At + 6)))});
+  }
+  return Cases;
+}
+
+TEST(PreparedOracle, SharedPreparationGivesTheTextOraclesVerdicts) {
+  std::vector<std::string> Names;
+  auto Cases = preparedOracleCases(Names);
+  ASSERT_GT(Cases.size(), 20u) << "no corpus reproducers found";
+  for (size_t C = 0; C < Cases.size(); ++C) {
+    const auto &[Text, Limits] = Cases[C];
+    for (unsigned Regs : Limits) {
+      PreparedProgram P = prepareOracle(Text, Regs);
+      ASSERT_TRUE(P.M) << Names[C] << ": " << P.Malformed.Detail;
+      std::string Before = printed(*P.M);
+      for (AllocatorKind K : AllocatorRegistry::global().kinds()) {
+        for (bool Cleanup : {false, true}) {
+          OracleResult Shared = runOracle(P, K, Cleanup);
+          OracleResult Alone = runOracle(Text, K, Regs, Cleanup);
+          std::string Where = Names[C] + " " + allocatorName(K) + " r" +
+                              std::to_string(Regs) +
+                              (Cleanup ? " cleanup" : "");
+          EXPECT_EQ(Shared.St, Alone.St) << Where;
+          EXPECT_EQ(Shared.Kind, Alone.Kind) << Where;
+          EXPECT_EQ(Shared.Detail, Alone.Detail) << Where;
+        }
+      }
+      EXPECT_TRUE(printed(*P.M) == Before)
+          << Names[C] << " r" << Regs
+          << ": the grid points changed the prepared module";
+    }
+  }
+}
+
+TEST(PreparedOracle, MalformedTextKeepsItsVerdict) {
+  const std::string Text = "func @main() {\nbb0:\n  bogus\n}\n";
+  PreparedProgram P = prepareOracle(Text, 4);
+  EXPECT_FALSE(P.M);
+  OracleResult Shared = runOracle(P, AllocatorKind::SecondChanceBinpack);
+  OracleResult Alone =
+      runOracle(Text, AllocatorKind::SecondChanceBinpack, 4, false);
+  EXPECT_EQ(Shared.St, OracleResult::Malformed);
+  EXPECT_EQ(Alone.St, OracleResult::Malformed);
+  EXPECT_EQ(Shared.Detail, Alone.Detail);
+  EXPECT_EQ(Shared.Detail.rfind("parse: ", 0), 0u) << Shared.Detail;
 }
 
 } // namespace

@@ -15,6 +15,11 @@ using namespace lsra;
 
 namespace {
 
+std::vector<unsigned> succs(const Block &B) {
+  SuccList S = B.successors();
+  return {S.begin(), S.end()};
+}
+
 TEST(Operand, KindsAndAccessors) {
   EXPECT_TRUE(Operand::vreg(3).isVReg());
   EXPECT_EQ(Operand::vreg(3).vregId(), 3u);
@@ -70,9 +75,9 @@ TEST(Block, SuccessorsFromTerminators) {
   B.setBlock(F);
   B.br(T);
 
-  EXPECT_EQ(E.successors(), (std::vector<unsigned>{T.id(), F.id()}));
+  EXPECT_EQ(succs(E), (std::vector<unsigned>{T.id(), F.id()}));
   EXPECT_TRUE(T.successors().empty());
-  EXPECT_EQ(F.successors(), std::vector<unsigned>{T.id()});
+  EXPECT_EQ(succs(F), std::vector<unsigned>{T.id()});
 
   auto Preds = B.function().predecessors();
   EXPECT_EQ(Preds[T.id()].size(), 2u);
@@ -108,7 +113,7 @@ TEST(Function, SplitEdgeRedirectsTerminator) {
 
   Block &NewB = splitEdge(B.function(), E.id(), T.id());
   EXPECT_EQ(E.successors()[0], NewB.id());
-  EXPECT_EQ(NewB.successors(), std::vector<unsigned>{T.id()});
+  EXPECT_EQ(succs(NewB), std::vector<unsigned>{T.id()});
   EXPECT_TRUE(verifyFunction(B.function(), M).empty());
 }
 

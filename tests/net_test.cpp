@@ -165,6 +165,32 @@ TEST(FrameDecoder, ReassemblesByteAtATime) {
   EXPECT_EQ(D.buffered(), 0u);
 }
 
+TEST(FrameDecoder, StampsEachFrameWithItsFirstBytesRead) {
+  // Three frames over three reads: the first read holds frame 1 and the
+  // head of frame 2, the second the rest of frame 2, the third frame 3.
+  std::string F1 = encodeFrame(1, FrameType::Ping, "one");
+  std::string F2 = encodeFrame(2, FrameType::Ping, "two");
+  std::string F3 = encodeFrame(3, FrameType::Ping, "three");
+  std::string Read1 = F1 + F2.substr(0, 5), Read2 = F2.substr(5);
+  FrameDecoder D;
+  std::vector<FrameDecoder::Frame> Got;
+  auto Drain = [&] {
+    FrameDecoder::Frame F;
+    while (D.next(F) == FrameDecoder::Status::Frame)
+      Got.push_back(F);
+  };
+  D.append(Read1.data(), Read1.size(), 100);
+  Drain();
+  D.append(Read2.data(), Read2.size(), 200);
+  Drain();
+  D.append(F3.data(), F3.size(), 300);
+  Drain();
+  ASSERT_EQ(Got.size(), 3u);
+  EXPECT_EQ(Got[0].FirstByteNs, 100);
+  EXPECT_EQ(Got[1].FirstByteNs, 100) << "frame 2 began in the first read";
+  EXPECT_EQ(Got[2].FirstByteNs, 300);
+}
+
 TEST(FrameDecoder, GarbageMagicIsStickyError) {
   FrameDecoder D;
   std::string Junk = "this is not a frame header at all!";
