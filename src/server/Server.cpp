@@ -278,7 +278,7 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   P->ConnId = ConnId;
   P->FrameId = Id;
   P->ArrivalNs = ArrivalNs;
-  P->FirstByteNs = F.FirstByteNs ? F.FirstByteNs : ArrivalNs;
+  P->FirstByteNs = F.FirstByteNs;
   P->DeadlineNs = DeadlineMs ? ArrivalNs + int64_t(DeadlineMs) * 1'000'000 : 0;
   P->RT = RT;
 

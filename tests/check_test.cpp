@@ -479,18 +479,21 @@ std::string printed(const Module &M) {
   return OS.str();
 }
 
+struct PreparedOracleCase {
+  std::string Name, Text;
+  std::vector<unsigned> Limits;
+};
+
 /// The program texts the prepared-oracle test runs, each with the register
 /// limits to run it at: fuzz programs 1-20 over the whole default grid, and
 /// every tests/corpus reproducer at the limit its header names.
-std::vector<std::pair<std::string, std::vector<unsigned>>>
-preparedOracleCases(std::vector<std::string> &Names) {
-  std::vector<std::pair<std::string, std::vector<unsigned>>> Cases;
+std::vector<PreparedOracleCase> preparedOracleCases() {
+  std::vector<PreparedOracleCase> Cases;
   FuzzOptions FO;
-  for (uint64_t S = 1; S <= 20; ++S) {
-    Names.push_back("fuzz-" + std::to_string(S));
-    Cases.emplace_back(printed(*buildRandomProgram(S, FO.Program)),
-                       FO.RegLimits);
-  }
+  for (uint64_t S = 1; S <= 20; ++S)
+    Cases.push_back({"fuzz-" + std::to_string(S),
+                     printed(*buildRandomProgram(S, FO.Program)),
+                     FO.RegLimits});
   std::vector<std::filesystem::path> Files;
   for (const auto &E : std::filesystem::directory_iterator(LSRA_CORPUS_DIR))
     if (E.path().extension() == ".ir")
@@ -506,28 +509,25 @@ preparedOracleCases(std::vector<std::string> &Names) {
     EXPECT_NE(At, std::string::npos) << F << ": no regs= in its header";
     if (At == std::string::npos)
       continue;
-    Names.push_back(F.filename().string());
-    Cases.emplace_back(Text, std::vector<unsigned>{static_cast<unsigned>(
-                                 std::stoul(Header.substr(At + 6)))});
+    unsigned Regs = static_cast<unsigned>(std::stoul(Header.substr(At + 6)));
+    Cases.push_back({F.filename().string(), Text, {Regs}});
   }
   return Cases;
 }
 
 TEST(PreparedOracle, SharedPreparationGivesTheTextOraclesVerdicts) {
-  std::vector<std::string> Names;
-  auto Cases = preparedOracleCases(Names);
+  std::vector<PreparedOracleCase> Cases = preparedOracleCases();
   ASSERT_GT(Cases.size(), 20u) << "no corpus reproducers found";
-  for (size_t C = 0; C < Cases.size(); ++C) {
-    const auto &[Text, Limits] = Cases[C];
-    for (unsigned Regs : Limits) {
-      PreparedProgram P = prepareOracle(Text, Regs);
-      ASSERT_TRUE(P.M) << Names[C] << ": " << P.Malformed.Detail;
+  for (const PreparedOracleCase &C : Cases) {
+    for (unsigned Regs : C.Limits) {
+      PreparedProgram P = prepareOracle(C.Text, Regs);
+      ASSERT_TRUE(P.M) << C.Name << ": " << P.Malformed.Detail;
       std::string Before = printed(*P.M);
       for (AllocatorKind K : AllocatorRegistry::global().kinds()) {
         for (bool Cleanup : {false, true}) {
           OracleResult Shared = runOracle(P, K, Cleanup);
-          OracleResult Alone = runOracle(Text, K, Regs, Cleanup);
-          std::string Where = Names[C] + " " + allocatorName(K) + " r" +
+          OracleResult Alone = runOracle(C.Text, K, Regs, Cleanup);
+          std::string Where = C.Name + " " + allocatorName(K) + " r" +
                               std::to_string(Regs) +
                               (Cleanup ? " cleanup" : "");
           EXPECT_EQ(Shared.St, Alone.St) << Where;
@@ -536,7 +536,7 @@ TEST(PreparedOracle, SharedPreparationGivesTheTextOraclesVerdicts) {
         }
       }
       EXPECT_TRUE(printed(*P.M) == Before)
-          << Names[C] << " r" << Regs
+          << C.Name << " r" << Regs
           << ": the grid points changed the prepared module";
     }
   }
