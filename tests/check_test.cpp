@@ -4,13 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Three parts. First, acceptance: the verifier must accept every allocator's
+// Five parts. First, acceptance: the verifier must accept every allocator's
 // output on the full workload corpus, at the full machine and under register
 // pressure. Second, mutation: deliberately corrupt known-good allocations
 // (swap a register, drop a reload, retarget a resolution move, extend a
 // caller-saved value across a call, retarget a branch) and assert the
 // verifier rejects each with the right error class and location. Then
-// the state representation: unreachable blocks keep their top-state
+// the report shape: a use that fails only once a back edge is known is
+// reported once, and the error cap keeps the first errors in block order.
+// Then the state representation: unreachable blocks keep their top-state
 // semantics, and verification memory does not grow with declared vregs.
 // Last, the prepared oracle: sharing one prepared program across grid
 // points gives the verdicts of preparing it afresh for each point.
@@ -356,6 +358,88 @@ TEST(VerifierMutation, RetargetedBranchIsUnresolvedEdge) {
   const AllocError &E = R.Errors[0];
   EXPECT_EQ(E.Kind, AllocErrorKind::UnresolvedEdge) << R.str();
   EXPECT_EQ(E.Block, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Report shape: a use that fails only at the fixpoint is reported once, and
+// the per-function error cap keeps the first errors in block order.
+//===----------------------------------------------------------------------===//
+
+TEST(VerifierReport, BackEdgeClobberReportedOnce) {
+  HandPair H;
+  unsigned V0 = H.vreg(), V1 = H.vreg();
+  Block &OB0 = H.oblock("b0");
+  Block &OB1 = H.oblock("loop");
+  Block &OB2 = H.oblock("exit");
+  OB0.append(H.movi(Operand::vreg(V0), 7));
+  OB0.append(Instr(Opcode::Br, Operand::label(OB1.id())));
+  OB1.append(Instr(Opcode::Emit, Operand::vreg(V0)));
+  OB1.append(H.movi(Operand::vreg(V1), 5));
+  OB1.append(Instr(Opcode::CBr, Operand::vreg(V1), Operand::label(OB1.id()),
+                   Operand::label(OB2.id())));
+  OB2.append(Instr(Opcode::Ret));
+  Block &AB0 = H.ablock("b0");
+  Block &AB1 = H.ablock("loop");
+  Block &AB2 = H.ablock("exit");
+  AB0.append(H.movi(Operand::preg(intReg(1)), 7));
+  AB0.append(Instr(Opcode::Br, Operand::label(AB1.id())));
+  AB1.append(Instr(Opcode::Emit, Operand::preg(intReg(1))));
+  AB1.append(H.movi(Operand::preg(intReg(2)), 5));
+  AB1.append(Instr(Opcode::CBr, Operand::preg(intReg(2)),
+                   Operand::label(AB1.id()), Operand::label(AB2.id())));
+  AB2.append(Instr(Opcode::Ret));
+  ASSERT_TRUE(H.verify().ok());
+
+  // v1 now lands in v0's register. The header's first visit sees only the
+  // entry edge, so the read of v0 fails only once the back edge is known.
+  AB1.instrs()[1].op(0) = Operand::preg(intReg(1));
+  AB1.instrs()[2].op(0) = Operand::preg(intReg(1));
+  EXPECT_EQ(H.verify().str(),
+            "lost-value at f:b1[0]: use of v0: value is in no register or "
+            "slot on some path (temp=v0, reg=$1, pos=4)");
+}
+
+TEST(VerifierReport, ErrorCapKeepsBlockOrder) {
+  // Block ids b0, b1, b2 in layout order, but control runs b0 -> b2 -> b1,
+  // with a self loop on b2: the reverse postorder is b0, b2, b1. Each block
+  // reads v0 from the wrong register 12 times, 36 failing uses in all.
+  HandPair H;
+  unsigned V0 = H.vreg(), V1 = H.vreg();
+  Block &OB0 = H.oblock("b0");
+  Block &OB1 = H.oblock("tail");
+  Block &OB2 = H.oblock("mid");
+  Block &AB0 = H.ablock("b0");
+  Block &AB1 = H.ablock("tail");
+  Block &AB2 = H.ablock("mid");
+  OB0.append(H.movi(Operand::vreg(V0), 7));
+  OB0.append(H.movi(Operand::vreg(V1), 1));
+  AB0.append(H.movi(Operand::preg(intReg(1)), 7));
+  AB0.append(H.movi(Operand::preg(intReg(3)), 1));
+  for (auto [OB, AB] : {std::pair{&OB0, &AB0}, {&OB1, &AB1}, {&OB2, &AB2}})
+    for (unsigned I = 0; I < 12; ++I) {
+      OB->append(Instr(Opcode::Emit, Operand::vreg(V0)));
+      AB->append(Instr(Opcode::Emit, Operand::preg(intReg(2))));
+    }
+  OB0.append(Instr(Opcode::Br, Operand::label(OB2.id())));
+  AB0.append(Instr(Opcode::Br, Operand::label(AB2.id())));
+  OB1.append(Instr(Opcode::Ret));
+  AB1.append(Instr(Opcode::Ret));
+  OB2.append(Instr(Opcode::CBr, Operand::vreg(V1), Operand::label(OB2.id()),
+                   Operand::label(OB1.id())));
+  AB2.append(Instr(Opcode::CBr, Operand::preg(intReg(3)),
+                   Operand::label(AB2.id()), Operand::label(AB1.id())));
+
+  VerifyAllocResult R = H.verify();
+  ASSERT_EQ(R.Errors.size(), 32u) << R.str();
+  for (unsigned I = 0; I < 32; ++I) {
+    const AllocError &E = R.Errors[I];
+    unsigned Block = I / 12, Idx = I % 12 + (Block == 0 ? 2 : 0);
+    EXPECT_EQ(E.Kind, AllocErrorKind::StaleAfterEvict) << I;
+    EXPECT_EQ(E.Block, Block) << I;
+    EXPECT_EQ(E.InstrIdx, Idx) << I;
+    EXPECT_EQ(E.VReg, V0) << I;
+    EXPECT_EQ(E.PReg, intReg(2)) << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
