@@ -109,7 +109,7 @@ unsigned Liveness::solve(const Function &F, const LocalSets &L,
   std::vector<SuccList> Succs(NumBlocks);
   for (unsigned B = 0; B < NumBlocks; ++B)
     Succs[B] = F.block(B).successors();
-  std::vector<std::vector<unsigned>> Preds = F.predecessors();
+  PredecessorLists Preds = F.predecessors();
 
   std::vector<unsigned> Order;
   if (!RPO) {

@@ -8,12 +8,22 @@
 
 using namespace lsra;
 
-std::vector<std::vector<unsigned>> Function::predecessors() const {
-  std::vector<std::vector<unsigned>> Preds(Blocks.size());
-  for (const Block &B : Blocks)
+void PredecessorLists::recompute(const Function &F) {
+  // Count each block's incoming edges, then place the sources in block order.
+  Offsets.assign(F.numBlocks() + 1, 0);
+  for (const Block &B : F.blocks())
     for (unsigned S : B.successors())
-      Preds[S].push_back(B.id());
-  return Preds;
+      ++Offsets[S + 1];
+  for (unsigned B = 0; B < F.numBlocks(); ++B)
+    Offsets[B + 1] += Offsets[B];
+  Ids.resize(Offsets.back());
+  for (const Block &B : F.blocks())
+    for (unsigned S : B.successors())
+      Ids[Offsets[S]++] = B.id();
+  // Each offset now holds its block's end, the next block's start.
+  for (unsigned B = F.numBlocks(); B > 0; --B)
+    Offsets[B] = Offsets[B - 1];
+  Offsets[0] = 0;
 }
 
 unsigned Function::numInstrs() const {

@@ -24,10 +24,40 @@
 #include "ir/Block.h"
 
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace lsra {
+
+class Function;
+
+/// The predecessor lists of every block of a function in one offsets array
+/// and one id array: `Preds[B]` is B's predecessors in block order, listed
+/// once per edge. Building it costs two allocations, and recompute() reuses
+/// them.
+class PredecessorLists {
+public:
+  PredecessorLists() = default;
+  explicit PredecessorLists(const Function &F) { recompute(F); }
+
+  /// Refill for \p F, keeping the storage.
+  void recompute(const Function &F);
+
+  std::span<const unsigned> operator[](unsigned B) const {
+    return {Ids.data() + Offsets[B], Offsets[B + 1] - Offsets[B]};
+  }
+  unsigned numBlocks() const {
+    return Offsets.empty() ? 0 : unsigned(Offsets.size() - 1);
+  }
+  /// Edges are numbered in list order: Preds[B][I] is edge firstEdge(B) + I.
+  unsigned firstEdge(unsigned B) const { return Offsets[B]; }
+  unsigned numEdges() const { return unsigned(Ids.size()); }
+
+private:
+  std::vector<unsigned> Offsets; ///< numBlocks() + 1 entries
+  std::vector<unsigned> Ids;
+};
 
 class Function {
 public:
@@ -93,7 +123,7 @@ public:
   const std::deque<Block> &blocks() const { return Blocks; }
 
   /// Predecessor lists, indexed by block id, computed on demand.
-  std::vector<std::vector<unsigned>> predecessors() const;
+  PredecessorLists predecessors() const { return PredecessorLists(*this); }
 
   /// Total instruction count across all blocks.
   unsigned numInstrs() const;

@@ -114,7 +114,7 @@ private:
   /// over its predecessors (§2.6).
   std::vector<std::vector<unsigned>> ExitConsistent;
   std::unique_ptr<ConsistencyInfo> CI;
-  std::vector<std::vector<unsigned>> Preds;
+  PredecessorLists Preds;
 
   bool conservative() const {
     return Opts.Consistency == AllocOptions::ConsistencyMode::Conservative;
@@ -594,7 +594,7 @@ AllocStats BinpackScanner::run() {
   if (conservative())
     ExitConsistent.assign(NumBlocks, {});
   CI = std::make_unique<ConsistencyInfo>(NumBlocks);
-  Preds = F.predecessors();
+  Preds.recompute(F);
 
   // The single allocate/rewrite pass (§2.3).
   {

@@ -49,7 +49,7 @@ unsigned ConsistencyInfo::solve(const Function &F,
     RPO = &Order;
   }
   assert(RPO->size() == NumBlocks && "stale reverse post-order");
-  std::vector<std::vector<unsigned>> Preds = F.predecessors();
+  PredecessorLists Preds = F.predecessors();
   std::vector<SuccList> Succs(NumBlocks);
   for (unsigned B = 0; B < NumBlocks; ++B)
     Succs[B] = F.block(B).successors();

@@ -337,7 +337,7 @@ AllocStats EbbScanner::run() {
   EverSpilled.resize(NumV);
   S.reset();
 
-  std::vector<std::vector<unsigned>> Preds = F.predecessors();
+  PredecessorLists Preds = F.predecessors();
   std::vector<unsigned> RPO = reversePostOrder(F);
   std::vector<uint8_t> Visited(F.numBlocks(), 0);
 
