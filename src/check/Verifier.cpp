@@ -17,9 +17,11 @@
 //
 // Phase 2 (dataflow): a forward must-analysis over the allocated CFG maps
 // every location (physical register or frame slot) to the set of original
-// values it currently holds, kept as a sorted list of (value, location)
-// facts. The matching from phase 1 tells the analysis which original value
-// every matched operand demands.
+// values it currently holds, kept as (value, location) facts sorted both by
+// value and by location. The matching from phase 1 tells the analysis which
+// original value every matched operand demands. Each transfer of a block
+// also checks its uses; the errors of a block's last transfer, made on its
+// final in-state, are its verdict.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +33,8 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <cstring>
+#include <span>
 #include <sstream>
 
 using namespace lsra;
@@ -102,7 +105,7 @@ constexpr unsigned MaxErrorsPerFunction = 32;
 
 /// What last wrote a physical register; used only to classify failures.
 struct Prov {
-  enum Kind : uint8_t {
+  enum Kind : uint32_t {
     Top,         ///< unvisited (meet identity)
     Entry,       ///< untouched since function entry
     Def,         ///< a matched instruction's definition
@@ -114,22 +117,24 @@ struct Prov {
   Kind K = Top;
   unsigned Slot = NoInfo;
 
-  bool meet(const Prov &O) {
-    if (O.K == Top)
-      return false;
-    if (K == Top) {
-      *this = O;
-      return true;
-    }
-    if (K == O.K && Slot == O.Slot)
-      return false;
-    if (K == Prov::Unknown)
-      return false;
-    K = Prov::Unknown;
-    Slot = NoInfo;
-    return true;
+  /// The meet with \p O, computed by selection so that a loop over all
+  /// registers has no branches to mispredict.
+  Prov meet(const Prov &O) const {
+    Prov Disagree{Unknown, NoInfo};
+    return O.K == Top ? *this : K == Top ? O : *this == O ? *this : Disagree;
   }
+
+  bool operator==(const Prov &O) const { return K == O.K && Slot == O.Slot; }
 };
+
+/// Every physical register's provenance. Prov has no padding, so two arrays
+/// are equal exactly when their bytes are.
+using RegProvs = std::array<Prov, NumPRegs>;
+static_assert(sizeof(Prov) == 2 * sizeof(uint32_t), "Prov must not pad");
+
+bool sameProvs(const RegProvs &A, const RegProvs &B) {
+  return std::memcmp(A.data(), B.data(), sizeof(RegProvs)) == 0;
+}
 
 /// One abstract fact, "location L holds value V", packed as V << 32 | L so
 /// that sorting orders facts by value, then location.
@@ -139,12 +144,22 @@ Fact fact(unsigned V, unsigned L) { return (uint64_t(V) << 32) | L; }
 unsigned factValue(Fact F) { return unsigned(F >> 32); }
 unsigned factLoc(Fact F) { return unsigned(F); }
 
-/// Merge the sorted \p Add into the sorted \p Into (disjoint lists).
-void mergeFacts(std::vector<Fact> &Into, const std::vector<Fact> &Add) {
-  size_t I = Into.size(), J = Add.size();
-  Into.resize(I + J);
-  for (size_t K = Into.size(); J > 0;)
-    Into[--K] = I > 0 && Into[I - 1] > Add[J - 1] ? Into[--I] : Add[--J];
+/// The contiguous run of the sorted \p Fs holding value \p V. The search
+/// selects instead of branching, and a run is a few facts long.
+std::span<const Fact> valueRun(const std::vector<Fact> &Fs, unsigned V) {
+  const Fact *Lo = Fs.data(), *End = Fs.data() + Fs.size();
+  Fact Key = fact(V, 0);
+  for (size_t N = Fs.size(); N > 1;) {
+    size_t Half = N / 2;
+    Lo = Lo[Half - 1] < Key ? Lo + Half : Lo;
+    N -= Half;
+  }
+  if (Lo != End && *Lo < Key)
+    ++Lo;
+  const Fact *Hi = Lo;
+  while (Hi != End && factValue(*Hi) == V)
+    ++Hi;
+  return {Lo, Hi};
 }
 
 /// Abstract machine state: which locations hold which values.
@@ -155,23 +170,25 @@ void mergeFacts(std::vector<Fact> &Into, const std::vector<Fact> &Add) {
 /// The state is sized by its facts, not by locations x values: a sorted list
 /// of (value, location) pairs, so one value's locations are contiguous and
 /// in location order. Reachable code holds a few dozen facts per block. The
-/// meet identity (Top: every location holds every value) is a flag; only an
-/// unreachable block is ever transferred from it, and there every location
+/// meet identity (Top: every location holds every value) is a flag; an
+/// unreachable block is transferred from it, and there every location
 /// starts co-finite. Co-finite locations are listed in TopLocs, and for them
 /// the facts list the values they do *not* hold.
+///
+/// Blocks store their in- and out-states in this form; a transfer reads its
+/// in-state through a BlockState and writes its out-state back in one merge.
 struct State {
   std::vector<Fact> Facts;
   std::vector<unsigned> TopLocs; ///< sorted co-finite locations
   bool Top = true;
-  std::array<Prov, NumPRegs> RegProv;
+  RegProvs RegProv;
 
-  /// Make the meet identity explicit over \p NumLocs locations.
-  void expandTop(unsigned NumLocs) {
-    Top = false;
+  /// Back to the meet identity, keeping the storage. A Top state's RegProv
+  /// is never read: meeting into it copies the other side's.
+  void reset() {
     Facts.clear();
-    TopLocs.resize(NumLocs);
-    for (unsigned L = 0; L < NumLocs; ++L)
-      TopLocs[L] = L;
+    TopLocs.clear();
+    Top = true;
   }
 
   bool isTopLoc(unsigned L) const {
@@ -179,102 +196,27 @@ struct State {
            std::binary_search(TopLocs.begin(), TopLocs.end(), L);
   }
 
-  bool holds(unsigned L, unsigned V) const {
-    return std::binary_search(Facts.begin(), Facts.end(), fact(V, L)) !=
-           isTopLoc(L);
-  }
-
-  /// Call \p Fn(L) for every location L holding \p V, in location order.
-  template <typename FnT> void forEachHolder(unsigned V, FnT Fn) const {
-    auto It = std::lower_bound(Facts.begin(), Facts.end(), fact(V, 0));
-    auto End = std::lower_bound(It, Facts.end(), fact(V, 0) + (1ull << 32));
-    auto T = TopLocs.begin();
-    while (It != End || T != TopLocs.end()) {
-      if (T == TopLocs.end() || (It != End && factLoc(*It) < *T))
-        Fn(factLoc(*It++)); // a finite location's fact
-      else if (It == End || *T < factLoc(*It))
-        Fn(*T++); // a co-finite location that does not exclude V
-      else
-        ++It, ++T; // a co-finite location excluding V
-    }
-  }
-
-  /// L now holds V (and whatever else it held).
-  void add(unsigned L, unsigned V) {
-    Fact F = fact(V, L);
-    auto It = std::lower_bound(Facts.begin(), Facts.end(), F);
-    bool Present = It != Facts.end() && *It == F;
-    if (isTopLoc(L)) {
-      if (Present)
-        Facts.erase(It);
-    } else if (!Present) {
-      Facts.insert(It, F);
-    }
-  }
-
-  /// V is held nowhere.
-  void kill(unsigned V) {
-    auto Lo = std::lower_bound(Facts.begin(), Facts.end(), fact(V, 0));
-    auto Hi = std::lower_bound(Lo, Facts.end(), fact(V, 0) + (1ull << 32));
-    Lo = Facts.erase(Lo, Hi);
-    if (TopLocs.empty())
-      return;
-    size_t At = Lo - Facts.begin();
-    Facts.insert(Lo, TopLocs.size(), 0);
-    for (unsigned L : TopLocs)
-      Facts[At++] = fact(V, L);
-  }
-
-  /// L holds nothing.
-  void clear(unsigned L) {
-    Facts.erase(std::remove_if(Facts.begin(), Facts.end(),
-                               [L](Fact F) { return factLoc(F) == L; }),
-                Facts.end());
-    auto T = std::lower_bound(TopLocs.begin(), TopLocs.end(), L);
-    if (T != TopLocs.end() && *T == L)
-      TopLocs.erase(T);
-  }
-
-  /// D now holds exactly what S holds. \p Tmp is a work buffer.
-  void copy(unsigned D, unsigned S, std::vector<Fact> &Tmp) {
-    if (D == S)
-      return;
-    Tmp.clear();
-    size_t W = 0;
-    for (size_t R = 0; R < Facts.size(); ++R) {
-      Fact F = Facts[R];
-      if (factLoc(F) == S)
-        Tmp.push_back(fact(factValue(F), D));
-      if (factLoc(F) != D)
-        Facts[W++] = F;
-    }
-    Facts.resize(W);
-    mergeFacts(Facts, Tmp);
-    bool STop = isTopLoc(S);
-    auto T = std::lower_bound(TopLocs.begin(), TopLocs.end(), D);
-    bool DTop = T != TopLocs.end() && *T == D;
-    if (STop && !DTop)
-      TopLocs.insert(T, D);
-    else if (!STop && DTop)
-      TopLocs.erase(T);
-  }
-
-  /// Intersect with \p O. \p Tmp is a work buffer.
-  void meet(const State &O, std::vector<Fact> &Tmp) {
+  /// Intersect with \p O; returns whether this state changed. \p Tmp is a
+  /// work buffer.
+  bool meet(const State &O, std::vector<Fact> &Tmp) {
     if (O.Top)
-      return;
+      return false;
     if (Top) {
       *this = O;
-      return;
+      return true;
     }
+    bool Changed;
     if (TopLocs.empty() && O.TopLocs.empty()) {
-      size_t W = 0, J = 0;
-      for (size_t I = 0; I < Facts.size(); ++I) {
-        while (J < O.Facts.size() && O.Facts[J] < Facts[I])
-          ++J;
-        if (J < O.Facts.size() && O.Facts[J] == Facts[I])
-          Facts[W++] = Facts[I];
+      // Advance both sides without branching on the comparisons.
+      size_t W = 0, I = 0, J = 0;
+      while (I < Facts.size() && J < O.Facts.size()) {
+        Fact A = Facts[I], B = O.Facts[J];
+        Facts[W] = A;
+        W += A == B;
+        I += A <= B;
+        J += B <= A;
       }
+      Changed = W != Facts.size();
       Facts.resize(W);
     } else {
       // A location stays co-finite only if it is co-finite on both sides;
@@ -293,22 +235,213 @@ struct State {
         if (((InA != TA) && (InB != TB)) != (TA && TB))
           Tmp.push_back(F);
       }
+      size_t Before = TopLocs.size();
       TopLocs.erase(std::remove_if(TopLocs.begin(), TopLocs.end(),
                                    [&O](unsigned L) { return !O.isTopLoc(L); }),
                     TopLocs.end());
+      Changed = Tmp != Facts || TopLocs.size() != Before;
       Facts.swap(Tmp);
     }
-    for (unsigned P = 0; P < NumPRegs; ++P)
-      RegProv[P].meet(O.RegProv[P]);
+    if (!sameProvs(RegProv, O.RegProv))
+      for (unsigned P = 0; P < NumPRegs; ++P) {
+        Prov M = RegProv[P].meet(O.RegProv[P]);
+        Changed |= !(M == RegProv[P]);
+        RegProv[P] = M;
+      }
+    return Changed;
   }
 
   bool operator==(const State &O) const {
-    if (Top != O.Top || Facts != O.Facts || TopLocs != O.TopLocs)
-      return false;
-    for (unsigned P = 0; P < NumPRegs; ++P)
-      if (RegProv[P].K != O.RegProv[P].K || RegProv[P].Slot != O.RegProv[P].Slot)
-        return false;
-    return true;
+    return Top == O.Top && Facts == O.Facts && TopLocs == O.TopLocs &&
+           sameProvs(RegProv, O.RegProv);
+  }
+};
+
+/// The state inside one block's transfer: the block's in-state, read only,
+/// plus the locations the block has written so far, each with its whole
+/// current set (the values it holds, or for a co-finite location the values
+/// it excludes). Every other location reads through to the in-state, whose
+/// facts begin() chains by location in one pass. So an edit costs what it
+/// touches: a location's few facts, a value's run, and the written
+/// locations; and finish() writes the out-state in one merge.
+class BlockState {
+public:
+  RegProvs RegProv;
+
+  /// Size the per-location tables for a function with \p NumLocs locations.
+  void reset(unsigned NumLocs) {
+    Mark.assign(NumLocs, Unwritten);
+    Head.assign(NumLocs, 0);
+    Stamp.assign(NumLocs, 0);
+    Epoch = 0;
+    if (Vals.size() < NumLocs)
+      Vals.resize(NumLocs);
+  }
+
+  /// Start a block from \p S, which must outlive the transfer.
+  void begin(const State &S) {
+    In = &S;
+    RegProv = S.RegProv;
+    // Chain the in-state's facts by location. A stamp other than this
+    // epoch's marks a location with no facts.
+    ++Epoch;
+    Next.resize(S.Facts.size());
+    for (unsigned I = S.Facts.size(); I-- > 0;) {
+      unsigned L = factLoc(S.Facts[I]);
+      Next[I] = Stamp[L] == Epoch ? Head[L] : NoFact;
+      Head[L] = I;
+      Stamp[L] = Epoch;
+    }
+  }
+
+  bool holds(unsigned L, unsigned V) const {
+    if (Mark[L] != Unwritten)
+      return has(Vals[L], V) != (Mark[L] == CoFinite);
+    for (unsigned I = first(L); I != NoFact; I = Next[I])
+      if (factValue(In->Facts[I]) == V)
+        return !In->isTopLoc(L);
+    return In->isTopLoc(L);
+  }
+
+  /// Append every location holding \p V to \p Out, in no particular order.
+  void holders(unsigned V, std::vector<unsigned> &Out) const {
+    for (unsigned L : Written)
+      if (has(Vals[L], V) != (Mark[L] == CoFinite))
+        Out.push_back(L);
+    for (Fact F : valueRun(In->Facts, V))
+      if (Mark[factLoc(F)] == Unwritten && !In->isTopLoc(factLoc(F)))
+        Out.push_back(factLoc(F));
+    if (In->TopLocs.empty())
+      return; // no location is co-finite
+    for (unsigned L : In->TopLocs)
+      if (Mark[L] == Unwritten &&
+          !std::binary_search(In->Facts.begin(), In->Facts.end(), fact(V, L)))
+        Out.push_back(L);
+  }
+
+  /// L now holds V (and whatever else it held).
+  void add(unsigned L, unsigned V) {
+    touch(L);
+    set(L, V, Mark[L] != CoFinite);
+  }
+
+  /// V is held nowhere.
+  void kill(unsigned V) {
+    KillLocs.clear();
+    holders(V, KillLocs);
+    for (unsigned L : KillLocs) {
+      touch(L);
+      set(L, V, Mark[L] == CoFinite);
+    }
+  }
+
+  /// L holds nothing.
+  void clear(unsigned L) { rewrite(L, Finite); }
+
+  /// D now holds exactly what S holds.
+  void copy(unsigned D, unsigned S) {
+    if (D == S)
+      return;
+    if (Mark[S] != Unwritten) {
+      rewrite(D, Mark[S]);
+      Vals[D] = Vals[S];
+      return;
+    }
+    rewrite(D, In->isTopLoc(S) ? CoFinite : Finite);
+    for (unsigned I = first(S); I != NoFact; I = Next[I])
+      Vals[D].push_back(factValue(In->Facts[I]));
+  }
+
+  /// Write the state reached into \p Out and forget the block.
+  void finish(State &Out) {
+    Out.Top = false;
+    Out.RegProv = RegProv;
+    // The written locations' facts, sorted, merged with the in-state's
+    // facts at the other locations.
+    Delta.clear();
+    for (unsigned L : Written)
+      for (unsigned V : Vals[L])
+        Delta.push_back(fact(V, L));
+    std::sort(Delta.begin(), Delta.end());
+    const std::vector<Fact> &Base = In->Facts;
+    Out.Facts.resize(Base.size() + Delta.size());
+    Fact *O = Out.Facts.data();
+    const Fact *D = Delta.data(), *DEnd = D + Delta.size();
+    for (Fact F : Base) {
+      while (D != DEnd && *D < F)
+        *O++ = *D++;
+      *O = F; // kept only at an unwritten location
+      O += Mark[factLoc(F)] == Unwritten;
+    }
+    O = std::copy(D, DEnd, O);
+    Out.Facts.resize(O - Out.Facts.data());
+    Out.TopLocs.clear();
+    if (!In->TopLocs.empty()) {
+      for (unsigned L : In->TopLocs)
+        if (Mark[L] == Unwritten)
+          Out.TopLocs.push_back(L);
+      for (unsigned L : Written)
+        if (Mark[L] == CoFinite)
+          Out.TopLocs.push_back(L);
+      std::sort(Out.TopLocs.begin(), Out.TopLocs.end());
+    }
+    for (unsigned L : Written)
+      Mark[L] = Unwritten;
+    Written.clear();
+  }
+
+private:
+  enum : uint8_t { Unwritten, Finite, CoFinite };
+  static constexpr unsigned NoFact = ~0u;
+
+  const State *In = nullptr;
+  // Per location.
+  std::vector<uint8_t> Mark;
+  std::vector<std::vector<unsigned>> Vals; ///< a written location's set
+  std::vector<unsigned> Head, Stamp;       ///< the in-state's chains
+  unsigned Epoch = 0;
+  std::vector<unsigned> Next; ///< per in-state fact: the location's next
+  std::vector<unsigned> Written, KillLocs;
+  std::vector<Fact> Delta;
+
+  static bool has(const std::vector<unsigned> &Vs, unsigned V) {
+    return std::find(Vs.begin(), Vs.end(), V) != Vs.end();
+  }
+
+  unsigned first(unsigned L) const {
+    return Stamp[L] == Epoch ? Head[L] : NoFact;
+  }
+
+  /// Make V a member of written location L's set or not.
+  void set(unsigned L, unsigned V, bool Member) {
+    std::vector<unsigned> &Vs = Vals[L];
+    auto It = std::find(Vs.begin(), Vs.end(), V);
+    if (Member && It == Vs.end())
+      Vs.push_back(V);
+    else if (!Member && It != Vs.end()) {
+      *It = Vs.back();
+      Vs.pop_back();
+    }
+  }
+
+  /// Make \p L written, starting from what the in-state says it holds.
+  void touch(unsigned L) {
+    if (Mark[L] != Unwritten)
+      return;
+    Mark[L] = In->isTopLoc(L) ? CoFinite : Finite;
+    Written.push_back(L);
+    std::vector<unsigned> &Vs = Vals[L];
+    Vs.clear();
+    for (unsigned I = first(L); I != NoFact; I = Next[I])
+      Vs.push_back(factValue(In->Facts[I]));
+  }
+
+  /// Make \p L written with an empty set, finite or co-finite as \p M says.
+  void rewrite(unsigned L, uint8_t M) {
+    if (Mark[L] == Unwritten)
+      Written.push_back(L);
+    Mark[L] = M;
+    Vals[L].clear();
   }
 };
 
@@ -336,11 +469,31 @@ struct Event {
   unsigned OrigIdx = NoInfo;
 };
 
+/// The buffers of a verification that outlive one function: each function
+/// reuses what the last one grew.
+struct Workspace {
+  std::vector<State> In, Out; ///< per allocated block
+  State Next;                 ///< a transfer's out-state, before comparing
+  State TopIn;                ///< the meet identity made explicit
+  BlockState Cur;
+  std::vector<Event> Events;       ///< every original block's, in order
+  std::vector<unsigned> EventsEnd; ///< per original block
+  std::vector<unsigned> FirstIdx;  ///< original linear index of each block
+  std::vector<std::vector<AllocError>> BlockErrors; ///< per allocated block
+  std::vector<unsigned> SplitTarget; ///< resolveTarget per allocated block
+  std::vector<unsigned> RPOIndex, Work, Holders;
+  std::vector<unsigned> OutVersion; ///< per block: how often Out changed
+  std::vector<unsigned> MetVersion; ///< per edge: the Out version met
+  std::vector<uint8_t> Flags; ///< reachability marks, then pending blocks
+  std::vector<Fact> FactBuf;  ///< State::meet work list
+  PredecessorLists Preds;
+};
+
 class FunctionVerifier {
 public:
   FunctionVerifier(const Function &Orig, const Function &Alloc,
-                   const TargetDesc &TD, VerifyAllocResult &R)
-      : Orig(Orig), Alloc(Alloc), TD(TD), R(R), ON(Orig) {}
+                   const TargetDesc &TD, VerifyAllocResult &R, Workspace &W)
+      : Orig(Orig), Alloc(Alloc), TD(TD), R(R), W(W), S(W.Cur) {}
 
   void run();
 
@@ -349,22 +502,25 @@ private:
   const Function &Alloc;
   const TargetDesc &TD;
   VerifyAllocResult &R;
-  Numbering ON; ///< original linear positions (decision-log cross-reference)
+  Workspace &W;
+  BlockState &S; ///< the state of the block being transferred
 
   unsigned NumV = 0, NumLocs = 0;
-  std::vector<Fact> FactBuf;        ///< State::copy/meet work list
-  std::vector<unsigned> Holders;    ///< transferOrigMove work list
-  std::vector<unsigned> SplitTarget; ///< resolveTarget per allocated block
-  std::vector<std::vector<Event>> Events;
-  bool StructuralFailure = false;
   unsigned ErrorCount = 0;
+  /// Where checkUse reports: the current block's buffer during the solve.
+  std::vector<AllocError> *Report = nullptr;
 
   // --- error helpers -----------------------------------------------------
 
   AllocError &addError(AllocErrorKind K, unsigned B, unsigned I,
                        std::string Detail) {
-    R.Errors.push_back(AllocError());
-    AllocError &E = R.Errors.back();
+    return pushError(R.Errors, K, B, I, std::move(Detail));
+  }
+
+  AllocError &pushError(std::vector<AllocError> &To, AllocErrorKind K,
+                        unsigned B, unsigned I, std::string Detail) {
+    To.push_back(AllocError());
+    AllocError &E = To.back();
     E.Kind = K;
     E.Func = Alloc.name();
     E.Block = B;
@@ -373,8 +529,6 @@ private:
     ++ErrorCount;
     return E;
   }
-
-  bool tooManyErrors() const { return ErrorCount >= MaxErrorsPerFunction; }
 
   // --- phase 1: structure ------------------------------------------------
 
@@ -391,30 +545,33 @@ private:
     return O.isVReg() ? O.vregId() : NumV + O.pregId();
   }
 
-  void entryState(State &S) const {
-    S.Top = false;
-    S.Facts.clear();
+  unsigned usePos(unsigned B, unsigned OrigIdx) const {
+    return Numbering::usePos(W.FirstIdx[B] + OrigIdx);
+  }
+
+  void entryState(State &E) const {
+    E.Top = false;
     for (unsigned P = 0; P < NumPRegs; ++P) {
-      S.Facts.push_back(fact(NumV + P, P));
-      S.RegProv[P].K = Prov::Entry;
+      E.Facts.push_back(fact(NumV + P, P));
+      E.RegProv[P] = {Prov::Entry, NoInfo};
     }
   }
 
-  void transferBlock(unsigned B, State &S, bool Report);
-  void transferSpill(const Instr &AI, State &S);
-  void transferOrigMove(const Instr &OI, State &S, bool Report, unsigned B,
-                        unsigned OrigIdx);
-  void transferMatched(const Instr &OI, const Instr &AI, State &S, bool Report,
-                       unsigned B, unsigned AllocIdx, unsigned OrigIdx);
-  void checkUse(const State &S, unsigned Val, unsigned P, bool Report,
-                unsigned B, unsigned AllocIdx, unsigned Pos);
+  const State &topIn();
+  void transferBlock(unsigned B, const State &In, State &Out);
+  void transferSpill(const Instr &AI);
+  void transferOrigMove(const Instr &OI, unsigned B, unsigned OrigIdx);
+  void transferMatched(const Instr &OI, const Instr &AI, unsigned B,
+                       unsigned AllocIdx, unsigned OrigIdx);
+  void checkUse(unsigned Val, unsigned P, unsigned B, unsigned AllocIdx,
+                unsigned Pos);
   void solve();
 };
 
 bool FunctionVerifier::computeSplitTargets() {
   unsigned NB = Alloc.numBlocks();
   unsigned OrigNB = Orig.numBlocks();
-  SplitTarget.assign(NB, NoInfo);
+  W.SplitTarget.assign(NB, NoInfo);
   bool Ok = true;
   for (unsigned B = 0; B < NB; ++B) {
     unsigned Cur = B;
@@ -432,7 +589,7 @@ bool FunctionVerifier::computeSplitTargets() {
       }
       Cur = Blk.terminator().op(0).labelBlock();
     }
-    SplitTarget[B] = Cur;
+    W.SplitTarget[B] = Cur;
   }
   return Ok;
 }
@@ -458,19 +615,18 @@ void FunctionVerifier::checkSplitBlock(unsigned B) {
 
 void FunctionVerifier::checkSplitReachability() {
   unsigned NB = Alloc.numBlocks();
-  std::vector<bool> Seen(NB, false);
-  std::deque<unsigned> Work{0};
-  Seen[0] = true;
-  while (!Work.empty()) {
-    unsigned B = Work.front();
-    Work.pop_front();
-    const Block &Blk = Alloc.block(B);
+  std::vector<uint8_t> &Seen = W.Flags;
+  Seen.assign(NB, 0);
+  W.Work.assign(1, 0);
+  Seen[0] = 1;
+  for (size_t Head = 0; Head < W.Work.size(); ++Head) {
+    const Block &Blk = Alloc.block(W.Work[Head]);
     if (!Blk.hasTerminator())
       continue;
     for (unsigned S : Blk.successors())
       if (S < NB && !Seen[S]) {
-        Seen[S] = true;
-        Work.push_back(S);
+        Seen[S] = 1;
+        W.Work.push_back(S);
       }
   }
   for (unsigned B = Orig.numBlocks(); B < NB; ++B)
@@ -486,8 +642,8 @@ bool FunctionVerifier::operandMatches(const Operand &O,
     return A.isPReg() && pregClass(A.pregId()) == Orig.vregClass(O.vregId()) &&
            TD.isAllocatable(A.pregId());
   case Operand::Kind::Label:
-    return A.isLabel() && A.labelBlock() < SplitTarget.size() &&
-           SplitTarget[A.labelBlock()] == O.labelBlock();
+    return A.isLabel() && A.labelBlock() < W.SplitTarget.size() &&
+           W.SplitTarget[A.labelBlock()] == O.labelBlock();
   default:
     return O == A;
   }
@@ -508,7 +664,7 @@ bool FunctionVerifier::instrMatches(const Instr &OI, const Instr &AI) const {
 bool FunctionVerifier::matchBlock(unsigned B) {
   const Block &OB = Orig.block(B);
   const Block &AB = Alloc.block(B);
-  std::vector<Event> &Ev = Events[B];
+  std::vector<Event> &Ev = W.Events;
 
   // Consume allocated instructions up to (not including) the next anchor
   // candidate: tagged spill code and untagged register moves become machine
@@ -558,31 +714,32 @@ bool FunctionVerifier::matchBlock(unsigned B) {
     }
     return true;
   };
+  // Relabel events queue in original order from Ev[Relabels] on. Within the
+  // gap before the next anchor, machine events (spill code, physical moves)
+  // run first and the queued relabels after — the abstract state is then
+  // checked exactly at the anchor, which is the point where the machine
+  // contract has to hold.
+  size_t Relabels = Ev.size();
+  auto flushGap = [&]() -> bool {
+    size_t Machine = Ev.size();
+    if (!consumeAllocGap())
+      return false;
+    std::rotate(Ev.begin() + Relabels, Ev.begin() + Machine, Ev.end());
+    return true;
+  };
 
   for (unsigned OrigIdx = 0; OrigIdx < OB.size(); ++OrigIdx) {
     const Instr &OI = OB.instrs()[OrigIdx];
     if (OI.opcode() == Opcode::Nop)
       continue;
     if (OI.isRegMove()) {
-      // Relabel events queue in original order; consumeAllocGap emits the
-      // machine events of the same gap before the anchor flushes them.
       Ev.push_back({Event::OrigMove, NoInfo, OrigIdx});
       continue;
     }
     // Anchor: the next non-move allocated instruction must be this one's
-    // allocation. Within the gap before it, machine events (spill code,
-    // physical moves) are emitted first and the queued relabels after —
-    // the abstract state is then checked exactly at the anchor, which is
-    // the point where the machine contract has to hold.
-    std::vector<Event> Relabels;
-    while (!Ev.empty() && Ev.back().K == Event::OrigMove) {
-      Relabels.push_back(Ev.back());
-      Ev.pop_back();
-    }
-    if (!consumeAllocGap())
+    // allocation.
+    if (!flushGap())
       return false;
-    for (auto It = Relabels.rbegin(); It != Relabels.rend(); ++It)
-      Ev.push_back(*It);
     if (AIdx >= AB.size()) {
       addError(AllocErrorKind::Structural, B, AB.size() ? AB.size() - 1 : 0,
                std::string("original instruction '") +
@@ -604,20 +761,12 @@ bool FunctionVerifier::matchBlock(unsigned B) {
       return false;
     }
     Ev.push_back({Event::Matched, AIdx, OrigIdx});
+    Relabels = Ev.size();
     ++AIdx;
   }
   // Trailing relabels stay queued; drain any remaining allocated tail.
-  {
-    std::vector<Event> Relabels;
-    while (!Ev.empty() && Ev.back().K == Event::OrigMove) {
-      Relabels.push_back(Ev.back());
-      Ev.pop_back();
-    }
-    if (!consumeAllocGap())
-      return false;
-    for (auto It = Relabels.rbegin(); It != Relabels.rend(); ++It)
-      Ev.push_back(*It);
-  }
+  if (!flushGap())
+    return false;
   if (AIdx < AB.size()) {
     addError(AllocErrorKind::Structural, B, AIdx,
              "allocated instruction beyond the end of the original block");
@@ -626,22 +775,19 @@ bool FunctionVerifier::matchBlock(unsigned B) {
   return true;
 }
 
-void FunctionVerifier::checkUse(const State &S, unsigned Val, unsigned P,
-                                bool Report, unsigned B, unsigned AllocIdx,
-                                unsigned Pos) {
-  if (!Report || tooManyErrors())
-    return;
-  if (S.holds(P, Val))
+void FunctionVerifier::checkUse(unsigned Val, unsigned P, unsigned B,
+                                unsigned AllocIdx, unsigned Pos) {
+  if (S.holds(P, Val) || Report->size() >= MaxErrorsPerFunction)
     return;
   // Classify: what does P hold instead, and where does the value live?
   const Prov &PV = S.RegProv[P];
-  bool Elsewhere = false;
-  unsigned HomeSlot = NoInfo;
-  S.forEachHolder(Val, [&](unsigned L) {
-    Elsewhere = true;
-    if (L >= NumPRegs && HomeSlot == NoInfo)
+  W.Holders.clear();
+  S.holders(Val, W.Holders);
+  bool Elsewhere = !W.Holders.empty();
+  unsigned HomeSlot = NoInfo; // the lowest slot holding the value
+  for (unsigned L : W.Holders)
+    if (L >= NumPRegs && (HomeSlot == NoInfo || L - NumPRegs < HomeSlot))
       HomeSlot = L - NumPRegs;
-  });
   AllocErrorKind K;
   std::string Why;
   if (PV.K == Prov::CallClobber) {
@@ -662,38 +808,37 @@ void FunctionVerifier::checkUse(const State &S, unsigned Val, unsigned P,
     K = AllocErrorKind::LostValue;
     Why = "value is in no register or slot on some path";
   }
-  AllocError &E = addError(K, B, AllocIdx, "use of " +
-                                               (Val < NumV
-                                                    ? "v" + std::to_string(Val)
-                                                    : "the convention value "
-                                                      "of " +
-                                                          obs::pregDisplayName(
-                                                              Val - NumV)) +
-                                               ": " + Why);
+  AllocError &E =
+      pushError(*Report, K, B, AllocIdx,
+                "use of " +
+                    (Val < NumV ? "v" + std::to_string(Val)
+                                : "the convention value of " +
+                                      obs::pregDisplayName(Val - NumV)) +
+                    ": " + Why);
   if (Val < NumV)
     E.VReg = Val;
   E.PReg = P;
   E.Pos = Pos;
 }
 
-void FunctionVerifier::transferSpill(const Instr &AI, State &S) {
+void FunctionVerifier::transferSpill(const Instr &AI) {
   switch (AI.opcode()) {
   case Opcode::LdSlot:
   case Opcode::FLdSlot: {
     unsigned D = AI.op(0).pregId();
     unsigned Slot = AI.op(1).slotId();
-    S.copy(D, NumPRegs + Slot, FactBuf);
+    S.copy(D, NumPRegs + Slot);
     S.RegProv[D] = {Prov::LoadSlot, Slot};
     return;
   }
   case Opcode::StSlot:
   case Opcode::FStSlot:
-    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId(), FactBuf);
+    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId());
     return;
   case Opcode::Mov:
   case Opcode::FMov: {
     unsigned D = AI.op(0).pregId();
-    S.copy(D, AI.op(1).pregId(), FactBuf);
+    S.copy(D, AI.op(1).pregId());
     S.RegProv[D] = {Prov::SpillMove, NoInfo};
     return;
   }
@@ -702,8 +847,7 @@ void FunctionVerifier::transferSpill(const Instr &AI, State &S) {
   }
 }
 
-void FunctionVerifier::transferOrigMove(const Instr &OI, State &S,
-                                        bool Report, unsigned B,
+void FunctionVerifier::transferOrigMove(const Instr &OI, unsigned B,
                                         unsigned OrigIdx) {
   // Original `dst = src` relabel: after the copy, dst's value is src's
   // value, so every location that holds src's value holds dst's too. The
@@ -713,9 +857,8 @@ void FunctionVerifier::transferOrigMove(const Instr &OI, State &S,
   // source value by the end of the gap this move sits in.
   unsigned SrcVal = valueOf(OI.op(1));
   const Operand &Dst = OI.op(0);
-  unsigned Pos = Numbering::usePos(ON.instrIndex(B, OrigIdx));
   if (Dst.isPReg()) {
-    checkUse(S, SrcVal, Dst.pregId(), Report, B, NoInfo, Pos);
+    checkUse(SrcVal, Dst.pregId(), B, NoInfo, usePos(B, OrigIdx));
     unsigned DVal = NumV + Dst.pregId();
     S.kill(DVal);
     S.add(Dst.pregId(), DVal);
@@ -723,35 +866,34 @@ void FunctionVerifier::transferOrigMove(const Instr &OI, State &S,
   }
   unsigned DVal = Dst.vregId();
   S.kill(DVal);
-  Holders.clear();
-  S.forEachHolder(SrcVal, [&](unsigned L) { Holders.push_back(L); });
-  for (unsigned L : Holders)
+  W.Holders.clear();
+  S.holders(SrcVal, W.Holders);
+  for (unsigned L : W.Holders)
     S.add(L, DVal);
 }
 
 void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
-                                       State &S, bool Report, unsigned B,
-                                       unsigned AllocIdx, unsigned OrigIdx) {
-  unsigned Idx = ON.instrIndex(B, OrigIdx);
+                                       unsigned B, unsigned AllocIdx,
+                                       unsigned OrigIdx) {
+  unsigned Pos = usePos(B, OrigIdx);
   // 1. Uses read the pre-state.
   unsigned D = OI.numDefSlots();
   for (unsigned U = 0; U < OI.numUseSlots(); ++U) {
     const Operand &O = OI.op(D + U);
     if (!O.isReg())
       continue;
-    checkUse(S, valueOf(O), AI.op(D + U).pregId(), Report, B, AllocIdx,
-             Numbering::usePos(Idx));
+    checkUse(valueOf(O), AI.op(D + U).pregId(), B, AllocIdx, Pos);
   }
   if (OI.isCall()) {
     for (unsigned A = 0; A < OI.CallIntArgs; ++A) {
       unsigned P = TargetDesc::intArgReg(A);
-      checkUse(S, NumV + P, P, Report, B, AllocIdx, Numbering::usePos(Idx));
+      checkUse(NumV + P, P, B, AllocIdx, Pos);
     }
     for (unsigned A = 0; A < OI.CallFpArgs; ++A) {
       unsigned P = TargetDesc::fpArgReg(A);
-      checkUse(S, NumV + P, P, Report, B, AllocIdx, Numbering::usePos(Idx));
+      checkUse(NumV + P, P, B, AllocIdx, Pos);
     }
-    // 2. The caller-saved set dies.
+    // 2. The caller-saved set dies: one cheap rewrite per register.
     forEachClobberedReg(AI, TD, [&](unsigned P) {
       S.clear(P);
       S.RegProv[P] = {Prov::CallClobber, NoInfo};
@@ -768,7 +910,7 @@ void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
   }
   // Untagged slot stores are program stores to a local frame slot.
   if (OI.opcode() == Opcode::StSlot || OI.opcode() == Opcode::FStSlot) {
-    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId(), FactBuf);
+    S.copy(NumPRegs + AI.op(1).slotId(), AI.op(0).pregId());
     return;
   }
   // 3. The definition: the defined value dies everywhere, then lives in the
@@ -779,7 +921,7 @@ void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
     unsigned DP = AI.op(0).pregId();
     S.kill(DVal);
     if (OI.opcode() == Opcode::LdSlot || OI.opcode() == Opcode::FLdSlot)
-      S.copy(DP, NumPRegs + AI.op(1).slotId(), FactBuf);
+      S.copy(DP, NumPRegs + AI.op(1).slotId());
     else
       S.clear(DP);
     S.add(DP, DVal);
@@ -787,81 +929,137 @@ void FunctionVerifier::transferMatched(const Instr &OI, const Instr &AI,
   }
 }
 
-void FunctionVerifier::transferBlock(unsigned B, State &S, bool Report) {
-  if (S.Top) // unreachable, and so are all its predecessors
-    S.expandTop(NumLocs);
+const State &FunctionVerifier::topIn() {
+  State &T = W.TopIn;
+  if (T.Top || T.TopLocs.size() != NumLocs) {
+    T.reset();
+    T.Top = false;
+    T.RegProv.fill(Prov());
+    for (unsigned L = 0; L < NumLocs; ++L)
+      T.TopLocs.push_back(L);
+  }
+  return T;
+}
+
+void FunctionVerifier::transferBlock(unsigned B, const State &In,
+                                     State &Out) {
+  // A Top in-state means the block is unreachable, and so are all its
+  // predecessors: every location starts co-finite.
+  S.begin(In.Top ? topIn() : In);
   if (B >= Orig.numBlocks()) {
     for (const Instr &AI : Alloc.block(B).instrs())
       if (AI.Spill != SpillKind::None)
-        transferSpill(AI, S);
+        transferSpill(AI);
+    S.finish(Out);
     return;
   }
   const Block &AB = Alloc.block(B);
   const Block &OB = Orig.block(B);
-  for (const Event &E : Events[B]) {
+  unsigned First = B ? W.EventsEnd[B - 1] : 0;
+  for (unsigned I = First; I < W.EventsEnd[B]; ++I) {
+    const Event &E = W.Events[I];
     switch (E.K) {
     case Event::SpillCode:
     case Event::AllocCopy: // untagged physical move: same machine semantics
-      transferSpill(AB.instrs()[E.AllocIdx], S);
+      transferSpill(AB.instrs()[E.AllocIdx]);
       break;
     case Event::OrigMove:
-      transferOrigMove(OB.instrs()[E.OrigIdx], S, Report, B, E.OrigIdx);
+      transferOrigMove(OB.instrs()[E.OrigIdx], B, E.OrigIdx);
       break;
     case Event::Matched:
-      transferMatched(OB.instrs()[E.OrigIdx], AB.instrs()[E.AllocIdx], S,
-                      Report, B, E.AllocIdx, E.OrigIdx);
+      transferMatched(OB.instrs()[E.OrigIdx], AB.instrs()[E.AllocIdx], B,
+                      E.AllocIdx, E.OrigIdx);
       break;
     }
   }
+  S.finish(Out);
 }
 
 void FunctionVerifier::solve() {
   unsigned NB = Alloc.numBlocks();
-  std::vector<State> In(NB), Out(NB); // Top: the meet identity
-  entryState(In[0]);
+  if (W.In.size() < NB) {
+    W.In.resize(NB);
+    W.Out.resize(NB);
+    W.BlockErrors.resize(NB);
+  }
+  for (unsigned B = 0; B < NB; ++B) { // Top: the meet identity
+    W.In[B].reset();
+    W.Out[B].reset();
+    W.BlockErrors[B].clear();
+  }
+  entryState(W.In[0]);
+  S.reset(NumLocs);
 
-  auto Preds = Alloc.predecessors();
-  std::vector<std::vector<unsigned>> Succs(NB);
-  for (unsigned B = 0; B < NB; ++B)
-    for (unsigned P : Preds[B])
-      Succs[P].push_back(B);
+  W.Preds.recompute(Alloc);
   std::vector<unsigned> RPO = reversePostOrder(Alloc);
-  std::vector<unsigned> RPOIndex(NB);
+  W.RPOIndex.resize(NB);
   for (unsigned I = 0; I < RPO.size(); ++I)
-    RPOIndex[RPO[I]] = I;
+    W.RPOIndex[RPO[I]] = I;
 
   // Sweep in RPO, transferring every block once and then only the blocks
   // a predecessor's changed out-state reaches; a back edge to a pending
-  // block costs another sweep.
-  std::vector<bool> Pending(NB, true);
-  State S;
+  // block costs another sweep. The order is total (unreachable blocks come
+  // last), so every block is transferred at least once.
+  //
+  // Every transfer reports into its block's buffer, replacing the previous
+  // visit's: a block's in-state changes only when the block is visited, so
+  // its last visit ran on its final in-state, and its buffer holds exactly
+  // the errors of that state.
+  //
+  // A block meets only the out-states that changed since it last met them,
+  // and a visit whose meets leave the in-state as it was transfers nothing:
+  // the out-state and the errors would come out the same.
+  enum : uint8_t { Done, Pending, Unvisited };
+  std::vector<uint8_t> &Flag = W.Flags;
+  Flag.assign(NB, Unvisited);
+  W.OutVersion.assign(NB, 0); // version 0: Top, the meet identity
+  W.MetVersion.assign(W.Preds.numEdges(), 0);
   for (bool Again = true; Again;) {
     Again = false;
     for (unsigned B : RPO) {
-      if (!Pending[B])
+      if (Flag[B] == Done)
         continue;
-      Pending[B] = false;
+      bool Changed = Flag[B] == Unvisited;
+      Flag[B] = Done;
       // The entry block's in-state starts at the machine contract and still
       // meets its predecessors: a branch back to the entry block must agree
       // with the entry state on every location it relies on.
-      for (unsigned P : Preds[B])
-        In[B].meet(Out[P], FactBuf);
-      S = In[B];
-      transferBlock(B, S, /*Report=*/false);
-      if (S == Out[B])
+      unsigned Edge = W.Preds.firstEdge(B);
+      for (unsigned P : W.Preds[B]) {
+        unsigned &Met = W.MetVersion[Edge++];
+        if (Met == W.OutVersion[P])
+          continue;
+        Met = W.OutVersion[P];
+        Changed |= W.In[B].meet(W.Out[P], W.FactBuf);
+      }
+      if (!Changed)
         continue;
-      std::swap(Out[B], S);
-      for (unsigned Succ : Succs[B]) {
-        Pending[Succ] = true;
-        Again |= RPOIndex[Succ] <= RPOIndex[B];
+      Report = &W.BlockErrors[B];
+      Report->clear();
+      transferBlock(B, W.In[B], W.Next);
+      if (W.Next == W.Out[B])
+        continue;
+      State &Out = W.Out[B];
+      Out.Facts.swap(W.Next.Facts);
+      Out.TopLocs.swap(W.Next.TopLocs);
+      Out.Top = false;
+      Out.RegProv = W.Next.RegProv;
+      ++W.OutVersion[B];
+      for (unsigned Succ : Alloc.block(B).successors()) {
+        if (Flag[Succ] == Done)
+          Flag[Succ] = Pending;
+        Again |= W.RPOIndex[Succ] <= W.RPOIndex[B];
       }
     }
   }
 
-  for (unsigned B = 0; B < NB && !tooManyErrors(); ++B) {
-    S = In[B];
-    transferBlock(B, S, /*Report=*/true);
-  }
+  // Emit in block order, up to the per-function cap.
+  for (unsigned B = 0, N = 0; B < NB; ++B)
+    for (AllocError &E : W.BlockErrors[B]) {
+      if (N++ == MaxErrorsPerFunction)
+        return;
+      R.Errors.push_back(std::move(E));
+    }
 }
 
 void FunctionVerifier::run() {
@@ -879,13 +1077,34 @@ void FunctionVerifier::run() {
     checkSplitBlock(B);
   checkSplitReachability();
 
-  Events.assign(Orig.numBlocks(), {});
+  W.Events.clear();
+  W.EventsEnd.resize(Orig.numBlocks());
+  W.FirstIdx.resize(Orig.numBlocks());
   bool MatchOk = true;
-  for (unsigned B = 0; B < Orig.numBlocks(); ++B)
+  for (unsigned B = 0, Idx = 0; B < Orig.numBlocks(); ++B) {
+    W.FirstIdx[B] = Idx;
+    Idx += Orig.block(B).size();
     MatchOk &= matchBlock(B);
-  if (!MatchOk || !R.Errors.empty())
+    W.EventsEnd[B] = static_cast<unsigned>(W.Events.size());
+  }
+  if (!MatchOk || ErrorCount)
     return; // the dataflow needs a sound matching
   solve();
+}
+
+/// This thread's workspace. Verifying allocates only while a function is
+/// larger than any this thread verified before; a workspace grown past
+/// MaxKeptBlocks blocks is released after the call.
+Workspace &threadWorkspace() {
+  static thread_local Workspace W;
+  return W;
+}
+
+constexpr unsigned MaxKeptBlocks = 4096;
+
+void trimWorkspace(Workspace &W) {
+  if (W.In.size() > MaxKeptBlocks)
+    W = Workspace();
 }
 
 } // namespace
@@ -894,7 +1113,9 @@ VerifyAllocResult lsra::check::verifyAllocation(const Function &Orig,
                                                 const Function &Alloc,
                                                 const TargetDesc &TD) {
   VerifyAllocResult R;
-  FunctionVerifier(Orig, Alloc, TD, R).run();
+  Workspace &W = threadWorkspace();
+  FunctionVerifier(Orig, Alloc, TD, R, W).run();
+  trimWorkspace(W);
   return R;
 }
 
@@ -910,10 +1131,9 @@ VerifyAllocResult lsra::check::verifyAllocation(const Module &Orig,
     R.Errors.push_back(E);
     return R;
   }
-  for (unsigned I = 0; I < Orig.numFunctions(); ++I) {
-    VerifyAllocResult FR =
-        verifyAllocation(Orig.function(I), Alloc.function(I), TD);
-    R.Errors.insert(R.Errors.end(), FR.Errors.begin(), FR.Errors.end());
-  }
+  Workspace &W = threadWorkspace();
+  for (unsigned I = 0; I < Orig.numFunctions(); ++I)
+    FunctionVerifier(Orig.function(I), Alloc.function(I), TD, R, W).run();
+  trimWorkspace(W);
   return R;
 }
