@@ -481,6 +481,7 @@ struct Workspace {
   std::vector<unsigned> FirstIdx;  ///< original linear index of each block
   std::vector<std::vector<AllocError>> BlockErrors; ///< per allocated block
   std::vector<unsigned> SplitTarget; ///< resolveTarget per allocated block
+  std::vector<SuccList> Succs;       ///< per allocated block
   std::vector<unsigned> RPOIndex, Work, Holders;
   std::vector<unsigned> OutVersion; ///< per block: how often Out changed
   std::vector<unsigned> MetVersion; ///< per edge: the Out version met
@@ -620,10 +621,10 @@ void FunctionVerifier::checkSplitReachability() {
   W.Work.assign(1, 0);
   Seen[0] = 1;
   for (size_t Head = 0; Head < W.Work.size(); ++Head) {
-    const Block &Blk = Alloc.block(W.Work[Head]);
-    if (!Blk.hasTerminator())
+    unsigned B = W.Work[Head];
+    if (!Alloc.block(B).hasTerminator())
       continue;
-    for (unsigned S : Blk.successors())
+    for (unsigned S : W.Succs[B])
       if (S < NB && !Seen[S]) {
         Seen[S] = 1;
         W.Work.push_back(S);
@@ -1024,19 +1025,27 @@ void FunctionVerifier::solve() {
       // The entry block's in-state starts at the machine contract and still
       // meets its predecessors: a branch back to the entry block must agree
       // with the entry state on every location it relies on.
+      //
+      // Out-states only shrink as the solve goes on (every transfer is
+      // monotone), so a block with one predecessor has that predecessor's
+      // current out-state as its in-state, and reads it in place.
+      std::span<const unsigned> Ps = W.Preds[B];
+      const State *In = &W.In[B];
+      if (B != 0 && Ps.size() == 1)
+        In = &W.Out[Ps[0]];
       unsigned Edge = W.Preds.firstEdge(B);
-      for (unsigned P : W.Preds[B]) {
+      for (unsigned P : Ps) {
         unsigned &Met = W.MetVersion[Edge++];
         if (Met == W.OutVersion[P])
           continue;
         Met = W.OutVersion[P];
-        Changed |= W.In[B].meet(W.Out[P], W.FactBuf);
+        Changed |= In != &W.In[B] || W.In[B].meet(W.Out[P], W.FactBuf);
       }
       if (!Changed)
         continue;
       Report = &W.BlockErrors[B];
       Report->clear();
-      transferBlock(B, W.In[B], W.Next);
+      transferBlock(B, *In, W.Next);
       if (W.Next == W.Out[B])
         continue;
       State &Out = W.Out[B];
@@ -1045,7 +1054,7 @@ void FunctionVerifier::solve() {
       Out.Top = false;
       Out.RegProv = W.Next.RegProv;
       ++W.OutVersion[B];
-      for (unsigned Succ : Alloc.block(B).successors()) {
+      for (unsigned Succ : W.Succs[B]) {
         if (Flag[Succ] == Done)
           Flag[Succ] = Pending;
         Again |= W.RPOIndex[Succ] <= W.RPOIndex[B];
@@ -1073,6 +1082,9 @@ void FunctionVerifier::run() {
   }
   if (!computeSplitTargets())
     return;
+  W.Succs.resize(Alloc.numBlocks());
+  for (unsigned B = 0; B < Alloc.numBlocks(); ++B)
+    W.Succs[B] = Alloc.block(B).successors();
   for (unsigned B = Orig.numBlocks(); B < Alloc.numBlocks(); ++B)
     checkSplitBlock(B);
   checkSplitReachability();

@@ -9,17 +9,20 @@
 using namespace lsra;
 
 void PredecessorLists::recompute(const Function &F) {
-  // Count each block's incoming edges, then place the sources in block order.
+  // Gather the edges in source order (reading each terminator once) and
+  // count each block's incoming ones, then place the sources.
   Offsets.assign(F.numBlocks() + 1, 0);
+  Edges.clear();
   for (const Block &B : F.blocks())
-    for (unsigned S : B.successors())
+    for (unsigned S : B.successors()) {
       ++Offsets[S + 1];
+      Edges.push_back({S, B.id()});
+    }
   for (unsigned B = 0; B < F.numBlocks(); ++B)
     Offsets[B + 1] += Offsets[B];
   Ids.resize(Offsets.back());
-  for (const Block &B : F.blocks())
-    for (unsigned S : B.successors())
-      Ids[Offsets[S]++] = B.id();
+  for (auto [S, From] : Edges)
+    Ids[Offsets[S]++] = From;
   // Each offset now holds its block's end, the next block's start.
   for (unsigned B = F.numBlocks(); B > 0; --B)
     Offsets[B] = Offsets[B - 1];

@@ -26,6 +26,7 @@
 #include <deque>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lsra {
@@ -34,8 +35,7 @@ class Function;
 
 /// The predecessor lists of every block of a function in one offsets array
 /// and one id array: `Preds[B]` is B's predecessors in block order, listed
-/// once per edge. Building it costs two allocations, and recompute() reuses
-/// them.
+/// once per edge. recompute() reuses the storage.
 class PredecessorLists {
 public:
   PredecessorLists() = default;
@@ -57,6 +57,7 @@ public:
 private:
   std::vector<unsigned> Offsets; ///< numBlocks() + 1 entries
   std::vector<unsigned> Ids;
+  std::vector<std::pair<unsigned, unsigned>> Edges; ///< (to, from) scratch
 };
 
 class Function {
