@@ -13,6 +13,7 @@ void PredecessorLists::recompute(const Function &F) {
   // count each block's incoming ones, then place the sources.
   Offsets.assign(F.numBlocks() + 1, 0);
   Edges.clear();
+  Edges.reserve(2 * F.numBlocks()); // a terminator has at most two
   for (const Block &B : F.blocks())
     for (unsigned S : B.successors()) {
       ++Offsets[S + 1];

@@ -47,17 +47,14 @@ public:
   std::span<const unsigned> operator[](unsigned B) const {
     return {Ids.data() + Offsets[B], Offsets[B + 1] - Offsets[B]};
   }
-  unsigned numBlocks() const {
-    return Offsets.empty() ? 0 : unsigned(Offsets.size() - 1);
-  }
   /// Edges are numbered in list order: Preds[B][I] is edge firstEdge(B) + I.
   unsigned firstEdge(unsigned B) const { return Offsets[B]; }
   unsigned numEdges() const { return unsigned(Ids.size()); }
 
 private:
-  std::vector<unsigned> Offsets; ///< numBlocks() + 1 entries
+  std::vector<unsigned> Offsets; ///< one per block, plus the end
   std::vector<unsigned> Ids;
-  std::vector<std::pair<unsigned, unsigned>> Edges; ///< (to, from) scratch
+  std::vector<std::pair<unsigned, unsigned>> Edges; ///< (to, from) work list
 };
 
 class Function {
