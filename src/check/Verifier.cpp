@@ -17,11 +17,12 @@
 //
 // Phase 2 (dataflow): a forward must-analysis over the allocated CFG maps
 // every location (physical register or frame slot) to the set of original
-// values it currently holds, kept as (value, location) facts sorted both by
-// value and by location. The matching from phase 1 tells the analysis which
-// original value every matched operand demands. Each transfer of a block
-// also checks its uses; the errors of a block's last transfer, made on its
-// final in-state, are its verdict.
+// values it currently holds, kept as a sorted list of (value, location)
+// facts; a block's transfer reads them through a per-location index. The
+// matching from phase 1 tells the analysis which original value every
+// matched operand demands. Each transfer of a block also checks its uses;
+// the errors of a block's last transfer, made on its final in-state, are
+// its verdict.
 //
 //===----------------------------------------------------------------------===//
 
