@@ -20,7 +20,7 @@
 #include "driver/Pipeline.h"
 #include "support/AllocProfile.h"
 #include "support/MemStats.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "workloads/SyntheticModule.h"
 
 #include <algorithm>
@@ -157,7 +157,7 @@ int main() {
               "instructions (best of 2)\nhardware threads available: %u; "
               "allocs/instr counts heap allocations%s\n\n",
               Big.NumFuncs, Big.InstrsPerFunc,
-              ThreadPool::defaultThreadCount(),
+              defaultThreadCount(),
               allocProfileAvailable() ? "" : " (not counted in this build)");
   std::printf("%-10s %-22s %3s %9s %13s %13s %9s\n", "pipeline", "allocator",
               "T", "wall s", "allocs/instr", "footprint MB", "peak MB");

@@ -16,7 +16,7 @@
 
 #include "driver/Pipeline.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "workloads/SyntheticModule.h"
 
 #include <algorithm>
@@ -112,7 +112,7 @@ int main() {
   // wall time drops with the number of independent procedures.
   std::printf("\nParallel compile wall-clock, second-chance binpack "
               "(best of 5)\nhardware threads available: %u\n\n",
-              ThreadPool::defaultThreadCount());
+              defaultThreadCount());
   std::printf("%-26s %12s %12s %12s %8s\n", "module", "T=1 wall s",
               "T=2 wall s", "T=4 wall s", "speedup");
   std::printf("---------------------------------------------------------------"

@@ -16,7 +16,7 @@
 #include "obs/Log.h"
 #include "obs/Trace.h"
 #include "passes/DCE.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Timer.h"
 #include "target/LowerCalls.h"
 

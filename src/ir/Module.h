@@ -50,14 +50,6 @@ public:
     return nullptr;
   }
 
-  /// Swap in a replacement body for the function at \p Id (the compile
-  /// cache materialises hits this way). \p F must carry the same id.
-  void replaceFunction(unsigned Id, std::unique_ptr<Function> F) {
-    assert(Id < Funcs.size() && "bad function id");
-    assert(F && F->id() == Id && "replacement must keep the function id");
-    Funcs[Id] = std::move(F);
-  }
-
   std::vector<std::unique_ptr<Function>> &functions() { return Funcs; }
   const std::vector<std::unique_ptr<Function>> &functions() const {
     return Funcs;

@@ -89,8 +89,8 @@ public:
   void cancelTimer(uint64_t Id);
 
   /// Run \p Fn once at the end of every loop iteration, after the ready
-  /// fds and posted tasks have been handled (used for request batching and
-  /// drain-progress checks). Set before run(), or from the loop thread.
+  /// fds and posted tasks have been handled (the server's drain-progress
+  /// check uses it). Set before run(), or from the loop thread.
   void setAfterPoll(std::function<void()> Fn) { AfterPoll = std::move(Fn); }
 
   bool inLoopThread() const {

@@ -42,9 +42,10 @@ const char *lsra::obs::decisionKindName(DecisionKind K) {
 std::string lsra::obs::pregDisplayName(unsigned P) {
   if (P == NoValue)
     return "mem";
-  if (P < NumIntPRegs)
-    return "$" + std::to_string(P);
-  return "$f" + std::to_string(P - NumIntPRegs);
+  // append, not "$f" + to_string(...): GCC 12's Release inlining of that
+  // concatenation trips a false -Wrestrict.
+  std::string Name = P < NumIntPRegs ? "$" : "$f";
+  return Name.append(std::to_string(P < NumIntPRegs ? P : P - NumIntPRegs));
 }
 
 DecisionLog &DecisionLog::global() {

@@ -18,7 +18,7 @@
 #include "passes/Peephole.h"
 #include "passes/SpillCleanup.h"
 #include "regalloc/Registry.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Timer.h"
 #include "target/CalleeSave.h"
 
@@ -150,7 +150,7 @@ AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
 }
 
 unsigned lsra::resolveThreadCount(unsigned Requested, unsigned NumItems) {
-  unsigned T = Requested == 0 ? ThreadPool::defaultThreadCount() : Requested;
+  unsigned T = Requested == 0 ? defaultThreadCount() : Requested;
   return std::max(1u, std::min(T, std::max(NumItems, 1u)));
 }
 
@@ -179,39 +179,36 @@ snapshotAllocatedFunction(const Module &M, const Function &F,
   return Entry;
 }
 
-/// Materialise the cached body \p E as a fresh function carrying id \p Idx,
-/// remapping the entry's module-relative func-ref operands into \p M by
-/// callee name. Returns nullptr when a callee cannot be resolved — the
-/// caller then falls back to a fresh allocation.
-std::unique_ptr<Function> materialiseCachedFunction(Module &M, unsigned Idx,
-                                                    const cache::CachedCompile &E) {
+/// Rebuild \p F in place from the cached body \p E, remapping the entry's
+/// module-relative func-ref operands into \p M by callee name. The function
+/// table is never touched, so parallel workers resolving callee names
+/// through it stay race-free. False (with \p F untouched) when a callee
+/// cannot be resolved — the caller then falls back to a fresh allocation.
+bool materialiseCachedFunction(Module &M, Function &F,
+                               const cache::CachedCompile &E) {
   std::unordered_map<unsigned, unsigned> Remap;
   for (const auto &C : E.Callees) {
     Function *Callee = M.findFunction(C.second);
     if (!Callee)
-      return nullptr;
+      return false;
     Remap.emplace(C.first, Callee->id());
   }
-  auto Fresh = std::make_unique<Function>(Idx, E.Fn->name());
-  cloneFunctionInto(*E.Fn, *Fresh);
-  for (Block &B : Fresh->blocks())
+  F.releaseBody();
+  cloneFunctionInto(*E.Fn, F);
+  for (Block &B : F.blocks())
     for (Instr &I : B.instrs())
       for (unsigned O = 0; O < 3; ++O)
         if (I.op(O).isFunc())
           I.op(O) = Operand::func(Remap.at(I.op(O).funcId()));
-  return Fresh;
+  return true;
 }
 
-/// The shared hit/miss path. With \p Deferred null a hit replaces the
-/// module's function immediately; with it non-null the replacement body is
-/// parked there instead, so parallel workers never mutate the module's
-/// function table while siblings read it (allocateModule swaps the bodies
-/// in after the join).
+/// The shared hit/miss path: a hit rebuilds the function in place, a miss
+/// allocates it and offers the result to the cache.
 AllocStats allocateFunctionCached(Module &M, unsigned Idx,
                                   const TargetDesc &TD, AllocatorKind K,
                                   const AllocOptions &AO,
                                   const ExecOptions &EO,
-                                  std::unique_ptr<Function> *Deferred,
                                   FunctionAnalyses *FA) {
   Function &F = M.function(Idx);
   auto Allocate = [&] {
@@ -224,17 +221,12 @@ AllocStats allocateFunctionCached(Module &M, unsigned Idx,
   cache::CacheKey Key = cache::makeFunctionKey(Canonical, AO.fingerprint(),
                                                K, TD.fingerprint());
   if (auto Hit = EO.Cache->lookup(Key)) {
-    if (std::unique_ptr<Function> Body =
-            materialiseCachedFunction(M, Idx, *Hit)) {
+    if (materialiseCachedFunction(M, F, *Hit)) {
       obs::DecisionLog &DL = obs::DecisionLog::global();
       if (DL.enabled())
-        DL.record(*Body, obs::DecisionKind::CacheHit, obs::NoValue,
+        DL.record(F, obs::DecisionKind::CacheHit, obs::NoValue,
                   obs::NoValue, obs::NoValue,
                   "allocated body served from the compile cache");
-      if (Deferred)
-        *Deferred = std::move(Body);
-      else
-        M.replaceFunction(Idx, std::move(Body));
       return Hit->Stats;
     }
   }
@@ -251,7 +243,7 @@ AllocStats lsra::allocateFunctionInModule(Module &M, unsigned Idx,
                                           const AllocOptions &AO,
                                           const ExecOptions &EO,
                                           FunctionAnalyses *FA) {
-  return allocateFunctionCached(M, Idx, TD, K, AO, EO, nullptr, FA);
+  return allocateFunctionCached(M, Idx, TD, K, AO, EO, FA);
 }
 
 AllocStats lsra::allocateModule(Module &M, const TargetDesc &TD,
@@ -269,29 +261,22 @@ AllocStats lsra::allocateModule(Module &M, const TargetDesc &TD,
   AllocStats Total;
   unsigned N = M.numFunctions();
   unsigned Threads = resolveThreadCount(EO.Threads, N);
-  auto AllocateOne = [&](unsigned I, std::unique_ptr<Function> *Deferred) {
+  auto AllocateOne = [&](unsigned I) {
     if (!Prepare)
-      return allocateFunctionCached(M, I, TD, K, AO, EO, Deferred, nullptr);
+      return allocateFunctionCached(M, I, TD, K, AO, EO, nullptr);
     FunctionAnalyses FA(M.function(I), TD);
     Prepare(M.function(I), FA);
-    return allocateFunctionCached(M, I, TD, K, AO, EO, Deferred, &FA);
+    return allocateFunctionCached(M, I, TD, K, AO, EO, &FA);
   };
   if (Threads <= 1) {
     for (unsigned I = 0; I < N; ++I)
-      Total += AllocateOne(I, nullptr);
+      Total += AllocateOne(I);
   } else {
     // Functions are independent (each allocator mutates only its own
     // Function); merge the per-function statistics in index order so the
-    // totals match the sequential run exactly. Cache hits are parked and
-    // swapped in after the join: replaceFunction would race with sibling
-    // workers resolving callee names through the function table.
+    // totals match the sequential run exactly.
     std::vector<AllocStats> Per(N);
-    std::vector<std::unique_ptr<Function>> Hit(N);
-    parallelFor(N, Threads,
-                [&](unsigned I) { Per[I] = AllocateOne(I, &Hit[I]); });
-    for (unsigned I = 0; I < N; ++I)
-      if (Hit[I])
-        M.replaceFunction(I, std::move(Hit[I]));
+    parallelFor(N, Threads, [&](unsigned I) { Per[I] = AllocateOne(I); });
     for (const AllocStats &S : Per)
       Total += S;
   }

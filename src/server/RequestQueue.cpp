@@ -13,35 +13,31 @@ using namespace lsra::server;
 
 namespace {
 
-/// Publish the post-transition depth (in requests). The gauge tracks every
-/// enqueue and dequeue (not just dispatch-time samples), so a scrape
-/// between dispatches sees the true depth; the windowed histogram records
-/// the depth each admission observed. The enqueued/dequeued counters move
-/// by the task's weight so they stay request-denominated under batching.
-void noteQueueTransition(unsigned Depth, unsigned Weight, bool Enqueued) {
+/// Publish the post-transition depth. The gauge tracks every enqueue and
+/// dequeue (not just dispatch-time samples), so a scrape between
+/// dispatches sees the true depth; the windowed histogram records the
+/// depth each admission observed.
+void noteQueueTransition(size_t Depth, bool Enqueued) {
   lsra::obs::CounterRegistry &CR = lsra::obs::CounterRegistry::global();
   if (!CR.enabled())
     return;
-  CR.counter(Enqueued ? "server.enqueued" : "server.dequeued").add(Weight);
-  CR.gauge("server.queue_depth").set(Depth);
+  CR.counter(Enqueued ? "server.enqueued" : "server.dequeued").add(1);
+  CR.gauge("server.queue_depth").set(static_cast<int64_t>(Depth));
   if (Enqueued)
     CR.histogram("server.queue_depth.dist").record(Depth);
 }
 
 } // namespace
 
-bool RequestQueue::tryPush(std::function<void()> Task, unsigned Weight) {
-  if (Weight == 0)
-    Weight = 1;
+bool RequestQueue::tryPush(std::function<void()> Task) {
   {
     std::unique_lock<std::mutex> Lock(Mu);
-    if (Closed || WeightSum >= Cap)
+    if (Closed || Tasks.size() >= Cap)
       return false;
-    WeightSum += Weight;
-    Tasks.emplace_back(std::move(Task), Weight);
+    Tasks.push_back(std::move(Task));
     // Published under the queue lock so the gauge transitions in the same
     // order as the depth it reports.
-    noteQueueTransition(WeightSum, Weight, /*Enqueued=*/true);
+    noteQueueTransition(Tasks.size(), /*Enqueued=*/true);
   }
   HasWork.notify_one();
   return true;
@@ -52,11 +48,9 @@ bool RequestQueue::pop(std::function<void()> &Task) {
   HasWork.wait(Lock, [this] { return Closed || !Tasks.empty(); });
   if (Tasks.empty())
     return false; // closed and fully drained
-  Task = std::move(Tasks.front().first);
-  unsigned Weight = Tasks.front().second;
+  Task = std::move(Tasks.front());
   Tasks.pop_front();
-  WeightSum -= Weight;
-  noteQueueTransition(WeightSum, Weight, /*Enqueued=*/false);
+  noteQueueTransition(Tasks.size(), /*Enqueued=*/false);
   return true;
 }
 
@@ -68,12 +62,7 @@ void RequestQueue::close() {
   HasWork.notify_all();
 }
 
-bool RequestQueue::closed() const {
-  std::unique_lock<std::mutex> Lock(Mu);
-  return Closed;
-}
-
 unsigned RequestQueue::depth() const {
   std::unique_lock<std::mutex> Lock(Mu);
-  return WeightSum;
+  return static_cast<unsigned>(Tasks.size());
 }

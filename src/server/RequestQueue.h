@@ -12,11 +12,8 @@
 /// Rejected frame instead of letting latency grow without limit (the
 /// 503 analogue).
 ///
-/// Tasks carry a weight, in requests: the event loop batches several small
-/// requests into one worker dispatch, so capacity, depth, and the
-/// enqueued/dequeued counters are all denominated in requests (weight
-/// units), not tasks — a batch of 5 consumes 5 slots and the depth gauge
-/// reports request counts regardless of how they were grouped.
+/// Each task is one admitted request and takes one slot, so capacity,
+/// depth, and the enqueued/dequeued counters all count requests.
 ///
 /// close() starts a graceful drain: producers are refused from then on,
 /// consumers keep draining what was already admitted, and pop() returns
@@ -33,7 +30,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <utility>
 
 namespace lsra {
 namespace server {
@@ -43,10 +39,9 @@ public:
   explicit RequestQueue(unsigned Capacity)
       : Cap(Capacity ? Capacity : 1) {}
 
-  /// Admit \p Task carrying \p Weight requests. False when the weighted
-  /// depth would exceed capacity or the queue is closed — the caller owes
-  /// each carried request a Rejected/ShuttingDown response.
-  bool tryPush(std::function<void()> Task, unsigned Weight = 1);
+  /// Admit \p Task. False when the queue is full or closed — the caller
+  /// owes its request a Rejected/ShuttingDown response.
+  bool tryPush(std::function<void()> Task);
 
   /// Block until a task is available or the drain completes. False means
   /// closed-and-empty: the consumer should exit.
@@ -55,8 +50,7 @@ public:
   /// Refuse new work; wake consumers so they can drain and exit.
   void close();
 
-  bool closed() const;
-  /// Queued requests (sum of task weights), not task count.
+  /// Queued requests.
   unsigned depth() const;
   unsigned capacity() const { return Cap; }
 
@@ -64,8 +58,7 @@ private:
   const unsigned Cap;
   mutable std::mutex Mu;
   std::condition_variable HasWork;
-  std::deque<std::pair<std::function<void()>, unsigned>> Tasks;
-  unsigned WeightSum = 0;
+  std::deque<std::function<void()>> Tasks;
   bool Closed = false;
 };
 

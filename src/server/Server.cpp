@@ -13,6 +13,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/MemStats.h"
+#include "support/ParallelFor.h"
 #include "support/Timer.h"
 
 #include <chrono>
@@ -120,13 +121,12 @@ bool Server::start(std::string &Err) {
   }
   Loop.setAfterPoll([this] { afterPoll(); });
 
-  unsigned NumWorkers =
-      Opts.Workers ? Opts.Workers : ThreadPool::defaultThreadCount();
-  Workers = std::make_unique<ThreadPool>(NumWorkers);
-  // Long-running drain tasks: each worker blocks on the admission queue
-  // and exits when the queue is closed and empty (graceful drain).
+  unsigned NumWorkers = Opts.Workers ? Opts.Workers : defaultThreadCount();
+  // Each worker blocks on the admission queue and exits when the queue is
+  // closed and empty (graceful drain). compileEntry catches what the
+  // compile throws; anything else escaping a task ends the process.
   for (unsigned I = 0; I < NumWorkers; ++I)
-    Workers->submit([this] {
+    Workers.emplace_back([this] {
       std::function<void()> Task;
       while (Queue.pop(Task))
         Task();
@@ -231,7 +231,6 @@ void Server::onFrame(uint64_t ConnId, FrameDecoder::Frame &F) {
 
 void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   uint32_t Id = F.RequestId;
-  const std::string &Payload = F.Payload;
   bumpCounter("server.requests");
   if (Stopping.load(std::memory_order_acquire)) {
     CompileResponse R;
@@ -255,7 +254,7 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   // a payload that cannot even be decoded should not cost a queue slot.
   CompileRequest Req;
   std::string Err;
-  if (!decodeCompileRequest(Payload, Req, Err)) {
+  if (!decodeCompileRequest(F.Payload, Req, Err)) {
     CompileResponse R;
     R.Status = FrameType::Error;
     R.Message = "bad request: " + Err;
@@ -320,10 +319,8 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
     }
   }
 
-  // Not mergeable: this request needs a queue slot now or at the next
-  // batch flush. Count the unflushed batch against capacity so a burst
-  // within one poll iteration cannot overshoot the admission bound.
-  if (Queue.depth() + Batch.size() >= Queue.capacity()) {
+  // Not mergeable: this request needs a queue slot of its own.
+  if (Queue.depth() >= Queue.capacity()) {
     CompileResponse R;
     R.Status = FrameType::Rejected;
     R.Message = "admission queue full (capacity " +
@@ -341,21 +338,33 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   E->Leader = P;
   E->LeaderRT = RT;
   E->Waiters.push_back(P);
+  // Insert before the push: pushed first, a fast worker could finish and
+  // erase the key before the insert lands, leaving a dead entry that
+  // identical requests would join and wait on forever.
   {
     std::lock_guard<std::mutex> Lock(MergeMu);
     InflightTable.emplace(Key, E);
   }
-  Batch.push_back(std::move(E));
+  if (!Queue.tryPush([this, E] { compileEntry(E); })) {
+    // Defensive: the loop is the only producer and capacity was just
+    // checked, and shutdown closes the queue only after its
+    // loop-synchronised step. No waiter can have joined (joins run here).
+    {
+      std::lock_guard<std::mutex> Lock(MergeMu);
+      InflightTable.erase(Key);
+    }
+    CompileResponse R;
+    R.Status = FrameType::ShuttingDown;
+    R.Message = "server is draining";
+    bumpCounter("server.shutdown_rejected");
+    sendToConn(ConnId, Id, R.Status, encodeCompileResponse(R));
+    return;
+  }
   bumpCounter("server.accepted");
   gaugeAdd("server.inflight", 1);
   if (RT)
     RT->addPhase("admit", ArrivalNs, steadyNowNs() - ArrivalNs);
   armDeadline(P);
-  // Large modules never batch — they hold a worker long enough that
-  // grouping them only adds head-of-line blocking for whatever shares the
-  // dispatch. A full batch flushes immediately too.
-  if (Payload.size() >= SmallRequestBytes || Batch.size() >= BatchMax)
-    flushBatch();
 }
 
 void Server::armDeadline(const PendingPtr &P) {
@@ -387,54 +396,7 @@ void Server::onDeadline(const PendingPtr &P) {
   // skips it (and skips the whole compile when every waiter expired).
 }
 
-void Server::flushBatch() {
-  if (Batch.empty())
-    return;
-  auto B = std::make_shared<std::vector<InflightPtr>>(std::move(Batch));
-  Batch.clear();
-  unsigned Weight = static_cast<unsigned>(B->size());
-  bumpCounter("server.batches");
-  histRecord("server.batch.requests", Weight);
-  bool Pushed = Queue.tryPush(
-      [this, B] {
-        for (const InflightPtr &E : *B)
-          compileEntry(E);
-      },
-      Weight);
-  if (Pushed)
-    return;
-  // Only reachable when the queue was closed between admission and flush.
-  // Provably not during a normal drain (shutdown's synchronized flush task
-  // runs before Queue.close(), and admission bounded depth + batch size
-  // below capacity), but a defensive path beats stranded clients: answer
-  // every carried request as a drain refusal.
-  LSRA_LOG(2, "server: batch push refused, answering %u requests as "
-              "shutting down", Weight);
-  for (const InflightPtr &E : *B) {
-    std::vector<PendingPtr> Waiters;
-    {
-      std::lock_guard<std::mutex> Lock(MergeMu);
-      Waiters = std::move(E->Waiters);
-      InflightTable.erase(E->Key);
-    }
-    CompileResponse R;
-    R.Status = FrameType::ShuttingDown;
-    R.Message = "server is draining";
-    for (const PendingPtr &W : Waiters) {
-      if (W->Answered.exchange(true, std::memory_order_acq_rel))
-        continue;
-      bumpCounter("server.shutdown_rejected");
-      gaugeAdd("server.inflight", -1);
-      R.Merged = W->Merged;
-      if (W->TimerId)
-        Loop.cancelTimer(W->TimerId); // flushBatch runs on the loop thread
-      sendToConn(W->ConnId, W->FrameId, R.Status, encodeCompileResponse(R));
-    }
-  }
-}
-
 void Server::afterPoll() {
-  flushBatch();
   if (!DrainFinal)
     return;
   if (Conns.empty()) {
@@ -498,7 +460,6 @@ void Server::compileEntry(const InflightPtr &E) {
     std::this_thread::sleep_for(std::chrono::milliseconds(E->Req.HoldMs));
 
   ExecOptions EO;
-  EO.Threads = Opts.ThreadsPerRequest;
   EO.VerifyAlloc = Opts.VerifyAlloc;
   EO.Cache = E->Req.NoCache ? nullptr : Cache.get();
   EO.ReqTrace = E->LeaderRT.get();
@@ -652,15 +613,14 @@ std::string Server::renderStats(const std::string &Format) {
 void Server::shutdown() {
   if (!Running.exchange(false, std::memory_order_acq_rel))
     return;
-  // 1. Refuse new requests; stop accepting; flush any half-built batch so
-  // everything admitted is in the queue. Synchronized through the loop so
-  // no admission races the close.
+  // 1. Refuse new requests; stop accepting. Synchronized through the loop
+  // so no admission races the queue close: one that read Stopping before
+  // it flipped has pushed by the time this task runs.
   Stopping.store(true, std::memory_order_release);
   {
     std::promise<void> Done;
     std::future<void> F = Done.get_future();
     Loop.post([this, &Done] {
-      flushBatch();
       Loop.del(L.fd());
       Done.set_value();
     });
@@ -668,10 +628,9 @@ void Server::shutdown() {
   }
   // 2. Drain: answer everything already admitted, then retire workers.
   Queue.close();
-  if (Workers) {
-    Workers->wait();
-    Workers.reset();
-  }
+  for (std::thread &W : Workers)
+    W.join();
+  Workers.clear();
   // Workers are quiet, so nothing enqueues L2 publishes any more; land
   // what is queued so another process (or our next life) can hit it.
   if (L2)
@@ -693,7 +652,6 @@ void Server::shutdown() {
   if (LoopThread.joinable())
     LoopThread.join();
   Conns.clear();
-  Batch.clear();
   {
     std::lock_guard<std::mutex> Lock(MergeMu);
     InflightTable.clear();

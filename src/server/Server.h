@@ -21,9 +21,10 @@
 ///     multiplexing every socket is what lifts the connection ceiling
 ///     from "a few hundred reader threads" to tens of thousands of
 ///     non-blocking fds;
-///   - a fixed support/ThreadPool of compile workers draining the bounded
-///     server/RequestQueue (unchanged from the thread-per-connection era:
-///     compiles are where the cores go).
+///   - a fixed set of compile worker threads draining the bounded
+///     server/RequestQueue, the one hand-off between the loop and the
+///     workers: each admitted compile is pushed as its own task the moment
+///     it is admitted (compiles are where the cores go).
 ///
 /// Connections are pipelined: a client may keep any number of requests in
 /// flight; responses are written in completion order behind a
@@ -36,9 +37,6 @@
 /// every waiter (byte-identical payloads; per-waiter queue_us and a
 /// merged=1 marker). A waiter whose connection dies mid-merge is simply
 /// skipped at fan-out — the compile and the other waiters are unaffected.
-/// Small requests admitted in the same poll iteration batch into a single
-/// worker dispatch (the queue is request-weighted, so admission math is
-/// unchanged).
 ///
 /// Overload and lifecycle policy, in order of evaluation per request:
 ///   - drain in progress        → ShuttingDown frame, no admission;
@@ -54,14 +52,13 @@
 ///
 /// Telemetry is always on: start() enables the counter registry, so the
 /// server.* counters (accepted, completed, rejected, deadline_exceeded,
-/// parse_errors, merged, batches, bytes_in, bytes_out, ...), the
-/// rolling-window histograms (server.latency_us, server.queue_wait_us,
-/// server.compile_us, server.queue_depth.dist, server.batch.requests) and
-/// the gauges (server.queue_depth, server.inflight,
-/// server.open_connections, proc.rss_bytes, cache.bytes) are live for the
-/// whole serve. Any connected client can fetch them mid-load with a
-/// StatsRequest frame (`lsra stats` / `lsra top`), and the same data
-/// lands in the usual --stats-json JSONL snapshot at exit.
+/// parse_errors, merged, bytes_in, bytes_out, ...), the rolling-window
+/// histograms (server.latency_us, server.queue_wait_us, server.compile_us,
+/// server.queue_depth.dist) and the gauges (server.queue_depth,
+/// server.inflight, server.open_connections, proc.rss_bytes, cache.bytes)
+/// are live for the whole serve. Any connected client can fetch them
+/// mid-load with a StatsRequest frame (`lsra stats` / `lsra top`), and the
+/// same data lands in the usual --stats-json JSONL snapshot at exit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +71,6 @@
 #include "regalloc/Allocator.h"
 #include "server/RequestQueue.h"
 #include "server/Socket.h"
-#include "support/ThreadPool.h"
 #include "target/Target.h"
 
 #include <atomic>
@@ -103,11 +99,6 @@ struct ServerOptions {
 
   /// Deadline applied to requests that carry none (0 = unlimited).
   uint32_t DefaultDeadlineMs = 0;
-
-  /// Threads used *inside* one request's compileModule. Per-request
-  /// parallelism rarely pays once the server itself is saturated, so the
-  /// default is sequential per request, parallel across requests.
-  unsigned ThreadsPerRequest = 1;
 
   /// Run the allocation verifier (check/Verifier) on every compile and
   /// reject unprovable allocations with a typed "allocation verify:" error
@@ -146,7 +137,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Bind, listen, and spawn the loop thread + worker pool. False (with
+  /// Bind, listen, and spawn the loop thread + worker threads. False (with
   /// \p Err set) if the socket cannot be bound.
   bool start(std::string &Err);
 
@@ -214,7 +205,6 @@ private:
   void admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F);
   void armDeadline(const PendingPtr &P);
   void onDeadline(const PendingPtr &P);
-  void flushBatch();
   void afterPoll();
   /// Write one frame to a connection by id; counts Served/bytes_out, and
   /// counts a send error if the connection is already gone. A reply to an
@@ -252,7 +242,7 @@ private:
   /// so the L2 (and its agent thread) must outlive the Cache member.
   std::unique_ptr<cache::SharedCache> L2;
   std::unique_ptr<cache::CompileCache> Cache;
-  std::unique_ptr<ThreadPool> Workers;
+  std::vector<std::thread> Workers;
 
   net::EventLoop Loop;
   std::thread LoopThread;
@@ -260,8 +250,7 @@ private:
   // Loop-thread-only state.
   std::unordered_map<uint64_t, std::unique_ptr<net::Connection>> Conns;
   uint64_t NextConnId = 1;
-  std::vector<InflightPtr> Batch; ///< admitted, not yet dispatched
-  bool DrainFinal = false;        ///< final flush phase of shutdown()
+  bool DrainFinal = false; ///< final flush phase of shutdown()
   int64_t DrainDeadlineNs = 0;
 
   // The in-flight merge table: loop thread inserts/joins, workers remove
@@ -276,11 +265,6 @@ private:
   uint64_t ReqSeq = 0; ///< admitted-request sequence (sampling; loop only)
   bool OpenedRequestLog = false;
 
-  /// Requests admitted into one worker dispatch at most (batch bound).
-  static constexpr unsigned BatchMax = 8;
-  /// Requests at or above this payload size never batch (they dominate a
-  /// worker long enough that grouping only adds head-of-line blocking).
-  static constexpr size_t SmallRequestBytes = 16 * 1024;
   /// Shutdown flushes write queues for at most this long before forcing
   /// connections closed.
   static constexpr int64_t DrainFlushTimeoutNs = 5'000'000'000;

@@ -375,7 +375,7 @@ TEST(Loops, TwoBackEdgesToOneHeaderFoundApart) {
   FunctionBuilder B(M, "f", 0, 0, CallRetKind::None);
   std::vector<Block *> Bs;
   for (unsigned I = 0; I < 6; ++I)
-    Bs.push_back(&B.newBlock("b" + std::to_string(I)));
+    Bs.push_back(&B.newBlock(std::string("b").append(std::to_string(I))));
   B.setBlock(*Bs[0]);
   B.br(*Bs[1]);
   B.setBlock(*Bs[1]);

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/CompileCache.h"
 #include "driver/Pipeline.h"
 #include "ir/IRVerifier.h"
 #include "ir/Parser.h"
@@ -118,6 +119,45 @@ TEST(BigModule, StreamingMatchesResidentForAllAllocators) {
             << "allocator " << allocatorName(K) << " T=" << Threads
             << " function " << I;
     }
+  }
+}
+
+// Function-cache hits rebuild each function in place, so a parallel
+// streaming compile can take them while sibling workers read the function
+// table (callee names for printing and remapping). Two passes through one
+// cache at T=4: the first fills it, the second is all hits, and both are
+// byte-identical to the resident compile. Run under LSRA_SANITIZE=thread.
+TEST(BigModule, StreamingFunctionCacheHitsMatchResident) {
+  BigModuleOptions Opts = smallBigOptions();
+  TargetDesc TD = TargetDesc::alphaLike();
+  auto Resident = buildBigModule(Opts);
+  compileModule(*Resident, TD, AllocatorKind::SecondChanceBinpack);
+  std::vector<std::string> Expected;
+  for (unsigned I = 0; I < Resident->numFunctions(); ++I)
+    Expected.push_back(printedFunction(Resident->function(I), *Resident));
+
+  cache::CompileCache Cache;
+  ExecOptions EO;
+  EO.Threads = 4;
+  EO.Cache = &Cache;
+  StreamOptions SO;
+  SO.ChunkSize = 1; // every function its own claim: most sibling overlap
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    uint64_t HitsBefore = Cache.stats().Hits;
+    BigModuleGenerator Gen(Opts);
+    auto Shell = Gen.buildShell();
+    std::vector<std::string> Got;
+    compileModuleStreaming(
+        *Shell, TD, AllocatorKind::SecondChanceBinpack,
+        [&](Module &M, unsigned I) { Gen.buildBody(M, I); },
+        [&](unsigned, const Function &F) {
+          Got.push_back(printedFunction(F, *Shell));
+        },
+        {}, EO, SO);
+    EXPECT_EQ(Got, Expected) << "pass " << Pass;
+    uint64_t Hits = Cache.stats().Hits - HitsBefore;
+    EXPECT_EQ(Hits, Pass == 0 ? 0u : uint64_t(Expected.size()))
+        << "pass " << Pass;
   }
 }
 

@@ -395,12 +395,13 @@ TEST(CompileCache, InsertOverExistingKeyKeepsExactByteAccounting) {
   CC.Shards = 1;
   cache::CompileCache Cache(CC);
   auto KeyFor = [](unsigned I) {
-    return cache::makeModuleKey("replace " + std::to_string(I), 0,
+    std::string Text = "replace ";
+    return cache::makeModuleKey(Text.append(std::to_string(I)), 0,
                                 AllocatorKind::SecondChanceBinpack, 0);
   };
   auto EntryOf = [](size_t Bytes) {
     auto E = std::make_shared<cache::CachedCompile>();
-    E->AllocatedText = "x";
+    E->AllocatedText.assign(1, 'x');
     E->Bytes = Bytes;
     return E;
   };

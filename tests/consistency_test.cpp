@@ -21,7 +21,7 @@ struct Chain {
   Chain(unsigned N) {
     F = &M.addFunction("f");
     for (unsigned I = 0; I < N; ++I)
-      F->addBlock("b" + std::to_string(I));
+      F->addBlock(std::string("b").append(std::to_string(I)));
     for (unsigned I = 0; I + 1 < N; ++I)
       F->block(I).append(Instr(Opcode::Br, Operand::label(I + 1)));
     F->block(N - 1).append(Instr(Opcode::Ret));

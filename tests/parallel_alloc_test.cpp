@@ -13,7 +13,7 @@
 #include "ir/Printer.h"
 #include "passes/DCE.h"
 #include "regalloc/Allocator.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Timer.h"
 #include "target/LowerCalls.h"
 #include "target/Target.h"
@@ -167,29 +167,6 @@ TEST(WallSecondsTest, CompileModuleMeasuresWallOnce) {
     EXPECT_GT(S.WallSeconds, 0.0) << "Threads=" << Threads;
     EXPECT_LE(S.WallSeconds, Outer.seconds()) << "Threads=" << Threads;
   }
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  std::atomic<unsigned> Count{0};
-  {
-    ThreadPool Pool(3);
-    for (unsigned I = 0; I < 100; ++I)
-      Pool.submit([&Count] { Count.fetch_add(1, std::memory_order_relaxed); });
-    Pool.wait();
-    EXPECT_EQ(Count.load(), 100u);
-  }
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool Pool(2);
-  std::atomic<unsigned> Count{0};
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 1u);
-  Pool.submit([&Count] { ++Count; });
-  Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 3u);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

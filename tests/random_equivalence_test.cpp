@@ -66,9 +66,12 @@ std::vector<FuzzConfig> fuzzConfigs() {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, RandomEquivalence, testing::ValuesIn(fuzzConfigs()),
     [](const testing::TestParamInfo<FuzzConfig> &Info) {
-      std::string Name = "s" + std::to_string(Info.param.Seed) + "_" +
-                         allocatorName(Info.param.Kind) + "_r" +
-                         std::to_string(Info.param.RegLimit);
+      std::string Name = "s";
+      Name.append(std::to_string(Info.param.Seed))
+          .append("_")
+          .append(allocatorName(Info.param.Kind))
+          .append("_r")
+          .append(std::to_string(Info.param.RegLimit));
       for (char &C : Name)
         if (C == '-')
           C = '_';

@@ -46,7 +46,8 @@ struct ResolverFixture {
     FunctionBuilder B(M, "f", 0, 0, CallRetKind::None);
     std::vector<Block *> Blocks;
     for (unsigned I = 0; I < NumBlocks; ++I)
-      Blocks.push_back(&B.newBlock("b" + std::to_string(I)));
+      Blocks.push_back(
+          &B.newBlock(std::string("b").append(std::to_string(I))));
     B.setBlock(*Blocks[0]);
     T = B.movi(7);
     // Terminators: blocks with two successors get CBr (on a fresh cond so

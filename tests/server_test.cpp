@@ -1108,7 +1108,7 @@ TEST(Server, DuplicateBurstMergesToOneCompile) {
   S.shutdown();
   CR.disable();
   // Exactly one compile was dispatched: the followers never took a queue
-  // slot, so only the leader's batch was ever dequeued.
+  // slot, so only the leader's task was ever dequeued.
   EXPECT_EQ(CR.counter("server.merged").value(), uint64_t(Followers));
   EXPECT_EQ(CR.counter("server.dequeued").value(), 1u);
   CR.reset();
@@ -1346,6 +1346,52 @@ TEST(Server, PipelinedResponsesOutOfOrder) {
   ASSERT_TRUE(decodeCompileResponse(T2, P2, R2, Err)) << Err;
   EXPECT_TRUE(R1.ok()) << R1.Message;
   EXPECT_TRUE(R2.ok()) << R2.Message;
+  S.shutdown();
+}
+
+// Two distinct requests that arrive in one read (one send, one loop
+// iteration) are two queue tasks, so two workers compile them at once:
+// both replies land about one hold after the write, not two.
+TEST(Server, SameReadRequestsCompileConcurrently) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("same-read");
+  SO.Workers = 2;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  Socket C = Socket::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+  // Different holds give different merge keys, so neither joins the other.
+  // doduc prints under 16 KiB: a small request.
+  std::string Wire;
+  for (uint32_t Hold : {300u, 301u}) {
+    CompileRequest Req;
+    Req.IRText = workloadText("doduc");
+    Req.HoldMs = Hold;
+    std::string Payload = encodeCompileRequest(Req);
+    Wire += encodeFrameHeader(static_cast<uint32_t>(Payload.size()), Hold,
+                              FrameType::CompileRequest) +
+            Payload;
+  }
+  auto Start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(C.fd(), Wire.data(), Wire.size(), 0),
+            static_cast<ssize_t>(Wire.size()));
+
+  for (int K = 0; K < 2; ++K) {
+    uint32_t Id;
+    FrameType T;
+    std::string Payload;
+    ASSERT_EQ(C.recvFrame(Id, T, Payload, 30000, Err), Socket::RecvStatus::Ok)
+        << Err;
+    CompileResponse R;
+    ASSERT_TRUE(decodeCompileResponse(T, Payload, R, Err)) << Err;
+    EXPECT_TRUE(R.ok()) << R.Message;
+  }
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  EXPECT_LT(Ms, 500) << "the two compiles ran one after the other";
   S.shutdown();
 }
 

@@ -1,111 +1,90 @@
-//===- tests/threadpool_test.cpp - Worker-pool unit tests -----------------===//
+//===- tests/threadpool_test.cpp - Parallel-loop unit tests ---------------===//
 //
 // Part of the lsra project (PLDI 1998 linear-scan reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// The pool behaviours the compile server leans on: task exceptions
-// propagate to the waiter instead of vanishing on a worker thread, and the
-// queue-depth probes used for admission control report sane values.
+// The parallel loops the module drivers lean on: every index runs exactly
+// once, chunks keep their order, and a body's exception reaches the caller
+// after every helper thread has joined instead of aborting the process.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 using namespace lsra;
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool Pool(4);
-  std::atomic<int> Ran{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&] { Ran++; });
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), 100);
+TEST(ParallelFor, DefaultThreadCountIsPositive) {
+  EXPECT_GE(defaultThreadCount(), 1u);
 }
 
-TEST(ThreadPool, ExceptionPropagatesToWaiter) {
-  ThreadPool Pool(2);
-  std::atomic<int> Ran{0};
-  Pool.submit([&] { Ran++; });
-  Pool.submit([] { throw std::runtime_error("task failed"); });
-  Pool.submit([&] { Ran++; });
+TEST(ParallelFor, ExceptionReachesCallerAfterJoin) {
+  std::atomic<unsigned> Calls{0};
   try {
-    Pool.wait();
-    FAIL() << "wait() should rethrow the task exception";
+    parallelFor(200, 4, [&](unsigned I) {
+      Calls++;
+      if (I == 37)
+        throw std::runtime_error("body failed");
+    });
+    FAIL() << "parallelFor should rethrow the body's exception";
   } catch (const std::runtime_error &E) {
-    EXPECT_STREQ(E.what(), "task failed");
+    EXPECT_STREQ(E.what(), "body failed");
   }
-  // The pool stays usable after an exception: the error was consumed.
-  Pool.submit([&] { Ran++; });
-  EXPECT_NO_THROW(Pool.wait());
-  EXPECT_EQ(Ran.load(), 3);
+  // Every helper was joined before the rethrow: no body runs afterwards.
+  unsigned AtReturn = Calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(Calls.load(), AtReturn);
 }
 
-TEST(ThreadPool, OnlyFirstExceptionIsRethrown) {
-  ThreadPool Pool(1); // single worker: deterministic task order
-  Pool.submit([] { throw std::runtime_error("first"); });
-  Pool.submit([] { throw std::logic_error("second"); });
+TEST(ParallelFor, ManyThrowingBodiesDoNotTerminate) {
+  // Every thread throws; exactly one exception reaches the caller and the
+  // process survives (an exception escaping a std::thread would abort).
+  for (int Round = 0; Round < 3; ++Round)
+    EXPECT_THROW(parallelFor(64, 4,
+                             [](unsigned) { throw std::logic_error("all"); }),
+                 std::logic_error);
+}
+
+TEST(ParallelFor, SequentialFallbackRethrowsFirst) {
+  unsigned Ran = 0; // Threads=1 runs on the calling thread, in order
   try {
-    Pool.wait();
-    FAIL() << "wait() should rethrow";
+    parallelFor(10, 1, [&](unsigned I) {
+      ++Ran;
+      if (I == 3)
+        throw std::runtime_error("first");
+    });
+    FAIL() << "parallelFor should rethrow";
   } catch (const std::runtime_error &E) {
     EXPECT_STREQ(E.what(), "first");
-  } catch (...) {
-    FAIL() << "wrong exception type surfaced";
   }
+  EXPECT_EQ(Ran, 4u);
 }
 
-TEST(ThreadPool, QueueDepthAndOutstanding) {
-  ThreadPool Pool(1);
-  EXPECT_EQ(Pool.queueDepth(), 0u);
-  EXPECT_EQ(Pool.outstanding(), 0u);
-
-  // Block the lone worker, then pile tasks behind it.
-  std::mutex Mu;
-  std::condition_variable Cv;
-  bool Release = false, Started = false;
-  Pool.submit([&] {
-    std::unique_lock<std::mutex> L(Mu);
-    Started = true;
-    Cv.notify_all();
-    Cv.wait(L, [&] { return Release; });
-  });
-  {
-    std::unique_lock<std::mutex> L(Mu);
-    Cv.wait(L, [&] { return Started; });
+TEST(ParallelForChunked, ExceptionReachesCaller) {
+  std::atomic<unsigned> Calls{0};
+  try {
+    parallelForChunked(1000, 4, 16, [&](unsigned I) {
+      Calls++;
+      if (I % 100 == 99)
+        throw std::runtime_error("chunk body failed");
+    });
+    FAIL() << "parallelForChunked should rethrow the body's exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "chunk body failed");
   }
-  // Worker is running (not queued) the blocker.
-  EXPECT_EQ(Pool.queueDepth(), 0u);
-  EXPECT_EQ(Pool.outstanding(), 1u);
-
-  Pool.submit([] {});
-  Pool.submit([] {});
-  EXPECT_EQ(Pool.queueDepth(), 2u);
-  EXPECT_EQ(Pool.outstanding(), 3u);
-
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    Release = true;
-  }
-  Cv.notify_all();
-  Pool.wait();
-  EXPECT_EQ(Pool.queueDepth(), 0u);
-  EXPECT_EQ(Pool.outstanding(), 0u);
-}
-
-TEST(ThreadPool, DefaultThreadCountIsPositive) {
-  EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+  unsigned AtReturn = Calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(Calls.load(), AtReturn);
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
