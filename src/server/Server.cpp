@@ -345,26 +345,32 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
     std::lock_guard<std::mutex> Lock(MergeMu);
     InflightTable.emplace(Key, E);
   }
-  if (!Queue.tryPush([this, E] { compileEntry(E); })) {
-    // Defensive: the loop is the only producer and capacity was just
-    // checked, and shutdown closes the queue only after its
-    // loop-synchronised step. No waiter can have joined (joins run here).
-    {
-      std::lock_guard<std::mutex> Lock(MergeMu);
-      InflightTable.erase(Key);
-    }
-    CompileResponse R;
-    R.Status = FrameType::ShuttingDown;
-    R.Message = "server is draining";
-    bumpCounter("server.shutdown_rejected");
-    sendToConn(ConnId, Id, R.Status, encodeCompileResponse(R));
-    return;
-  }
+  // All admission bookkeeping before the push, too: once pushed, a worker
+  // may answer the request at once, and it reads P->TimerId and undoes the
+  // in-flight gauge; the queue's lock orders these writes before its pop.
   bumpCounter("server.accepted");
   gaugeAdd("server.inflight", 1);
   if (RT)
     RT->addPhase("admit", ArrivalNs, steadyNowNs() - ArrivalNs);
   armDeadline(P);
+  if (!Queue.tryPush([this, E] { compileEntry(E); })) {
+    // Defensive: the loop is the only producer and capacity was just
+    // checked, and shutdown closes the queue only after its
+    // loop-synchronised step. No waiter can have joined (joins run here),
+    // and the deadline timer cannot have fired (timers run here too).
+    {
+      std::lock_guard<std::mutex> Lock(MergeMu);
+      InflightTable.erase(Key);
+    }
+    if (P->TimerId)
+      Loop.cancelTimer(P->TimerId);
+    gaugeAdd("server.inflight", -1);
+    CompileResponse R;
+    R.Status = FrameType::ShuttingDown;
+    R.Message = "server is draining";
+    bumpCounter("server.shutdown_rejected");
+    sendToConn(ConnId, Id, R.Status, encodeCompileResponse(R));
+  }
 }
 
 void Server::armDeadline(const PendingPtr &P) {

@@ -176,7 +176,9 @@ private:
     int64_t ArrivalNs = 0;
     int64_t FirstByteNs = 0; ///< when the request frame's first byte was read
     int64_t DeadlineNs = 0;  ///< 0 = none
-    uint64_t TimerId = 0;   ///< deadline timer (loop thread only)
+    /// Deadline timer. Written by the loop before the request is queued or
+    /// joined; a worker reads it only after that hand-off.
+    uint64_t TimerId = 0;
     bool Merged = false;    ///< joined an already-in-flight compile
     std::shared_ptr<obs::RequestTrace> RT;
     std::atomic<bool> Answered{false};

@@ -1350,8 +1350,10 @@ TEST(Server, PipelinedResponsesOutOfOrder) {
 }
 
 // Two distinct requests that arrive in one read (one send, one loop
-// iteration) are two queue tasks, so two workers compile them at once:
-// both replies land about one hold after the write, not two.
+// iteration) are two queue tasks, so two workers pick them up at once:
+// neither reply reports a queue wait as long as the other's hold. The
+// check reads the replies' QueueUs rather than wall time, so a slow
+// compile or a loaded machine does not fail it.
 TEST(Server, SameReadRequestsCompileConcurrently) {
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("same-read");
@@ -1363,9 +1365,8 @@ TEST(Server, SameReadRequestsCompileConcurrently) {
   Socket C = Socket::connectUnix(SO.UnixPath, Err);
   ASSERT_TRUE(C.valid()) << Err;
   // Different holds give different merge keys, so neither joins the other.
-  // doduc prints under 16 KiB: a small request.
   std::string Wire;
-  for (uint32_t Hold : {300u, 301u}) {
+  for (uint32_t Hold : {600u, 601u}) {
     CompileRequest Req;
     Req.IRText = workloadText("doduc");
     Req.HoldMs = Hold;
@@ -1374,7 +1375,6 @@ TEST(Server, SameReadRequestsCompileConcurrently) {
                               FrameType::CompileRequest) +
             Payload;
   }
-  auto Start = std::chrono::steady_clock::now();
   ASSERT_EQ(::send(C.fd(), Wire.data(), Wire.size(), 0),
             static_cast<ssize_t>(Wire.size()));
 
@@ -1387,12 +1387,50 @@ TEST(Server, SameReadRequestsCompileConcurrently) {
     CompileResponse R;
     ASSERT_TRUE(decodeCompileResponse(T, Payload, R, Err)) << Err;
     EXPECT_TRUE(R.ok()) << R.Message;
+    // Compiled one after the other, the second would wait out the first's
+    // 600 ms hold.
+    EXPECT_LT(R.QueueUs, 500'000u)
+        << "request " << Id << " waited behind the other's compile";
   }
-  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - Start)
-                .count();
-  EXPECT_LT(Ms, 500) << "the two compiles ran one after the other";
   S.shutdown();
+}
+
+// A request with a deadline that a worker answers at once (a cache hit):
+// the worker cancels the deadline timer the loop armed at admission.
+// Under LSRA_SANITIZE=thread this checks that the loop's admission
+// bookkeeping is ordered before the worker's answer.
+TEST(Server, DeadlineRequestServedFromCache) {
+  obs::CounterRegistry &CR = obs::CounterRegistry::global();
+  CR.reset();
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("deadline-hit");
+  SO.Workers = 2;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+
+  CompileRequest Req;
+  Req.IRText = workloadText("doduc");
+  Req.DeadlineMs = 60000;
+  CompileResponse Cold;
+  ASSERT_TRUE(C.compile(Req, Cold, Err, 60000)) << Err;
+  ASSERT_TRUE(Cold.ok()) << Cold.Message;
+  for (int K = 0; K < 8; ++K) {
+    CompileResponse Warm;
+    ASSERT_TRUE(C.compile(Req, Warm, Err, 60000)) << Err;
+    ASSERT_TRUE(Warm.ok()) << Warm.Message;
+    EXPECT_TRUE(Warm.Cached);
+    EXPECT_EQ(Warm.IRText, Cold.IRText);
+  }
+  S.shutdown();
+  EXPECT_EQ(CR.counter("server.accepted").value(), 9u);
+  EXPECT_EQ(CR.counter("server.completed").value(), 9u);
+  EXPECT_EQ(CR.counter("server.deadline_exceeded").value(), 0u);
+  EXPECT_EQ(CR.gauge("server.inflight").value(), 0);
+  CR.disable();
+  CR.reset();
 }
 
 // Write-path robustness: a client with tiny socket buffers that stops
