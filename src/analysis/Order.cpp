@@ -29,34 +29,38 @@ unsigned Numbering::blockOfIndex(unsigned Idx) const {
 }
 
 std::vector<unsigned> lsra::reversePostOrder(const Function &F) {
-  std::vector<unsigned> PostOrder;
+  std::vector<unsigned> Order; // post-order, reversed in place below
+  Order.reserve(F.numBlocks());
   std::vector<uint8_t> State(F.numBlocks(), 0); // 0=new, 1=open, 2=done
-  // Iterative DFS with an explicit stack of (block, next-successor-index).
-  std::vector<std::pair<unsigned, unsigned>> Stack;
-  Stack.push_back({0, 0});
+  // Iterative DFS. A frame holds its block's successor list, which is
+  // inline (no allocation), so nothing is copied per block up front.
+  struct Frame {
+    unsigned B;
+    unsigned NextIdx;
+    SuccList Succs;
+  };
+  std::vector<Frame> Stack;
+  Stack.push_back({0, 0, F.block(0).successors()});
   State[0] = 1;
-  std::vector<SuccList> Succs(F.numBlocks());
-  for (unsigned B = 0; B < F.numBlocks(); ++B)
-    Succs[B] = F.block(B).successors();
   while (!Stack.empty()) {
-    auto &[B, NextIdx] = Stack.back();
-    if (NextIdx < Succs[B].size()) {
-      unsigned S = Succs[B][NextIdx++];
+    Frame &Top = Stack.back();
+    if (Top.NextIdx < Top.Succs.size()) {
+      unsigned S = Top.Succs[Top.NextIdx++];
       if (State[S] == 0) {
         State[S] = 1;
-        Stack.push_back({S, 0});
+        Stack.push_back({S, 0, F.block(S).successors()});
       }
       continue;
     }
-    State[B] = 2;
-    PostOrder.push_back(B);
+    State[Top.B] = 2;
+    Order.push_back(Top.B);
     Stack.pop_back();
   }
-  std::vector<unsigned> RPO(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(Order.begin(), Order.end());
   for (unsigned B = 0; B < F.numBlocks(); ++B)
     if (State[B] != 2)
-      RPO.push_back(B); // unreachable; keep analyses total
-  return RPO;
+      Order.push_back(B); // unreachable; keep analyses total
+  return Order;
 }
 
 Block &lsra::splitEdge(Function &F, unsigned Pred, unsigned Succ) {

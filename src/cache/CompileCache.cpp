@@ -10,75 +10,35 @@
 #include "ir/Function.h"
 #include "obs/Counters.h"
 #include "obs/Metrics.h"
+#include "support/Hash.h"
 
 #include <algorithm>
-#include <cstring>
+#include <mutex>
 
 using namespace lsra;
 using namespace lsra::cache;
 
 namespace {
 
-constexpr uint64_t FnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t FnvPrime = 0x100000001b3ull;
-
-uint64_t fnv1a(uint64_t H, const void *Data, size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= FnvPrime;
-  }
-  return H;
-}
-
-uint64_t fnv1aWord(uint64_t H, uint64_t V) {
-  return fnv1a(H, &V, sizeof(V));
-}
-
-// FNV-1a folded over 64-bit words (memcpy for alignment), byte-wise tail.
-// A warm module-level hit costs little more than hashing the request
-// text, so the per-byte multiply chain of plain FNV-1a would dominate the
-// hit latency on module-sized inputs. Values differ from byte-wise FNV,
-// which is fine: keys never leave the in-memory cache.
-uint64_t fnv1aBulk(uint64_t H, const void *Data, size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (; Len >= 8; P += 8, Len -= 8) {
-    uint64_t W;
-    std::memcpy(&W, P, 8);
-    H ^= W;
-    H *= FnvPrime;
-  }
-  return fnv1a(H, P, Len);
-}
-
 CacheKey makeKey(uint64_t LevelTag, const std::string &Text,
                  uint64_t OptionsFp, AllocatorKind K, uint64_t TargetFp) {
-  uint64_t Meta[4] = {LevelTag, OptionsFp, static_cast<uint64_t>(K),
-                      TargetFp};
-  // Two FNV streams differing in their initial offset; the second also
-  // reverses the meta/text mixing order so the halves do not collapse to
-  // one hash of the same byte sequence.
-  uint64_t Hi = fnv1a(FnvOffset, Meta, sizeof(Meta));
-  Hi = fnv1aBulk(Hi, Text.data(), Text.size());
-  uint64_t Lo = fnv1aBulk(FnvOffset ^ 0x5bd1e9955bd1e995ull, Text.data(),
-                          Text.size());
-  Lo = fnv1a(Lo, Meta, sizeof(Meta));
-  Lo = fnv1aWord(Lo, Text.size());
-  return {Hi, Lo};
+  WordHash H(LevelTag);
+  H.word(OptionsFp).word(static_cast<uint64_t>(K)).word(TargetFp);
+  H.bytes(Text.data(), Text.size());
+  return {H.hi(), H.lo()};
 }
 
 } // namespace
 
 uint64_t AllocOptions::fingerprint() const {
-  uint64_t H = FnvOffset;
-  H = fnv1aWord(H, 0x616f0001); // schema tag: "ao" v1
-  H = fnv1aWord(H, EarlySecondChance);
-  H = fnv1aWord(H, MoveCoalesce);
-  H = fnv1aWord(H, static_cast<uint64_t>(Consistency));
-  H = fnv1aWord(H, RunPeephole);
-  H = fnv1aWord(H, CalleeSaves);
-  H = fnv1aWord(H, SpillCleanup);
-  return H;
+  return WordHash(0x616f0001) // schema tag: "ao" v1
+      .word(EarlySecondChance)
+      .word(MoveCoalesce)
+      .word(static_cast<uint64_t>(Consistency))
+      .word(RunPeephole)
+      .word(CalleeSaves)
+      .word(SpillCleanup)
+      .value();
 }
 
 CacheKey lsra::cache::makeModuleKey(const std::string &IRText,
@@ -124,23 +84,6 @@ CompileCache::Shard &CompileCache::shardFor(const CacheKey &K) {
   return *Shards[CacheKeyHash()(K) % Shards.size()];
 }
 
-void CompileCache::publishGauges() const {
-  obs::CounterRegistry &CR = obs::CounterRegistry::global();
-  if (!CR.enabled())
-    return;
-  // TotBytes/TotEntries are mutated inside the shard critical sections, so
-  // after any mutation completes the atomics already reflect it. The mutex
-  // serialises the read-and-set pair: without it two publishers could each
-  // read a fresh total yet set the gauges in the opposite order, leaving a
-  // stale value visible at quiescence (the bug the concurrent
-  // GaugesMatchStatsUnderStorm test pins).
-  std::lock_guard<std::mutex> L(GaugeMu);
-  CR.gauge("cache.bytes")
-      .set(TotBytes.load(std::memory_order_acquire));
-  CR.gauge("cache.entries")
-      .set(TotEntries.load(std::memory_order_acquire));
-}
-
 std::shared_ptr<const CachedCompile>
 CompileCache::lookup(const CacheKey &K) {
   Shard &S = shardFor(K);
@@ -178,12 +121,10 @@ void CompileCache::insertL1(const CacheKey &K,
     return;
   // L2 publication is independent of L1 admission: an entry too large for
   // a shard can still warm other processes (the arena budget is its own).
-  if (PublishL2 && L2 && !E->AllocatedText.empty() && !E->Fn) {
-    L2Entry P;
-    P.Payload = E->AllocatedText;
-    P.Stats = E->Stats;
-    L2->publishAsync(K, std::move(P));
-  }
+  // It runs here, on the inserting thread, so the entry is in the segment
+  // before the compile that produced it returns.
+  if (PublishL2 && L2 && !E->AllocatedText.empty() && !E->Fn)
+    L2->publish(K, E->AllocatedText, E->Stats);
   if (E->Bytes > ShardBudget)
     return; // would evict the whole shard for one entry
   Shard &S = shardFor(K);
@@ -197,26 +138,16 @@ void CompileCache::insertL1(const CacheKey &K,
       // Same-key replacement: credit the old entry back in full before
       // charging the new one, so Bytes stays the sum of live entries.
       S.Bytes -= It->second->second->Bytes;
-      TotBytes.fetch_sub(
-          static_cast<int64_t>(It->second->second->Bytes),
-          std::memory_order_acq_rel);
-      TotEntries.fetch_sub(1, std::memory_order_acq_rel);
       Dead.push_back(std::move(It->second->second));
       S.Lru.erase(It->second);
       S.Map.erase(It);
     }
     S.Bytes += E->Bytes;
-    TotBytes.fetch_add(static_cast<int64_t>(E->Bytes),
-                       std::memory_order_acq_rel);
-    TotEntries.fetch_add(1, std::memory_order_acq_rel);
     S.Lru.emplace_front(K, std::move(E));
     S.Map[K] = S.Lru.begin();
     while (S.Bytes > ShardBudget && S.Lru.size() > 1) {
       auto &Victim = S.Lru.back();
       S.Bytes -= Victim.second->Bytes;
-      TotBytes.fetch_sub(static_cast<int64_t>(Victim.second->Bytes),
-                         std::memory_order_acq_rel);
-      TotEntries.fetch_sub(1, std::memory_order_acq_rel);
       Dead.push_back(std::move(Victim.second));
       S.Map.erase(Victim.first);
       S.Lru.pop_back();
@@ -232,7 +163,6 @@ void CompileCache::insertL1(const CacheKey &K,
     if (Evicted)
       CR.counter("cache.evictions").add(Evicted);
   }
-  publishGauges();
 }
 
 std::shared_ptr<const CachedCompile>
@@ -272,15 +202,24 @@ void CompileCache::clear() {
     std::lock_guard<std::mutex> L(S->Mu);
     for (auto &P : S->Lru)
       Dead.push_back(std::move(P.second));
-    TotBytes.fetch_sub(static_cast<int64_t>(S->Bytes),
-                       std::memory_order_acq_rel);
-    TotEntries.fetch_sub(static_cast<int64_t>(S->Map.size()),
-                         std::memory_order_acq_rel);
     S->Lru.clear();
     S->Map.clear();
     S->Bytes = 0;
   }
-  // clear() previously left the occupancy gauges at their pre-clear
-  // values; refresh them like every other mutation.
-  publishGauges();
+}
+
+void lsra::cache::refreshCacheGauges(const CompileCache &C) {
+  obs::CounterRegistry &CR = obs::CounterRegistry::global();
+  if (!CR.enabled())
+    return;
+  CacheStats CS = C.stats();
+  CR.gauge("cache.bytes").set(static_cast<int64_t>(CS.Bytes));
+  CR.gauge("cache.entries").set(static_cast<int64_t>(CS.Entries));
+  if (const SharedCache *L2 = C.l2()) {
+    L2Stats LS = L2->stats();
+    CR.gauge("cache.l2.bytes").set(static_cast<int64_t>(LS.Bytes));
+    CR.gauge("cache.l2.entries").set(static_cast<int64_t>(LS.Entries));
+    CR.gauge("cache.l2.capacity_bytes")
+        .set(static_cast<int64_t>(LS.CapacityBytes));
+  }
 }

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -47,9 +46,9 @@ namespace cache {
 
 class SharedCache;
 
-/// 128-bit content-addressed key. The two halves are independent FNV-1a
-/// streams over the same input, so accidental collisions need both 64-bit
-/// hashes to collide at once.
+/// 128-bit content-addressed key: the two lanes of one WordHash pass
+/// (support/Hash.h) over the level tag, the fingerprints and the text, so
+/// an accidental collision needs both 64-bit lanes to collide at once.
 struct CacheKey {
   uint64_t Hi = 0;
   uint64_t Lo = 0;
@@ -61,7 +60,7 @@ struct CacheKey {
 
 struct CacheKeyHash {
   size_t operator()(const CacheKey &K) const {
-    return static_cast<size_t>(K.Hi ^ (K.Lo * 0x9e3779b97f4a7c15ull));
+    return static_cast<size_t>(K.Hi ^ K.Lo); // both halves already mixed
   }
 };
 
@@ -111,8 +110,8 @@ public:
   /// same shard until the shard budget holds. An entry larger than the
   /// whole shard budget is not admitted (it would only thrash). Inserting
   /// over an existing key replaces it. Module-level entries (AllocatedText
-  /// set, no Fn) are additionally queued for async publication to the
-  /// attached L2, so other processes warm up from this compile.
+  /// set, no Fn) are also published to the attached L2 before this
+  /// returns, so other processes warm up from this compile.
   void insert(const CacheKey &K, std::shared_ptr<const CachedCompile> E);
 
   /// L2 half of the tiered lookup: probe the attached shared cache and, on
@@ -139,7 +138,6 @@ private:
   Shard &shardFor(const CacheKey &K);
   void insertL1(const CacheKey &K, std::shared_ptr<const CachedCompile> E,
                 bool PublishL2);
-  void publishGauges() const;
 
   CacheConfig Config;
   size_t ShardBudget;
@@ -149,13 +147,13 @@ private:
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Insertions{0};
   std::atomic<uint64_t> Evictions{0};
-  /// Exact occupancy mirrors, maintained inside the shard critical
-  /// sections, so the obs gauges can be published from a consistent
-  /// source instead of a racy cross-shard sweep (see publishGauges).
-  std::atomic<int64_t> TotBytes{0};
-  std::atomic<int64_t> TotEntries{0};
-  mutable std::mutex GaugeMu;
 };
+
+/// Set the occupancy gauges from stats(): cache.bytes and cache.entries,
+/// and with an L2 attached cache.l2.bytes, cache.l2.entries and
+/// cache.l2.capacity_bytes. The one writer of these gauges; call it where
+/// a metrics snapshot is rendered. A no-op while the registry is off.
+void refreshCacheGauges(const CompileCache &C);
 
 /// Conservative size estimate of an allocated function for cache
 /// accounting (blocks, instructions, operands, name table).

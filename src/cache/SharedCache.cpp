@@ -14,9 +14,11 @@
 //
 //  - Arena entries are self-validating so the directory never needs to be
 //    trusted: [magic, key, sizes, checksum, stats, payload, commit]. The
-//    commit word is stored with release ordering after everything else and
-//    loaded with acquire first, so an entry that passes commit+checksum was
-//    fully written by some writer and not yet overwritten by a wrap.
+//    checksum is the project's WordHash over the stats and payload bytes.
+//    The commit word is stored with release ordering after everything
+//    else and loaded with acquire first, so an entry that passes
+//    commit+checksum was fully written by some writer and not yet
+//    overwritten by a wrap.
 //
 //  - Nothing read from the segment is trusted as a size or an offset. The
 //    geometry is checked against the file size once, at open, and kept in
@@ -34,12 +36,11 @@
 #include "cache/SharedCache.h"
 
 #include "obs/Counters.h"
-#include "obs/Metrics.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <type_traits>
 
@@ -55,28 +56,22 @@ namespace cache {
 namespace {
 
 constexpr uint64_t SegMagic = 0x4c53524132ull;   // "LSRA2"
-constexpr uint64_t SegVersion = 2;
+constexpr uint64_t SegVersion = 3; // 3: WordHash keys and checksums
 constexpr uint64_t EntryMagic = 0x4c32454e545259ull; // "L2ENTRY"
 constexpr uint64_t EntryCommit = 0x434f4d4d495421ull; // "COMMIT!"
 
 constexpr unsigned SlotsPerBucketN = 4;
-
-// The agent refreshes the l2 gauges at least this often.
-constexpr unsigned GaugeRefreshMs = 20;
 
 // A writer that dies holding a slot's seqlock odd leaves it unusable; any
 // later writer that finds the slot odd and untouched for this many ticks
 // forces it back to even and recycles it.
 constexpr uint64_t StaleSlotTicks = 1u << 16;
 
-inline uint64_t fnv1aBytes(const void *Data, size_t N,
-                           uint64_t H = 0xcbf29ce484222325ull) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < N; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
+uint64_t entryChecksum(const AllocStats &Stats, std::string_view Payload) {
+  return WordHash(EntryMagic)
+      .bytes(&Stats, sizeof(Stats))
+      .bytes(Payload.data(), Payload.size())
+      .value();
 }
 
 inline size_t align8(size_t N) { return (N + 7) & ~size_t(7); }
@@ -217,8 +212,6 @@ std::unique_ptr<SharedCache> SharedCache::open(const SharedCacheConfig &C,
   std::unique_ptr<SharedCache> SC(new SharedCache());
   if (!SC->mapSegment(C, Err))
     return nullptr;
-  if (C.StartAgent)
-    SC->startAgent();
   return SC;
 }
 
@@ -305,32 +298,10 @@ bool SharedCache::mapSegment(const SharedCacheConfig &C, std::string &Err) {
   Dir = reinterpret_cast<SegSlot *>(static_cast<unsigned char *>(Map) +
                                     G.DirOffset);
   Arena = static_cast<unsigned char *>(Map) + G.ArenaOffset;
-
-  auto &CR = obs::CounterRegistry::global();
-  if (CR.enabled())
-    CR.gauge("cache.l2.capacity_bytes").set(static_cast<int64_t>(ArenaCap));
   return true;
 }
 
 SharedCache::~SharedCache() {
-  if (Agent.joinable()) {
-    {
-      std::lock_guard<std::mutex> L(AgentMu);
-      AgentStop = true;
-    }
-    AgentCv.notify_all();
-    Agent.join();
-  }
-  // Land anything still queued so drain-then-destroy and plain destroy
-  // behave the same.
-  {
-    std::lock_guard<std::mutex> L(PubMu);
-    while (!PubQueue.empty()) {
-      auto KV = std::move(PubQueue.front());
-      PubQueue.pop_front();
-      publish(KV.first, KV.second);
-    }
-  }
   if (Map)
     ::munmap(Map, SegBytes);
   if (Fd >= 0)
@@ -427,7 +398,7 @@ bool SharedCache::readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
   copyWordsFromShared(Payload.data(),
                       E + EntryHeaderWords * 8 + align8(sizeof(AllocStats)),
                       PayloadBytes);
-  if (fnv1aBytes(Payload.data(), Payload.size()) != Head[4])
+  if (entryChecksum(Stats, Payload) != Head[4])
     return false; // torn or wrapped-over mid-copy
 
   Out.Payload = std::move(Payload);
@@ -462,10 +433,11 @@ uint64_t SharedCache::claimArena(size_t Need) {
   }
 }
 
-bool SharedCache::writeEntry(const CacheKey &K, const L2Entry &E,
-                             uint64_t &OffOut, uint64_t &LenOut,
-                             size_t TornPayloadBytes, bool Torn) {
-  size_t Need = entryBytesFor(E.Payload.size());
+bool SharedCache::writeEntry(const CacheKey &K, std::string_view Payload,
+                             const AllocStats &Stats, uint64_t &OffOut,
+                             uint64_t &LenOut, size_t TornPayloadBytes,
+                             bool Torn) {
+  size_t Need = entryBytesFor(Payload.size());
   if (Need > ArenaCap / 2) {
     NPublishRejected.fetch_add(1, std::memory_order_relaxed);
     bumpObs("cache.l2.publish_rejected");
@@ -478,16 +450,15 @@ bool SharedCache::writeEntry(const CacheKey &K, const L2Entry &E,
       EntryMagic,
       K.Hi,
       K.Lo,
-      static_cast<uint64_t>(E.Payload.size()),
-      fnv1aBytes(E.Payload.data(), E.Payload.size()),
+      static_cast<uint64_t>(Payload.size()),
+      entryChecksum(Stats, Payload),
       sizeof(AllocStats)};
   copyWordsToShared(Dst, Head, sizeof(Head));
-  copyWordsToShared(Dst + EntryHeaderWords * 8, &E.Stats,
-                    sizeof(AllocStats));
+  copyWordsToShared(Dst + EntryHeaderWords * 8, &Stats, sizeof(AllocStats));
   size_t PayloadOff = EntryHeaderWords * 8 + align8(sizeof(AllocStats));
-  size_t PayloadBytes = Torn ? std::min(TornPayloadBytes, E.Payload.size())
-                             : E.Payload.size();
-  copyWordsToShared(Dst + PayloadOff, E.Payload.data(), PayloadBytes);
+  size_t PayloadBytes =
+      Torn ? std::min(TornPayloadBytes, Payload.size()) : Payload.size();
+  copyWordsToShared(Dst + PayloadOff, Payload.data(), PayloadBytes);
 
   std::atomic_ref<uint64_t> Commit(
       *reinterpret_cast<uint64_t *>(Dst + Need - 8));
@@ -564,9 +535,10 @@ void SharedCache::publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len) {
   }
 }
 
-bool SharedCache::publish(const CacheKey &K, const L2Entry &E) {
+bool SharedCache::publish(const CacheKey &K, std::string_view Payload,
+                          const AllocStats &Stats) {
   uint64_t Off = 0, Len = 0;
-  if (!writeEntry(K, E, Off, Len, 0, /*Torn=*/false))
+  if (!writeEntry(K, Payload, Stats, Off, Len, 0, /*Torn=*/false))
     return false;
   publishSlot(K, Off, Len);
   NFills.fetch_add(1, std::memory_order_relaxed);
@@ -577,93 +549,15 @@ bool SharedCache::publish(const CacheKey &K, const L2Entry &E) {
 void SharedCache::debugPublishTorn(const CacheKey &K, const L2Entry &E,
                                    size_t PayloadBytesWritten) {
   uint64_t Off = 0, Len = 0;
-  if (!writeEntry(K, E, Off, Len, PayloadBytesWritten, /*Torn=*/true))
+  if (!writeEntry(K, E.Payload, E.Stats, Off, Len, PayloadBytesWritten,
+                  /*Torn=*/true))
     return;
   publishSlot(K, Off, Len);
 }
 
-void SharedCache::publishAsync(const CacheKey &K, L2Entry E) {
-  {
-    std::lock_guard<std::mutex> L(PubMu);
-    if (AgentRunning) {
-      PubQueue.emplace_back(K, std::move(E));
-      AgentCv.notify_all();
-      return;
-    }
-  }
-  publish(K, E); // no agent: degrade to synchronous
-}
-
-void SharedCache::drainPublishes() {
-  // The agent picks work off PubQueue and marks PubIdle once the queue is
-  // empty and the in-flight batch has landed.
-  AgentCv.notify_all();
-  std::unique_lock<std::mutex> L(PubMu);
-  PubCv.wait(L, [&] { return PubQueue.empty() && PubIdle; });
-}
-
 //===----------------------------------------------------------------------===//
-// Agent / stats
+// Stats
 //===----------------------------------------------------------------------===//
-
-void SharedCache::startAgent() {
-  {
-    std::lock_guard<std::mutex> L(PubMu);
-    AgentRunning = true;
-  }
-  Agent = std::thread([this] { agentMain(); });
-}
-
-void SharedCache::agentMain() {
-  for (;;) {
-    // Publish queue first: compile results should reach other processes
-    // within one turn, not one poll interval.
-    for (;;) {
-      std::pair<CacheKey, L2Entry> KV;
-      {
-        std::lock_guard<std::mutex> L(PubMu);
-        if (PubQueue.empty()) {
-          if (!PubIdle) {
-            PubIdle = true;
-            PubCv.notify_all();
-          }
-          break;
-        }
-        PubIdle = false;
-        KV = std::move(PubQueue.front());
-        PubQueue.pop_front();
-      }
-      publish(KV.first, KV.second);
-    }
-    updateGauges();
-    std::unique_lock<std::mutex> L(AgentMu);
-    if (AgentStop)
-      break;
-    AgentCv.wait_for(L, std::chrono::milliseconds(GaugeRefreshMs), [&] {
-      if (AgentStop)
-        return true;
-      std::lock_guard<std::mutex> PL(PubMu);
-      return !PubQueue.empty();
-    });
-    if (AgentStop)
-      break;
-  }
-  std::lock_guard<std::mutex> L(PubMu);
-  AgentRunning = false;
-  PubIdle = true;
-  PubCv.notify_all();
-}
-
-void SharedCache::updateGauges() {
-  auto &CR = obs::CounterRegistry::global();
-  if (!CR.enabled())
-    return;
-  L2Stats S = stats();
-  CR.gauge("cache.l2.bytes").set(static_cast<int64_t>(S.Bytes));
-  CR.gauge("cache.l2.entries").set(static_cast<int64_t>(S.Entries));
-  CR.gauge("cache.l2.capacity_bytes")
-      .set(static_cast<int64_t>(S.CapacityBytes));
-}
 
 L2Stats SharedCache::stats() const {
   L2Stats S;

@@ -21,17 +21,19 @@
 ///                 freed in place; the cursor wraps when the arena fills
 ///                 and stale directory slots are detected at read time
 ///
-/// Concurrency protocol (lock-free readers, per-process writer):
+/// Concurrency protocol (lock-free readers and writers, no threads of its
+/// own):
 ///   - readers validate a slot with a seqlock (odd = write in progress;
 ///     re-read after copying out) and then validate the arena region
-///     itself (bounds, entry magic, key echo, commit word, payload
-///     checksum), so a torn write, a crashed writer, a wrap overwrite or
-///     a corrupted slot is a clean miss, never a torn value or a stray
-///     read outside the arena;
-///   - writers claim arena space with a CAS bump (wrapping to offset 0
-///     when full) and claim a directory slot by CAS-ing its sequence
-///     number odd; the entry is fully written and its commit word
-///     published with release ordering before the slot is;
+///     itself (bounds, entry magic, key echo, commit word, WordHash
+///     checksum of stats and payload), so a torn write, a crashed writer,
+///     a wrap overwrite or a corrupted slot is a clean miss, never a torn
+///     value or a stray read outside the arena;
+///   - a writer is whichever thread inserts a module entry into the L1: it
+///     publishes before its compile returns. It claims arena space with a
+///     CAS bump (wrapping to offset 0 when full) and a directory slot by
+///     CAS-ing its sequence number odd; the entry is fully written and its
+///     commit word published with release ordering before the slot is;
 ///   - nothing in the segment is ever locked, so a SIGKILLed process can
 ///     never wedge the cache — at worst it leaks one mid-write slot,
 ///     which the stale-slot reclaimer eventually recycles.
@@ -50,14 +52,11 @@
 #include "cache/CompileCache.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 
 namespace lsra {
 namespace cache {
@@ -69,9 +68,6 @@ struct SharedCacheConfig {
   /// Total segment budget (header + directory + value arena). Ignored when
   /// attaching to an existing segment — the creator's geometry wins.
   size_t MaxBytes = 256u << 20;
-  /// Servers want the background agent (async publish, gauge refresh);
-  /// tests without it get synchronous publishes.
-  bool StartAgent = true;
 };
 
 /// One L2 value: the allocated module text plus the cold run's statistics.
@@ -111,18 +107,12 @@ public:
   /// arena validation is opportunistically cleared).
   bool lookup(const CacheKey &K, L2Entry &Out);
 
-  /// Write \p E under \p K now (arena append + slot publish). False when
-  /// the entry is too large for the arena (> arena/2: one value may not
-  /// thrash the whole log).
-  bool publish(const CacheKey &K, const L2Entry &E);
-
-  /// Queue \p E for the agent thread to publish — the compile path's
-  /// fire-and-forget insert. With no agent running this degrades to a
-  /// synchronous publish.
-  void publishAsync(const CacheKey &K, L2Entry E);
-
-  /// Block until every queued publishAsync has landed in the segment.
-  void drainPublishes();
+  /// Write \p Payload and \p Stats under \p K (arena append + slot
+  /// publish), on the calling thread, straight from the caller's buffer.
+  /// False when the entry is too large for the arena (> arena/2: one value
+  /// may not thrash the whole log).
+  bool publish(const CacheKey &K, std::string_view Payload,
+               const AllocStats &Stats);
 
   L2Stats stats() const;
   size_t maxBytes() const { return SegBytes; }
@@ -142,14 +132,12 @@ private:
   struct SegSlot;
 
   bool mapSegment(const SharedCacheConfig &C, std::string &Err);
-  void startAgent();
-  void agentMain();
-  void updateGauges();
   bool readEntryAt(uint64_t Off, uint64_t Len, const CacheKey &K,
                    L2Entry &Out);
   uint64_t claimArena(size_t Need);
-  bool writeEntry(const CacheKey &K, const L2Entry &E, uint64_t &OffOut,
-                  uint64_t &LenOut, size_t TornPayloadBytes, bool Torn);
+  bool writeEntry(const CacheKey &K, std::string_view Payload,
+                  const AllocStats &Stats, uint64_t &OffOut, uint64_t &LenOut,
+                  size_t TornPayloadBytes, bool Torn);
   void publishSlot(const CacheKey &K, uint64_t Off, uint64_t Len);
 
   SegHeader *Hdr = nullptr;
@@ -162,18 +150,7 @@ private:
   int Fd = -1;
   std::string FilePath;
 
-  // Per-process side (never in the segment).
-  std::mutex PubMu;
-  std::condition_variable PubCv;
-  std::deque<std::pair<CacheKey, L2Entry>> PubQueue;
-  bool PubIdle = true;
-
-  std::thread Agent;
-  std::mutex AgentMu;
-  std::condition_variable AgentCv;
-  bool AgentStop = false;
-  bool AgentRunning = false;
-
+  // Per-process counters (never in the segment).
   std::atomic<uint64_t> NHits{0}, NMisses{0}, NFills{0}, NPublishRejected{0};
 };
 

@@ -72,10 +72,6 @@ bool lsra::parseCompileFlag(const std::string &Arg, CompileFlags &F,
     F.L2Mb = std::strtoul(Arg.c_str() + 8, nullptr, 10);
     return true;
   }
-  if (Arg == "--no-l2") {
-    F.NoL2 = true;
-    return true;
-  }
   return false;
 }
 
@@ -90,8 +86,7 @@ const char *lsra::compileFlagsHelp() {
          "  --cache-mb=N   compile-cache budget in MiB (default 64)\n"
          "  --no-cache     disable the compile cache\n"
          "  --l2-path=FILE shared-memory L2 cache segment (cross-process)\n"
-         "  --l2-mb=N      L2 segment budget in MiB (default 256)\n"
-         "  --no-l2        disable the shared L2 even when --l2-path is set\n";
+         "  --l2-mb=N      L2 segment budget in MiB (default 256)\n";
 }
 
 TargetDesc lsra::targetForFlags(const CompileFlags &F) {
@@ -115,7 +110,7 @@ lsra::makeSharedCache(const CompileFlags &F, std::string &Err) {
   Err.clear();
   // The L2 tier only ever fills the L1; without an L1 there is nothing to
   // promote into, so --no-cache implies no L2 either.
-  if (F.L2Path.empty() || F.NoL2 || F.NoCache || F.L2Mb == 0)
+  if (F.L2Path.empty() || F.NoCache || F.L2Mb == 0)
     return nullptr;
   cache::SharedCacheConfig C;
   C.Path = F.L2Path;

@@ -38,7 +38,6 @@ struct CompileFlags {
   bool NoCache = false; ///< --no-cache
   std::string L2Path;  ///< --l2-path=FILE shared L2 segment (empty = off)
   size_t L2Mb = 256;   ///< --l2-mb=N segment budget for makeSharedCache
-  bool NoL2 = false;   ///< --no-l2 (ignore --l2-path)
 };
 
 /// Consume one command-line argument if it is a shared compile flag:
@@ -63,7 +62,7 @@ TargetDesc targetForFlags(const CompileFlags &F);
 std::unique_ptr<cache::CompileCache> makeCompileCache(const CompileFlags &F);
 
 /// Open the shared L2 segment the flags describe: null (without error)
-/// when no --l2-path was given or --no-l2/--no-cache is set; null with
+/// when no --l2-path was given or --no-cache is set; null with
 /// \p Err set when the path exists but cannot be mapped. Callers attach
 /// the result to their CompileCache (attachL2) and must keep it alive
 /// until the cache is destroyed.

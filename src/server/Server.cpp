@@ -12,6 +12,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Hash.h"
 #include "support/MemStats.h"
 #include "support/ParallelFor.h"
 #include "support/Timer.h"
@@ -293,10 +294,11 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   // abandoned, not what it computes); HoldMs is deliberately included (two
   // requests with different holds are different work, which the load tests
   // rely on).
-  uint64_t OptionsFp = AO.fingerprint();
-  OptionsFp = OptionsFp * 1000003u + Req.HoldMs;
-  OptionsFp = OptionsFp * 31u + (Req.Run ? 2u : 0u) + (Req.NoCache ? 1u : 0u);
-  OptionsFp = OptionsFp * 1000003u + std::hash<std::string>{}(Req.Allocator);
+  uint64_t OptionsFp = WordHash(AO.fingerprint())
+                           .word(Req.HoldMs)
+                           .word((Req.Run ? 2u : 0u) + (Req.NoCache ? 1u : 0u))
+                           .bytes(Req.Allocator.data(), Req.Allocator.size())
+                           .value();
   cache::CacheKey Key =
       cache::makeModuleKey(Req.IRText, OptionsFp, Kind, TD.fingerprint());
 
@@ -596,18 +598,8 @@ std::string Server::renderStats(const std::string &Format) {
   obs::CounterRegistry &CR = obs::CounterRegistry::global();
   // Pull-updated gauges: refreshed at scrape time, not on a timer.
   CR.gauge("proc.rss_bytes").set(static_cast<int64_t>(currentRssBytes()));
-  if (Cache) {
-    cache::CacheStats CS = Cache->stats();
-    CR.gauge("cache.bytes").set(static_cast<int64_t>(CS.Bytes));
-    CR.gauge("cache.entries").set(static_cast<int64_t>(CS.Entries));
-  }
-  if (L2) {
-    cache::L2Stats LS = L2->stats();
-    CR.gauge("cache.l2.bytes").set(static_cast<int64_t>(LS.Bytes));
-    CR.gauge("cache.l2.entries").set(static_cast<int64_t>(LS.Entries));
-    CR.gauge("cache.l2.capacity_bytes")
-        .set(static_cast<int64_t>(LS.CapacityBytes));
-  }
+  if (Cache)
+    cache::refreshCacheGauges(*Cache);
   obs::MetricsSnapshot S = CR.metricsSnapshot();
   if (Format == "prom")
     return S.toPrometheus();
@@ -637,10 +629,6 @@ void Server::shutdown() {
   for (std::thread &W : Workers)
     W.join();
   Workers.clear();
-  // Workers are quiet, so nothing enqueues L2 publishes any more; land
-  // what is queued so another process (or our next life) can hit it.
-  if (L2)
-    L2->drainPublishes();
   // 3. Workers are done, so every response is either on the wire or in the
   // loop's posted queue (FIFO: posted before this sentinel, runs before
   // it). Flush each connection's write queue, then stop the loop; a peer
@@ -667,6 +655,9 @@ void Server::shutdown() {
     obs::RequestLog::global().close();
     OpenedRequestLog = false;
   }
+  // The caches are final now: set their gauges for an exit snapshot.
+  if (Cache)
+    cache::refreshCacheGauges(*Cache);
   LSRA_LOG(1, "server: drained, %llu responses served",
            static_cast<unsigned long long>(Served.load()));
 }

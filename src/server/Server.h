@@ -241,7 +241,7 @@ private:
   Listener L;
   RequestQueue Queue;
   /// Declared before Cache: the L1 holds a non-owning pointer to the L2,
-  /// so the L2 (and its agent thread) must outlive the Cache member.
+  /// so the L2 must outlive the Cache member.
   std::unique_ptr<cache::SharedCache> L2;
   std::unique_ptr<cache::CompileCache> Cache;
   std::vector<std::thread> Workers;

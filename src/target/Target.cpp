@@ -6,6 +6,8 @@
 
 #include "target/Target.h"
 
+#include "support/Hash.h"
+
 using namespace lsra;
 
 namespace {
@@ -59,23 +61,16 @@ TargetDesc TargetDesc::withRegLimit(unsigned IntRegs, unsigned FpRegs) const {
 }
 
 uint64_t TargetDesc::fingerprint() const {
-  // FNV-1a over the allocation orders and register-set masks.
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (unsigned I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xff;
-      H *= 0x100000001b3ull;
-    }
-  };
-  Mix(0x74640001); // schema tag: "td" v1
+  // The allocation orders and register-set masks.
+  WordHash H(0x74640001); // schema tag: "td" v1
   for (RegClass RC : {RegClass::Int, RegClass::Float}) {
     const auto &Ord = Order[idx(RC)];
-    Mix(Ord.size());
+    H.word(Ord.size());
     for (unsigned P : Ord)
-      Mix(P);
+      H.word(P);
   }
-  Mix(AllocatableBits);
-  Mix(CalleeSavedBits);
-  Mix(CallerSavedBits);
-  return H;
+  return H.word(AllocatableBits)
+      .word(CalleeSavedBits)
+      .word(CallerSavedBits)
+      .value();
 }

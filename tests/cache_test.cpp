@@ -7,9 +7,10 @@
 // The compile cache is only sound if a hit is indistinguishable from a
 // fresh compile. These tests pin that down: byte-identical allocated text
 // and statistics across every workload × allocator, key sensitivity
-// (semantic options and target changes miss, execution options hit),
-// LRU eviction under a tiny budget, and a concurrent hit/miss storm
-// (designed to run under LSRA_SANITIZE=thread).
+// (semantic options and target changes miss, execution options hit, texts
+// that differ by paired top-bit flips never share a key), the WordHash
+// step's flipped-bit property, LRU eviction under a tiny budget, and a
+// concurrent hit/miss storm (designed to run under LSRA_SANITIZE=thread).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,12 +22,15 @@
 #include "ir/Printer.h"
 #include "obs/Counters.h"
 #include "obs/Metrics.h"
+#include "support/Hash.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -431,12 +435,10 @@ TEST(CompileCache, InsertOverExistingKeyKeepsExactByteAccounting) {
   EXPECT_EQ(CS.Entries, 3u);
 }
 
-// The obs gauges cache.bytes / cache.entries must agree exactly with
-// stats() once mutation quiesces — under a concurrent insert/evict/replace
-// storm across shards. (Regression: gauges were refreshed by a racy
-// cross-shard sweep outside the shard locks, so two concurrent inserts
-// could publish a sweep that double-counted one shard mid-mutation and the
-// stale value stuck until the next insert.) Run under
+// The obs gauges cache.bytes / cache.entries have one writer,
+// refreshCacheGauges, called where a snapshot is rendered: inserts do not
+// touch them, and a refresh after a concurrent insert/evict/replace storm
+// across shards (or after clear()) agrees exactly with stats(). Run under
 // LSRA_SANITIZE=thread in CI.
 TEST(CompileCache, GaugesMatchStatsAfterConcurrentStorm) {
   obs::CounterRegistry &CR = obs::CounterRegistry::global();
@@ -468,14 +470,17 @@ TEST(CompileCache, GaugesMatchStatsAfterConcurrentStorm) {
       });
     for (std::thread &T : Threads)
       T.join();
+    EXPECT_EQ(CR.gauge("cache.bytes").value(), 0); // not set by inserts
+    cache::refreshCacheGauges(Cache);
     cache::CacheStats CS = Cache.stats();
+    EXPECT_GT(CS.Bytes, 0u);
     EXPECT_EQ(CR.gauge("cache.bytes").value(),
               static_cast<int64_t>(CS.Bytes));
     EXPECT_EQ(CR.gauge("cache.entries").value(),
               static_cast<int64_t>(CS.Entries));
     EXPECT_GT(CS.Evictions, 0u); // the storm actually exercised eviction
-    // clear() is a mutation like any other: gauges follow.
     Cache.clear();
+    cache::refreshCacheGauges(Cache);
     EXPECT_EQ(CR.gauge("cache.bytes").value(), 0);
     EXPECT_EQ(CR.gauge("cache.entries").value(), 0);
   }
@@ -493,7 +498,6 @@ TEST(CompileCache, LookupL2FillPromotesWithoutRepublish) {
   cache::SharedCacheConfig SC;
   SC.Path = SegPath;
   SC.MaxBytes = 4u << 20;
-  SC.StartAgent = false;
   std::string Err;
   auto L2 = cache::SharedCache::open(SC, Err);
   ASSERT_NE(L2, nullptr) << Err;
@@ -506,7 +510,7 @@ TEST(CompileCache, LookupL2FillPromotesWithoutRepublish) {
     auto E = std::make_shared<cache::CachedCompile>();
     E->AllocatedText = "allocated text of the tiered module";
     E->Bytes = 4096;
-    A.insert(K, std::move(E)); // sync publish (no agent)
+    A.insert(K, std::move(E)); // publishes before it returns
   }
   ASSERT_EQ(L2->stats().Fills, 1u);
 
@@ -540,4 +544,91 @@ TEST(CompileCache, MakeCompileCacheHonoursFlags) {
   CompileFlags Zero;
   Zero.CacheMb = 0;
   EXPECT_EQ(makeCompileCache(Zero), nullptr);
+}
+
+// Word-wise FNV-1a let a top-bit flip pass through its multiply unchanged,
+// so two texts that differ only in the top bit of byte 7 of two 8-byte
+// words got the same 128-bit key: a module that fails to parse was
+// answered with another module's allocation. Here the flips sit inside a
+// call target's name, so the flipped text names an unknown function.
+TEST(CompileCache, PairedTopBitFlipsNeverShareAKey) {
+  const std::string Valid =
+      "memsize 16\n"
+      "\n"
+      "func callee_with_a_long_enough_name (iparams=0 fparams=0 ret=int "
+      "vregs=1 slots=0)\n"
+      "bb0 (entry):\n"
+      "  movi %0, 7\n"
+      "  ret %0\n"
+      "\n"
+      "func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n"
+      "  call @callee_with_a_long_enough_name  (iargs=0 fargs=0)\n"
+      "  cres %0\n"
+      "  emit %0\n"
+      "  ret %0\n";
+  const size_t Name = Valid.find("@callee") + 1;
+  const size_t P = Name + (15 - Name % 8) % 8; // byte 7 of a word
+  ASSERT_LT(P + 8, Valid.find(' ', Name));
+  std::string Broken = Valid;
+  Broken[P] = static_cast<char>(Broken[P] ^ 0x80);
+  Broken[P + 8] = static_cast<char>(Broken[P + 8] ^ 0x80);
+
+  const TargetDesc TD = TargetDesc::alphaLike();
+  const AllocatorKind K = AllocatorKind::SecondChanceBinpack;
+  auto keyOf = [&](const std::string &Text) {
+    return cache::makeModuleKey(Text, AllocOptions().fingerprint(), K,
+                                TD.fingerprint());
+  };
+  EXPECT_FALSE(keyOf(Valid) == keyOf(Broken));
+
+  TextCompileResult Uncached = compileTextModule(Broken, TD, K);
+  ASSERT_FALSE(Uncached.Ok);
+  cache::CompileCache Cache;
+  ExecOptions EO;
+  EO.Cache = &Cache;
+  TextCompileResult Filled = compileTextModule(Valid, TD, K, {}, EO);
+  ASSERT_TRUE(Filled.Ok) << Filled.Error;
+  TextCompileResult Cached = compileTextModule(Broken, TD, K, {}, EO);
+  EXPECT_FALSE(Cached.CacheHit);
+  EXPECT_FALSE(Cached.Ok);
+  EXPECT_EQ(Cached.Error, Uncached.Error);
+}
+
+// The hash's per-word step: for every input bit, flipping it leaves a
+// state difference that depends on the values hashed (never one fixed
+// difference), and a second flip of the same bit in the next word does
+// not cancel the first.
+TEST(WordHash, NoFlippedBitLeavesAFixedStateDifference) {
+  std::mt19937_64 Rng(1998);
+  for (unsigned Bit = 0; Bit < 64; ++Bit) {
+    const uint64_t Flip = uint64_t(1) << Bit;
+    std::set<uint64_t> HiDiffs, LoDiffs;
+    for (int Trial = 0; Trial < 8; ++Trial) {
+      const uint64_t Prefix = Rng(), W = Rng(), Next = Rng();
+      WordHash A, B;
+      A.word(Prefix).word(W);
+      B.word(Prefix).word(W ^ Flip);
+      HiDiffs.insert(A.hi() ^ B.hi());
+      LoDiffs.insert(A.lo() ^ B.lo());
+      A.word(Next);
+      B.word(Next ^ Flip);
+      EXPECT_FALSE(A.hi() == B.hi() && A.lo() == B.lo()) << Bit;
+    }
+    EXPECT_GT(HiDiffs.size(), 1u) << Bit;
+    EXPECT_GT(LoDiffs.size(), 1u) << Bit;
+  }
+}
+
+// bytes() hashes the length after the zero-padded tail, so a text and the
+// same text with trailing zero bytes hash apart.
+TEST(WordHash, TrailingZeroBytesChangeTheHash) {
+  const char Text[16] = "module\0\0\0\0\0\0\0\0";
+  std::set<std::pair<uint64_t, uint64_t>> Seen;
+  for (size_t Len = 6; Len <= 16; ++Len) {
+    WordHash H;
+    H.bytes(Text, Len);
+    Seen.insert({H.hi(), H.lo()});
+  }
+  EXPECT_EQ(Seen.size(), 11u);
 }

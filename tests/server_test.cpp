@@ -1215,7 +1215,7 @@ TEST(Server, SharedL2WarmsSecondServerLifetime) {
     ASSERT_TRUE(Resp.ok()) << Resp.Message;
     EXPECT_FALSE(Resp.Cached);
     ColdText = Resp.IRText;
-    // shutdown() drains queued L2 publications before the segment closes.
+    // The worker published before it replied; nothing is left to land.
     S.shutdown();
   }
 
@@ -1242,6 +1242,57 @@ TEST(Server, SharedL2WarmsSecondServerLifetime) {
     EXPECT_EQ(S.sharedCache()->stats().Hits, 1u);
     S.shutdown();
   }
+  ::unlink(SegPath.c_str());
+  CR.disable();
+  CR.reset();
+}
+
+// A compile's L2 entry is in the segment before its CompileOk is sent:
+// while server A still runs (no shutdown, no drain), a second mapping of
+// its segment hits each module as soon as A's reply arrives, with A's
+// bytes.
+TEST(Server, SharedL2HoldsEntryBeforeReply) {
+  obs::CounterRegistry &CR = obs::CounterRegistry::global();
+  CR.reset();
+  std::string SegPath = "/tmp/lsra-test-l2-reply." +
+                        std::to_string(::getpid()) + ".seg";
+  ::unlink(SegPath.c_str());
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("l2-reply");
+  SO.Workers = 2;
+  SO.L2Path = SegPath;
+  SO.L2Bytes = 16u << 20;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+
+  cache::SharedCacheConfig SC;
+  SC.Path = SegPath;
+  auto Second = cache::SharedCache::open(SC, Err);
+  ASSERT_NE(Second, nullptr) << Err;
+  for (const char *W : {"wc", "espresso", "sort", "eqntott"}) {
+    CompileRequest Req;
+    Req.IRText = workloadText(W);
+    CompileResponse Resp;
+    ASSERT_TRUE(C.compile(Req, Resp, Err, 60000)) << Err;
+    ASSERT_TRUE(Resp.ok()) << Resp.Message;
+    EXPECT_FALSE(Resp.Cached) << W;
+    // A fresh L1 on the second mapping: only the segment can answer.
+    cache::CompileCache L1;
+    L1.attachL2(Second.get());
+    ExecOptions EO;
+    EO.Cache = &L1;
+    TextCompileResult R =
+        compileTextModule(Req.IRText, TargetDesc::alphaLike(),
+                          AllocatorKind::SecondChanceBinpack, {}, EO);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_TRUE(R.CacheHit && R.CacheL2) << W;
+    EXPECT_EQ(R.AllocatedText, Resp.IRText) << W;
+  }
+  S.shutdown();
+  Second.reset();
   ::unlink(SegPath.c_str());
   CR.disable();
   CR.reset();

@@ -10,9 +10,9 @@
 // directory or arena bytes were overwritten behind the cache's back (the
 // corruption cases write through a second raw mapping of the file). Plus
 // the open-time layout check and the arena's wrap behaviour.
-// The fork-based tests create SharedCache instances only *after* forking
-// (or in instances with StartAgent=false), so no threads exist at fork
-// time. Designed to run under LSRA_SANITIZE=thread and =address.
+// A SharedCache starts no threads of its own (publishes run on the
+// inserting thread), so no threads exist when the fork-based tests fork.
+// Designed to run under LSRA_SANITIZE=thread and =address.
 //
 //===----------------------------------------------------------------------===//
 
@@ -60,16 +60,18 @@ struct SegFile {
 };
 
 std::unique_ptr<SharedCache> openSeg(const std::string &Path,
-                                     size_t MaxBytes = 4u << 20,
-                                     bool StartAgent = false) {
+                                     size_t MaxBytes = 4u << 20) {
   SharedCacheConfig C;
   C.Path = Path;
   C.MaxBytes = MaxBytes;
-  C.StartAgent = StartAgent;
   std::string Err;
   auto SC = SharedCache::open(C, Err);
   EXPECT_NE(SC, nullptr) << Err;
   return SC;
+}
+
+bool publishEntry(SharedCache &SC, const CacheKey &K, const L2Entry &E) {
+  return SC.publish(K, E.Payload, E.Stats);
 }
 
 CacheKey keyFor(unsigned I) {
@@ -96,6 +98,10 @@ constexpr size_t HdrVersion = 1, HdrBucketCount = 3, HdrDirOffset = 5,
                  HdrArenaOffset = 6, HdrArenaBytes = 7, HdrCursor = 8;
 constexpr size_t SlotBytesTotal = 64, SlotKeyHi = 1, SlotKeyLo = 2,
                  SlotOffset = 3, SlotBytes = 4, EntryPayloadBytes = 3;
+/// Byte offset of the payload in an arena entry: six header words, then
+/// the word-aligned stats blob.
+constexpr size_t EntryPayloadOffset =
+    6 * 8 + ((sizeof(AllocStats) + 7) & ~size_t(7));
 
 /// A second, raw read-write mapping of a segment file: what a buggy or
 /// hostile co-tenant of the segment can scribble on.
@@ -153,7 +159,6 @@ std::unique_ptr<SharedCache> tryOpenSeg(const std::string &Path,
                                         std::string &Err) {
   SharedCacheConfig C;
   C.Path = Path;
-  C.StartAgent = false;
   Err.clear();
   return SharedCache::open(C, Err);
 }
@@ -174,7 +179,7 @@ TEST(SharedCache, PublishLookupRoundtrip) {
   ASSERT_NE(SC, nullptr);
 
   L2Entry In = entryFor(7, 1000);
-  ASSERT_TRUE(SC->publish(keyFor(7), In));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(7), In));
   L2Entry Out;
   ASSERT_TRUE(SC->lookup(keyFor(7), Out));
   EXPECT_EQ(Out.Payload, In.Payload);
@@ -198,10 +203,10 @@ TEST(SharedCache, SameKeyRepublishReplacesValue) {
   SegFile Seg("republish");
   auto SC = openSeg(Seg.Path);
   ASSERT_NE(SC, nullptr);
-  ASSERT_TRUE(SC->publish(keyFor(1), entryFor(1)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(1), entryFor(1)));
   L2Entry V2 = entryFor(1);
   V2.Payload = "the second value wins";
-  ASSERT_TRUE(SC->publish(keyFor(1), V2));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(1), V2));
   L2Entry Out;
   ASSERT_TRUE(SC->lookup(keyFor(1), Out));
   EXPECT_EQ(Out.Payload, V2.Payload);
@@ -214,7 +219,7 @@ TEST(SharedCache, OversizeEntryIsRejectedNotTorn) {
   auto SC = openSeg(Seg.Path, 1u << 20); // minimum geometry
   ASSERT_NE(SC, nullptr);
   L2Entry Huge = entryFor(1, SC->stats().CapacityBytes); // > arena/2
-  EXPECT_FALSE(SC->publish(keyFor(1), Huge));
+  EXPECT_FALSE(publishEntry(*SC, keyFor(1), Huge));
   L2Entry Out;
   EXPECT_FALSE(SC->lookup(keyFor(1), Out));
   EXPECT_EQ(SC->stats().PublishRejected, 1u);
@@ -235,8 +240,8 @@ TEST(SharedCache, BucketFillsEmptySlotsBeforeEvicting) {
   while ((CacheKeyHash()(keyFor(Mate)) & Mask) !=
          (CacheKeyHash()(keyFor(0)) & Mask))
     ++Mate;
-  ASSERT_TRUE(SC->publish(keyFor(0), entryFor(0)));
-  ASSERT_TRUE(SC->publish(keyFor(Mate), entryFor(Mate)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(0), entryFor(0)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(Mate), entryFor(Mate)));
   L2Entry Out;
   EXPECT_TRUE(SC->lookup(keyFor(0), Out));
   EXPECT_TRUE(SC->lookup(keyFor(Mate), Out));
@@ -294,7 +299,7 @@ TEST(SharedCache, SigkilledWriterNeverLeavesTornEntries) {
       ::_exit(2);
     for (unsigned Round = 0;; ++Round)
       for (unsigned I = 0; I < NumKeys; ++I)
-        SC->publish(keyFor(I), entryFor(I, 512 + 8 * I));
+        publishEntry(*SC, keyFor(I), entryFor(I, 512 + 8 * I));
   }
   // Let the writer publish for a moment, then kill it mid-flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -337,9 +342,9 @@ TEST(SharedCache, WarmAcrossProcessesByteIdentical) {
   pid_t Child = ::fork();
   ASSERT_GE(Child, 0);
   if (Child == 0) {
-    // Child: cold-compile with L1+L2 attached; publishAsync degrades to a
-    // synchronous publish with no agent, so the entry has landed by the
-    // time we exit.
+    // Child: cold-compile with L1+L2 attached; the L1 insert publishes
+    // before the compile returns, so the entry has landed by the time we
+    // exit.
     auto L2 = openSeg(Seg.Path);
     if (!L2)
       ::_exit(2);
@@ -395,8 +400,8 @@ TEST(SharedCache, WrappingSlotBoundsAreCleanMiss) {
   auto SC = openSeg(Seg.Path);
   ASSERT_NE(SC, nullptr);
   L2Entry Empty = entryFor(1, 0);
-  ASSERT_TRUE(SC->publish(keyFor(1), Empty));
-  ASSERT_TRUE(SC->publish(keyFor(2), entryFor(2)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(1), Empty));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(2), entryFor(2)));
 
   RawSeg Raw(Seg.Path);
   ASSERT_NE(Raw.Base, nullptr);
@@ -409,7 +414,7 @@ TEST(SharedCache, WrappingSlotBoundsAreCleanMiss) {
     EXPECT_FALSE(SC->lookup(keyFor(I), Out)) << I;
   }
   // The rest of the segment is untouched and still serves.
-  ASSERT_TRUE(SC->publish(keyFor(3), entryFor(3)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(3), entryFor(3)));
   L2Entry Out;
   ASSERT_TRUE(SC->lookup(keyFor(3), Out));
   EXPECT_EQ(Out.Payload, entryFor(3).Payload);
@@ -422,7 +427,7 @@ TEST(SharedCache, HugePayloadSizeWordIsCleanMiss) {
   SegFile Seg("hugepayload");
   auto SC = openSeg(Seg.Path);
   ASSERT_NE(SC, nullptr);
-  ASSERT_TRUE(SC->publish(keyFor(1), entryFor(1, 0)));
+  ASSERT_TRUE(publishEntry(*SC, keyFor(1), entryFor(1, 0)));
 
   RawSeg Raw(Seg.Path);
   ASSERT_NE(Raw.Base, nullptr);
@@ -438,6 +443,8 @@ TEST(SharedCache, HugePayloadSizeWordIsCleanMiss) {
 // one at a time, each followed by a probe of every key: every probe is a
 // clean miss or the byte-exact payload. Each flip is undone before the
 // next, but self-healed slots stay cleared, so later probes see a mix.
+// Each round first flips the top bit of byte 7 of two payload words of one
+// entry, the pair a word-wise FNV-1a checksum cannot see: it must miss.
 TEST(SharedCache, ByteFlipSweepReadsMissOrExact) {
   constexpr unsigned Rounds = 6, Keys = 16, FlipsPerRound = 64;
   std::mt19937_64 Rng(1998);
@@ -448,9 +455,21 @@ TEST(SharedCache, ByteFlipSweepReadsMissOrExact) {
     auto SC = openSeg(Seg.Path, 1u << 20);
     ASSERT_NE(SC, nullptr);
     for (unsigned I = 0; I < Keys; ++I)
-      ASSERT_TRUE(SC->publish(keyFor(I), entryFor(I, payloadBytes(I))));
+      ASSERT_TRUE(publishEntry(*SC, keyFor(I), entryFor(I, payloadBytes(I))));
     RawSeg Raw(Seg.Path);
     ASSERT_NE(Raw.Base, nullptr);
+    {
+      const unsigned I = 1 + Round; // payload of 37 bytes or more
+      size_t S = Raw.slotOf(keyFor(I));
+      ASSERT_NE(S, 0u);
+      unsigned char *Payload = Raw.Base + Raw.entryOf(S) + EntryPayloadOffset;
+      Payload[7] ^= 0x80;
+      Payload[15] ^= 0x80;
+      L2Entry Out;
+      EXPECT_FALSE(SC->lookup(keyFor(I), Out)) << "round " << Round;
+      Payload[7] ^= 0x80;
+      Payload[15] ^= 0x80;
+    }
     std::vector<size_t> SlotAt;
     for (unsigned I = 0; I < Keys; ++I)
       if (size_t S = Raw.slotOf(keyFor(I)))
@@ -514,19 +533,19 @@ TEST(SharedCache, HeaderGeometryMismatchIsIncompatibleLayout) {
   }
 }
 
-// A segment file written by the version-1 layout (rings in the header, a
-// class word in every slot and entry) is refused, never misread.
-TEST(SharedCache, VersionOneSegmentIsIncompatibleLayout) {
-  SegFile Seg("v1");
+// A segment file written by the version-2 layout (word-wise FNV-1a keys,
+// byte-wise FNV-1a payload checksums) is refused, never misread.
+TEST(SharedCache, VersionTwoSegmentIsIncompatibleLayout) {
+  SegFile Seg("v2");
   {
     auto SC = openSeg(Seg.Path);
     ASSERT_NE(SC, nullptr);
-    ASSERT_TRUE(SC->publish(keyFor(1), entryFor(1)));
+    ASSERT_TRUE(publishEntry(*SC, keyFor(1), entryFor(1)));
   }
   {
     RawSeg Raw(Seg.Path);
     ASSERT_NE(Raw.Base, nullptr);
-    Raw.hdr(HdrVersion) = 1;
+    Raw.hdr(HdrVersion) = 2;
   }
   std::string Err;
   EXPECT_EQ(tryOpenSeg(Seg.Path, Err), nullptr);
@@ -546,7 +565,7 @@ TEST(SharedCache, ArenaWrapKeepsOccupancyBoundedAndReadsClean) {
   size_t Payload = 32u << 10;
   unsigned N = static_cast<unsigned>((Cap / Payload) * 3 + 8);
   for (unsigned I = 0; I < N; ++I)
-    ASSERT_TRUE(SC->publish(keyFor(I), entryFor(I, Payload)));
+    ASSERT_TRUE(publishEntry(*SC, keyFor(I), entryFor(I, Payload)));
   L2Stats St = SC->stats();
   EXPECT_GT(St.Wraps, 0u);
   EXPECT_LE(St.Bytes, St.CapacityBytes);
@@ -585,7 +604,7 @@ TEST(SharedCache, ConcurrentPublishLookupStorm) {
       SharedCache *SC = (W % 2) ? A.get() : B.get();
       for (unsigned I = 0; I < Iters; ++I) {
         unsigned K = (W * 31 + I) % KeySpace;
-        SC->publish(keyFor(K), entryFor(K, 512 + 32 * (K % 8)));
+        publishEntry(*SC, keyFor(K), entryFor(K, 512 + 32 * (K % 8)));
       }
     });
   for (unsigned R = 0; R < Readers; ++R)
@@ -611,7 +630,7 @@ TEST(SharedCache, ConcurrentPublishLookupStorm) {
 // --- Wiring -----------------------------------------------------------------
 
 // makeSharedCache honours the flag surface: off by default, off under
-// --no-l2/--no-cache, on with a path, and --l2-mb sizes the segment.
+// --no-cache, on with a path, and --l2-mb sizes the segment.
 TEST(SharedCache, MakeSharedCacheHonoursFlags) {
   SegFile Seg("flags");
   CompileFlags F;
@@ -625,10 +644,6 @@ TEST(SharedCache, MakeSharedCacheHonoursFlags) {
   ASSERT_NE(SC, nullptr) << Err;
   EXPECT_EQ(SC->path(), Seg.Path);
   SC.reset();
-
-  ASSERT_TRUE(parseCompileFlag("--no-l2", F, Err));
-  EXPECT_EQ(makeSharedCache(F, Err), nullptr);
-  EXPECT_TRUE(Err.empty());
 
   CompileFlags NoCache;
   NoCache.L2Path = Seg.Path;
@@ -644,7 +659,7 @@ TEST(SharedCache, ReattachSeesExistingEntries) {
   {
     auto SC = openSeg(Seg.Path, 8u << 20);
     ASSERT_NE(SC, nullptr);
-    ASSERT_TRUE(SC->publish(keyFor(11), entryFor(11, 4096)));
+    ASSERT_TRUE(publishEntry(*SC, keyFor(11), entryFor(11, 4096)));
   }
   // New instance, different (ignored) budget request.
   auto SC2 = openSeg(Seg.Path, 1u << 20);

@@ -101,7 +101,6 @@ int usage() {
                "on exit\n"
                "  --l2-path=F    shared-memory L2 compile cache segment\n"
                "  --l2-mb=N      L2 segment budget in MiB (default 256)\n"
-               "  --no-l2        disable the shared L2\n"
                "options for loadgen:\n"
                "  --socket=PATH | --port=N      server address\n"
                "  --workloads=a,b,c  corpus to replay (default all)\n"
@@ -402,6 +401,8 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
   if (!StatsJson.empty()) {
     CR.recordAllocStats(Stats);
     CR.recordAllocProfile();
+    if (Cache)
+      cache::refreshCacheGauges(*Cache);
     std::ofstream OS(StatsJson);
     if (!OS.good()) {
       std::fprintf(stderr, "lsra: cannot write '%s'\n", StatsJson.c_str());
@@ -495,7 +496,6 @@ int cmdServe(int Argc, char **Argv) {
   SO.UnixPath = "/tmp/lsra.sock";
   bool UseTcp = false;
   bool SampleSet = false;
-  bool NoL2 = false;
   std::string StatsJson, TraceOut;
   for (int I = 0; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -538,8 +538,6 @@ int cmdServe(int Argc, char **Argv) {
     } else if (A.rfind("--l2-mb=", 0) == 0) {
       SO.L2Bytes =
           static_cast<size_t>(std::strtoul(A.c_str() + 8, nullptr, 10)) << 20;
-    } else if (A == "--no-l2") {
-      NoL2 = true;
     } else if (A.rfind("--log-level=", 0) == 0) {
       obs::setLogLevel(
           static_cast<unsigned>(std::strtoul(A.c_str() + 12, nullptr, 10)));
@@ -549,8 +547,6 @@ int cmdServe(int Argc, char **Argv) {
   }
   if (UseTcp)
     SO.UnixPath.clear();
-  if (NoL2)
-    SO.L2Path.clear();
   // A request-log or trace sink without an explicit sampling rate means
   // "trace everything": sampling is what feeds both sinks.
   if (!SampleSet && (!SO.RequestLogPath.empty() || !TraceOut.empty()))

@@ -30,13 +30,11 @@ execute_process(
       sleep 0.1
     done
     # Cold pass on server A: every workload compiled once, published to
-    # the shared segment by A's publish agent.
+    # the shared segment by the A worker that compiled it, before its reply.
     '${LSRA_TOOL}' loadgen --socket='${SOCK_A}' --connections=2 --pipeline=1 \
         --requests=8 --workloads=eqntott,espresso,sort,wc --verify
     rc=\$?
     [ \$rc -eq 0 ] || { echo \"cold loadgen failed (rc=\$rc)\" >&2; exit 1; }
-    # A moment for A's async publications to land in the segment.
-    sleep 0.5
     # Warm pass on server B: a fresh process-local L1, so any cache hit
     # here can only come from the shared segment. --verify keeps every
     # response byte-compared against an offline compile.
