@@ -64,10 +64,20 @@ struct PreparedProgram {
 /// \p RegLimit (0 = full machine).
 PreparedProgram prepareOracle(const std::string &IRText, unsigned RegLimit);
 
-/// Run the differential oracle for one grid point of a prepared program:
-/// allocate a copy with allocator \p K, check the structural verifier and
-/// the allocation verifier, then compare the allocated run against the
-/// reference run.
+/// Run the differential oracle for backend \p K of a prepared program at
+/// every spill-cleanup setting in \p Cleanups, from one shared scan: a copy
+/// of the module is allocated once with the post-allocation tail off, and
+/// each setting finishes its own copy of that result (finishAllocation)
+/// before the checks — the structural verifier, the allocation verifier,
+/// and the allocated run against the reference run. Verdicts come in the
+/// order of \p Cleanups. When \p Allocated is given it receives the
+/// checked modules in the same order (none for a malformed program).
+std::vector<OracleResult>
+runOracleCleanups(const PreparedProgram &P, AllocatorKind K,
+                  const std::vector<bool> &Cleanups,
+                  std::vector<std::unique_ptr<Module>> *Allocated = nullptr);
+
+/// The oracle for one grid point: runOracleCleanups with one setting.
 OracleResult runOracle(const PreparedProgram &P, AllocatorKind K,
                        bool SpillCleanup = false);
 
@@ -97,6 +107,11 @@ struct FuzzOptions {
   /// result to be byte-identical to the cold one and to pass the
   /// allocation verifier. Catches any cache key that is too coarse.
   bool WithCache = true;
+  /// Worker threads (0 = one per hardware thread). Programs are checked
+  /// in parallel, the cache differential runs them in order on one lane
+  /// beside that work, and the report is assembled in program order, so it
+  /// is byte-identical at any thread count.
+  unsigned Threads = 1;
 };
 
 struct FuzzFinding {
@@ -119,7 +134,9 @@ struct FuzzReport {
 };
 
 /// Run the differential fuzz loop. \p Progress (may be null) receives
-/// one-line progress and finding reports.
+/// one-line progress and finding reports, in program order. Findings are
+/// reduced one at a time in that order, and the run stops at the finding
+/// that reaches MaxFindings as the sequential loop would.
 FuzzReport runDifferentialFuzz(const FuzzOptions &Opts,
                                std::ostream *Progress = nullptr);
 

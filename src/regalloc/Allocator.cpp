@@ -124,6 +124,22 @@ AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
   // The allocator rewrote the instruction stream (and resolution may have
   // added blocks); everything cached above is stale.
   FA.invalidate();
+  finishAllocation(F, TD, Opts);
+  if (CR.enabled()) {
+    CR.counter("alloc.functions").add(1);
+    CR.histogram("alloc.time.function_us")
+        .record(obs::secondsToUs(Stats.AllocSeconds));
+  }
+  LSRA_LOG(2, "alloc %s [%s]: candidates=%u spilled=%u static-spill=%u "
+              "splits=%u",
+           F.name().c_str(), allocatorName(K), Stats.RegCandidates,
+           Stats.SpilledTemps, Stats.staticSpillInstrs(),
+           Stats.LifetimeSplits);
+  return Stats;
+}
+
+void lsra::finishAllocation(Function &F, const TargetDesc &TD,
+                            const AllocOptions &Opts) {
   if (Opts.SpillCleanup) {
     obs::ScopedSpan S("spill-cleanup", "pass");
     cleanupSpillCode(F, TD);
@@ -136,17 +152,6 @@ AllocStats lsra::allocateFunction(Function &F, const TargetDesc &TD,
     obs::ScopedSpan S("callee-saves", "pass");
     insertCalleeSaves(F, TD);
   }
-  if (CR.enabled()) {
-    CR.counter("alloc.functions").add(1);
-    CR.histogram("alloc.time.function_us")
-        .record(obs::secondsToUs(Stats.AllocSeconds));
-  }
-  LSRA_LOG(2, "alloc %s [%s]: candidates=%u spilled=%u static-spill=%u "
-              "splits=%u",
-           F.name().c_str(), allocatorName(K), Stats.RegCandidates,
-           Stats.SpilledTemps, Stats.staticSpillInstrs(),
-           Stats.LifetimeSplits);
-  return Stats;
 }
 
 unsigned lsra::resolveThreadCount(unsigned Requested, unsigned NumItems) {

@@ -169,7 +169,7 @@ struct AllocStats {
 
 /// Allocate registers for \p F with allocator \p K. The function must have
 /// its calls lowered. On return the function contains no virtual
-/// registers. Callee-save code is inserted when AO.CalleeSaves is set.
+/// registers. The scan is followed by finishAllocation's tail.
 AllocStats allocateFunction(Function &F, const TargetDesc &TD,
                             AllocatorKind K, const AllocOptions &AO = {});
 
@@ -179,6 +179,16 @@ AllocStats allocateFunction(Function &F, const TargetDesc &TD,
 AllocStats allocateFunction(Function &F, const TargetDesc &TD,
                             AllocatorKind K, const AllocOptions &AO,
                             FunctionAnalyses &FA);
+
+/// The post-allocation tail that allocateFunction runs after the scan, in
+/// this order and each only when \p AO asks for it: the §2.4 spill cleanup,
+/// the self-move peephole and callee-save insertion. None of the three is
+/// read by the scan itself, so a function allocated with all three off and
+/// then finished here is byte-identical to allocateFunction with \p AO. The
+/// fuzz oracle relies on this to scan once and finish one copy per cleanup
+/// setting.
+void finishAllocation(Function &F, const TargetDesc &TD,
+                      const AllocOptions &AO);
 
 /// Allocate the function at index \p Idx of \p M, consulting EO.Cache (if
 /// any) keyed on the function's canonical printed text. On a hit the cached

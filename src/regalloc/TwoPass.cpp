@@ -22,31 +22,42 @@ namespace {
 
 constexpr unsigned NoReg = ~0u;
 
-/// Per-register booking of busy position ranges (committed whole lifetimes,
-/// point lifetimes of spill references, and the register's own fixed
-/// convention segments). Kept sorted by start.
+/// Per-register booking of busy position ranges: committed whole lifetimes,
+/// the register's own fixed convention segments and the point lifetimes of
+/// spill references. Every booking follows a failed overlap test, so nothing
+/// booked overlaps anything else: the ranges sorted by start have sorted
+/// ends too, an overlap query is one binary search, and at most one range
+/// covers a position. Point lifetimes (one position each, never unbooked)
+/// are bits in a position table.
 class RegBook {
 public:
-  void book(unsigned Start, unsigned End) {
-    Segment S{Start, End};
-    auto It = std::lower_bound(
-        Busy.begin(), Busy.end(), S,
-        [](const Segment &A, const Segment &B) { return A.Start < B.Start; });
-    Busy.insert(It, S);
+  /// Book \p LT's segments for \p Owner (a vreg, or NoReg for the
+  /// register's fixed segments).
+  void bookLifetime(const Lifetime &LT, unsigned Owner) {
+    for (const Segment &S : LT.Segs) {
+      assert(!overlaps(S.Start, S.End) && "booked ranges must stay disjoint");
+      Busy.insert(firstStartingAt(S.Start), Range{S.Start, S.End, Owner});
+    }
   }
 
-  void bookLifetime(const Lifetime &LT) {
-    for (const Segment &S : LT.Segs)
-      book(S.Start, S.End);
+  void bookPoint(unsigned Pos) {
+    assert(!overlaps(Pos, Pos + 1) && "booked ranges must stay disjoint");
+    if (Pos >= Points.size())
+      Points.resize(std::max<size_t>(Pos + 1, 2 * Points.size()), false);
+    Points[Pos] = true;
   }
 
   bool overlaps(unsigned Start, unsigned End) const {
-    for (const Segment &S : Busy) {
-      if (S.Start >= End)
-        break;
-      if (S.End > Start)
+    // Of the ranges starting before End, the last one ends last.
+    auto It = firstStartingAt(End);
+    if (It != Busy.begin() && std::prev(It)->End > Start)
+      return true;
+    // Points are booked only after every whole lifetime, and queried one
+    // position at a time, so this loop is short or empty.
+    unsigned Last = std::min<size_t>(End, Points.size());
+    for (unsigned P = Start; P < Last; ++P)
+      if (Points[P])
         return true;
-    }
     return false;
   }
 
@@ -57,18 +68,35 @@ public:
     return false;
   }
 
+  /// The vreg whose booked whole lifetime covers \p Pos, or NoReg.
+  unsigned ownerAt(unsigned Pos) const {
+    auto It = firstStartingAt(Pos + 1);
+    if (It == Busy.begin() || std::prev(It)->End <= Pos)
+      return NoReg;
+    return std::prev(It)->Owner;
+  }
+
   void unbook(const Lifetime &LT) {
     for (const Segment &S : LT.Segs) {
-      auto It = std::find_if(Busy.begin(), Busy.end(), [&](const Segment &B) {
-        return B.Start == S.Start && B.End == S.End;
-      });
-      if (It != Busy.end())
-        Busy.erase(It);
+      auto It = firstStartingAt(S.Start);
+      assert(It != Busy.end() && It->Start == S.Start && It->End == S.End &&
+             "unbooking a range that was never booked");
+      Busy.erase(It);
     }
   }
 
 private:
-  std::vector<Segment> Busy;
+  struct Range {
+    unsigned Start, End, Owner;
+  };
+  std::vector<Range> Busy;
+  std::vector<bool> Points; // position -> booked by a point lifetime
+
+  std::vector<Range>::const_iterator firstStartingAt(unsigned Pos) const {
+    return std::lower_bound(
+        Busy.begin(), Busy.end(), Pos,
+        [](const Range &R, unsigned P) { return R.Start < P; });
+  }
 };
 
 class TwoPassAllocator {
@@ -92,13 +120,12 @@ private:
   std::vector<Lifetime> Filled;
   std::vector<unsigned> Assigned; // vreg -> register or NoReg (memory)
   std::vector<RegBook> Books;     // indexed by physical register
-  std::vector<std::vector<unsigned>> OwnersOf; // reg -> committed vregs
   /// Per spilled vreg: (reference position, register for that point).
   std::vector<std::vector<std::pair<unsigned, unsigned>>> PointRegs;
 
   bool tryAssignWhole(unsigned V);
   void unassign(unsigned V, std::vector<unsigned> &Requeue);
-  unsigned assignPoint(RegClass RC, unsigned Start, unsigned End,
+  unsigned assignPoint(RegClass RC, unsigned Pos,
                        std::vector<unsigned> &Requeue);
   void rewrite();
 };
@@ -112,9 +139,8 @@ AllocStats TwoPassAllocator::run() {
   for (unsigned V = 0; V < NumV; ++V)
     Filled[V] = LT.vreg(V).withArtifactGapsFilled();
   Books.resize(NumPRegs);
-  OwnersOf.resize(NumPRegs);
   for (unsigned P = 0; P < NumPRegs; ++P)
-    Books[P].bookLifetime(LT.pregFixed(P));
+    Books[P].bookLifetime(LT.pregFixed(P), NoReg);
 
   // Pass 1: walk lifetimes in start order, committing whole lifetimes.
   std::vector<unsigned> ByStart;
@@ -146,13 +172,11 @@ AllocStats TwoPassAllocator::run() {
                 "whole lifetime fits no register; point lifetimes only");
     const Lifetime &L = LT.vreg(V);
     for (const Reference &R : L.Refs) {
-      // A def point extends one past the def position; a use point covers
-      // the read. A use and def of the same temp at one instruction share
+      // A point covers its one position: a use point the read, a def point
+      // the write. A use and def of the same temp at one instruction share
       // the instruction's [usePos, defPos+1) range via separate points.
-      unsigned Start = R.Pos;
-      unsigned End = R.Pos + 1;
       std::vector<unsigned> Requeue;
-      unsigned Reg = assignPoint(F.vregClass(V), Start, End, Requeue);
+      unsigned Reg = assignPoint(F.vregClass(V), R.Pos, Requeue);
       PointRegs[V].push_back({R.Pos, Reg});
       for (unsigned RV : Requeue)
         Queue.push_back(RV);
@@ -168,8 +192,7 @@ bool TwoPassAllocator::tryAssignWhole(unsigned V) {
   for (unsigned R : TD.allocOrder(F.vregClass(V))) {
     if (Books[R].overlapsLifetime(L))
       continue;
-    Books[R].bookLifetime(L);
-    OwnersOf[R].push_back(V);
+    Books[R].bookLifetime(L, V);
     Assigned[V] = R;
     return true;
   }
@@ -180,34 +203,26 @@ void TwoPassAllocator::unassign(unsigned V, std::vector<unsigned> &Requeue) {
   unsigned R = Assigned[V];
   assert(R != NoReg && "unassigning an unassigned temp");
   Books[R].unbook(Filled[V]);
-  auto &Owners = OwnersOf[R];
-  Owners.erase(std::find(Owners.begin(), Owners.end(), V));
   Assigned[V] = NoReg;
   Requeue.push_back(V);
 }
 
-unsigned TwoPassAllocator::assignPoint(RegClass RC, unsigned Start,
-                                       unsigned End,
+unsigned TwoPassAllocator::assignPoint(RegClass RC, unsigned Pos,
                                        std::vector<unsigned> &Requeue) {
   for (unsigned R : TD.allocOrder(RC))
-    if (!Books[R].overlaps(Start, End)) {
-      Books[R].book(Start, End);
+    if (!Books[R].overlaps(Pos, Pos + 1)) {
+      Books[R].bookPoint(Pos);
       return R;
     }
-  // Steal: demote the committed whole lifetimes overlapping this point in
-  // the first register where that suffices.
+  // Steal: demote the committed whole lifetime covering this point in the
+  // first register that has one. It is the only booking there, so the
+  // point then fits.
   for (unsigned R : TD.allocOrder(RC)) {
-    std::vector<unsigned> Victims;
-    for (unsigned V : OwnersOf[R])
-      if (Filled[V].liveAt(Start) || Filled[V].liveAt(End - 1))
-        Victims.push_back(V);
-    if (Victims.empty())
-      continue; // blocked by fixed segments or other points
-    for (unsigned V : Victims)
-      unassign(V, Requeue);
-    if (Books[R].overlaps(Start, End))
-      continue; // still blocked (fixed/point); victims already requeued
-    Books[R].book(Start, End);
+    unsigned Victim = Books[R].ownerAt(Pos);
+    if (Victim == NoReg)
+      continue; // blocked by a fixed segment or another point
+    unassign(Victim, Requeue);
+    Books[R].bookPoint(Pos);
     return R;
   }
   assert(false && "two-pass binpacking: no register for a point lifetime");
@@ -281,9 +296,6 @@ void TwoPassAllocator::rewrite() {
 }
 
 } // namespace
-
-// Out-of-line member storage for PointRegs (declared via the class above).
-// (Defined here to keep the class body compact.)
 
 AllocStats lsra::runTwoPassBinpack(Function &F, const TargetDesc &TD,
                                    const AllocOptions &Opts) {

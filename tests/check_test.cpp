@@ -626,6 +626,41 @@ TEST(PreparedOracle, SharedPreparationGivesTheTextOraclesVerdicts) {
   }
 }
 
+TEST(SharedScanOracle, PairMatchesTwoSinglePoints) {
+  // One scan finished twice must give each cleanup setting the verdict of
+  // its own grid point, and the module a full allocation with that setting
+  // prints.
+  std::vector<PreparedOracleCase> Cases = preparedOracleCases();
+  ASSERT_GT(Cases.size(), 20u) << "no corpus reproducers found";
+  const std::vector<bool> Pair{false, true};
+  for (const PreparedOracleCase &C : Cases) {
+    for (unsigned Regs : C.Limits) {
+      PreparedProgram P = prepareOracle(C.Text, Regs);
+      ASSERT_TRUE(P.M) << C.Name << ": " << P.Malformed.Detail;
+      for (AllocatorKind K : AllocatorRegistry::global().kinds()) {
+        std::vector<std::unique_ptr<Module>> Mods;
+        std::vector<OracleResult> Got = runOracleCleanups(P, K, Pair, &Mods);
+        ASSERT_EQ(Got.size(), 2u);
+        ASSERT_EQ(Mods.size(), 2u);
+        for (size_t I = 0; I < Pair.size(); ++I) {
+          std::string Where = C.Name + " " + allocatorName(K) + " r" +
+                              std::to_string(Regs) +
+                              (Pair[I] ? " cleanup" : "");
+          OracleResult Alone = runOracle(P, K, Pair[I]);
+          EXPECT_EQ(Got[I].St, Alone.St) << Where;
+          EXPECT_EQ(Got[I].Kind, Alone.Kind) << Where;
+          EXPECT_EQ(Got[I].Detail, Alone.Detail) << Where;
+          std::unique_ptr<Module> Full = cloneModule(*P.M);
+          AllocOptions AO;
+          AO.SpillCleanup = Pair[I];
+          allocateModule(*Full, P.TD, K, AO);
+          EXPECT_TRUE(printed(*Mods[I]) == printed(*Full)) << Where;
+        }
+      }
+    }
+  }
+}
+
 TEST(PreparedOracle, MalformedTextKeepsItsVerdict) {
   const std::string Text = "func @main() {\nbb0:\n  bogus\n}\n";
   PreparedProgram P = prepareOracle(Text, 4);

@@ -526,6 +526,38 @@ TEST(SpillCleanup, MatchesDenseReference) {
   EXPECT_GT(Rewritten, 0u);
 }
 
+TEST(AllocatorTail, ScanThenTailMatchesAllocateFunction) {
+  // allocateFunction is the scan followed by finishAllocation: allocating
+  // with the tail off and then finishing must print the same bytes, for
+  // every backend, with the spill cleanup off and on.
+  for (const auto &[Name, M] : exactnessInputs()) {
+    for (unsigned Regs : {8u, 4u}) {
+      TargetDesc TD = TargetDesc::alphaLike().withRegLimit(Regs, Regs);
+      std::unique_ptr<Module> Base = cloneModule(*M);
+      eliminateDeadCode(*Base, TD);
+      for (AllocatorKind K : AllocatorRegistry::global().kinds()) {
+        for (bool Cleanup : {false, true}) {
+          AllocOptions AO;
+          AO.SpillCleanup = Cleanup;
+          AllocOptions ScanOnly;
+          ScanOnly.RunPeephole = false;
+          ScanOnly.CalleeSaves = false;
+          std::unique_ptr<Module> Whole = cloneModule(*Base);
+          std::unique_ptr<Module> Split = cloneModule(*Base);
+          for (unsigned F = 0; F < Base->numFunctions(); ++F) {
+            allocateFunction(Whole->function(F), TD, K, AO);
+            allocateFunction(Split->function(F), TD, K, ScanOnly);
+            finishAllocation(Split->function(F), TD, AO);
+          }
+          EXPECT_TRUE(printed(*Whole) == printed(*Split))
+              << Name << " " << allocatorName(K) << " r" << Regs
+              << (Cleanup ? " cleanup" : "");
+        }
+      }
+    }
+  }
+}
+
 // Property: the cleanup never changes observable behaviour, and never
 // increases the dynamic instruction count.
 TEST(SpillCleanup, PreservesSemanticsOnWorkloads) {

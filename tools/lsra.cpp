@@ -144,6 +144,9 @@ int usage() {
                "  --corpus=DIR   write minimized reproducers here\n"
                "  --max-findings=N  stop after N findings (default 8)\n"
                "  --statements=N    program size knob (default 60)\n"
+               "  --threads=N    check programs on N workers (default 0 =\n"
+               "                 hardware threads); the report is the same\n"
+               "                 at any N\n"
                "options for reduce:\n"
                "  --allocator=K --regs=N --cleanup   failing configuration\n"
                "  -o FILE        write the minimized program here\n"
@@ -839,6 +842,7 @@ int cmdTop(int Argc, char **Argv) {
 
 int cmdFuzz(int Argc, char **Argv) {
   check::FuzzOptions FO;
+  FO.Threads = 0; // one worker per hardware thread unless --threads says
   for (int I = 0; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A.rfind("--seed=", 0) == 0) {
@@ -873,6 +877,9 @@ int cmdFuzz(int Argc, char **Argv) {
     } else if (A.rfind("--max-findings=", 0) == 0) {
       FO.MaxFindings =
           static_cast<unsigned>(std::strtoul(A.c_str() + 15, nullptr, 10));
+    } else if (A.rfind("--threads=", 0) == 0) {
+      FO.Threads =
+          static_cast<unsigned>(std::strtoul(A.c_str() + 10, nullptr, 10));
     } else if (A.rfind("--statements=", 0) == 0) {
       FO.Program.Statements =
           static_cast<unsigned>(std::strtoul(A.c_str() + 13, nullptr, 10));

@@ -79,8 +79,9 @@ endif()
 # A fresh server with full request tracing: one loadgen run with client-side
 # records, two live StatsRequest fetches (json for the validators, prom and
 # text for rendering smoke), then the graceful drain. The lifetime
-# histograms cover exactly this run, so the server p99 can be compared
-# against the loadgen's exact percentile.
+# histograms cover exactly this run, so the server p99 can be bracketed by
+# the exact percentiles of the request log's and the loadgen's per-request
+# spans.
 set(TSOCK "${OUT_DIR}/check_serve_telemetry.sock")
 set(REQLOG "${OUT_DIR}/check_serve.request_log.jsonl")
 set(RECORDS "${OUT_DIR}/check_serve.records.jsonl")
@@ -136,7 +137,7 @@ execute_process(
           "--metrics" "${SNAP1}" "--metrics" "${SNAP2}"
           "--records" "${RECORDS}"
           "--join" "${RECORDS}:${REQLOG}"
-          "--p99" "${SNAP1}:${RECORDS}"
+          "--p99" "${SNAP1}:${RECORDS}:${REQLOG}"
           "--trace" "${TTRACE}"
   RESULT_VARIABLE TCHECK_RC
   OUTPUT_VARIABLE TCHECK_OUT
