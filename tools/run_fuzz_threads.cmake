@@ -1,4 +1,4 @@
-# Test driver: `lsra fuzz` checks programs on worker threads but assembles
+# Test script: `lsra fuzz` checks programs on worker threads but assembles
 # its report in program order, so the report must not depend on the
 # thread count. Runs one seed range at --threads=1 and --threads=4 and
 # requires byte-identical stdout. Invoked by ctest as
