@@ -33,15 +33,10 @@ using namespace lsra::check;
 
 namespace {
 
-TargetDesc targetFor(unsigned RegLimit) {
-  TargetDesc TD = TargetDesc::alphaLike();
-  return RegLimit ? TD.withRegLimit(RegLimit, RegLimit) : TD;
-}
-
 /// The VM budget of both oracle runs.
 VM::Options refOptions() {
   VM::Options O;
-  O.MaxInstrs = 50'000'000;
+  O.MaxInstrs = RunInstrBudget;
   return O;
 }
 
@@ -62,7 +57,7 @@ OracleResult fail(const char *Kind, std::string Detail) {
 std::string runCacheDifferential(const std::string &Text, AllocatorKind K,
                                  unsigned RegLimit,
                                  cache::CompileCache &Cache) {
-  TargetDesc TD = targetFor(RegLimit);
+  TargetDesc TD = targetForRegLimit(RegLimit);
   ExecOptions EO;
   EO.VerifyAlloc = true;
   EO.Cache = &Cache;
@@ -146,7 +141,7 @@ PreparedProgram lsra::check::prepareOracle(const std::string &IRText,
     return P;
   }
 
-  P.TD = targetFor(RegLimit);
+  P.TD = targetForRegLimit(RegLimit);
   // Lower and DCE in place, leaving P.M as the exact module every allocator
   // consumes — the verifier's Orig snapshot. The instruction budget is far
   // above any generated program but low enough that reduction candidates

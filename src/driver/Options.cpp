@@ -22,7 +22,8 @@ bool lsra::parseCompileFlag(const std::string &Arg, CompileFlags &F,
     return true;
   }
   if (Arg.rfind("--regs=", 0) == 0) {
-    F.Regs = static_cast<unsigned>(std::strtoul(Arg.c_str() + 7, nullptr, 10));
+    if (!parseRegLimit(Value(7), F.Regs, Err))
+      Err = "--regs: " + Err;
     return true;
   }
   if (Arg.rfind("--threads=", 0) == 0) {
@@ -78,6 +79,7 @@ bool lsra::parseCompileFlag(const std::string &Arg, CompileFlags &F,
 const char *lsra::compileFlagsHelp() {
   return "  --allocator=binpack|coloring|twopass|poletto|ebb\n"
          "  --regs=N       restrict the allocatable file to N per class\n"
+         "                 (3 to 25; 0 = the full file)\n"
          "  --threads=N    allocate functions on N workers (0 = auto)\n"
          "  --cleanup      enable the spill-cleanup pass\n"
          "  --verify-alloc prove the allocation correct\n"
@@ -90,10 +92,7 @@ const char *lsra::compileFlagsHelp() {
 }
 
 TargetDesc lsra::targetForFlags(const CompileFlags &F) {
-  TargetDesc TD = TargetDesc::alphaLike();
-  if (F.Regs)
-    TD = TD.withRegLimit(F.Regs, F.Regs);
-  return TD;
+  return targetForRegLimit(F.Regs);
 }
 
 std::unique_ptr<cache::CompileCache>

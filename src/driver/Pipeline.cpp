@@ -274,6 +274,7 @@ RunResult lsra::runReference(Module &M, const TargetDesc &TD) {
 
 RunResult lsra::runAllocated(const Module &M, const TargetDesc &TD) {
   VM::Options VO;
+  VO.MaxInstrs = RunInstrBudget;
   VO.PoisonCallerSaved = true;
   VO.CheckCalleeSaved = true;
   VM Machine(M, TD, VO);

@@ -104,8 +104,15 @@ std::string checkAllocated(const Module &M);
 /// compileModule), then run on the VM with virtual registers intact.
 RunResult runReference(Module &M, const TargetDesc &TD);
 
+/// Instruction budget of every checked run: runAllocated (so each served
+/// run=1 request) and both runs of the fuzz oracle. The largest built-in
+/// workload, li at 4 registers per class, executes 4.85 M instructions; a
+/// program that spins stops here in well under a second.
+constexpr uint64_t RunInstrBudget = 50'000'000;
+
 /// Execute an allocated module with the machine-contract checks enabled
-/// (caller-saved poisoning, callee-saved verification).
+/// (caller-saved poisoning, callee-saved verification), within
+/// RunInstrBudget instructions.
 RunResult runAllocated(const Module &M, const TargetDesc &TD);
 
 } // namespace lsra

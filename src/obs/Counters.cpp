@@ -6,7 +6,6 @@
 
 #include "obs/Counters.h"
 
-#include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "regalloc/Allocator.h"
 #include "support/AllocProfile.h"
@@ -14,9 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <ostream>
-#include <sstream>
 
 using namespace lsra;
 using namespace lsra::obs;
@@ -110,85 +106,18 @@ void CounterRegistry::recordRunStats(const RunStats &S) {
       .add(S.kind(SpillKind::CalleeSave) + S.kind(SpillKind::CalleeRestore));
 }
 
-namespace {
-
-/// Stable name-sorted view of the registry entries.
-template <typename EntryT>
-std::vector<const EntryT *>
-sortedEntries(const std::vector<std::unique_ptr<EntryT>> &Entries) {
-  std::vector<const EntryT *> Sorted;
-  Sorted.reserve(Entries.size());
-  for (const auto &E : Entries)
-    Sorted.push_back(E.get());
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const EntryT *A, const EntryT *B) { return A->Name < B->Name; });
-  return Sorted;
-}
-
-} // namespace
-
-void CounterRegistry::writeJsonl(std::ostream &OS) const {
-  std::lock_guard<std::mutex> L(Mu);
-  for (const Entry *E : sortedEntries(Entries)) {
-    if (E->K == Entry::Kind::Count) {
-      JsonObject O;
-      O.field("kind", "counter").field("name", E->Name).field("value",
-                                                              E->C.value());
-      OS << O.str() << "\n";
-    } else if (E->K == Entry::Kind::Hist) {
-      HistogramSnapshot S = E->H->snapshot();
-      JsonObject O;
-      O.field("kind", "hist")
-          .field("name", E->Name)
-          .field("count", S.Count)
-          .field("sum", S.Sum)
-          .field("min", S.Min)
-          .field("max", S.Max)
-          .field("p50", S.percentile(50))
-          .field("p95", S.percentile(95))
-          .field("p99", S.percentile(99));
-      OS << O.str() << "\n";
-    } else if (E->K == Entry::Kind::Gauge) {
-      JsonObject O;
-      O.field("kind", "gauge")
-          .field("name", E->Name)
-          .fieldRaw("value", std::to_string(E->G.value()));
-      OS << O.str() << "\n";
-    }
-  }
-}
-
-bool CounterRegistry::writeJsonl(const std::string &Path) const {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  writeJsonl(OS);
-  return OS.good();
-}
-
-std::string CounterRegistry::snapshotText() const {
-  std::lock_guard<std::mutex> L(Mu);
-  std::ostringstream OS;
-  for (const Entry *E : sortedEntries(Entries)) {
-    if (E->K == Entry::Kind::Count)
-      OS << "counter " << E->Name << " " << E->C.value() << "\n";
-    else if (E->K == Entry::Kind::Hist) {
-      HistogramSnapshot S = E->H->snapshot();
-      OS << "hist " << E->Name << " " << S.Count << " " << S.Sum << " "
-         << S.Min << " " << S.Max << "\n";
-    } else if (E->K == Entry::Kind::Gauge)
-      OS << "gauge " << E->Name << " " << E->G.value() << "\n";
-  }
-  return OS.str();
-}
-
 MetricsSnapshot CounterRegistry::metricsSnapshot() const {
   MetricsSnapshot Out;
   Out.UnixMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                    std::chrono::system_clock::now().time_since_epoch())
                    .count();
   std::lock_guard<std::mutex> L(Mu);
-  for (const Entry *E : sortedEntries(Entries)) {
+  std::vector<const Entry *> Sorted;
+  for (const auto &E : Entries)
+    Sorted.push_back(E.get());
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const Entry *A, const Entry *B) { return A->Name < B->Name; });
+  for (const Entry *E : Sorted) {
     switch (E->K) {
     case Entry::Kind::Count:
       Out.Counters.emplace_back(E->Name, E->C.value());

@@ -19,9 +19,8 @@
 /// WindowedHistograms (obs/Metrics.h), whose bucket counts commute the
 /// same way; a histogram's name carries its unit (alloc.time.cpu_us).
 ///
-/// Snapshots are emitted as JSONL (one self-describing JSON object per
-/// line, sorted by name) so experiment output is machine-readable without
-/// hand-rolled JSON at every call site.
+/// The one read path is metricsSnapshot(): the versioned document a
+/// StatsReply carries and `lsra run|serve --stats-json` writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -89,19 +87,6 @@ public:
   void recordAllocProfile();
   /// Re-export every RunStats field under "vm.dyn.*".
   void recordRunStats(const RunStats &S);
-
-  /// One JSON object per line, sorted by name:
-  ///   {"kind": "counter", "name": ..., "value": N}
-  ///   {"kind": "hist", "name": ..., "count": N, "sum": N, "min": N,
-  ///    "max": N, "p50": N, "p95": N, "p99": N}
-  ///   {"kind": "gauge", "name": ..., "value": N}
-  void writeJsonl(std::ostream &OS) const;
-  bool writeJsonl(const std::string &Path) const;
-
-  /// Deterministic plain-text snapshot ("counter NAME VALUE" / "hist NAME
-  /// COUNT SUM MIN MAX" / "gauge NAME VALUE" lines sorted by name) for
-  /// tests and debugging.
-  std::string snapshotText() const;
 
   /// Capture every counter, gauge, and histogram (lifetime + 1s/10s/60s
   /// windows) into one versioned MetricsSnapshot — the value StatsReply

@@ -103,9 +103,7 @@ bool compileExpected(const LoadGenOptions &Opts,
     Err = "unknown allocator '" + Opts.Allocator + "'";
     return false;
   }
-  TargetDesc TD = TargetDesc::alphaLike();
-  if (Opts.Regs)
-    TD = TD.withRegLimit(Opts.Regs, Opts.Regs);
+  TargetDesc TD = targetForRegLimit(Opts.Regs);
   for (const std::string &Text : Corpus) {
     TextCompileResult TC =
         compileTextModule(Text, TD, Kind, AllocOptions(), ExecOptions(),

@@ -74,7 +74,7 @@ struct LoadGenOptions {
 
   // Per-request knobs, forwarded verbatim.
   std::string Allocator = "binpack";
-  unsigned Regs = 0;
+  unsigned Regs = 0; ///< 0 or MinRegLimit..MaxRegLimit (parseRegLimit)
   bool Run = false;
   uint32_t DeadlineMs = 0;
   bool NoCache = false; ///< ask the server to bypass its compile cache

@@ -6,6 +6,8 @@
 
 #include "server/Protocol.h"
 
+#include "target/Target.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -176,8 +178,6 @@ std::string lsra::server::encodeCompileRequest(const CompileRequest &R) {
     OS << "run=1\n";
   if (R.DeadlineMs)
     OS << "deadline_ms=" << R.DeadlineMs << "\n";
-  if (R.HoldMs)
-    OS << "hold_ms=" << R.HoldMs << "\n";
   if (R.NoCache)
     OS << "no_cache=1\n";
   OS << "\n" << R.IRText;
@@ -193,16 +193,15 @@ bool lsra::server::decodeCompileRequest(const std::string &Payload,
   for (const auto &[K, V] : Fields) {
     if (K == "allocator")
       Out.Allocator = V;
-    else if (K == "regs")
-      Out.Regs = static_cast<unsigned>(toU64(V));
-    else if (K == "cleanup")
+    else if (K == "regs") {
+      if (!parseRegLimit(V, Out.Regs, Err))
+        return false;
+    } else if (K == "cleanup")
       Out.Cleanup = V == "1";
     else if (K == "run")
       Out.Run = V == "1";
     else if (K == "deadline_ms")
       Out.DeadlineMs = static_cast<uint32_t>(toU64(V));
-    else if (K == "hold_ms")
-      Out.HoldMs = static_cast<uint32_t>(toU64(V));
     else if (K == "no_cache")
       Out.NoCache = V == "1";
     else {

@@ -54,8 +54,11 @@ constexpr uint32_t FrameMagic = 0x4153524cu;
 /// answer them out of order (responses match requests by id, never by
 /// position). v4 added the `tier` request and response fields of tiered
 /// serving; v5 removed them again, so a `tier` field is now an unknown
-/// field and a typed error.
-constexpr uint8_t ProtocolVersion = 5;
+/// field and a typed error. v6 removed the load-test field that made a
+/// worker sleep before compiling, so any client could stall one (tests now
+/// hold a worker through ServerOptions::BeforeCompile), and bounds `regs`
+/// to 0 or 3..25.
+constexpr uint8_t ProtocolVersion = 6;
 
 /// Frame header size on the wire (magic + version + len + id + type).
 constexpr uint32_t FrameHeaderBytes = 14;
@@ -88,11 +91,10 @@ const char *frameTypeName(FrameType T);
 /// `lsra run`: second-chance binpacking on the full register file.
 struct CompileRequest {
   std::string Allocator = "binpack"; ///< parseAllocator() name
-  unsigned Regs = 0;       ///< per-class register limit (0 = full file)
+  unsigned Regs = 0;       ///< per-class register limit (parseRegLimit)
   bool Cleanup = false;    ///< run the spill-cleanup pass
   bool Run = false;        ///< execute on the VM, report dynamic counts
   uint32_t DeadlineMs = 0; ///< relative deadline (0 = none)
-  uint32_t HoldMs = 0;     ///< worker sleeps this long first (load tests)
   bool NoCache = false;    ///< bypass the server's compile cache
   std::string IRText;      ///< the module, in textual IR form
 };

@@ -17,7 +17,6 @@
 #include "support/ParallelFor.h"
 #include "support/Timer.h"
 
-#include <chrono>
 #include <future>
 #include <sys/epoll.h>
 
@@ -282,20 +281,15 @@ void Server::admitCompile(uint64_t ConnId, const FrameDecoder::Frame &F) {
   P->DeadlineNs = DeadlineMs ? ArrivalNs + int64_t(DeadlineMs) * 1'000'000 : 0;
   P->RT = RT;
 
-  TargetDesc TD = TargetDesc::alphaLike();
-  if (Req.Regs)
-    TD = TD.withRegLimit(Req.Regs, Req.Regs);
+  TargetDesc TD = targetForRegLimit(Req.Regs);
   AllocOptions AO;
   AO.SpillCleanup = Req.Cleanup;
 
   // The merge key is the compile cache's content x options x target hash,
   // with every request field that changes the response folded in. The
-  // deadline is deliberately excluded (it changes when a request is
-  // abandoned, not what it computes); HoldMs is deliberately included (two
-  // requests with different holds are different work, which the load tests
-  // rely on).
+  // deadline is deliberately excluded: it changes when a request is
+  // abandoned, not what it computes.
   uint64_t OptionsFp = WordHash(AO.fingerprint())
-                           .word(Req.HoldMs)
                            .word((Req.Run ? 2u : 0u) + (Req.NoCache ? 1u : 0u))
                            .bytes(Req.Allocator.data(), Req.Allocator.size())
                            .value();
@@ -464,8 +458,8 @@ void Server::compileEntry(const InflightPtr &E) {
   if (E->LeaderRT && E->Leader)
     E->LeaderRT->addPhase("queue-wait", E->Leader->ArrivalNs,
                           TaskStartNs - E->Leader->ArrivalNs);
-  if (E->Req.HoldMs) // load-test knob: simulate a slow compilation
-    std::this_thread::sleep_for(std::chrono::milliseconds(E->Req.HoldMs));
+  if (Opts.BeforeCompile)
+    Opts.BeforeCompile(E->Req);
 
   ExecOptions EO;
   EO.VerifyAlloc = Opts.VerifyAlloc;
@@ -498,6 +492,12 @@ void Server::compileEntry(const InflightPtr &E) {
     InflightTable.erase(E->Key);
   }
 
+  // A run=1 request whose run fails (out of budget, a VM trap) is answered
+  // with the VM's message, never as a CompileOk without run fields.
+  if (TC.Ran && !TC.Run.Ok) {
+    TC.Ok = false;
+    TC.Error = "run: " + TC.Run.Error;
+  }
   CompileResponse Base;
   const char *CounterName;
   const char *LogStatus;
@@ -512,7 +512,8 @@ void Server::compileEntry(const InflightPtr &E) {
     // validator could not prove correct.
     CounterName = TC.Error.rfind("allocation verify:", 0) == 0
                       ? "server.verify_rejects"
-                      : "server.parse_errors";
+                  : TC.Ran ? "server.run_errors"
+                           : "server.parse_errors";
     LogStatus = "error";
   } else {
     Base.Status = FrameType::CompileOk;
@@ -526,7 +527,7 @@ void Server::compileEntry(const InflightPtr &E) {
     Base.Cached = TC.CacheHit;
     if (TC.CacheHit)
       bumpCounter("server.cache_hits");
-    if (TC.Ran && TC.Run.Ok) {
+    if (TC.Ran) {
       Base.HasRun = true;
       Base.DynInstrs = TC.Run.Stats.Total;
       Base.Cycles = TC.Run.Stats.Cycles;

@@ -57,8 +57,8 @@
 /// server.queue_depth.dist) and the gauges (server.queue_depth,
 /// server.inflight, server.open_connections, proc.rss_bytes, cache.bytes)
 /// are live for the whole serve. Any connected client can fetch them
-/// mid-load with a StatsRequest frame (`lsra stats` / `lsra top`), and the
-/// same data lands in the usual --stats-json JSONL snapshot at exit.
+/// mid-load with a StatsRequest frame (`lsra stats` / `lsra top`), and
+/// `lsra serve --stats-json` writes the same document at exit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +74,7 @@
 #include "target/Target.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -127,6 +128,11 @@ struct ServerOptions {
   /// When non-empty, start() opens obs::RequestLog on this path and every
   /// sampled request appends one JSONL timing record; shutdown() closes it.
   std::string RequestLogPath;
+
+  /// Test gate: when set, a worker calls it with the decoded request just
+  /// before compiling, so a test can hold a worker busy until it releases
+  /// the gate. No wire field reaches it.
+  std::function<void(const CompileRequest &)> BeforeCompile;
 };
 
 class Server {
@@ -151,7 +157,6 @@ public:
 
   /// Resolved TCP port (after start(), TCP mode only).
   uint16_t port() const { return L.port(); }
-  const std::string &unixPath() const { return Opts.UnixPath; }
 
   /// Requests answered since start(), any status. (Monotonic; readable
   /// while serving.)

@@ -8,6 +8,8 @@
 
 #include "support/Hash.h"
 
+#include <algorithm>
+
 using namespace lsra;
 
 namespace {
@@ -58,6 +60,36 @@ TargetDesc TargetDesc::withRegLimit(unsigned IntRegs, unsigned FpRegs) const {
       TD.AllocatableBits |= uint64_t(1) << P;
   }
   return TD;
+}
+
+bool lsra::parseRegLimit(const std::string &Text, unsigned &Regs,
+                         std::string &Err) {
+  // Digits only; the value saturates just past the bound, so a long digit
+  // string is out of range instead of wrapping into it.
+  bool Ok = !Text.empty();
+  unsigned N = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9') {
+      Ok = false;
+      break;
+    }
+    N = std::min(N * 10 + static_cast<unsigned>(C - '0'), MaxRegLimit + 1);
+  }
+  if (!Ok || (N != 0 && (N < MinRegLimit || N > MaxRegLimit))) {
+    Err = "bad register limit '" + Text + "' (want 0 for the full file, or " +
+          std::to_string(MinRegLimit) + " to " + std::to_string(MaxRegLimit) +
+          ")";
+    return false;
+  }
+  Regs = N;
+  return true;
+}
+
+TargetDesc lsra::targetForRegLimit(unsigned Regs) {
+  assert((Regs == 0 || (Regs >= MinRegLimit && Regs <= MaxRegLimit)) &&
+         "register limit not bounded by parseRegLimit");
+  TargetDesc TD = TargetDesc::alphaLike();
+  return Regs ? TD.withRegLimit(Regs, Regs) : TD;
 }
 
 uint64_t TargetDesc::fingerprint() const {

@@ -25,6 +25,7 @@
 #include "ir/Instr.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace lsra {
@@ -100,6 +101,21 @@ private:
   uint64_t CalleeSavedBits = 0;
   uint64_t CallerSavedBits = 0;
 };
+
+/// Per-class register limits accepted from outside the library (`--regs=`
+/// flags and the wire's `regs=` field): 0 selects the full file, anything
+/// else must lie in [MinRegLimit, MaxRegLimit]. Three is the smallest file
+/// every backend allocates in; 25 is alphaLike()'s count per class.
+constexpr unsigned MinRegLimit = 3;
+constexpr unsigned MaxRegLimit = 25;
+
+/// Parse \p Text (decimal digits only) as a register limit and bound it.
+/// False, with \p Err naming the value and the accepted range, otherwise.
+bool parseRegLimit(const std::string &Text, unsigned &Regs, std::string &Err);
+
+/// The target a limit accepted by parseRegLimit selects: alphaLike() for 0,
+/// alphaLike().withRegLimit(Regs, Regs) otherwise.
+TargetDesc targetForRegLimit(unsigned Regs);
 
 /// Invoke \p F on every register operand read by \p I, including the
 /// implicit argument-register uses of a call (integer arguments first, then

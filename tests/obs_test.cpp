@@ -354,14 +354,20 @@ TEST_F(ObsTest, SpanFeedsTracerAndRequestTraceOneInterval) {
 
 // --- Counter registry -------------------------------------------------------
 
-/// snapshotText minus the inherently run-to-run "alloc.time.*" entries.
+/// The registry's metrics snapshot as text, minus its capture time and the
+/// inherently run-to-run "alloc.time.*" histograms.
 std::string filteredSnapshot() {
-  std::istringstream In(obs::CounterRegistry::global().snapshotText());
-  std::string Line, Out;
-  while (std::getline(In, Line))
-    if (Line.find("alloc.time.") == std::string::npos)
-      Out += Line + "\n";
-  return Out;
+  obs::MetricsSnapshot S = obs::CounterRegistry::global().metricsSnapshot();
+  std::ostringstream OS;
+  for (const auto &[Name, V] : S.Counters)
+    OS << "counter " << Name << " " << V << "\n";
+  for (const auto &[Name, V] : S.Gauges)
+    OS << "gauge " << Name << " " << V << "\n";
+  for (const obs::MetricsSnapshot::HistEntry &H : S.Hists)
+    if (H.Name.find("alloc.time.") == std::string::npos)
+      OS << "hist " << H.Name << " " << H.Life.Count << " " << H.Life.Sum
+         << " " << H.Life.Min << " " << H.Life.Max << "\n";
+  return OS.str();
 }
 
 TEST_F(ObsTest, CounterSnapshotDeterministicAcrossThreadCounts) {
@@ -383,45 +389,47 @@ TEST_F(ObsTest, CounterSnapshotDeterministicAcrossThreadCounts) {
   EXPECT_NE(Snap1.find("alloc.functions"), std::string::npos);
 }
 
-TEST_F(ObsTest, StatsJsonlLinesParse) {
+TEST_F(ObsTest, StatsDocumentParses) {
   obs::CounterRegistry &CR = obs::CounterRegistry::global();
   CR.enable();
   CR.recordAllocStats(compileWith(1, tightTarget()));
-  std::ostringstream OS;
-  CR.writeJsonl(OS);
+  obs::MetricsSnapshot S = CR.metricsSnapshot();
+  for (size_t I = 1; I < S.Counters.size(); ++I)
+    EXPECT_LT(S.Counters[I - 1].first, S.Counters[I].first)
+        << "counters must be sorted by name";
+  for (size_t I = 1; I < S.Hists.size(); ++I)
+    EXPECT_LT(S.Hists[I - 1].Name, S.Hists[I].Name)
+        << "histograms must be sorted by name";
 
-  std::istringstream In(OS.str());
-  std::string Line, PrevName;
-  unsigned N = 0;
-  while (std::getline(In, Line)) {
-    JsonValue V;
-    ASSERT_TRUE(parseJson(Line, V)) << Line;
-    const JsonValue *Kind = V.get("kind");
-    ASSERT_NE(Kind, nullptr) << Line;
-    EXPECT_TRUE(Kind->Str == "counter" || Kind->Str == "hist") << Line;
-    const JsonValue *Name = V.get("name");
-    ASSERT_NE(Name, nullptr) << Line;
-    EXPECT_GE(Name->Str, PrevName) << "lines must be sorted by name";
-    PrevName = Name->Str;
-    if (Kind->Str == "counter")
-      ASSERT_NE(V.get("value"), nullptr) << Line;
-    else
-      ASSERT_NE(V.get("p99"), nullptr) << Line;
-    ++N;
-  }
-  EXPECT_GT(N, 5u);
+  std::string Doc = S.toJson();
+  JsonValue V;
+  ASSERT_TRUE(parseJson(Doc, V)) << Doc.substr(0, 400);
+  ASSERT_NE(V.get("schema"), nullptr);
+  EXPECT_EQ(V.get("schema")->Num, 1);
+  const JsonValue *Counters = V.get("counters");
+  ASSERT_NE(Counters, nullptr);
+  EXPECT_GT(Counters->Obj.size(), 5u);
+  for (const auto &[Name, C] : Counters->Obj)
+    EXPECT_EQ(C.K, JsonValue::Number) << Name;
   // The timing samples are histograms whose names carry the unit.
+  const JsonValue *Hists = V.get("histograms");
+  ASSERT_NE(Hists, nullptr);
   for (const char *H :
-       {"alloc.time.cpu_us", "alloc.time.function_us", "alloc.time.wall_us"})
-    EXPECT_NE(OS.str().find("{\"kind\": \"hist\", \"name\": \"" +
-                            std::string(H) + "\""),
-              std::string::npos)
-        << H;
+       {"alloc.time.cpu_us", "alloc.time.function_us", "alloc.time.wall_us"}) {
+    const JsonValue *E = Hists->get(H);
+    ASSERT_NE(E, nullptr) << H;
+    ASSERT_NE(E->get("life"), nullptr) << H;
+    ASSERT_NE(E->get("life")->get("p99"), nullptr) << H;
+    EXPECT_GT(E->get("life")->get("count")->Num, 0) << H;
+  }
 }
 
 TEST_F(ObsTest, DisabledRegistryCostsNothing) {
   compileWith(1, tightTarget());
-  EXPECT_TRUE(obs::CounterRegistry::global().snapshotText().empty());
+  obs::MetricsSnapshot S = obs::CounterRegistry::global().metricsSnapshot();
+  EXPECT_TRUE(S.Counters.empty());
+  EXPECT_TRUE(S.Gauges.empty());
+  EXPECT_TRUE(S.Hists.empty());
 }
 
 // --- Decision log -----------------------------------------------------------

@@ -31,7 +31,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -53,6 +56,87 @@ std::string workloadText(const char *Name) {
   std::ostringstream OS;
   printModule(OS, *buildWorkload(Name));
   return OS.str();
+}
+
+/// Holds compiles at the server's BeforeCompile hook until the test opens
+/// it: a worker whose request text starts with a `; hold` comment line
+/// waits there, so a test decides which requests occupy a worker and for
+/// how long. Requests that must not merge differ by their comment line.
+/// A held compile is let go after 30 s, so a failed test cannot hang the
+/// server's drain.
+class CompileGate {
+public:
+  /// \p Text with a hold comment in front (\p Tag tells requests apart).
+  static std::string held(const std::string &Text, const char *Tag = "") {
+    return std::string("; hold") + Tag + "\n" + Text;
+  }
+
+  void install(ServerOptions &SO) {
+    SO.BeforeCompile = [this](const CompileRequest &R) {
+      if (R.IRText.rfind("; hold", 0) == 0)
+        wait();
+    };
+  }
+
+  /// Wait until \p N compiles are held at once; false after 30 s.
+  bool waitHeld(unsigned N) {
+    std::unique_lock<std::mutex> L(Mu);
+    return Cv.wait_for(L, std::chrono::seconds(30),
+                       [&] { return Held >= N; });
+  }
+
+  void open() {
+    std::lock_guard<std::mutex> L(Mu);
+    Open = true;
+    Cv.notify_all();
+  }
+
+private:
+  void wait() {
+    std::unique_lock<std::mutex> L(Mu);
+    ++Held;
+    Cv.notify_all();
+    Cv.wait_for(L, std::chrono::seconds(30), [&] { return Open; });
+    --Held;
+  }
+
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Held = 0;
+  bool Open = false;
+};
+
+/// Poll \p Done until it holds; false after 30 s.
+bool eventually(const std::function<bool()> &Done) {
+  for (int I = 0; I < 30000; ++I) {
+    if (Done())
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// Poll counter \p Name until it reaches \p Want; false after 30 s.
+bool waitCounter(const char *Name, uint64_t Want) {
+  obs::Counter &C = obs::CounterRegistry::global().counter(Name);
+  return eventually([&] { return C.value() >= Want; });
+}
+
+/// Send a raw CompileRequest payload (header lines, blank line, IR text)
+/// and return the decoded reply.
+CompileResponse sendRaw(Socket &S, uint32_t Id, const std::string &Payload) {
+  CompileResponse R;
+  std::string Err;
+  R.Status = FrameType::Ping; // no reply: nothing the server sends
+  if (!S.sendFrame(Id, FrameType::CompileRequest, Payload, Err))
+    return R;
+  uint32_t GotId = 0;
+  FrameType T;
+  std::string Reply;
+  if (S.recvFrame(GotId, T, Reply, 30000, Err) != Socket::RecvStatus::Ok ||
+      GotId != Id || !decodeCompileResponse(T, Reply, R, Err))
+    R.Status = FrameType::Ping;
+  return R;
 }
 
 } // namespace
@@ -266,9 +350,10 @@ TEST(Server, WrongVersionFrameGetsTypedError) {
   S.shutdown();
 }
 
-// The `tier` request field of protocol v4 is gone: a current-version frame
-// that still carries it is refused with a typed Error naming the field,
-// never silently compiled as if the field were absent.
+// Retired request fields are refused with a typed Error naming the field,
+// never silently compiled as if the field were absent: `tier` (protocol v4,
+// gone in v5) and `hold_ms` (gone in v6, so no client can make a worker
+// sleep).
 TEST(Server, RetiredTierFieldGetsTypedError) {
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("tier-field");
@@ -279,26 +364,105 @@ TEST(Server, RetiredTierFieldGetsTypedError) {
 
   Socket Raw = Socket::connectUnix(SO.UnixPath, Err);
   ASSERT_TRUE(Raw.valid()) << Err;
-  std::string Payload = "allocator=binpack\ntier=promote\n\n" +
-                        workloadText("sort");
-  std::string Frame =
-      encodeFrameHeader(static_cast<uint32_t>(Payload.size()), 9,
-                        FrameType::CompileRequest) +
-      Payload;
-  ASSERT_EQ(::send(Raw.fd(), Frame.data(), Frame.size(), 0),
-            static_cast<ssize_t>(Frame.size()));
+  uint32_t Id = 9;
+  for (const char *Field : {"tier=promote", "hold_ms=1"}) {
+    std::string Payload = "allocator=binpack\n" + std::string(Field) +
+                          "\n\n" + workloadText("sort");
+    CompileResponse R = sendRaw(Raw, Id++, Payload);
+    EXPECT_EQ(R.Status, FrameType::Error) << Field;
+    std::string Name(Field, std::strchr(Field, '='));
+    EXPECT_NE(R.Message.find("unknown request field '" + Name + "'"),
+              std::string::npos)
+        << R.Message;
+  }
+  S.shutdown();
+}
 
-  uint32_t Id = 0;
-  FrameType T;
-  std::string Reply;
-  ASSERT_EQ(Raw.recvFrame(Id, T, Reply, 5000, Err), Socket::RecvStatus::Ok)
-      << Err;
-  EXPECT_EQ(Id, 9u);
-  EXPECT_EQ(T, FrameType::Error);
-  CompileResponse R;
-  ASSERT_TRUE(decodeCompileResponse(T, Reply, R, Err)) << Err;
-  EXPECT_NE(R.Message.find("unknown request field 'tier'"), std::string::npos)
-      << R.Message;
+// A register limit that is not 0 or 3..25 per class, or not all digits, is
+// refused at admission with a typed Error; none reaches an allocator (one
+// register crashed binpacking, 2^32-1 exhausted memory on the event loop),
+// and the same server keeps compiling.
+TEST(Server, BadRegLimitGetsTypedErrorAndServerSurvives) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("regs-bound");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  Socket Raw = Socket::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(Raw.valid()) << Err;
+  const std::string Text = workloadText("eqntott");
+  uint32_t Id = 1;
+  for (const char *Regs : {"1", "2", "26", "4294967295", "-1", "zz"})
+    for (const char *Alloc : {"binpack", "coloring"}) {
+      CompileResponse R = sendRaw(Raw, Id++,
+                                  "allocator=" + std::string(Alloc) +
+                                      "\nregs=" + Regs + "\n\n" + Text);
+      EXPECT_EQ(R.Status, FrameType::Error) << Alloc << " regs=" << Regs;
+      EXPECT_NE(R.Message.find("bad register limit"), std::string::npos)
+          << R.Message;
+    }
+
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+  CompileRequest Req;
+  Req.IRText = Text;
+  Req.Regs = 3;
+  CompileResponse Ok;
+  ASSERT_TRUE(C.compile(Req, Ok, Err, 30000)) << Err;
+  EXPECT_EQ(Ok.Status, FrameType::CompileOk) << Ok.Message;
+  S.shutdown();
+}
+
+// A run=1 request whose program never stops gets a typed Error carrying
+// the VM's message once it spends RunInstrBudget instructions (well under
+// 5 s), never a CompileOk without run fields, and the one worker is free
+// for the next request.
+TEST(Server, SpinningRunGetsTypedErrorWithinBudget) {
+  ServerOptions SO;
+  SO.UnixPath = uniqueSockPath("spin");
+  SO.Workers = 1;
+  Server S(SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  Client C = Client::connectUnix(SO.UnixPath, Err);
+  ASSERT_TRUE(C.valid()) << Err;
+
+  CompileRequest Spin;
+  Spin.Run = true;
+  Spin.IRText = "func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+                "bb0 (entry):\n"
+                "  movi %0, 0\n"
+                "  br bb1\n"
+                "bb1 (loop):\n"
+                "  add %0, %0, 1\n"
+                "  br bb1\n";
+  CompileResponse Resp;
+  auto T0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(C.compile(Spin, Resp, Err, 30000)) << Err;
+  double Secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count();
+  EXPECT_EQ(Resp.Status, FrameType::Error);
+  EXPECT_NE(Resp.Message.find("instruction budget exceeded"),
+            std::string::npos)
+      << Resp.Message;
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  // An instrumented VM runs the budget 10-30 times slower (about 10 s
+  // under ThreadSanitizer); there the budget, not the clock, is the bound.
+  EXPECT_LT(Secs, 60.0);
+#else
+  EXPECT_LT(Secs, 5.0);
+#endif
+
+  CompileRequest Req;
+  Req.IRText = workloadText("eqntott");
+  Req.Run = true;
+  CompileResponse Ok;
+  ASSERT_TRUE(C.compile(Req, Ok, Err, 30000)) << Err;
+  EXPECT_EQ(Ok.Status, FrameType::CompileOk) << Ok.Message;
+  EXPECT_TRUE(Ok.HasRun);
   S.shutdown();
 }
 
@@ -590,9 +754,11 @@ TEST(Server, VerifyAllocProvesServedAllocations) {
 }
 
 TEST(Server, DeadlineExceededTyped) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("deadline");
-  SO.Workers = 1; // single worker so the hold request blocks the queue
+  SO.Workers = 1; // single worker so the held request blocks the queue
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
@@ -604,13 +770,11 @@ TEST(Server, DeadlineExceededTyped) {
     if (!C.valid())
       return;
     CompileRequest Req;
-    Req.IRText = workloadText("wc");
-    Req.HoldMs = 400;
+    Req.IRText = CompileGate::held(workloadText("wc"));
     CompileResponse Resp;
     HolderOk = C.compile(Req, Resp, CErr, 60000) && Resp.ok();
   });
-  // Let the hold request reach the worker first.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bool Held = Gate.waitHeld(1);
   std::string CErr;
   Client C = Client::connectUnix(SO.UnixPath, CErr);
   bool Connected = C.valid();
@@ -619,10 +783,12 @@ TEST(Server, DeadlineExceededTyped) {
   if (Connected) {
     CompileRequest Req;
     Req.IRText = workloadText("wc");
-    Req.DeadlineMs = 50; // expires while queued behind the 400ms hold
+    Req.DeadlineMs = 50; // expires while queued behind the held compile
     Answered = C.compile(Req, Resp, CErr, 60000);
   }
+  Gate.open();
   Holder.join();
+  ASSERT_TRUE(Held);
   ASSERT_TRUE(Connected) << CErr;
   ASSERT_TRUE(Answered) << CErr;
   EXPECT_EQ(Resp.Status, FrameType::DeadlineExceeded) << Resp.Message;
@@ -631,41 +797,63 @@ TEST(Server, DeadlineExceededTyped) {
 }
 
 TEST(Server, QueueFullRejectedTyped) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("shed");
   SO.Workers = 1;
   SO.QueueCapacity = 1;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
   // Request A occupies the worker; request B occupies the whole queue;
-  // request C must be shed with a typed Rejected response. A, B, and C use
-  // distinct HoldMs values so their merge keys differ — identical requests
-  // would piggyback on the in-flight compile instead of being shed.
-  auto holdClient = [&](uint32_t HoldMs, FrameType *StatusOut) {
+  // request C must be shed with a typed Rejected response. A, B, and C
+  // differ by a comment line so their merge keys differ — identical
+  // requests would piggyback on the in-flight compile instead of being
+  // shed. B and C go out on one connection, so the loop admits B first.
+  std::string Text = workloadText("wc");
+  FrameType StA = FrameType::Ping;
+  std::thread A([&] {
     std::string CErr;
     Client C = Client::connectUnix(SO.UnixPath, CErr);
-    ASSERT_TRUE(C.valid()) << CErr;
     CompileRequest Req;
-    Req.IRText = workloadText("wc");
-    Req.HoldMs = HoldMs;
+    Req.IRText = CompileGate::held(Text);
     CompileResponse Resp;
-    ASSERT_TRUE(C.compile(Req, Resp, CErr, 60000)) << CErr;
-    *StatusOut = Resp.Status;
-  };
-  FrameType StA, StB, StC;
-  std::thread A([&] { holdClient(500, &StA); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::thread B([&] { holdClient(0, &StB); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::thread Cc([&] { holdClient(1, &StC); });
+    if (C.valid() && C.compile(Req, Resp, CErr, 60000))
+      StA = Resp.Status;
+  });
+  bool Held = Gate.waitHeld(1);
+  Socket BC = Socket::connectUnix(SO.UnixPath, Err);
+  bool Sent = BC.valid();
+  for (uint32_t Id : {1u, 2u}) {
+    CompileRequest Req;
+    Req.IRText = "; request " + std::to_string(Id) + "\n" + Text;
+    Sent = Sent && BC.sendFrame(Id, FrameType::CompileRequest,
+                                encodeCompileRequest(Req), Err);
+  }
+  // C's rejection comes first: B still waits behind the held A.
+  CompileResponse RC, RB;
+  uint32_t IdC = 0, IdB = 0;
+  FrameType T;
+  std::string Payload;
+  bool GotC = Sent &&
+              BC.recvFrame(IdC, T, Payload, 30000, Err) ==
+                  Socket::RecvStatus::Ok &&
+              decodeCompileResponse(T, Payload, RC, Err);
+  Gate.open();
+  bool GotB = Sent &&
+              BC.recvFrame(IdB, T, Payload, 30000, Err) ==
+                  Socket::RecvStatus::Ok &&
+              decodeCompileResponse(T, Payload, RB, Err);
   A.join();
-  B.join();
-  Cc.join();
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(GotC && GotB) << Err;
   EXPECT_EQ(StA, FrameType::CompileOk);
-  EXPECT_EQ(StB, FrameType::CompileOk);
-  EXPECT_EQ(StC, FrameType::Rejected);
+  EXPECT_EQ(IdC, 2u);
+  EXPECT_EQ(RC.Status, FrameType::Rejected) << RC.Message;
+  EXPECT_EQ(IdB, 1u);
+  EXPECT_EQ(RB.Status, FrameType::CompileOk) << RB.Message;
   S.shutdown();
 }
 
@@ -676,6 +864,10 @@ TEST(Server, GracefulShutdownUnderLoad) {
   SO.UnixPath = uniqueSockPath("drain");
   SO.Workers = 2;
   SO.QueueCapacity = 16;
+  // Slow compiles keep a few requests in flight at drain time.
+  SO.BeforeCompile = [](const CompileRequest &) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
@@ -693,7 +885,6 @@ TEST(Server, GracefulShutdownUnderLoad) {
       while (!Stop.load()) {
         CompileRequest Req;
         Req.IRText = Text;
-        Req.HoldMs = 5; // keep a few requests in flight at drain time
         CompileResponse Resp;
         if (C.compile(Req, Resp, CErr, 30000))
           Answered++;
@@ -740,7 +931,7 @@ TEST(Server, CountersRegistered) {
     S.shutdown();
   }
   CR.disable();
-  std::string Snap = CR.snapshotText();
+  std::string Snap = CR.metricsSnapshot().toJson();
   EXPECT_NE(Snap.find("server.connections"), std::string::npos) << Snap;
   EXPECT_NE(Snap.find("server.requests"), std::string::npos);
   EXPECT_NE(Snap.find("server.accepted"), std::string::npos);
@@ -831,9 +1022,11 @@ TEST(Protocol, StatsRequestRoundTrip) {
 // A StatsRequest is answered while a compile is in flight — live
 // introspection must not wait for the queue to drain.
 TEST(Server, StatsRequestLiveSnapshot) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("stats-live");
   SO.Workers = 1;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
@@ -854,28 +1047,26 @@ TEST(Server, StatsRequestLiveSnapshot) {
     if (!H.valid())
       return;
     CompileRequest HReq;
-    HReq.IRText = workloadText("wc");
-    HReq.HoldMs = 400;
+    HReq.IRText = CompileGate::held(workloadText("wc"));
     CompileResponse HResp;
     H.compile(HReq, HResp, CErr, 60000);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  std::string Doc;
-  ASSERT_TRUE(C.stats("json", Doc, Err, 5000)) << Err;
+  bool Held = Gate.waitHeld(1);
+  std::string Doc, Prom, Text;
+  bool Fetched = Held && C.stats("json", Doc, Err, 5000) &&
+                 C.stats("prom", Prom, Err, 5000) &&
+                 C.stats("text", Text, Err, 5000);
+  Gate.open();
+  Holder.join();
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(Fetched) << Err;
   EXPECT_NE(Doc.find("\"schema\": 1"), std::string::npos) << Doc;
   EXPECT_NE(Doc.find("\"server.latency_us\""), std::string::npos);
   EXPECT_NE(Doc.find("\"server.inflight\""), std::string::npos);
-  std::string Prom;
-  ASSERT_TRUE(C.stats("prom", Prom, Err, 5000)) << Err;
   EXPECT_NE(Prom.find("# TYPE lsra_server_completed counter"),
             std::string::npos)
       << Prom;
-  std::string Text;
-  ASSERT_TRUE(C.stats("text", Text, Err, 5000)) << Err;
   EXPECT_NE(Text.find("lsra telemetry snapshot"), std::string::npos) << Text;
-
-  Holder.join();
   S.shutdown();
 }
 
@@ -915,9 +1106,11 @@ TEST(Server, QueueGaugeConsistentAfterDrain) {
 // A request held behind a busy single worker reports a non-zero
 // server-side queue wait on the wire.
 TEST(Server, QueueWaitReportedOnWire) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("queue-wait");
   SO.Workers = 1;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
@@ -928,23 +1121,42 @@ TEST(Server, QueueWaitReportedOnWire) {
     if (!H.valid())
       return;
     CompileRequest Req;
-    Req.IRText = workloadText("wc");
-    Req.HoldMs = 300;
+    Req.IRText = CompileGate::held(workloadText("wc"));
     CompileResponse Resp;
     H.compile(Req, Resp, CErr, 60000);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bool Held = Gate.waitHeld(1);
 
-  Client C = Client::connectUnix(SO.UnixPath, Err);
-  ASSERT_TRUE(C.valid()) << Err;
+  // The loop handles one connection's frames in order, so once the
+  // StatsReply is back the compile request before it is queued.
+  Socket C = Socket::connectUnix(SO.UnixPath, Err);
   CompileRequest Req;
   Req.IRText = workloadText("wc");
+  bool Queued =
+      C.valid() &&
+      C.sendFrame(1, FrameType::CompileRequest, encodeCompileRequest(Req),
+                  Err) &&
+      C.sendFrame(2, FrameType::StatsRequest, encodeStatsRequest({}), Err);
+  uint32_t Id = 0;
+  FrameType T = FrameType::Ping;
+  std::string Payload;
+  Queued = Queued &&
+           C.recvFrame(Id, T, Payload, 30000, Err) == Socket::RecvStatus::Ok &&
+           T == FrameType::StatsReply;
+  // The queue wait the reply must report: at least this long.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Gate.open();
   CompileResponse Resp;
-  ASSERT_TRUE(C.compile(Req, Resp, Err, 60000)) << Err;
+  bool Answered =
+      Queued &&
+      C.recvFrame(Id, T, Payload, 30000, Err) == Socket::RecvStatus::Ok &&
+      decodeCompileResponse(T, Payload, Resp, Err);
   Holder.join();
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(Queued) << Err;
+  ASSERT_TRUE(Answered) << Err;
   ASSERT_TRUE(Resp.ok()) << Resp.Message;
-  // Queued behind ~200ms of remaining hold; tens of milliseconds at least.
-  EXPECT_GT(Resp.QueueUs, 10000u);
+  EXPECT_GE(Resp.QueueUs, 20000u);
   S.shutdown();
 }
 
@@ -1055,18 +1267,20 @@ TEST(Server, DuplicateBurstMergesToOneCompile) {
   CR.reset();
   CR.enable();
 
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("merge");
   SO.Workers = 1;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
-  // Identical payloads (same HoldMs — it is part of the merge key) so the
-  // followers join the leader's in-flight compile. NoCache keeps the cache
-  // out of the picture: a hit would also produce identical replies, which
-  // is not what this test is about.
-  const std::string Text = workloadText("wc");
+  // Identical payloads so the followers join the leader's in-flight
+  // compile, which the gate holds until all of them have joined. NoCache
+  // keeps the cache out of the picture: a hit would also produce identical
+  // replies, which is not what this test is about.
+  const std::string Text = CompileGate::held(workloadText("wc"));
   constexpr unsigned Followers = 4;
   auto sendOne = [&](CompileResponse *Out, bool *Ok) {
     std::string CErr;
@@ -1074,24 +1288,26 @@ TEST(Server, DuplicateBurstMergesToOneCompile) {
     ASSERT_TRUE(C.valid()) << CErr;
     CompileRequest Req;
     Req.IRText = Text;
-    Req.HoldMs = 300;
     Req.NoCache = true;
     *Ok = C.compile(Req, *Out, CErr, 60000);
   };
   CompileResponse Leader;
   bool LeaderOk = false;
   std::thread LeaderT([&] { sendOne(&Leader, &LeaderOk); });
-  // Let the leader reach the worker (it sleeps HoldMs there).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bool Held = Gate.waitHeld(1);
   CompileResponse FResp[Followers];
   bool FOk[Followers] = {};
   std::vector<std::thread> FT;
   for (unsigned I = 0; I < Followers; ++I)
     FT.emplace_back([&, I] { sendOne(&FResp[I], &FOk[I]); });
+  bool Joined = waitCounter("server.merged", Followers);
+  Gate.open();
   LeaderT.join();
   for (std::thread &T : FT)
     T.join();
 
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(Joined);
   ASSERT_TRUE(LeaderOk);
   ASSERT_TRUE(Leader.ok()) << Leader.Message;
   EXPECT_FALSE(Leader.Merged);
@@ -1132,12 +1348,14 @@ TEST(Server, MergeFanOutSurvivesCacheAdmissionReject) {
   // exceeds it, so the leader's insert is rejected at admission. Caching
   // stays ON — the rejection path is the point.
   SO.CacheBytes = 1 << 10;
+  CompileGate Gate;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
   ASSERT_NE(S.compileCache(), nullptr);
 
-  const std::string Text = workloadText("wc");
+  const std::string Text = CompileGate::held(workloadText("wc"));
   constexpr unsigned Followers = 4;
   auto sendOne = [&](CompileResponse *Out, bool *Ok) {
     std::string CErr;
@@ -1145,22 +1363,25 @@ TEST(Server, MergeFanOutSurvivesCacheAdmissionReject) {
     ASSERT_TRUE(C.valid()) << CErr;
     CompileRequest Req;
     Req.IRText = Text;
-    Req.HoldMs = 300;
     *Ok = C.compile(Req, *Out, CErr, 60000);
   };
   CompileResponse Leader;
   bool LeaderOk = false;
   std::thread LeaderT([&] { sendOne(&Leader, &LeaderOk); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bool Held = Gate.waitHeld(1);
   CompileResponse FResp[Followers];
   bool FOk[Followers] = {};
   std::vector<std::thread> FT;
   for (unsigned I = 0; I < Followers; ++I)
     FT.emplace_back([&, I] { sendOne(&FResp[I], &FOk[I]); });
+  bool Joined = waitCounter("server.merged", Followers);
+  Gate.open();
   LeaderT.join();
   for (std::thread &T : FT)
     T.join();
 
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(Joined);
   ASSERT_TRUE(LeaderOk);
   ASSERT_TRUE(Leader.ok()) << Leader.Message;
   for (unsigned I = 0; I < Followers; ++I) {
@@ -1301,18 +1522,21 @@ TEST(Server, SharedL2HoldsEntryBeforeReply) {
 // A waiter that disconnects mid-merge must not corrupt the fan-out: the
 // remaining waiters still get correct replies and the server stays up.
 TEST(Server, MidMergeDisconnectLeavesWaitersIntact) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("merge-dc");
   SO.Workers = 1;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
+  obs::CounterRegistry &CR = obs::CounterRegistry::global();
+  uint64_t Merged0 = CR.counter("server.merged").value();
 
-  const std::string Text = workloadText("wc");
+  const std::string Text = CompileGate::held(workloadText("wc"));
   auto makeReq = [&] {
     CompileRequest Req;
     Req.IRText = Text;
-    Req.HoldMs = 400;
     Req.NoCache = true;
     return Req;
   };
@@ -1325,7 +1549,7 @@ TEST(Server, MidMergeDisconnectLeavesWaitersIntact) {
     ASSERT_TRUE(C.valid()) << CErr;
     LeaderOk = C.compile(makeReq(), Leader, CErr, 60000);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bool Held = Gate.waitHeld(1);
 
   // Two more join the merge; one of them hangs up before the compile
   // finishes (its reply lands on a dead connection — a silent no-op).
@@ -1335,18 +1559,27 @@ TEST(Server, MidMergeDisconnectLeavesWaitersIntact) {
     ASSERT_TRUE(C.valid()) << CErr;
     SurvivorOk = C.compile(makeReq(), Survivor, CErr, 60000);
   });
+  obs::Gauge &Open = CR.gauge("server.open_connections");
+  int64_t OpenBefore = 0;
+  bool QuitterJoined = false;
   {
     std::string CErr;
     Socket Quitter = Socket::connectUnix(SO.UnixPath, CErr);
-    ASSERT_TRUE(Quitter.valid()) << CErr;
-    ASSERT_TRUE(Quitter.sendFrame(99, FrameType::CompileRequest,
-                                  encodeCompileRequest(makeReq()), CErr))
-        << CErr;
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    QuitterJoined = Quitter.valid() &&
+                    Quitter.sendFrame(99, FrameType::CompileRequest,
+                                      encodeCompileRequest(makeReq()), CErr) &&
+                    waitCounter("server.merged", Merged0 + 2);
+    OpenBefore = Open.value();
   } // Quitter's destructor closes the socket mid-merge
-
+  // The loop has seen the hang-up once its open-connection gauge drops.
+  bool QuitterGone =
+      QuitterJoined && eventually([&] { return Open.value() < OpenBefore; });
+  Gate.open();
   LeaderT.join();
   SurvivorT.join();
+  ASSERT_TRUE(Held);
+  ASSERT_TRUE(QuitterJoined);
+  EXPECT_TRUE(QuitterGone);
   ASSERT_TRUE(LeaderOk);
   ASSERT_TRUE(SurvivorOk);
   ASSERT_TRUE(Leader.ok()) << Leader.Message;
@@ -1359,9 +1592,11 @@ TEST(Server, MidMergeDisconnectLeavesWaitersIntact) {
 // Pipelining: two requests in flight on one connection, the slow one sent
 // first; the fast one's response overtakes it (matched by id, not order).
 TEST(Server, PipelinedResponsesOutOfOrder) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("ooo");
   SO.Workers = 2; // both requests compile concurrently
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
@@ -1370,22 +1605,22 @@ TEST(Server, PipelinedResponsesOutOfOrder) {
   ASSERT_TRUE(C.valid()) << Err;
 
   CompileRequest Slow;
-  Slow.IRText = workloadText("wc");
-  Slow.HoldMs = 250;
+  Slow.IRText = CompileGate::held(workloadText("wc"));
   CompileRequest Fast;
   Fast.IRText = workloadText("eqntott");
-  ASSERT_TRUE(C.sendFrame(7, FrameType::CompileRequest,
-                          encodeCompileRequest(Slow), Err))
-      << Err;
-  ASSERT_TRUE(C.sendFrame(8, FrameType::CompileRequest,
-                          encodeCompileRequest(Fast), Err))
-      << Err;
+  bool Sent = C.sendFrame(7, FrameType::CompileRequest,
+                          encodeCompileRequest(Slow), Err) &&
+              C.sendFrame(8, FrameType::CompileRequest,
+                          encodeCompileRequest(Fast), Err);
 
+  // The slow request stays at the gate until the fast one's reply is in.
   uint32_t Id1 = 0, Id2 = 0;
   FrameType T1, T2;
   std::string P1, P2;
-  ASSERT_EQ(C.recvFrame(Id1, T1, P1, 30000, Err), Socket::RecvStatus::Ok)
-      << Err;
+  bool Got1 =
+      Sent && C.recvFrame(Id1, T1, P1, 30000, Err) == Socket::RecvStatus::Ok;
+  Gate.open();
+  ASSERT_TRUE(Got1) << Err;
   ASSERT_EQ(C.recvFrame(Id2, T2, P2, 30000, Err), Socket::RecvStatus::Ok)
       << Err;
   // The fast request (id 8) finished while the slow one (id 7) was still
@@ -1402,32 +1637,37 @@ TEST(Server, PipelinedResponsesOutOfOrder) {
 
 // Two distinct requests that arrive in one read (one send, one loop
 // iteration) are two queue tasks, so two workers pick them up at once:
-// neither reply reports a queue wait as long as the other's hold. The
-// check reads the replies' QueueUs rather than wall time, so a slow
-// compile or a loaded machine does not fail it.
+// both are held at the gate together, which one worker compiling them one
+// after the other could never do.
 TEST(Server, SameReadRequestsCompileConcurrently) {
+  CompileGate Gate;
   ServerOptions SO;
   SO.UnixPath = uniqueSockPath("same-read");
   SO.Workers = 2;
+  Gate.install(SO);
   Server S(SO);
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
   Socket C = Socket::connectUnix(SO.UnixPath, Err);
   ASSERT_TRUE(C.valid()) << Err;
-  // Different holds give different merge keys, so neither joins the other.
+  // Different comment lines give different merge keys, so neither joins
+  // the other.
   std::string Wire;
-  for (uint32_t Hold : {600u, 601u}) {
+  for (uint32_t Id : {1u, 2u}) {
     CompileRequest Req;
-    Req.IRText = workloadText("doduc");
-    Req.HoldMs = Hold;
+    Req.IRText = CompileGate::held(workloadText("doduc"),
+                                   Id == 1 ? " a" : " b");
     std::string Payload = encodeCompileRequest(Req);
-    Wire += encodeFrameHeader(static_cast<uint32_t>(Payload.size()), Hold,
+    Wire += encodeFrameHeader(static_cast<uint32_t>(Payload.size()), Id,
                               FrameType::CompileRequest) +
             Payload;
   }
   ASSERT_EQ(::send(C.fd(), Wire.data(), Wire.size(), 0),
             static_cast<ssize_t>(Wire.size()));
+  bool BothHeld = Gate.waitHeld(2);
+  Gate.open();
+  EXPECT_TRUE(BothHeld) << "the requests did not compile concurrently";
 
   for (int K = 0; K < 2; ++K) {
     uint32_t Id;
@@ -1438,10 +1678,6 @@ TEST(Server, SameReadRequestsCompileConcurrently) {
     CompileResponse R;
     ASSERT_TRUE(decodeCompileResponse(T, Payload, R, Err)) << Err;
     EXPECT_TRUE(R.ok()) << R.Message;
-    // Compiled one after the other, the second would wait out the first's
-    // 600 ms hold.
-    EXPECT_LT(R.QueueUs, 500'000u)
-        << "request " << Id << " waited behind the other's compile";
   }
   S.shutdown();
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace lsra;
 
 namespace {
@@ -63,6 +65,33 @@ TEST(Target, RegLimitRestrictsAllocatable) {
   // caller-saved set.
   EXPECT_EQ(TD.callClobberMask(),
             TargetDesc::alphaLike().callClobberMask());
+}
+
+// Register limits from flags and the wire: digits only, 0 (the full file)
+// or 3..25 per class; everything else is an error, never a target.
+TEST(Target, ParseRegLimitBoundsOutsideInput) {
+  for (const char *Ok : {"0", "3", "8", "25", "08"}) {
+    unsigned Regs = 99;
+    std::string Err;
+    EXPECT_TRUE(parseRegLimit(Ok, Regs, Err)) << Ok << ": " << Err;
+    EXPECT_EQ(Regs, static_cast<unsigned>(std::stoul(Ok)));
+  }
+  for (const char *Bad : {"", "1", "2", "26", "4294967295", "4294967299",
+                          "99999999999999999999", "-1", "+3", "zz", "3x",
+                          " 3"}) {
+    unsigned Regs = 7;
+    std::string Err;
+    EXPECT_FALSE(parseRegLimit(Bad, Regs, Err)) << Bad;
+    EXPECT_NE(Err.find("bad register limit"), std::string::npos) << Err;
+    EXPECT_EQ(Regs, 7u) << Bad;
+  }
+  TargetDesc Full = targetForRegLimit(0);
+  EXPECT_EQ(Full.fingerprint(), TargetDesc::alphaLike().fingerprint());
+  for (unsigned N : {MinRegLimit, MaxRegLimit}) {
+    TargetDesc TD = targetForRegLimit(N);
+    EXPECT_EQ(TD.numAllocatable(RegClass::Int), N);
+    EXPECT_EQ(TD.numAllocatable(RegClass::Float), N);
+  }
 }
 
 TEST(Target, CallImplicitOperands) {

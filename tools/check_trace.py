@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Validate the observability outputs of `lsra run`.
+"""Validate the observability outputs of `lsra run`, `lsra serve` and
+`lsra loadgen`.
 
-Checks any of the three artifacts, failing (exit 1) on the first schema
-violation:
+Checks any of these artifacts, failing (exit 1) after reporting every
+schema or contract violation:
 
   --trace t.json       Chrome trace_event document: a JSON object with a
                        traceEvents array of complete ("ph": "X") events
                        carrying name/cat/pid/tid and numeric ts/dur, with
                        spans properly nested per tid.
-  --stats s.jsonl      Counter snapshot: one JSON object per line; an
-                       optional leading {"kind": "meta"} line, then
-                       counter/hist/gauge lines sorted by name.
   --decisions d.jsonl  Decision log: {"kind": "decision"} lines with a
                        known event name and a 0/1 split flag.
-  --server-stats s.jsonl
-                       Stats snapshot written by `lsra serve`: the --stats
-                       schema plus the server.* counter set (connections,
+  --metrics m.json     Metrics document: the StatsReply a live `lsra stats`
+                       fetches, or the snapshot `lsra run|serve
+                       --stats-json` writes. Versioned schema, count ==
+                       sum-of-buckets for every histogram, every rolling
+                       window <= lifetime, and p50 <= p90 <= p95 <= p99
+                       within [min, max]. Pass the flag more than once
+                       (earlier snapshot first) to also check that counters
+                       and lifetime histogram counts never go backwards.
+  --server-stats s.json
+                       Metrics document written by `lsra serve
+                       --stats-json`: the --metrics schema plus the
+                       server.* counter set (connections,
                        requests, accepted, completed, bytes_in, bytes_out),
                        the queue/latency histograms (server.queue_wait_us,
                        server.latency_us, server.compile_us,
@@ -25,13 +32,6 @@ violation:
                        answered request accounted by exactly one outcome
                        counter, enqueued == dequeued and both gauges back to
                        zero after a graceful drain).
-  --metrics m.json     StatsReply document fetched live via `lsra stats`:
-                       versioned schema, count == sum-of-buckets for every
-                       histogram, every rolling window <= lifetime, and
-                       p50 <= p90 <= p95 <= p99 within [min, max]. Pass the
-                       flag twice (earlier snapshot first) to also check
-                       that counters and lifetime histogram counts are
-                       monotone across snapshots.
   --records r.jsonl    Per-request records written by `lsra loadgen
                        --record-out`: unique ids, send_ns <= recv_ns,
                        non-negative queue_us / latency_ms.
@@ -48,9 +48,9 @@ violation:
                        time (request log total_us) below, the client's
                        latency (loadgen records) above. Histogram bucketing
                        contributes at most 2.5% either way.
-  --cache-stats s.jsonl
-                       Stats snapshot from a cache-enabled run: the --stats
-                       schema plus the cache.* counters (hits, misses,
+  --cache-stats s.json
+                       Metrics document from a cache-enabled run: the
+                       --metrics schema plus the cache.* counters (hits, misses,
                        insertions, evictions) and the cache.bytes /
                        cache.entries gauges, with the lifetime invariants
                        evictions <= insertions <= misses. When any
@@ -60,15 +60,16 @@ violation:
                        cache.l2.capacity_bytes. --expect-l2-hits
                        additionally requires cache.l2.hits > 0 (the
                        cross-process warm-start assertion).
-  --alloc-stats s.jsonl
-                       Stats snapshot including the heap-allocation profile:
-                       the --stats schema plus the alloc.count / alloc.bytes
-                       counters (positive, with alloc.bytes >= alloc.count:
+  --alloc-stats s.json
+                       Metrics document of `lsra run --stats-json`, which
+                       exports the heap-allocation profile: the --metrics
+                       schema plus the alloc.count / alloc.bytes counters (positive, with alloc.bytes >= alloc.count:
                        every allocation requests at least one byte).
 
-Usage: check_trace.py [--trace FILE] [--stats FILE] [--decisions FILE]
-                      [--server-stats FILE] [--cache-stats FILE]
-                      [--alloc-stats FILE] [--metrics FILE ...]
+Usage: check_trace.py [--trace FILE] [--decisions FILE]
+                      [--server-stats FILE] [--cache-stats FILE
+                      [--expect-l2-hits]] [--alloc-stats FILE]
+                      [--metrics FILE ...]
                       [--records FILE] [--join REC:LOG]
                       [--p99 METRICS:REC:LOG]
 """
@@ -174,44 +175,6 @@ def check_jsonl_lines(path):
             yield lineno, obj
 
 
-def check_stats(path):
-    prev_name = None
-    n = 0
-    for lineno, obj in check_jsonl_lines(path):
-        where = f"{path}:{lineno}"
-        kind = obj.get("kind")
-        if kind == "meta":
-            if lineno != 1:
-                fail(f"{where}: meta line must come first")
-            continue
-        if kind not in ("counter", "hist", "gauge"):
-            fail(f"{where}: kind must be meta/counter/hist/gauge, "
-                 f"got {kind!r}")
-            continue
-        name = obj.get("name")
-        if not isinstance(name, str) or not name:
-            fail(f"{where}: missing 'name'")
-            continue
-        if prev_name is not None and name < prev_name:
-            fail(f"{where}: names not sorted ({name!r} after {prev_name!r})")
-        prev_name = name
-        if kind == "counter":
-            if not isinstance(obj.get("value"), int):
-                fail(f"{where}: counter 'value' must be an integer")
-        elif kind == "gauge":
-            if not isinstance(obj.get("value"), int):
-                fail(f"{where}: gauge 'value' must be an integer")
-        else:
-            for key in ("count", "sum", "min", "max", "p50", "p95", "p99"):
-                if not isinstance(obj.get(key), (int, float)):
-                    fail(f"{where}: hist '{key}' must be a number")
-        n += 1
-    if n == 0:
-        fail(f"{path}: no counter/hist/gauge lines")
-    else:
-        print(f"{path}: {n} counter/hist/gauge lines: OK")
-
-
 def check_decisions(path):
     n = 0
     for lineno, obj in check_jsonl_lines(path):
@@ -249,19 +212,24 @@ SERVER_HISTS = (
 SERVER_GAUGES = ("server.queue_depth", "server.inflight")
 
 
+def load_stats(path):
+    """The counters, gauges and lifetime histograms of one metrics
+    document, after the --metrics schema check; None if that failed."""
+    before = len(errors)
+    docs = check_metrics([path])
+    if len(errors) > before or not docs:
+        return None
+    doc = docs[0][1]
+    hists = {n: h["life"] for n, h in doc["histograms"].items()}
+    return doc["counters"], doc["gauges"], hists
+
+
 def check_server_stats(path):
-    """The --stats schema plus the server.* counter contract."""
-    check_stats(path)
-    counters = {}
-    hists = {}
-    gauges = {}
-    for _lineno, obj in check_jsonl_lines(path):
-        if obj.get("kind") == "counter":
-            counters[obj.get("name")] = obj.get("value")
-        elif obj.get("kind") == "hist":
-            hists[obj.get("name")] = obj
-        elif obj.get("kind") == "gauge":
-            gauges[obj.get("name")] = obj.get("value")
+    """The --metrics schema plus the server.* counter contract."""
+    stats = load_stats(path)
+    if stats is None:
+        return
+    counters, gauges, hists = stats
     for name in SERVER_COUNTERS:
         if name not in counters:
             fail(f"{path}: missing required counter {name!r}")
@@ -283,11 +251,12 @@ def check_server_stats(path):
             f"{completed} / {accepted} / {requests}"
         )
     # Every request is answered by exactly one typed outcome: CompileOk,
-    # Error, Rejected, DeadlineExceeded, or ShuttingDown.
+    # Error (bad input, a failed run=1 run, a verifier reject), Rejected,
+    # DeadlineExceeded, or ShuttingDown.
     outcomes = completed + sum(
         counters.get(f"server.{n}", 0)
-        for n in ("parse_errors", "rejected", "deadline_exceeded",
-                  "shutdown_rejected")
+        for n in ("parse_errors", "run_errors", "verify_rejects", "rejected",
+                  "deadline_exceeded", "shutdown_rejected")
     )
     if outcomes != requests:
         fail(
@@ -346,15 +315,11 @@ CACHE_COUNTERS = (
 
 
 def check_cache_stats(path, expect_l2_hits=False):
-    """The --stats schema plus the cache.* (and cache.l2.*) contracts."""
-    check_stats(path)
-    counters = {}
-    gauges = {}
-    for _lineno, obj in check_jsonl_lines(path):
-        if obj.get("kind") == "counter":
-            counters[obj.get("name")] = obj.get("value")
-        elif obj.get("kind") == "gauge":
-            gauges[obj.get("name")] = obj.get("value")
+    """The --metrics schema plus the cache.* (and cache.l2.*) contracts."""
+    stats = load_stats(path)
+    if stats is None:
+        return
+    counters, gauges, _hists = stats
     # Counters register on their first bump, so a cold run has only
     # cache.misses; hits/insertions/evictions appear once one happened.
     if "cache.misses" not in counters:
@@ -420,12 +385,11 @@ def check_cache_stats(path, expect_l2_hits=False):
 
 
 def check_alloc_stats(path):
-    """The --stats schema plus the alloc.count / alloc.bytes profile."""
-    check_stats(path)
-    counters = {}
-    for _lineno, obj in check_jsonl_lines(path):
-        if obj.get("kind") == "counter":
-            counters[obj.get("name")] = obj.get("value")
+    """The --metrics schema plus the alloc.count / alloc.bytes profile."""
+    stats = load_stats(path)
+    if stats is None:
+        return
+    counters = stats[0]
     for name in ("alloc.count", "alloc.bytes"):
         if name not in counters:
             fail(f"{path}: missing required counter {name!r}")
@@ -508,8 +472,9 @@ def check_hist_view(where, view):
 
 
 def check_metrics(paths):
-    """Live StatsReply documents: schema, per-histogram invariants, and
-    (when two snapshots are given) cross-snapshot monotonicity."""
+    """Metrics documents: schema, per-histogram invariants, and (when more
+    than one is given) cross-snapshot monotonicity. Returns the (path, doc)
+    pairs that passed the schema check."""
     docs = []
     for path in paths:
         doc = load_metrics_doc(path)
@@ -569,6 +534,7 @@ def check_metrics(paths):
             if isinstance(c1, int) and isinstance(c2, int) and c2 < c1:
                 fail(f"{p2}: histogram {name!r} lifetime count went "
                      f"backwards ({c1} -> {c2} vs {p1})")
+    return docs
 
 
 def load_records(path):
@@ -740,7 +706,6 @@ def check_p99(spec):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trace")
-    ap.add_argument("--stats")
     ap.add_argument("--decisions")
     ap.add_argument("--server-stats")
     ap.add_argument("--cache-stats")
@@ -751,18 +716,16 @@ def main():
     ap.add_argument("--join")
     ap.add_argument("--p99")
     args = ap.parse_args()
-    if not (args.trace or args.stats or args.decisions or args.server_stats
+    if not (args.trace or args.decisions or args.server_stats
             or args.cache_stats or args.alloc_stats or args.metrics
             or args.records or args.join or args.p99):
         ap.error(
-            "nothing to check: pass --trace/--stats/--decisions/"
+            "nothing to check: pass --trace/--decisions/"
             "--server-stats/--cache-stats/--alloc-stats/--metrics/"
             "--records/--join/--p99"
         )
     if args.trace:
         check_trace(args.trace)
-    if args.stats:
-        check_stats(args.stats)
     if args.decisions:
         check_decisions(args.decisions)
     if args.server_stats:

@@ -41,8 +41,8 @@
 #include "ir/Printer.h"
 #include "obs/Counters.h"
 #include "obs/DecisionLog.h"
-#include "obs/Json.h"
 #include "obs/Log.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "server/Client.h"
 #include "server/LoadGen.h"
@@ -93,7 +93,8 @@ int usage() {
                "  --queue=N      admission-queue bound (reject above; "
                "default 64)\n"
                "  --deadline-ms=N default per-request deadline (0 = none)\n"
-               "  --stats-json=F write server.* counters as JSONL on exit\n"
+               "  --stats-json=F write the metrics snapshot (the StatsReply\n"
+               "                 document) on exit\n"
                "  --sample=N     trace every Nth request (0 = off)\n"
                "  --request-log=F per-request JSONL timing records (implies "
                "--sample=1)\n"
@@ -152,7 +153,8 @@ int usage() {
                "  -o FILE        write the minimized program here\n"
                "observability options for run:\n"
                "  --trace-out=F  write a Chrome trace_event JSON span trace\n"
-               "  --stats-json=F write a JSONL counter/metrics snapshot\n"
+               "  --stats-json=F write the metrics snapshot (the StatsReply\n"
+               "                 document)\n"
                "  --explain[=F]  dump the allocation-decision log (stdout,\n"
                "                 or to F; JSONL when F ends in .jsonl)\n"
                "  --log-level=N  diagnostic verbosity on stderr (default 0)\n",
@@ -262,6 +264,26 @@ bool dumpExplain(const std::string &Path) {
   return OS.good();
 }
 
+/// Write the registry's metrics snapshot to \p Path: the same versioned
+/// document a StatsRequest returns.
+bool writeStatsJson(const std::string &Path) {
+  std::ofstream OS(Path);
+  OS << obs::CounterRegistry::global().metricsSnapshot().toJson();
+  if (OS.good())
+    return true;
+  std::fprintf(stderr, "lsra: cannot write '%s'\n", Path.c_str());
+  return false;
+}
+
+/// Parse the value of a `--regs=` flag; prints the error itself.
+bool parseRegsFlag(const std::string &Text, unsigned &Regs) {
+  std::string Err;
+  if (parseRegLimit(Text, Regs, Err))
+    return true;
+  std::fprintf(stderr, "lsra: --regs: %s\n", Err.c_str());
+  return false;
+}
+
 int cmdRun(const std::string &Input, int Argc, char **Argv) {
   CompileFlags F;
   bool NoAlloc = false, EmitIR = false;
@@ -273,7 +295,7 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
     if (parseCompileFlag(A, F, FlagErr)) {
       if (!FlagErr.empty()) {
         std::fprintf(stderr, "lsra: %s\n", FlagErr.c_str());
-        return 2;
+        return 1;
       }
     } else if (A == "--no-alloc") {
       NoAlloc = true;
@@ -406,23 +428,8 @@ int cmdRun(const std::string &Input, int Argc, char **Argv) {
     CR.recordAllocProfile();
     if (Cache)
       cache::refreshCacheGauges(*Cache);
-    std::ofstream OS(StatsJson);
-    if (!OS.good()) {
-      std::fprintf(stderr, "lsra: cannot write '%s'\n", StatsJson.c_str());
+    if (!writeStatsJson(StatsJson))
       return 1;
-    }
-    obs::JsonObject Meta;
-    Meta.field("kind", "meta");
-    Meta.field("input", Input);
-    Meta.field("allocator", allocatorName(F.Kind));
-    Meta.field("threads", F.Exec.Threads);
-    Meta.field("regs", F.Regs);
-    OS << Meta.str() << "\n";
-    CR.writeJsonl(OS);
-    if (!OS.good()) {
-      std::fprintf(stderr, "lsra: cannot write '%s'\n", StatsJson.c_str());
-      return 1;
-    }
   }
   // The trace covers everything including the VM run: write it last.
   if (!TraceOut.empty() && !Tracer.writeChromeJson(TraceOut)) {
@@ -436,14 +443,12 @@ int cmdCompare(const std::string &Input, int Argc, char **Argv) {
   unsigned Regs = 0;
   for (int I = 0; I < Argc; ++I) {
     std::string A = Argv[I];
-    if (A.rfind("--regs=", 0) == 0)
-      Regs = static_cast<unsigned>(std::strtoul(A.c_str() + 7, nullptr, 10));
-    else
+    if (A.rfind("--regs=", 0) != 0)
       return usage();
+    if (!parseRegsFlag(A.substr(7), Regs))
+      return 1;
   }
-  TargetDesc TD = TargetDesc::alphaLike();
-  if (Regs)
-    TD = TD.withRegLimit(Regs, Regs);
+  TargetDesc TD = targetForRegLimit(Regs);
 
   std::string Error;
   auto Ref = loadInput(Input, Error);
@@ -555,9 +560,8 @@ int cmdServe(int Argc, char **Argv) {
   if (!SampleSet && (!SO.RequestLogPath.empty() || !TraceOut.empty()))
     SO.SampleEvery = 1;
 
-  obs::CounterRegistry &CR = obs::CounterRegistry::global();
   if (!StatsJson.empty())
-    CR.enable();
+    obs::CounterRegistry::global().enable();
   if (!TraceOut.empty())
     obs::Tracer::global().enable();
 
@@ -594,26 +598,8 @@ int cmdServe(int Argc, char **Argv) {
     }
   }
 
-  if (!StatsJson.empty()) {
-    std::ofstream OS(StatsJson);
-    if (!OS.good()) {
-      std::fprintf(stderr, "lsra serve: cannot write '%s'\n",
-                   StatsJson.c_str());
-      return 1;
-    }
-    obs::JsonObject Meta;
-    Meta.field("kind", "meta");
-    Meta.field("mode", "serve");
-    Meta.field("workers", SO.Workers);
-    Meta.field("queue", SO.QueueCapacity);
-    OS << Meta.str() << "\n";
-    CR.writeJsonl(OS);
-    if (!OS.good()) {
-      std::fprintf(stderr, "lsra serve: cannot write '%s'\n",
-                   StatsJson.c_str());
-      return 1;
-    }
-  }
+  if (!StatsJson.empty() && !writeStatsJson(StatsJson))
+    return 1;
   return 0;
 }
 
@@ -641,7 +627,8 @@ int cmdLoadgen(int Argc, char **Argv) {
     } else if (A.rfind("--allocator=", 0) == 0) {
       LO.Allocator = A.substr(12);
     } else if (A.rfind("--regs=", 0) == 0) {
-      LO.Regs = static_cast<unsigned>(std::strtoul(A.c_str() + 7, nullptr, 10));
+      if (!parseRegsFlag(A.substr(7), LO.Regs))
+        return 1;
     } else if (A == "--run") {
       LO.Run = true;
     } else if (A.rfind("--deadline-ms=", 0) == 0) {
@@ -854,10 +841,13 @@ int cmdFuzz(int Argc, char **Argv) {
       FO.RegLimits.clear();
       std::istringstream SS(A.substr(7));
       std::string R;
+      unsigned Regs;
       while (std::getline(SS, R, ','))
-        if (!R.empty())
-          FO.RegLimits.push_back(
-              static_cast<unsigned>(std::strtoul(R.c_str(), nullptr, 10)));
+        if (!R.empty()) {
+          if (!parseRegsFlag(R, Regs))
+            return 1;
+          FO.RegLimits.push_back(Regs);
+        }
     } else if (A.rfind("--allocator=", 0) == 0) {
       AllocatorKind K;
       if (!parseAllocatorName(A.substr(12), K)) {
@@ -918,7 +908,8 @@ int cmdReduce(const std::string &Input, int Argc, char **Argv) {
         return 2;
       }
     } else if (A.rfind("--regs=", 0) == 0) {
-      Regs = static_cast<unsigned>(std::strtoul(A.c_str() + 7, nullptr, 10));
+      if (!parseRegsFlag(A.substr(7), Regs))
+        return 1;
     } else if (A == "--cleanup") {
       Cleanup = true;
     } else if (A == "-o" && I + 1 < Argc) {

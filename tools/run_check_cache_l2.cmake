@@ -4,14 +4,15 @@
 # the second serves the SAME mix with --verify (every response
 # byte-compared against an offline compile) — its compiles must be served
 # from the shared segment, asserted as cache.l2.hits > 0 in its exit
-# stats snapshot via check_trace.py --cache-stats --expect-l2-hits.
+# metrics snapshot via check_trace.py --cache-stats --expect-l2-hits (after
+# the --metrics schema check).
 # Invoked by ctest as
 #   cmake -DLSRA_TOOL=... -DPYTHON=... -DCHECKER=... -DOUT_DIR=... -P this
 set(SOCK_A "${OUT_DIR}/check_l2_a.sock")
 set(SOCK_B "${OUT_DIR}/check_l2_b.sock")
 set(SEG "${OUT_DIR}/check_l2.seg")
-set(STATS_A "${OUT_DIR}/check_l2_a.stats.jsonl")
-set(STATS_B "${OUT_DIR}/check_l2_b.stats.jsonl")
+set(STATS_A "${OUT_DIR}/check_l2_a.stats.json")
+set(STATS_B "${OUT_DIR}/check_l2_b.stats.json")
 
 execute_process(
   COMMAND sh -ec "
@@ -67,8 +68,8 @@ endif()
 # show actual cross-process hits. Server A's snapshot only needs the tier
 # contract (it was the cold side).
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "--cache-stats" "${STATS_B}"
-          "--expect-l2-hits"
+  COMMAND "${PYTHON}" "${CHECKER}" "--metrics" "${STATS_B}"
+          "--cache-stats" "${STATS_B}" "--expect-l2-hits"
   RESULT_VARIABLE CHECK_RC
   OUTPUT_VARIABLE CHECK_OUT
   ERROR_VARIABLE CHECK_ERR)
@@ -80,7 +81,8 @@ if(NOT CHECK_RC EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "--cache-stats" "${STATS_A}"
+  COMMAND "${PYTHON}" "${CHECKER}" "--metrics" "${STATS_A}"
+          "--cache-stats" "${STATS_A}"
   RESULT_VARIABLE ACHECK_RC
   OUTPUT_VARIABLE ACHECK_OUT
   ERROR_VARIABLE ACHECK_ERR)

@@ -2,11 +2,12 @@
 # unix socket, replays part of the workloads corpus against it with
 # `lsra loadgen` (4 connections, one request in flight on each), stops the
 # server with SIGTERM to exercise the graceful drain, and validates the
-# emitted server.* counter snapshot with check_trace.py --server-stats.
+# emitted metrics snapshot with check_trace.py --metrics and the server.*
+# and cache.* contracts.
 # Invoked by ctest as
 #   cmake -DLSRA_TOOL=... -DPYTHON=... -DCHECKER=... -DOUT_DIR=... -P this
 set(SOCK "${OUT_DIR}/check_serve.sock")
-set(STATS "${OUT_DIR}/check_serve.stats.jsonl")
+set(STATS "${OUT_DIR}/check_serve.stats.json")
 
 # Backgrounding and signal delivery need a shell; everything is kept in
 # one script so the server is reliably torn down on any failure.
@@ -64,8 +65,8 @@ if(NOT RUN_RC EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "--server-stats" "${STATS}"
-          "--cache-stats" "${STATS}"
+  COMMAND "${PYTHON}" "${CHECKER}" "--metrics" "${STATS}"
+          "--server-stats" "${STATS}" "--cache-stats" "${STATS}"
   RESULT_VARIABLE CHECK_RC
   OUTPUT_VARIABLE CHECK_OUT
   ERROR_VARIABLE CHECK_ERR)
@@ -78,10 +79,11 @@ endif()
 # --- telemetry leg ----------------------------------------------------------
 # A fresh server with full request tracing: one loadgen run with client-side
 # records, two live StatsRequest fetches (json for the validators, prom and
-# text for rendering smoke), then the graceful drain. The lifetime
-# histograms cover exactly this run, so the server p99 can be bracketed by
-# the exact percentiles of the request log's and the loadgen's per-request
-# spans.
+# text for rendering smoke), then the graceful drain and its --stats-json
+# exit snapshot, the last link of the never-go-backwards chain. The
+# lifetime histograms cover exactly this run, so the server p99 can be
+# bracketed by the exact percentiles of the request log's and the
+# loadgen's per-request spans.
 set(TSOCK "${OUT_DIR}/check_serve_telemetry.sock")
 set(REQLOG "${OUT_DIR}/check_serve.request_log.jsonl")
 set(RECORDS "${OUT_DIR}/check_serve.records.jsonl")
@@ -89,13 +91,15 @@ set(LGJSON "${OUT_DIR}/check_serve.loadgen.json")
 set(SNAP1 "${OUT_DIR}/check_serve.metrics1.json")
 set(SNAP2 "${OUT_DIR}/check_serve.metrics2.json")
 set(TTRACE "${OUT_DIR}/check_serve.trace.json")
+set(TSTATS "${OUT_DIR}/check_serve_telemetry.stats.json")
 
 execute_process(
   COMMAND sh -ec "
     rm -f '${TSOCK}' '${REQLOG}' '${RECORDS}' '${LGJSON}' \
-        '${SNAP1}' '${SNAP2}' '${TTRACE}'
+        '${SNAP1}' '${SNAP2}' '${TTRACE}' '${TSTATS}'
     '${LSRA_TOOL}' serve --socket='${TSOCK}' --workers=4 \
-        --request-log='${REQLOG}' --trace-out='${TTRACE}' &
+        --request-log='${REQLOG}' --trace-out='${TTRACE}' \
+        --stats-json='${TSTATS}' &
     pid=\$!
     trap 'kill \$pid 2>/dev/null' EXIT
     i=0
@@ -135,6 +139,7 @@ endif()
 execute_process(
   COMMAND "${PYTHON}" "${CHECKER}"
           "--metrics" "${SNAP1}" "--metrics" "${SNAP2}"
+          "--metrics" "${TSTATS}" "--server-stats" "${TSTATS}"
           "--records" "${RECORDS}"
           "--join" "${RECORDS}:${REQLOG}"
           "--p99" "${SNAP1}:${RECORDS}:${REQLOG}"

@@ -2,7 +2,7 @@
 # validate the emitted artifacts with check_trace.py. Invoked by ctest as
 #   cmake -DLSRA_TOOL=... -DPYTHON=... -DCHECKER=... -DOUT_DIR=... -P this
 set(TRACE "${OUT_DIR}/check_trace.trace.json")
-set(STATS "${OUT_DIR}/check_trace.stats.jsonl")
+set(STATS "${OUT_DIR}/check_trace.stats.json")
 set(DECISIONS "${OUT_DIR}/check_trace.decisions.jsonl")
 
 execute_process(
@@ -16,12 +16,13 @@ if(NOT RUN_RC EQUAL 0)
   message(FATAL_ERROR "lsra run failed (rc=${RUN_RC}):\n${RUN_OUT}${RUN_ERR}")
 endif()
 
-# The run above compiles through the default-on compile cache, so the same
-# stats snapshot must also satisfy the cache.* counter contract, and the
-# CLI exports the heap-allocation profile, so the alloc.count/alloc.bytes
-# contract must hold too.
+# The stats snapshot is the metrics document a StatsRequest returns, so it
+# must pass the --metrics schema. The run above compiles through the
+# default-on compile cache, so the same snapshot must also satisfy the
+# cache.* counter contract, and the CLI exports the heap-allocation
+# profile, so the alloc.count/alloc.bytes contract must hold too.
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "--trace" "${TRACE}" "--stats" "${STATS}"
+  COMMAND "${PYTHON}" "${CHECKER}" "--trace" "${TRACE}" "--metrics" "${STATS}"
           "--decisions" "${DECISIONS}" "--cache-stats" "${STATS}"
           "--alloc-stats" "${STATS}"
   RESULT_VARIABLE CHECK_RC
