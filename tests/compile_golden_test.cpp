@@ -25,7 +25,9 @@
 //
 // Each point goes text -> parse -> lowerCalls -> eliminateDeadCode ->
 // allocateModule -> print, like compileTextModule, and gives one line: the
-// FNV-1a 64 hash of the printed allocated module, SpilledTemps,
+// FNV-1a 64 hash of the printed allocated module (fnv=), the same hash of
+// its function text alone, from the first `func ` line on (fn=, which a
+// change to the memory image's syntax leaves alone), SpilledTemps,
 // InterferenceEdges, ColoringIterations, MovesCoalesced and the number of
 // instructions DCE removed. The lines must match
 // tests/golden/compile_outputs.txt byte for byte. The file is regenerated
@@ -52,6 +54,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace lsra;
 
@@ -63,13 +66,20 @@ std::string printed(const Module &M) {
   return OS.str();
 }
 
-uint64_t fnv1a64(const std::string &S) {
+uint64_t fnv1a64(std::string_view S) {
   uint64_t H = 0xcbf29ce484222325ull;
   for (unsigned char C : S) {
     H ^= C;
     H *= 0x100000001b3ull;
   }
   return H;
+}
+
+/// \p Text from its first `func ` line on.
+std::string_view functionText(const std::string &Text) {
+  size_t At = Text.rfind("func ", 0) == 0 ? 0 : Text.find("\nfunc ");
+  return std::string_view(Text).substr(
+      At == std::string::npos ? Text.size() : At + (At != 0));
 }
 
 /// Register limit \p Regs int + \p Regs fp; 0 = the full register file.
@@ -91,13 +101,15 @@ std::string compileLine(const std::string &Name, const std::string &Text,
   lowerCalls(*P.M);
   unsigned Removed = eliminateDeadCode(*P.M, TD);
   AllocStats S = allocateModule(*P.M, TD, K, AO);
+  std::string Out = printed(*P.M);
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
-                "%s %s%s r%u: fnv=%016" PRIx64
+                "%s %s%s r%u: fnv=%016" PRIx64 " fn=%016" PRIx64
                 " spilled=%u edges=%u rounds=%u coalesced=%u dce=%u\n",
-                Name.c_str(), allocatorName(K), Mode, Regs,
-                fnv1a64(printed(*P.M)), S.SpilledTemps, S.InterferenceEdges,
-                S.ColoringIterations, S.MovesCoalesced, Removed);
+                Name.c_str(), allocatorName(K), Mode, Regs, fnv1a64(Out),
+                fnv1a64(functionText(Out)), S.SpilledTemps,
+                S.InterferenceEdges, S.ColoringIterations, S.MovesCoalesced,
+                Removed);
   return Buf;
 }
 
