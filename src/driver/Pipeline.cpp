@@ -268,7 +268,9 @@ std::string lsra::checkAllocated(const Module &M) {
 RunResult lsra::runReference(Module &M, const TargetDesc &TD) {
   lowerCalls(M);
   eliminateDeadCode(M, TD);
-  VM Machine(M, TD);
+  VM::Options VO;
+  VO.MaxInstrs = RunInstrBudget;
+  VM Machine(M, TD, VO);
   return Machine.run();
 }
 

@@ -100,15 +100,16 @@ TextCompileResult compileTextModule(const std::string &IRText,
 /// Post-allocation structural check; returns an empty string when valid.
 std::string checkAllocated(const Module &M);
 
-/// Reference semantics of \p M: lower calls + DCE (same pre-passes as
-/// compileModule), then run on the VM with virtual registers intact.
-RunResult runReference(Module &M, const TargetDesc &TD);
-
-/// Instruction budget of every checked run: runAllocated (so each served
-/// run=1 request) and both runs of the fuzz oracle. The largest built-in
-/// workload, li at 4 registers per class, executes 4.85 M instructions; a
-/// program that spins stops here in well under a second.
+/// Instruction budget of every checked run: runReference, runAllocated (so
+/// each served run=1 request) and both runs of the fuzz oracle. The largest
+/// built-in workload, li at 4 registers per class, executes 4.85 M
+/// instructions; a program that spins stops here in well under a second.
 constexpr uint64_t RunInstrBudget = 50'000'000;
+
+/// Reference semantics of \p M: lower calls + DCE (same pre-passes as
+/// compileModule), then run on the VM with virtual registers intact, within
+/// RunInstrBudget instructions.
+RunResult runReference(Module &M, const TargetDesc &TD);
 
 /// Execute an allocated module with the machine-contract checks enabled
 /// (caller-saved poisoning, callee-saved verification), within

@@ -9,14 +9,16 @@
 /// numbers read with from_chars; no per-line or per-token string is made.
 /// A function is added when its header is seen, so ids follow text order;
 /// call targets are recorded as fixups and resolved at the end against a
-/// name -> id hash map. `mem` lines, 97% of a printed corpus module, take
-/// their own fast path.
+/// name -> id hash map. The memory image, most of a printed corpus
+/// module's bytes, is read one run line at a time by a table-driven hex
+/// decode straight into the image, which a leading `memsize` sizes once.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/Parser.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -50,44 +52,18 @@ template <typename T> bool parseFull(std::string_view S, T &Out) {
   return Ec == std::errc() && P == S.data() + S.size();
 }
 
-/// 0-15 for a hex digit of either case, 16 otherwise.
-unsigned hexValue(char Ch) {
-  unsigned C = static_cast<unsigned char>(Ch);
-  if (C - '0' < 10)
-    return C - '0';
-  if ((C | 0x20) - 'a' < 6)
-    return (C | 0x20) - 'a' + 10;
-  return 16;
-}
-
-/// Reads the printed form "mem ADDR 0xHEX" at \p P, up to \p End, and
-/// returns the end of the hex digits, or null if the text there is not of
-/// that form. An address past 2^59 reads as UINT64_MAX: out of range
-/// either way, and never wrapped.
-const char *scanMemLine(const char *P, const char *End, uint64_t &Addr,
-                        uint64_t &Val) {
-  if (End - P < 4 || std::memcmp(P, "mem ", 4) != 0)
-    return nullptr;
-  P += 4;
-  const char *Digits = P;
-  Addr = 0;
-  for (; P < End && static_cast<unsigned>(*P - '0') < 10; ++P)
-    Addr = Addr >= (1ull << 59) ? UINT64_MAX : Addr * 10 + (*P - '0');
-  if (P == Digits || End - P < 3 || std::memcmp(P, " 0x", 3) != 0)
-    return nullptr;
-  P += 3;
-  const char *Hex = P;
-  Val = 0;
-  for (; P < End; ++P) {
-    unsigned D = hexValue(*P);
-    if (D > 15)
-      break;
-    if (P - Hex == 16) // a 17th digit
-      return nullptr;
-    Val = Val << 4 | D;
-  }
-  return P == Hex ? nullptr : P;
-}
+/// The value of each byte as a hex digit of either case; 16 for any byte
+/// that is not one.
+constexpr std::array<uint8_t, 256> HexDigit = [] {
+  std::array<uint8_t, 256> T{};
+  for (uint8_t &D : T)
+    D = 16;
+  for (unsigned C = 0; C < 10; ++C)
+    T['0' + C] = static_cast<uint8_t>(C);
+  for (unsigned C = 0; C < 6; ++C)
+    T['a' + C] = T['A' + C] = static_cast<uint8_t>(10 + C);
+  return T;
+}();
 
 /// Read \p S as an unsigned decimal that must fit a 64-bit value below
 /// \p Limit. Returns 1 when it does, 0 when \p S is not all digits, and -1
@@ -294,49 +270,60 @@ private:
     CurB = nullptr;
   }
 
-  void storeWord(uint64_t Addr, uint64_t Val) {
-    // Grow by doubling; run() trims the image to MemWords at the end.
-    std::vector<uint64_t> &Mem = M->InitialMemory;
-    if (Addr >= Mem.size())
-      Mem.resize(std::min<size_t>(std::max<size_t>(Addr + 1, Mem.size() * 2),
-                                  MaxMemoryWords));
-    Mem[Addr] = Val;
-    MemWords = std::max<size_t>(MemWords, Addr + 1);
-  }
-
-  /// The memory image's common case, read in place without finding the
-  /// line end first: a `mem` line in printed form with an in-range address,
-  /// ending in '\n' or the text. Any other line, including a `mem` line
-  /// that needs a diagnostic, is left to nextLine and parseLine.
-  bool fastMemLine() {
-    const char *End = Text.data() + Text.size();
-    uint64_t Addr, Val;
-    const char *P = scanMemLine(Text.data() + Pos, End, Addr, Val);
-    if (!P || (P != End && *P != '\n') || Addr >= MaxMemoryWords)
-      return false;
-    endFunction();
-    storeWord(Addr, Val);
-    ++LineNo;
-    Pos = static_cast<size_t>(P - Text.data()) + (P != End);
-    return true;
-  }
-
   /// A `mem` address or `memsize` at or above MaxMemoryWords.
   bool failMemTooLarge(const char *What, std::string_view Tok) {
     return failTok(std::string(What) + " out of range (limit " +
                        std::to_string(MaxMemoryWords) + " words)",
                    Tok);
   }
+
+  /// Failure at the token of the current line that starts at \p S and runs
+  /// to the next blank or \p End. An empty token (a doubled blank) is
+  /// reported at its column.
+  bool failMemToken(const std::string &Msg, const char *S, const char *End) {
+    const char *E = static_cast<const char *>(std::memchr(S, ' ', End - S));
+    return failAt(LineNo, static_cast<unsigned>(S - Line.data()) + 1, Msg,
+                  std::string_view(S, (E ? E : End) - S));
+  }
 };
 
+/// "mem ADDR VAL+": the values go to words ADDR, ADDR + 1, ... Each VAL is
+/// 1-16 hex digits with an optional "0x", after exactly one blank. An
+/// address past 2^59 reads as UINT64_MAX: out of range either way, and
+/// never wrapped.
 bool Parser::parseMem(std::string_view T) {
-  uint64_t Addr, Val;
-  if (scanMemLine(T.data(), T.data() + T.size(), Addr, Val) !=
-      T.data() + T.size())
-    return fail("bad mem line");
+  const char *P = T.data() + 4, *End = T.data() + T.size();
+  const char *Tok = P;
+  uint64_t Addr = 0;
+  for (; P < End && static_cast<unsigned>(*P - '0') < 10; ++P)
+    Addr = Addr >= (1ull << 59) ? UINT64_MAX : Addr * 10 + (*P - '0');
+  if (P == Tok || (P < End && *P != ' '))
+    return failMemToken("bad mem address", Tok, End);
   if (Addr >= MaxMemoryWords)
-    return failMemTooLarge("mem address", firstWord(T.substr(4)));
-  storeWord(Addr, Val);
+    return failMemTooLarge("mem address", std::string_view(Tok, P - Tok));
+  if (P == End)
+    return failMemToken("mem line without a value", Tok, End);
+  std::vector<uint64_t> &Mem = M->InitialMemory;
+  while (P < End) {
+    Tok = ++P; // past the one blank
+    if (End - P >= 2 && P[0] == '0' && P[1] == 'x')
+      P += 2;
+    const char *Digits = P;
+    uint64_t V = 0;
+    for (unsigned D; P < End && (D = HexDigit[uint8_t(*P)]) < 16; ++P)
+      V = V << 4 | D;
+    if (P == Digits || P - Digits > 16 || (P < End && *P != ' '))
+      return failMemToken("bad mem value", Tok, End);
+    if (Addr >= MaxMemoryWords)
+      return failMemToken("mem run out of range (limit " +
+                              std::to_string(MaxMemoryWords) + " words)",
+                          Tok, End);
+    if (Addr >= Mem.size()) // grow by doubling; run() trims to MemWords
+      Mem.resize(std::min<size_t>(std::max<size_t>(Addr + 1, Mem.size() * 2),
+                                  MaxMemoryWords));
+    Mem[Addr++] = V;
+  }
+  MemWords = std::max<size_t>(MemWords, Addr);
   return true;
 }
 
@@ -349,6 +336,9 @@ bool Parser::parseMemSize(std::string_view T) {
   if (Fits < 0)
     return failMemTooLarge("memsize", Tok);
   MemWords = std::max<size_t>(MemWords, Words);
+  // Printed text declares the size first, so the runs fill a sized image.
+  if (M->InitialMemory.size() < MemWords)
+    M->InitialMemory.resize(MemWords);
   return true;
 }
 
@@ -601,7 +591,7 @@ bool Parser::parseOperand(std::string_view Tok, Opcode Op, unsigned Slot,
 
 /// One non-blank, non-comment line, leading spaces removed.
 bool Parser::parseLine(std::string_view T) {
-  // The memory image first: it is nearly every line of a printed module.
+  // The memory image first: it is most of a printed module's bytes.
   // A "mem" or "func" line ends the function being read.
   if (startsWith(T, "mem")) {
     endFunction();
@@ -631,9 +621,8 @@ bool Parser::parseLine(std::string_view T) {
 
 ParseResult Parser::run() {
   std::string_view T;
-  while (Pos < Text.size())
-    if (!fastMemLine() && (!nextLine(T) || !parseLine(T)))
-      break;
+  while (nextLine(T) && parseLine(T))
+    ;
   endFunction();
   M->InitialMemory.resize(MemWords);
   if (Error.empty() && M->numFunctions() == 0)

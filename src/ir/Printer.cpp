@@ -6,6 +6,7 @@
 
 #include "ir/Printer.h"
 
+#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -41,16 +42,49 @@ const char *retKindName(CallRetKind K) {
   return "void";
 }
 
-/// Append one "mem ADDR 0xVALUE" line (lowercase hex, as PRIx64 prints).
-void appendMemLine(std::string &Out, uint64_t Addr, uint64_t Value) {
-  char Buf[48];
-  char *P = Buf;
-  std::memcpy(P, "mem ", 4);
-  P = std::to_chars(P + 4, Buf + sizeof(Buf), Addr).ptr;
-  std::memcpy(P, " 0x", 3);
-  P = std::to_chars(P + 3, Buf + sizeof(Buf), Value, 16).ptr;
-  *P++ = '\n';
-  Out.append(Buf, P - Buf);
+/// Bytes of the image's run lines: per run "mem ", the address and '\n';
+/// per value a blank and its lowercase hex digits.
+size_t imageBytes(const std::vector<uint64_t> &Mem) {
+  size_t Bytes = 0;
+  uint64_t Prev = 0;
+  for (size_t A = 0; A < Mem.size(); Prev = Mem[A++]) {
+    uint64_t W = Mem[A];
+    if (W && !Prev) {
+      char Buf[24];
+      Bytes += 5 + (std::to_chars(Buf, Buf + sizeof(Buf), A).ptr - Buf);
+    }
+    Bytes += W ? 1 + (std::bit_width(W) + 3) / 4 : 0;
+  }
+  return Bytes;
+}
+
+/// Append "memsize N", then one "mem ADDR V1 V2 ... Vn" line per maximal
+/// run of nonzero words, values in lowercase hex without "0x". The lines
+/// are written in place into \p Out, grown once by their size \p Bytes
+/// (imageBytes).
+void appendImage(std::string &Out, const std::vector<uint64_t> &Mem,
+                 size_t Bytes) {
+  if (Mem.empty())
+    return;
+  Out += "memsize ";
+  appendDecimal(Out, Mem.size());
+  Out += '\n';
+  size_t At = Out.size();
+  Out.resize(At + Bytes);
+  char *P = Out.data() + At, *End = Out.data() + Out.size();
+  for (size_t A = 0; A < Mem.size();) {
+    if (!Mem[A]) {
+      ++A;
+      continue;
+    }
+    std::memcpy(P, "mem ", 4);
+    P = std::to_chars(P + 4, End, A).ptr;
+    for (; A < Mem.size() && Mem[A]; ++A) {
+      *P++ = ' ';
+      P = std::to_chars(P, End, Mem[A], 16).ptr;
+    }
+    *P++ = '\n';
+  }
 }
 
 /// Append \p Op; \p M (optional) resolves function-reference names.
@@ -193,23 +227,18 @@ void lsra::printFunction(std::string &Out, const Function &F,
 }
 
 void lsra::printModule(std::string &Out, const Module &M) {
-  // One reservation for the whole text, at about 20 bytes per image line
-  // and 24 per instruction, instead of a dozen regrowths.
-  size_t Guess = Out.size() + 32;
-  for (uint64_t W : M.InitialMemory)
-    Guess += W ? 20 : 0;
+  // One reservation for the whole text, instead of a dozen regrowths: the
+  // image's exact size, and per function its header, a line per block and
+  // 32 bytes per instruction (allocated code with spill tags prints up to
+  // about 30).
+  size_t Image = imageBytes(M.InitialMemory);
+  size_t Guess = Out.size() + 32 + Image;
   for (const auto &F : M.functions())
-    Guess += 128 + 24 * size_t(F->numInstrs());
+    Guess += 128 + 16 * size_t(F->numBlocks()) + 32 * size_t(F->numInstrs());
   Out.reserve(Guess);
-  // Sparse initial-memory image.
-  for (unsigned A = 0; A < M.InitialMemory.size(); ++A)
-    if (M.InitialMemory[A] != 0)
-      appendMemLine(Out, A, M.InitialMemory[A]);
-  if (!M.InitialMemory.empty()) {
-    Out += "memsize ";
-    appendDecimal(Out, M.InitialMemory.size());
-    Out += "\n\n";
-  }
+  appendImage(Out, M.InitialMemory, Image);
+  if (!M.InitialMemory.empty())
+    Out += '\n';
   for (const auto &F : M.functions()) {
     printFunction(Out, *F, &M);
     Out += '\n';

@@ -152,11 +152,11 @@ bool Interp::step() {
                 F.name());
   const Instr &I = B.instrs()[Fr.InstrIdx];
 
+  if (Result.Stats.Total >= Opts.MaxInstrs)
+    return fail("instruction budget exceeded");
   ++Result.Stats.Total;
   Result.Stats.Cycles += cycleCost(I.opcode());
   ++Result.Stats.ByKind[static_cast<unsigned>(I.Spill)];
-  if (Result.Stats.Total > Opts.MaxInstrs)
-    return fail("instruction budget exceeded");
 
   ++Fr.InstrIdx;
 

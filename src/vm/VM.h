@@ -70,6 +70,7 @@ struct RunResult {
 class VM {
 public:
   struct Options {
+    /// The most instructions a run executes; the next one fails the run.
     uint64_t MaxInstrs = 2'000'000'000;
     unsigned MaxCallDepth = 4096;
     unsigned MinMemWords = 1u << 16;

@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "check/Fuzz.h"
+#include "ir/Parser.h"
+#include "ir/Printer.h"
 
 #include <gtest/gtest.h>
 
@@ -94,6 +96,42 @@ std::vector<CorpusCase> loadCorpus() {
     Cases.push_back(std::move(C));
   }
   return Cases;
+}
+
+/// \p Text from its first `func ` line on.
+std::string functionText(const std::string &Text) {
+  size_t At = Text.rfind("func ", 0) == 0 ? 0 : Text.find("\nfunc ");
+  return At == std::string::npos ? "" : Text.substr(At + (At != 0));
+}
+
+// sort_spill_implemented_copy.ir keeps the image as it was printed before
+// run lines: 4,096 one-word `mem ADDR 0xV` lines, then memsize. It reads
+// to the image and functions of its reprint, which is one run line.
+TEST(Corpus, LegacyImageLinesReadAsTheirReprint) {
+  for (const CorpusCase &C : loadCorpus()) {
+    if (C.File != "sort_spill_implemented_copy.ir")
+      continue;
+    size_t OneWord = 0;
+    for (size_t P = C.Text.find("\nmem "); P != std::string::npos;
+         P = C.Text.find("\nmem ", P + 1))
+      OneWord += C.Text.compare(C.Text.find(' ', P + 5), 3, " 0x") == 0;
+    EXPECT_EQ(OneWord, 4096u);
+    ParseResult Legacy = parseModule(C.Text);
+    ASSERT_TRUE(Legacy.ok()) << Legacy.Error;
+    std::string Reprint;
+    printModule(Reprint, *Legacy.M);
+    ParseResult Again = parseModule(Reprint);
+    ASSERT_TRUE(Again.ok()) << Again.Error;
+    EXPECT_EQ(Again.M->InitialMemory, Legacy.M->InitialMemory);
+    EXPECT_EQ(Legacy.M->InitialMemory.size(), 4096u);
+    std::string Twice;
+    printModule(Twice, *Again.M);
+    EXPECT_EQ(Twice, Reprint);
+    EXPECT_EQ(functionText(Reprint), functionText(C.Text));
+    EXPECT_LT(Reprint.size() * 2, C.Text.size());
+    return;
+  }
+  FAIL() << "sort_spill_implemented_copy.ir is missing";
 }
 
 TEST(Corpus, ReproducersPassOracle) {

@@ -290,6 +290,106 @@ TEST(ParserDiagnostics, MemoryImageBoundIsExclusive) {
   expectImageTooLarge("memsize " + Limit, Limit);
 }
 
+// The printed image is one "mem ADDR V1 V2 ... Vn" line per run of nonzero
+// words after a leading memsize; the reader takes any mix of bare and
+// "0x" values, and memsize anywhere, as older text has it.
+ParseResult withImage(const std::string &Lines) {
+  return parseModule(
+      Lines + "func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+              "bb0 (entry):\n  movi %0, 0\n  ret %0\n");
+}
+
+/// The image \p Lines parse to; empty (and a failure) if they do not.
+std::vector<uint64_t> imageOf(const std::string &Lines) {
+  ParseResult R = withImage(Lines);
+  EXPECT_TRUE(R.ok()) << Lines << R.Error;
+  return R.ok() ? R.M->InitialMemory : std::vector<uint64_t>();
+}
+
+/// The image lines \p Lines print as: the module text before its function.
+std::string reprintedImage(const std::string &Lines) {
+  ParseResult R = withImage(Lines);
+  EXPECT_TRUE(R.ok()) << Lines << R.Error;
+  if (!R.ok())
+    return "";
+  std::string Text = moduleText(*R.M);
+  return Text.substr(0, Text.find("func "));
+}
+
+TEST(ParserImage, RunLinesFillConsecutiveWords) {
+  EXPECT_EQ(imageOf("memsize 8\nmem 2 0x1 2 0xff AB\nmem 7 0\n"),
+            (std::vector<uint64_t>{0, 0, 1, 2, 0xff, 0xab, 0, 0}));
+  // Sixteen digits, with or without 0x, is the whole 64-bit word.
+  EXPECT_EQ(imageOf("mem 0 ffffffffffffffff 0x8000000000000000\n"),
+            (std::vector<uint64_t>{UINT64_MAX, 1ull << 63}));
+}
+
+TEST(ParserImage, MemsizeAfterTheRunsAsOldTextHasIt) {
+  EXPECT_EQ(imageOf("mem 1 0x5\nmem 3 0x6\nmemsize 6\n"),
+            (std::vector<uint64_t>{0, 5, 0, 6, 0, 0}));
+  // A run past a smaller memsize, before or after it, sizes the image.
+  EXPECT_EQ(imageOf("memsize 2\nmem 1 1 2 3\n").size(), 4u);
+  EXPECT_EQ(imageOf("mem 1 1 2 3\nmemsize 2\n").size(), 4u);
+  // Printed again, memsize comes first and adjacent words share a run.
+  EXPECT_EQ(reprintedImage("mem 1 0x5\nmem 3 0x6\nmemsize 6\n"),
+            "memsize 6\nmem 1 5\nmem 3 6\n\n");
+  EXPECT_EQ(reprintedImage("mem 1 0x1\nmem 2 0x2\n"),
+            "memsize 3\nmem 1 1 2\n\n");
+  EXPECT_EQ(reprintedImage("mem 0 0\nmemsize 2\n"), "memsize 2\n\n");
+}
+
+TEST(ParserImage, TrailingBlankIsTrimmedButNotAValue) {
+  EXPECT_EQ(imageOf("mem 3 1 \n"), (std::vector<uint64_t>{0, 0, 0, 1}));
+  ParseResult R = withImage("mem 3 \n");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.ErrLine, 1u);
+  EXPECT_NE(R.Error.find("mem line without a value"), std::string::npos)
+      << R.Error;
+  EXPECT_EQ(R.ErrToken, "3");
+  EXPECT_EQ(R.ErrCol, 5u);
+}
+
+/// Parses "mem 7 0x2\n" + \p Line + a function and expects an error on
+/// line 2 at column \p Col naming token \p Tok, with \p Msg in it.
+void expectImageError(const std::string &Line, unsigned Col,
+                      const std::string &Tok, const std::string &Msg) {
+  ParseResult R = parseModule(
+      "mem 7 0x2\n" + Line +
+      "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+      "bb0 (entry):\n  movi %0, 0\n  ret %0\n");
+  ASSERT_FALSE(R.ok()) << Line;
+  EXPECT_EQ(R.ErrLine, 2u) << R.Error;
+  EXPECT_EQ(R.ErrCol, Col) << R.Error;
+  EXPECT_EQ(R.ErrToken, Tok) << R.Error;
+  EXPECT_NE(R.Error.find(Msg), std::string::npos) << R.Error;
+}
+
+TEST(ParserImage, ValueOfSeventeenDigitsIsAnError) {
+  expectImageError("mem 3 12345678901234567", 7, "12345678901234567",
+                   "bad mem value");
+  expectImageError("mem 3 1 0x12345678901234567 2", 9, "0x12345678901234567",
+                   "bad mem value");
+}
+
+TEST(ParserImage, DoubledBlankOrBadValueIsAnError) {
+  // The empty value between two blanks is reported at the second one.
+  expectImageError("mem 3 1  2", 9, "", "bad mem value");
+  expectImageError("mem 3  1", 7, "", "bad mem value");
+  expectImageError("mem 3 1 0x", 9, "0x", "bad mem value");
+  expectImageError("mem 3 1 0X5", 9, "0X5", "bad mem value");
+  expectImageError("mem 3 1 5g 6", 9, "5g", "bad mem value");
+  expectImageError("mem 3x 1", 5, "3x", "bad mem address");
+  expectImageError("mem -3 1", 5, "-3", "bad mem address");
+}
+
+TEST(ParserImage, RunThatCrossesTheBoundIsAnErrorAtThatValue) {
+  // Words MaxMemoryWords - 2 and - 1 are in range; the third value is not.
+  std::string Addr = std::to_string(MaxMemoryWords - 2);
+  std::string Line = "mem " + Addr + " a 0xb 0xc d";
+  expectImageError(Line, static_cast<unsigned>(Line.find("0xc")) + 1, "0xc",
+                   "mem run out of range");
+}
+
 // A header's vregs=/slots= counts are read strictly and bounded by
 // MaxDeclaredIds: the parser allocates per declared id, so a huge count is a
 // typed error on its line, in well under 10 ms, not an allocation the host
@@ -431,6 +531,12 @@ TEST(ParserHostile, PrefixesAndByteFlipsGiveModuleOrTypedError) {
                 AllocatorKind::SecondChanceBinpack);
   sweepHostileText(moduleText(*Corpus), "fpppp");
   sweepHostileText(moduleText(*buildRandomProgram(70)), "random-70");
+  // li's image is 254 runs with zero gaps, so flips land inside lines of
+  // several values.
+  auto Li = buildWorkload("li");
+  compileModule(*Li, TargetDesc::alphaLike(),
+                AllocatorKind::SecondChanceBinpack);
+  sweepHostileText(moduleText(*Li), "li");
 }
 
 TEST(ParserDiagnostics, EmptyInputIsAnError) {

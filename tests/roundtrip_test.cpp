@@ -9,14 +9,18 @@
 // corpus — for unallocated modules (the request path: a round-tripped
 // module must re-allocate to identical statistics) and for allocated
 // modules (the response path: served output must re-parse and re-verify).
+// The memory image is printed as run lines; its round trip is checked word
+// for word on every program the golden and fuzz tests compile.
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/Fuzz.h"
 #include "driver/Pipeline.h"
 #include "ir/IRVerifier.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "target/Target.h"
+#include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -113,6 +117,55 @@ TEST_P(RoundTripTest, AllocatedRoundTripRunsIdentically) {
   EXPECT_EQ(Got.ReturnValue, Ref.ReturnValue) << Name;
   EXPECT_EQ(Got.Stats.Total, Ref.Stats.Total) << Name;
   EXPECT_EQ(Got.Stats.spillInstrs(), Ref.Stats.spillInstrs()) << Name;
+}
+
+namespace {
+
+/// print(parse(print(M))) == print(M), and the parsed image is M's.
+void expectImageRoundTrip(const Module &M, const std::string &Name) {
+  std::string Text = printed(M);
+  ParseResult PR = parseModule(Text);
+  ASSERT_TRUE(PR.ok()) << Name << ": " << PR.Error;
+  EXPECT_EQ(PR.M->InitialMemory, M.InitialMemory) << Name;
+  EXPECT_EQ(printed(*PR.M), Text) << Name << ": re-print is not a fixed point";
+}
+
+} // namespace
+
+// The image prints as run lines and reads back word for word over every
+// program the golden and fuzz tests compile: the 11 corpus programs,
+// random programs 1-8 as code-cold runs them and fuzz programs 1-50.
+TEST(ImageRoundTrip, CorpusRandomAndFuzzProgramsAreFixedPoints) {
+  for (const WorkloadSpec &W : allWorkloads())
+    expectImageRoundTrip(*W.Build(), W.Name);
+  RandomProgramOptions RO;
+  RO.Statements = 300;
+  RO.HelperFuncs = 4;
+  for (uint64_t S = 1; S <= 8; ++S)
+    expectImageRoundTrip(*buildRandomProgram(S, RO),
+                         "random-" + std::to_string(S));
+  check::FuzzOptions FO;
+  for (uint64_t S = 1; S <= 50; ++S)
+    expectImageRoundTrip(*buildRandomProgram(S, FO.Program),
+                         "fuzz-" + std::to_string(S));
+}
+
+// Runs at both ends of the image, single words, one-word gaps, a trailing
+// zero tail, full 64-bit values and an all-zero image.
+TEST(ImageRoundTrip, RunEdgesAreFixedPoints) {
+  std::unique_ptr<Module> M = buildWorkload("li");
+  M->InitialMemory = {UINT64_MAX, 1, 0, 0x10, 0, 0, 1ull << 63, 0xabc, 0};
+  expectImageRoundTrip(*M, "edges");
+  std::string Text = printed(*M);
+  EXPECT_EQ(Text.substr(0, Text.find("func ")),
+            "memsize 9\nmem 0 ffffffffffffffff 1\nmem 3 10\n"
+            "mem 6 8000000000000000 abc\n\n");
+  M->InitialMemory = {0, 0, 7};
+  expectImageRoundTrip(*M, "last word");
+  M->InitialMemory.assign(5, 0);
+  expectImageRoundTrip(*M, "all zero");
+  M->InitialMemory.clear();
+  expectImageRoundTrip(*M, "no image");
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, RoundTripTest,

@@ -663,8 +663,9 @@ TEST(Server, HugeMemoryImageGetsTypedErrorAndServerSurvives) {
   Client C = Client::connectUnix(SO.UnixPath, Err);
   ASSERT_TRUE(C.valid()) << Err;
 
+  // The last is a run line whose second value crosses the bound.
   for (const char *Line : {"mem 4294967295 0x1", "mem 3000000000 0x1",
-                           "memsize 3000000000"}) {
+                           "memsize 3000000000", "mem 16777215 1 1"}) {
     CompileRequest Req;
     Req.IRText = std::string(Line) +
                  "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"

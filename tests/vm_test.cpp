@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "ir/Builder.h"
+#include "ir/Parser.h"
 #include "target/LowerCalls.h"
 #include "vm/VM.h"
 
@@ -222,6 +224,28 @@ TEST(VM, InstructionBudget) {
   RunResult R = VM(M, T, O).run();
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("budget"), std::string::npos);
+  EXPECT_EQ(R.Stats.Total, 1000u); // the budget is the most it executes
+}
+
+// A reference run (`lsra run --no-alloc`, `lsra compare`, the benches) has
+// the budget of every checked run: a module that spins stops after
+// RunInstrBudget instructions, not after the VM's default of 2e9.
+TEST(VM, ReferenceRunStopsAtRunBudget) {
+  ParseResult P =
+      parseModule("func main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
+                  "bb0 (entry):\n"
+                  "  movi %0, 0\n"
+                  "  br bb1\n"
+                  "bb1 (loop):\n"
+                  "  add %0, %0, 1\n"
+                  "  br bb1\n");
+  ASSERT_TRUE(P.ok()) << P.Error;
+  TargetDesc T = TD();
+  RunResult R = runReference(*P.M, T);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("instruction budget exceeded"), std::string::npos)
+      << R.Error;
+  EXPECT_LE(R.Stats.Total, RunInstrBudget);
 }
 
 TEST(VM, PoisonCatchesCallerSavedReliance) {
