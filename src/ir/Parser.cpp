@@ -270,7 +270,8 @@ private:
     CurB = nullptr;
   }
 
-  /// A `mem` address or `memsize` at or above MaxMemoryWords.
+  /// A `mem` address, a run's word or a `memsize` at or above
+  /// MaxMemoryWords.
   bool failMemTooLarge(const char *What, std::string_view Tok) {
     return failTok(std::string(What) + " out of range (limit " +
                        std::to_string(MaxMemoryWords) + " words)",
@@ -310,14 +311,13 @@ bool Parser::parseMem(std::string_view T) {
       P += 2;
     const char *Digits = P;
     uint64_t V = 0;
-    for (unsigned D; P < End && (D = HexDigit[uint8_t(*P)]) < 16; ++P)
+    for (unsigned D;
+         P < End && (D = HexDigit[static_cast<uint8_t>(*P)]) < 16; ++P)
       V = V << 4 | D;
     if (P == Digits || P - Digits > 16 || (P < End && *P != ' '))
       return failMemToken("bad mem value", Tok, End);
     if (Addr >= MaxMemoryWords)
-      return failMemToken("mem run out of range (limit " +
-                              std::to_string(MaxMemoryWords) + " words)",
-                          Tok, End);
+      return failMemTooLarge("mem run", std::string_view(Tok, P - Tok));
     if (Addr >= Mem.size()) // grow by doubling; run() trims to MemWords
       Mem.resize(std::min<size_t>(std::max<size_t>(Addr + 1, Mem.size() * 2),
                                   MaxMemoryWords));

@@ -59,9 +59,9 @@ size_t imageBytes(const std::vector<uint64_t> &Mem) {
 }
 
 /// Append "memsize N", then one "mem ADDR V1 V2 ... Vn" line per maximal
-/// run of nonzero words, values in lowercase hex without "0x". The lines
-/// are written in place into \p Out, grown once by their size \p Bytes
-/// (imageBytes).
+/// run of nonzero words, values in lowercase hex without "0x", then a blank
+/// line. The run lines are written in place into \p Out, grown once by
+/// their size \p Bytes (imageBytes).
 void appendImage(std::string &Out, const std::vector<uint64_t> &Mem,
                  size_t Bytes) {
   if (Mem.empty())
@@ -85,6 +85,7 @@ void appendImage(std::string &Out, const std::vector<uint64_t> &Mem,
     }
     *P++ = '\n';
   }
+  Out += '\n';
 }
 
 /// Append \p Op; \p M (optional) resolves function-reference names.
@@ -237,8 +238,6 @@ void lsra::printModule(std::string &Out, const Module &M) {
     Guess += 128 + 16 * size_t(F->numBlocks()) + 32 * size_t(F->numInstrs());
   Out.reserve(Guess);
   appendImage(Out, M.InitialMemory, Image);
-  if (!M.InitialMemory.empty())
-    Out += '\n';
   for (const auto &F : M.functions()) {
     printFunction(Out, *F, &M);
     Out += '\n';
