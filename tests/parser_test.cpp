@@ -258,18 +258,27 @@ TEST(ParserDiagnostics, UnknownCallTargetToken) {
   EXPECT_EQ(R.ErrToken, "@nosuch");
 }
 
-// A memory image of MaxMemoryWords or more is a typed error on its line:
-// `mem 4294967295` would wrap `Addr + 1` to 0 in 32 bits, and the 3e9
-// images do not fit in memory.
-void expectImageTooLarge(const std::string &Line, const std::string &Tok) {
+/// Parses "mem 7 0x2\n" + \p Line + a function and expects an error on
+/// line 2 at column \p Col naming token \p Tok, with \p Msg in it.
+void expectImageError(const std::string &Line, unsigned Col,
+                      const std::string &Tok, const std::string &Msg) {
   ParseResult R = parseModule(
       "mem 7 0x2\n" + Line +
       "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
       "bb0 (entry):\n  movi %0, 0\n  ret %0\n");
   ASSERT_FALSE(R.ok()) << Line;
-  EXPECT_EQ(R.ErrLine, 2u) << Line;
-  EXPECT_NE(R.Error.find("out of range"), std::string::npos) << R.Error;
-  EXPECT_EQ(R.ErrToken, Tok);
+  EXPECT_EQ(R.ErrLine, 2u) << R.Error;
+  EXPECT_EQ(R.ErrCol, Col) << R.Error;
+  EXPECT_EQ(R.ErrToken, Tok) << R.Error;
+  EXPECT_NE(R.Error.find(Msg), std::string::npos) << R.Error;
+}
+
+// A memory image of MaxMemoryWords or more is a typed error on its line:
+// `mem 4294967295` would wrap `Addr + 1` to 0 in 32 bits, and the 3e9
+// images do not fit in memory.
+void expectImageTooLarge(const std::string &Line, const std::string &Tok) {
+  expectImageError(Line, static_cast<unsigned>(Line.rfind(Tok)) + 1, Tok,
+                   "out of range");
 }
 
 TEST(ParserDiagnostics, MemAddressThatWrapsIsRejected) {
@@ -347,21 +356,6 @@ TEST(ParserImage, TrailingBlankIsTrimmedButNotAValue) {
       << R.Error;
   EXPECT_EQ(R.ErrToken, "3");
   EXPECT_EQ(R.ErrCol, 5u);
-}
-
-/// Parses "mem 7 0x2\n" + \p Line + a function and expects an error on
-/// line 2 at column \p Col naming token \p Tok, with \p Msg in it.
-void expectImageError(const std::string &Line, unsigned Col,
-                      const std::string &Tok, const std::string &Msg) {
-  ParseResult R = parseModule(
-      "mem 7 0x2\n" + Line +
-      "\nfunc main (iparams=0 fparams=0 ret=int vregs=1 slots=0)\n"
-      "bb0 (entry):\n  movi %0, 0\n  ret %0\n");
-  ASSERT_FALSE(R.ok()) << Line;
-  EXPECT_EQ(R.ErrLine, 2u) << R.Error;
-  EXPECT_EQ(R.ErrCol, Col) << R.Error;
-  EXPECT_EQ(R.ErrToken, Tok) << R.Error;
-  EXPECT_NE(R.Error.find(Msg), std::string::npos) << R.Error;
 }
 
 TEST(ParserImage, ValueOfSeventeenDigitsIsAnError) {
